@@ -17,7 +17,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import DomainError, StructureError, bnorm, bracket, project, span_residual
+from .linalg import (
+    DomainError,
+    StructureError,
+    bnorm,
+    bracket,
+    check_skew_hermitian,
+    project,
+    span_residual,
+)
 from .split import ReductiveSplit, bracket_pair_residual
 
 MEMBERSHIP_TOL = 1e-10
@@ -82,22 +90,13 @@ class ChargedSystem:
         """The module weights repeated per basis element of m."""
         return np.repeat(self.metric.weights, self.split.dims)
 
-    def metric_inner(self, X, Y):
-        return metric_inner(self, X, Y)
-
-    def apply_I0(self, X):
-        return apply_I0(self, X)
-
-    def em_two_form(self, X, Y):
-        return em_two_form(self, X, Y)
-
 
 def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
     """Validated constructor for ChargedSystem.
 
     Checks the weight count, the pair indices, the bracket condition
-    [m_a, m_b] in m_a, and that W lies in the center of h. When h is
-    trivial, W is forced to zero.
+    [m_a, m_b] in m_a, and that W is skew-Hermitian and lies in the
+    center of h. When h is trivial, W is forced to zero.
     """
     metric = DiagonalMetric(tuple(weights))
     if len(metric.weights) != split.s:
@@ -116,7 +115,7 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
         raise StructureError(
             f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})"
         )
-    W = np.asarray(W, dtype=complex)
+    W = check_skew_hermitian(W, name="W")
     if split.h.dim == 0:
         if bnorm(W) > tol:
             raise StructureError("h is trivial, so W must be zero")

@@ -32,7 +32,7 @@ def _as_matrix(X, name="X"):
     A = np.asarray(X, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise DomainError(f"{name} has non-finite entries")
     return A
 
@@ -83,22 +83,39 @@ def inner_b(X, Y, scale=1.0):
 
 def bnorm(X):
     """Norm induced by inner_b."""
-    return float(np.sqrt(max(inner_b(X, X), 0.0)))
+    A = _as_matrix(X)
+    return float(np.sqrt(max(-float(np.real(np.trace(A @ A))), 0.0)))
+
+
+class Flow:
+    """The one-parameter group t -> exp(tA), from one eigendecomposition.
+
+    Skew-Hermitian A admits exp(tA) = U diag(exp(i t w)) U* with
+    -iA = U diag(w) U*, exactly unitary up to roundoff. Anything else
+    falls through to scipy's scaling-and-squaring at each t. t = 0 and
+    A = 0 give the identity exactly.
+    """
+
+    def __init__(self, A):
+        self.A = _as_matrix(A)
+        self._zero = not self.A.any()
+        scale = max(1.0, float(np.abs(self.A).max(initial=0.0)))
+        self._w = None
+        if float(np.abs(self.A + self.A.conj().T).max(initial=0.0)) <= 1e-12 * scale:
+            self._w, self._U = np.linalg.eigh(-1j * self.A)
+            self._Uh = self._U.conj().T
+
+    def __call__(self, t):
+        if self._zero or t == 0.0:
+            return np.eye(self.A.shape[0], dtype=complex)
+        if self._w is None:
+            return scipy.linalg.expm(t * self.A)
+        return (self._U * np.exp(1j * t * self._w)) @ self._Uh
 
 
 def expm(X):
-    """Matrix exponential of an algebra element.
-
-    Skew-Hermitian input is exponentiated through the eigendecomposition
-    of the Hermitian matrix -iX, which is exactly unitary up to roundoff.
-    Anything else falls through to scipy's scaling-and-squaring.
-    """
-    A = _as_matrix(X)
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    if float(np.abs(A + A.conj().T).max(initial=0.0)) <= 1e-12 * scale:
-        w, U = np.linalg.eigh(-1j * A)
-        return (U * np.exp(1j * w)) @ U.conj().T
-    return scipy.linalg.expm(A)
+    """Matrix exponential of an algebra element, exp(X) = Flow(X)(1)."""
+    return Flow(X)(1.0)
 
 
 def adjoint(g, X):

@@ -11,6 +11,11 @@ equals k I0(velocity). The body velocity, the pullback of the velocity
 to m, is Ad(exp(-tY))Xa + Xb; an independent product-rule derivative is
 available for cross-checking. At lam = 1 the pair collapses to Y = 0,
 set exactly to avoid float residue.
+
+Both factors are `linalg.Flow`s, one eigendecomposition per generator.
+A motion keeps no per-t state: each evaluation at t is recomputed from
+the two flows, so callers that reuse a value at the same t hold on to
+it themselves.
 """
 
 from __future__ import annotations
@@ -19,35 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import MEMBERSHIP_TOL, metric_inner, metric_norm
-from .linalg import DomainError, adjoint, bnorm, expm, project, span_residual
-
-
-class _Flow:
-    """exp(tA) at many t from one eigendecomposition.
-
-    Skew-Hermitian A admits exp(tA) = U diag(exp(i t w)) U* with
-    -iA = U diag(w) U*. Other A fall back to a fresh exponential per
-    call. t = 0 and A = 0 return the identity exactly.
-    """
-
-    def __init__(self, A):
-        self.A = np.asarray(A, dtype=complex)
-        self._n = self.A.shape[0]
-        self._zero = not self.A.any()
-        scale = max(float(np.linalg.norm(self.A)), 1.0)
-        if np.linalg.norm(self.A + self.A.conj().T) <= 1e-12 * scale:
-            w, U = np.linalg.eigh(-1j * self.A)
-            self._w, self._U, self._Uh = w, U, U.conj().T
-        else:
-            self._w = None
-
-    def __call__(self, t):
-        if self._zero or t == 0.0:
-            return np.eye(self._n, dtype=complex)
-        if self._w is None:
-            return expm(t * self.A)
-        return (self._U * np.exp(1j * t * self._w)) @ self._Uh
+from .field import MEMBERSHIP_TOL, metric_norm
+from .linalg import DomainError, Flow, adjoint, bnorm, check_skew_hermitian, project, span_residual
 
 
 @dataclass(frozen=True)
@@ -60,7 +38,7 @@ class TrajectorySample:
 
 
 class ClosedFormMotion:
-    """Two-exponential curve with cached flows.
+    """Two-exponential curve evaluated from the flows of X and Y.
 
     `exact` marks curves built from valid initial data, for which the
     body velocity is Ad(exp(-tY))Xa + Xb. Deliberately damaged curves
@@ -84,33 +62,21 @@ class ClosedFormMotion:
             else:
                 self.Y = (1.0 - lam) * (self.Xb + (k / lam) * W)
             self.exact = bool(exact)
-        self._flow_x = _Flow(self.X)
-        self._flow_y = _Flow(self.Y)
-        self._rep_cache = {}
-        self._vel_cache = {}
-        self._num_cache = {}
+        self._flow_x = Flow(self.X)
+        self._flow_y = Flow(self.Y)
 
     def representative(self, t):
-        g = self._rep_cache.get(t)
-        if g is None:
-            g = self._flow_x(t) @ self._flow_y(t)
-            self._rep_cache[t] = g
-        return g
+        return self._flow_x(t) @ self._flow_y(t)
 
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
         return adjoint(self._flow_y(-t), self.Xa)
 
     def body_velocity(self, t):
-        v = self._vel_cache.get(t)
-        if v is None:
-            if self.exact:
-                v = self.transported_xa(t) + self.Xb
-            else:
-                xi = adjoint(self._flow_y(-t), self.X) + self.Y
-                v = project(self.system.m, xi)
-            self._vel_cache[t] = v
-        return v
+        if self.exact:
+            return self.transported_xa(t) + self.Xb
+        xi = adjoint(self._flow_y(-t), self.X) + self.Y
+        return project(self.system.m, xi)
 
     def body_velocity_numeric(self, t):
         """m-projection of alpha^-1 alpha', differentiated by product rule.
@@ -119,14 +85,9 @@ class ClosedFormMotion:
         alpha' = X alpha + exp(tX) Y exp(tY) is formed from matrix
         products and pulled back by solving alpha xi = alpha'.
         """
-        v = self._num_cache.get(t)
-        if v is None:
-            alpha = self.representative(t)
-            alpha_dot = self.X @ alpha + self._flow_x(t) @ self.Y @ self._flow_y(t)
-            xi = np.linalg.solve(alpha, alpha_dot)
-            v = project(self.system.m, xi)
-            self._num_cache[t] = v
-        return v
+        alpha = self.representative(t)
+        alpha_dot = self.X @ alpha + self._flow_x(t) @ self.Y @ self._flow_y(t)
+        return project(self.system.m, np.linalg.solve(alpha, alpha_dot))
 
     def speed(self, t):
         v = self.body_velocity(t)
@@ -146,36 +107,27 @@ def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
     """Validated constructor: Xa must lie in m_a and Xb in m_b.
 
     Xb may be omitted (zero); when the system has no second module it
-    must be omitted or zero.
+    must be omitted or zero. Both must be skew-Hermitian: B is indefinite
+    off u(n), so the span residual alone cannot see a Hermitian part.
     """
-    Xa = np.asarray(Xa, dtype=complex)
+    Xa = check_skew_hermitian(Xa, name="Xa")
+    Xb = check_skew_hermitian(np.zeros_like(Xa) if Xb is None else Xb, name="Xb")
     r = span_residual(system.ma, Xa)
     if r > tol:
         raise DomainError(
             f"Xa has a component of size {r:.3e} outside m{system.a}"
         )
     if system.b is None:
-        if Xb is not None and bnorm(np.asarray(Xb, dtype=complex)) > tol:
+        if bnorm(Xb) > tol:
             raise DomainError("this system has no second module; Xb must be zero")
         Xb = np.zeros_like(Xa)
     else:
-        if Xb is None:
-            Xb = np.zeros_like(Xa)
-        Xb = np.asarray(Xb, dtype=complex)
         r = span_residual(system.mb, Xb)
         if r > tol:
             raise DomainError(
                 f"Xb has a component of size {r:.3e} outside m{system.b}"
             )
     return ClosedFormMotion(system, Xa, Xb)
-
-
-def evaluate(motion, t):
-    return motion.evaluate(t)
-
-
-def body_velocity_numeric(motion, t):
-    return motion.body_velocity_numeric(t)
 
 
 def sample_trajectory(motion, t0, t1, count):

@@ -29,7 +29,7 @@ at lam = 1.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +40,10 @@ from .motion import build_motion
 
 @dataclass(frozen=True)
 class ResidualConfig:
-    """Finite-difference step, pass tolerance, optional default sweep data."""
+    """Finite-difference step and pass tolerance."""
 
     fd_step: float = 1e-4
     tolerance: float = 1e-6
-    t_samples: tuple = ()
-    probes: tuple = ()
 
     def __post_init__(self):
         if not self.fd_step > 0:
@@ -99,45 +97,51 @@ def _unit_probe(sys, Z):
     return Z / zn
 
 
-def _koszul_terms(motion, t, Z, h):
+def _koszul_rows(motion, t, probes, h):
+    """(t1, t2, t3, rhs, residual) at time t for each unit probe.
+
+    What depends on t alone, the body velocity, the numeric velocities
+    at t +- h, alpha(t) and I0 of the velocity, is computed once. t1
+    differentiates only body_velocity_numeric, never the shortcut.
+    """
     sys = motion.system
-    Z = _unit_probe(sys, Z)
     v = motion.body_velocity(t)
-
-    def dv(s):
-        return metric_inner(sys, Z, motion.body_velocity_numeric(t + s))
-
-    t1 = (dv(h) - dv(-h)) / (2.0 * h)
-    t2 = metric_inner(sys, v, project(sys.m, bracket(Z, motion.Y)))
-
+    v_plus = motion.body_velocity_numeric(t + h)
+    v_minus = motion.body_velocity_numeric(t - h)
     alpha = motion.representative(t)
+    force = apply_I0(sys, v)
 
-    def energy(s):
-        p = alpha @ expm(s * Z)
+    def energy(p):
         w = project(sys.m, adjoint(p.conj().T, motion.X) + motion.Y)
         return metric_inner(sys, w, w)
 
-    t3 = -0.5 * (energy(h) - energy(-h)) / (2.0 * h)
-    rhs = sys.k * metric_inner(sys, apply_I0(sys, v), Z)
-    return t1, t2, t3, rhs, (t1 + t2 + t3) - rhs
+    rows = []
+    for Z in probes:
+        t1 = (metric_inner(sys, Z, v_plus) - metric_inner(sys, Z, v_minus)) / (2.0 * h)
+        t2 = metric_inner(sys, v, project(sys.m, bracket(Z, motion.Y)))
+        t3 = -0.5 * (energy(alpha @ expm(h * Z)) - energy(alpha @ expm(-h * Z))) / (2.0 * h)
+        rhs = sys.k * metric_inner(sys, force, Z)
+        rows.append((t1, t2, t3, rhs, (t1 + t2 + t3) - rhs))
+    return rows
 
 
 def koszul_residual(motion, t, Z, cfg=DEFAULT_CONFIG):
     """Weak-form residual at time t against probe Z (normalized internally)."""
-    return _koszul_terms(motion, float(t), Z, cfg.fd_step)[4]
+    Z = _unit_probe(motion.system, Z)
+    return _koszul_rows(motion, float(t), [Z], cfg.fd_step)[0][4]
 
 
 def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
     """Residuals over a t-grid times a probe set, reduced by max."""
     if t_samples is None:
-        t_samples = cfg.t_samples or np.linspace(-2.0, 2.0, 25)
+        t_samples = np.linspace(-2.0, 2.0, 25)
     if probes is None:
-        probes = cfg.probes or metric_probe_basis(motion.system)
+        probes = metric_probe_basis(motion.system)
+    units = [_unit_probe(motion.system, Z) for Z in probes]
     entries = []
     for t in t_samples:
-        for j, Z in enumerate(probes):
-            t1, t2, t3, rhs, r = _koszul_terms(motion, float(t), Z, cfg.fd_step)
-            entries.append(ResidualEntry(float(t), j, t1, t2, t3, rhs, r))
+        rows = _koszul_rows(motion, float(t), units, cfg.fd_step)
+        entries.extend(ResidualEntry(float(t), j, *row) for j, row in enumerate(rows))
     return ResidualReport.from_entries(entries)
 
 

@@ -244,17 +244,6 @@ def bracket_pair_residual(split, a, b):
     return worst
 
 
-def validate_pair(split, a, b, tol=USER_TOL):
-    """Check the bracket condition [m_a, m_b] in m_a.
-
-    b may be None to designate the empty module, in which case the
-    condition holds vacuously. Failures are reported, not raised.
-    """
-    rep = ValidationReport()
-    rep.add("bracket_condition", bracket_pair_residual(split, a, b), tol)
-    return rep
-
-
 def structure_report(split, pair=None, W=None, ch=None, tol=USER_TOL):
     """Full validation report for a split.
 

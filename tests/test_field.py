@@ -133,6 +133,15 @@ def test_charged_system_validates_W():
         charged_system(entry.split, (1.0, 2.0), 1, 2, m1.basis[0], 1.0)
 
 
+def test_charged_system_rejects_hermitian_W():
+    # the Hermitian part has zero span residual off h and commutes with
+    # the diagonal h of hopf(1), so only the skew-Hermitian check sees it
+    entry = hopf(1)
+    H = 0.3 * np.diag([1.0, -1.0]).astype(complex)
+    with pytest.raises(DomainError, match="W is not skew-Hermitian"):
+        charged_system(entry.split, (1.0, 2.0), 1, 2, entry.W + H, 1.0)
+
+
 def test_charged_system_rejects_noncentral_W():
     # with su(2) as the isotropy of a split of su(3), no root direction
     # inside it is central

@@ -20,6 +20,7 @@ from homofiber import (
     project,
     span_residual,
 )
+from homofiber.linalg import Flow
 
 A1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 A2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
@@ -79,6 +80,22 @@ def test_expm_general_fallback():
     # satisfy exp(X) exp(-X) = I
     X = np.array([[0.1, 0.7], [0.0, -0.2]], dtype=complex)
     assert np.allclose(expm(X) @ expm(-X), np.eye(2), atol=1e-12)
+
+
+def test_flow_matches_expm():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5):
+        A = random_skew(rng, n)
+        flow = Flow(A)
+        for t in (-2.5, -0.1, 0.7, 3.0):
+            assert np.abs(flow(t) - expm(t * A)).max() < 1e-13
+    # a non-skew generator goes through the scipy path
+    G = np.array([[0.1, 0.7], [0.0, -0.2]], dtype=complex)
+    for t in (-1.3, 0.5, 2.0):
+        assert np.abs(Flow(G)(t) - expm(t * G)).max() < 1e-13
+    eye = np.eye(3, dtype=complex)
+    assert np.array_equal(Flow(random_skew(rng, 3))(0.0), eye)
+    assert np.array_equal(Flow(np.zeros((3, 3)))(1.7), eye)
 
 
 def test_expm_against_mpmath():

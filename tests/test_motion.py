@@ -148,6 +148,20 @@ def test_build_motion_rejects_data_outside_the_modules(hopf1, entries):
         build_motion(flat, flat.ma.basis[0], flat.ma.basis[1])
 
 
+def test_build_motion_rejects_hermitian_components(hopf1):
+    # B is indefinite off u(n): the span residual of a Hermitian part
+    # clamps to zero, so only the skew-Hermitian check can see it
+    sys = system_for(hopf1, ratio=2.0, k=1.0)
+    Xa, Xb = unit_basis_pair(sys)
+    H = 0.3 * np.diag([1.0, -1.0]).astype(complex)
+    assert span_residual(sys.ma, Xa + H) <= 1e-10
+    assert span_residual(sys.mb, Xb + H) <= 1e-10
+    with pytest.raises(DomainError, match="Xa is not skew-Hermitian"):
+        build_motion(sys, Xa + H, Xb)
+    with pytest.raises(DomainError, match="Xb is not skew-Hermitian"):
+        build_motion(sys, Xa, Xb + H)
+
+
 def test_build_motion_accepts_omitted_xb(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     Xa, _ = unit_basis_pair(sys)

@@ -153,6 +153,18 @@ def test_assembled_terms_match_reduced_left_side(hopf1):
             assert abs(entry.rhs - lh) <= 1e-11
 
 
+@pytest.mark.parametrize("name", ["hopf:2", "twistor_su3"])
+def test_koszul_residual_matches_sweep_entry(entries, name):
+    sys = system_for(entries[name], ratio=2.0, k=1.0)
+    motion = seeded_motion(sys, seed=5)
+    probes = metric_probe_basis(sys)
+    for m in (motion, perturb_motion(motion, eps=1e-2)):
+        for t in (-1.3, 0.6):
+            report = residual_sweep(m, [t], probes)
+            for entry, Z in zip(report.entries, probes):
+                assert koszul_residual(m, t, Z) == entry.residual
+
+
 def test_conservation_zero_data_is_exact(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     zero = np.zeros((2, 2), dtype=complex)

@@ -15,7 +15,6 @@ from homofiber import (
     span_residual,
     structure_report,
     twistor_su3,
-    validate_pair,
 )
 
 
@@ -109,19 +108,19 @@ def test_custom_split_overlapping_modules():
         )
 
 
-def test_validate_pair_direction_matters():
+def test_pair_check_direction_matters():
     split = hopf(1).split
-    ok = validate_pair(split, 1, 2)
+    ok = structure_report(split, pair=(1, 2))
     assert ok.passed
-    swapped = validate_pair(split, 2, 1)
+    swapped = structure_report(split, pair=(2, 1))
     # [m2, m1] lands back in m1, which is not inside m2
-    assert not swapped.passed
+    assert not swapped.checks["bracket_condition"].passed
     assert swapped.checks["bracket_condition"].residual > 0.1
 
 
-def test_validate_pair_vacuous_without_b():
+def test_pair_check_vacuous_without_b():
     split = hopf(1).split
-    assert validate_pair(split, 1, None).passed
+    assert structure_report(split, pair=(1, None)).passed
 
 
 def test_root_module_pairs_fail():
@@ -130,7 +129,8 @@ def test_root_module_pairs_fail():
     for a in (1, 2, 3):
         for b in (1, 2, 3):
             if a != b:
-                assert not validate_pair(split, a, b).passed
+                report = structure_report(split, pair=(a, b))
+                assert not report.checks["bracket_condition"].passed
 
 
 def test_center_of_torus_is_torus():
