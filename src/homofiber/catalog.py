@@ -315,7 +315,10 @@ def load_custom(doc):
     with the offending check in the message.
     """
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         name = str(doc.get("name", "custom"))
+        ambient_n = doc["ambient_n"]
         gb = [_mat_load(M) for M in doc["g_basis"]]
         hb = [_mat_load(M) for M in doc["h_basis"]]
         weights = tuple(float(w) for w in doc["weights"])
@@ -323,6 +326,8 @@ def load_custom(doc):
         pair = (int(pa), int(pb) if pb is not None else None)
         W = _mat_load(doc["W"])
         model_doc = doc.get("model")
+        if model_doc is not None:
+            model_kind, model_base = model_doc["kind"], model_doc["base"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space document: {exc}") from exc
     ch = None
@@ -330,25 +335,23 @@ def load_custom(doc):
         kb = [_mat_load(M) for M in doc["k_basis"]]
         ch = chain(gb, kb, hb)
         split = build_split(ch)
-        source = {"name": name, "ambient_n": doc["ambient_n"], "g_basis": gb,
+        source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
                   "h_basis": hb, "k_basis": kb}
     elif "module_bases" in doc:
         mods = [[_mat_load(M) for M in mod] for mod in doc["module_bases"]]
         split = build_custom_split(gb, hb, mods)
-        source = {"name": name, "ambient_n": doc["ambient_n"], "g_basis": gb,
+        source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
                   "h_basis": hb, "module_bases": mods}
     else:
         raise ValueError("space document needs k_basis or module_bases")
     model = None
     if model_doc is not None:
-        if model_doc["kind"] == "vector":
-            model = Model("vector", _vec_load(model_doc["base"]))
-        elif model_doc["kind"] == "orbit":
-            model = Model(
-                "orbit", _mat_load(model_doc["base"]), tuple(orthonormalize(gb).basis)
-            )
+        if model_kind == "vector":
+            model = Model("vector", _vec_load(model_base))
+        elif model_kind == "orbit":
+            model = Model("orbit", _mat_load(model_base), tuple(orthonormalize(gb).basis))
         else:
-            raise ValueError(f"unknown model kind {model_doc['kind']!r}")
+            raise ValueError(f"unknown model kind {model_kind!r}")
     entry = CatalogEntry(name, split, ch, weights, pair, W, model, source)
     rep = entry.validation_report(tol=1e-10)
     if not rep.passed:

@@ -142,7 +142,7 @@ def _motion_from_args(args):
 def cmd_validate(args):
     try:
         entry = _resolve_space(args.space)
-    except (StructureError, ValueError) as exc:
+    except (StructureError, DomainError) as exc:
         sys.stderr.write(f"validation failed: {exc}\n")
         _write(_json_text({"passed": False, "error": str(exc)}), args.out)
         return FAIL
@@ -223,6 +223,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     entry, system, motion = _motion_from_args(args)
     ts = np.linspace(args.t0, args.t1, args.samples)
     probes = metric_probe_basis(system)

@@ -24,9 +24,8 @@ from .linalg import (
     bracket,
     check_skew_hermitian,
     project,
-    span_residual,
 )
-from .split import ReductiveSplit, bracket_pair_residual
+from .split import ReductiveSplit, bracket_pair_residual, center_residuals
 
 MEMBERSHIP_TOL = 1e-10
 
@@ -116,17 +115,15 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
             f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})"
         )
     W = check_skew_hermitian(W, name="W")
+    rs, rc = center_residuals(split.h, W)
     if split.h.dim == 0:
-        if bnorm(W) > tol:
+        if rs > tol:
             raise StructureError("h is trivial, so W must be zero")
         W = np.zeros((split.n, split.n), dtype=complex)
-    else:
-        rs = span_residual(split.h, W)
-        if rs > tol:
-            raise StructureError(f"W is not in h (residual {rs:.3e})")
-        rc = max(bnorm(bracket(W, x)) for x in split.h.basis)
-        if rc > tol:
-            raise StructureError(f"W is not central in h (residual {rc:.3e})")
+    elif rs > tol:
+        raise StructureError(f"W is not in h (residual {rs:.3e})")
+    elif rc > tol:
+        raise StructureError(f"W is not central in h (residual {rc:.3e})")
     return ChargedSystem(split, metric, a, int(b) if b is not None else None, W, k, model)
 
 

@@ -84,7 +84,8 @@ def inner_b(X, Y, scale=1.0):
 def bnorm(X):
     """Norm induced by inner_b."""
     A = _as_matrix(X)
-    return float(np.sqrt(max(-float(np.real(np.trace(A @ A))), 0.0)))
+    # adding 0.0 turns the clamped -0.0 of a zero matrix into +0.0
+    return float(np.sqrt(max(-float(np.real(np.trace(A @ A))), 0.0))) + 0.0
 
 
 class Flow:
@@ -199,7 +200,27 @@ def project(S, X):
     return S.combine(S.coordinates(A))
 
 
+def brackets(X, S):
+    """The commutators [X, e_i] over the basis of S, as a (dim S, n, n) stack."""
+    A = _as_matrix(X)
+    if S.basis:
+        _same_size(A, S.basis[0], "bracket")
+    E = S.stacked.reshape(S.dim, *A.shape)
+    return A @ E - E @ A
+
+
+def span_residuals(S, M):
+    """span_residual of each matrix in the (k, n, n) stack M: bnorm(X - project(S, X))."""
+    M = np.asarray(M, dtype=complex)
+    k, n = M.shape[0], M.shape[-1]
+    flat = M.reshape(k, n * n)
+    if S.basis and k:
+        _same_size(M[0], S.basis[0], "coordinates")
+        flat = flat - np.real(S.dual @ flat.T).T @ S.stacked
+    R = flat.reshape(k, n, n)
+    return np.sqrt(np.maximum(-np.real(np.trace(R @ R, axis1=1, axis2=2)), 0.0)) + 0.0
+
+
 def span_residual(S, X):
     """B-norm of the component of X orthogonal to S."""
-    A = _as_matrix(X)
-    return bnorm(A - project(S, A))
+    return float(span_residuals(S, _as_matrix(X)[None])[0])

@@ -97,8 +97,14 @@ def _unit_probe(sys, Z):
     return Z / zn
 
 
-def _koszul_rows(motion, t, probes, h):
-    """(t1, t2, t3, rhs, residual) at time t for each unit probe.
+def _probe_stencils(motion, probes, h):
+    """(Z, exp(hZ), exp(-hZ), [Z, Y]_m) for each unit probe Z; none depends on t."""
+    m = motion.system.m
+    return [(Z, expm(h * Z), expm(-h * Z), project(m, bracket(Z, motion.Y))) for Z in probes]
+
+
+def _koszul_rows(motion, t, stencils, h):
+    """(t1, t2, t3, rhs, residual) at time t for each probe stencil.
 
     What depends on t alone, the body velocity, the numeric velocities
     at t +- h, alpha(t) and I0 of the velocity, is computed once. t1
@@ -116,10 +122,10 @@ def _koszul_rows(motion, t, probes, h):
         return metric_inner(sys, w, w)
 
     rows = []
-    for Z in probes:
+    for Z, step_plus, step_minus, zy in stencils:
         t1 = (metric_inner(sys, Z, v_plus) - metric_inner(sys, Z, v_minus)) / (2.0 * h)
-        t2 = metric_inner(sys, v, project(sys.m, bracket(Z, motion.Y)))
-        t3 = -0.5 * (energy(alpha @ expm(h * Z)) - energy(alpha @ expm(-h * Z))) / (2.0 * h)
+        t2 = metric_inner(sys, v, zy)
+        t3 = -0.5 * (energy(alpha @ step_plus) - energy(alpha @ step_minus)) / (2.0 * h)
         rhs = sys.k * metric_inner(sys, force, Z)
         rows.append((t1, t2, t3, rhs, (t1 + t2 + t3) - rhs))
     return rows
@@ -127,8 +133,8 @@ def _koszul_rows(motion, t, probes, h):
 
 def koszul_residual(motion, t, Z, cfg=DEFAULT_CONFIG):
     """Weak-form residual at time t against probe Z (normalized internally)."""
-    Z = _unit_probe(motion.system, Z)
-    return _koszul_rows(motion, float(t), [Z], cfg.fd_step)[0][4]
+    stencils = _probe_stencils(motion, [_unit_probe(motion.system, Z)], cfg.fd_step)
+    return _koszul_rows(motion, float(t), stencils, cfg.fd_step)[0][4]
 
 
 def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
@@ -138,9 +144,10 @@ def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
     if probes is None:
         probes = metric_probe_basis(motion.system)
     units = [_unit_probe(motion.system, Z) for Z in probes]
+    stencils = _probe_stencils(motion, units, cfg.fd_step)
     entries = []
     for t in t_samples:
-        rows = _koszul_rows(motion, float(t), units, cfg.fd_step)
+        rows = _koszul_rows(motion, float(t), stencils, cfg.fd_step)
         entries.extend(ResidualEntry(float(t), j, *row) for j, row in enumerate(rows))
     return ResidualReport.from_entries(entries)
 

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from .linalg import (
     StructureError,
     Subspace,
-    bnorm,
-    bracket,
-    inner_b,
+    brackets,
     orthonormalize,
     project,
     span_residual,
+    span_residuals,
 )
 
 CATALOG_TOL = 1e-12   # exact integer / half-integer input data
@@ -71,6 +71,12 @@ class ReductiveSplit:
     def dims(self):
         return tuple(mod.dim for mod in self.modules)
 
+    @cached_property
+    def gram(self):
+        """Gram matrix B(x, y) over the concatenated bases of h, m1, ..., ms."""
+        flat = Subspace(self.h.basis + self.m.basis)
+        return np.real(flat.stacked @ flat.dual.T) if flat.dim else np.zeros((0, 0))
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -85,7 +91,7 @@ class ValidationReport:
     checks: dict = field(default_factory=dict)
 
     def add(self, name, residual, tol):
-        self.checks[name] = CheckResult(residual <= tol, float(residual))
+        self.checks[name] = CheckResult(bool(residual <= tol), float(residual))
 
     @property
     def passed(self):
@@ -103,15 +109,35 @@ class ValidationReport:
         return out
 
 
+def _bracket_residuals(target, A, B):
+    """(A.dim, B.dim) residuals off target of [x, y], stacked one row x at a time."""
+    rows = [span_residuals(target, brackets(x, B)) for x in A.basis]
+    return np.array(rows).reshape(A.dim, B.dim)
+
+
 def _closure_residual(space):
-    """Worst residual of [x, y] off span(space) over basis pairs, with argmax."""
-    worst, where = 0.0, None
-    for i, x in enumerate(space.basis):
-        for j, y in enumerate(space.basis[i + 1:], start=i + 1):
-            r = span_residual(space, bracket(x, y))
-            if r > worst:
-                worst, where = r, (i, j)
-    return worst, where
+    """Worst residual of [x, y] off span(space) over basis pairs i < j, with argmax."""
+    r = np.triu(_bracket_residuals(space, space, space), 1)
+    worst = r.max(initial=0.0)
+    return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
+
+
+def _require_closed(name, space, tol):
+    worst, where = _closure_residual(space)
+    if worst > tol:
+        raise StructureError(
+            f"{name} basis is not closed under bracket: elements "
+            f"{where[0]} and {where[1]} bracket outside the span "
+            f"(residual {worst:.3e})"
+        )
+
+
+def _require_contained(inner_name, inner, outer_name, outer, tol):
+    worst = span_residuals(outer, inner.basis).max(initial=0.0)
+    if worst > tol:
+        raise StructureError(
+            f"{inner_name} is not contained in {outer_name} (residual {worst:.3e})"
+        )
 
 
 def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
@@ -121,22 +147,11 @@ def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
     h = orthonormalize(h_basis)
     if g.dim == 0:
         raise StructureError("g basis spans nothing")
-    n = g.ambient
     for name, space in (("g", g), ("k", k), ("h", h)):
-        worst, where = _closure_residual(space)
-        if worst > tol:
-            raise StructureError(
-                f"{name} basis is not closed under bracket: elements "
-                f"{where[0]} and {where[1]} bracket outside the span "
-                f"(residual {worst:.3e})"
-            )
-    for inner_name, inner, outer_name, outer in (("h", h, "k", k), ("k", k, "g", g)):
-        worst = max((span_residual(outer, x) for x in inner.basis), default=0.0)
-        if worst > tol:
-            raise StructureError(
-                f"{inner_name} is not contained in {outer_name} (residual {worst:.3e})"
-            )
-    return SubalgebraChain(g, k, h, n)
+        _require_closed(name, space, tol)
+    _require_contained("h", h, "k", k, tol)
+    _require_contained("k", k, "g", g, tol)
+    return SubalgebraChain(g, k, h, g.ambient)
 
 
 def _complement(outer, inner):
@@ -162,10 +177,7 @@ def build_split(ch, tol=USER_TOL):
     rep = structure_report(split, tol=tol)
     if not rep.passed:
         raise StructureError("split of chain fails validation:\n" + "\n".join(rep.lines()))
-    worst = 0.0
-    for x in m1.basis:
-        for y in ch.k.basis:
-            worst = max(worst, span_residual(m1, bracket(x, y)))
+    worst = _bracket_residuals(m1, m1, ch.k).max(initial=0.0)
     if worst > tol:
         raise StructureError(f"[m1, k] leaves m1 (residual {worst:.3e})")
     return split
@@ -181,55 +193,25 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
     g = orthonormalize(g_basis)
     h = orthonormalize(h_basis)
     mods = tuple(orthonormalize(mb) for mb in module_bases)
-    worst, where = _closure_residual(h)
-    if worst > tol:
-        raise StructureError(
-            f"h basis is not closed under bracket: elements {where[0]} and "
-            f"{where[1]} bracket outside the span (residual {worst:.3e})"
-        )
+    _require_closed("h", h, tol)
+    split = ReductiveSplit(h, mods, g.ambient)
     pieces = [("h", h)] + [(f"m{i + 1}", mod) for i, mod in enumerate(mods)]
-    for idx, (name_a, a) in enumerate(pieces):
-        for name_b, b in pieces[idx + 1:]:
-            r = max(
-                (abs(inner_b(x, y)) for x in a.basis for y in b.basis),
-                default=0.0,
-            )
-            if r > tol:
-                raise StructureError(f"{name_a} and {name_b} overlap (residual {r:.3e})")
-    total = h.dim + sum(mod.dim for mod in mods)
-    if total != g.dim:
+    edges = np.cumsum([0] + [space.dim for _, space in pieces])
+    for a, b in combinations(range(len(pieces)), 2):
+        block = split.gram[edges[a]:edges[a + 1], edges[b]:edges[b + 1]]
+        r = np.abs(block).max(initial=0.0)
+        if r > tol:
+            raise StructureError(f"{pieces[a][0]} and {pieces[b][0]} overlap (residual {r:.3e})")
+    if edges[-1] != g.dim:
         raise StructureError(
-            f"pieces span dimension {total} but g has dimension {g.dim}"
+            f"pieces span dimension {edges[-1]} but g has dimension {g.dim}"
         )
     for name, space in pieces:
-        r = max((span_residual(g, x) for x in space.basis), default=0.0)
-        if r > tol:
-            raise StructureError(f"{name} is not contained in g (residual {r:.3e})")
-    split = ReductiveSplit(h, mods, g.ambient)
+        _require_contained(name, space, "g", g, tol)
     rep = structure_report(split, tol=tol)
     if not rep.passed:
         raise StructureError("custom split fails validation:\n" + "\n".join(rep.lines()))
     return split
-
-
-def _orthogonality_residual(split):
-    spaces = [split.h] + list(split.modules)
-    flat = [b for sp in spaces for b in sp.basis]
-    worst = 0.0
-    for i, x in enumerate(flat):
-        for j, y in enumerate(flat):
-            target = 1.0 if i == j else 0.0
-            worst = max(worst, abs(inner_b(x, y) - target))
-    return worst
-
-
-def _ad_invariance_residual(split):
-    worst = 0.0
-    for mod in split.modules:
-        for z in split.h.basis:
-            for x in mod.basis:
-                worst = max(worst, span_residual(mod, bracket(z, x)))
-    return worst
 
 
 def bracket_pair_residual(split, a, b):
@@ -237,11 +219,13 @@ def bracket_pair_residual(split, a, b):
     if b is None:
         return 0.0
     ma, mb = split.module(a), split.module(b)
-    worst = 0.0
-    for x in ma.basis:
-        for y in mb.basis:
-            worst = max(worst, span_residual(ma, bracket(x, y)))
-    return worst
+    return _bracket_residuals(ma, ma, mb).max(initial=0.0)
+
+
+def center_residuals(h, W):
+    """(B-norm of W off h, largest B-norm of [W, x] over the basis x of h)."""
+    central = span_residuals(Subspace(()), brackets(W, h)).max(initial=0.0)
+    return span_residual(h, W), float(central)
 
 
 def structure_report(split, pair=None, W=None, ch=None, tol=USER_TOL):
@@ -252,19 +236,17 @@ def structure_report(split, pair=None, W=None, ch=None, tol=USER_TOL):
     chain bases.
     """
     rep = ValidationReport()
-    rep.add("orthogonality", _orthogonality_residual(split), tol)
-    rep.add("ad_invariance", _ad_invariance_residual(split), tol)
+    G = split.gram
+    rep.add("orthogonality", np.abs(G - np.eye(len(G))).max(initial=0.0), tol)
+    ad = [_bracket_residuals(mod, split.h, mod).max(initial=0.0) for mod in split.modules]
+    rep.add("ad_invariance", max(ad, default=0.0), tol)
     if pair is not None:
         a, b = pair
         rep.add("bracket_condition", bracket_pair_residual(split, a, b), tol)
     if W is not None:
-        worst = max((bnorm(bracket(W, x)) for x in split.h.basis), default=0.0)
-        worst = max(worst, span_residual(split.h, W))
-        rep.add("center_membership", worst, tol)
+        rep.add("center_membership", max(center_residuals(split.h, W)), tol)
     if ch is not None:
-        worst = 0.0
-        for space in (ch.g, ch.k, ch.h):
-            worst = max(worst, _closure_residual(space)[0])
+        worst = max(_closure_residual(space)[0] for space in (ch.g, ch.k, ch.h))
         rep.add("chain_closure", worst, tol)
     return rep
 
@@ -273,19 +255,15 @@ def center_basis(split, rank_tol=1e-10):
     """Basis of the center of h, the W candidates.
 
     Solves [W, x] = 0 for all x in the h basis as a null-space problem
-    for the stacked ad-coefficient matrices. An empty h has an empty
-    center.
+    for the stacked ad-coefficient matrices, whose entries are the
+    structure constants C[i, j, l] = B([h_i, h_j], h_l). An empty h has
+    an empty center.
     """
-    hb = split.h.basis
-    d = len(hb)
+    h = split.h
+    d = h.dim
     if d == 0:
         return Subspace(())
-    rows = []
-    for j in range(d):
-        for l in range(d):
-            rows.append([inner_b(bracket(hb[i], hb[j]), hb[l]) for i in range(d)])
-    A = np.array(rows)
-    _, sv, vt = np.linalg.svd(A)
+    C = np.array([np.real(brackets(x, h).reshape(d, -1) @ h.dual.T) for x in h.basis])
+    _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
     null = [vt[i] for i in range(d) if i >= len(sv) or sv[i] < rank_tol]
-    vecs = [sum(c * hb[i] for i, c in enumerate(v)) for v in null]
-    return orthonormalize(vecs)
+    return orthonormalize([h.combine(v) for v in null])

@@ -33,8 +33,10 @@ def test_validate_catalog_space(tmp_path, capsys):
 @pytest.mark.parametrize(
     "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
 )
-def test_validate_every_entry(name):
+def test_validate_every_entry(name, capsys):
     assert main(["validate", "--space", name]) == 0
+    # zero residuals print as 0.000e+00, never with a minus sign
+    assert "-0.000" not in capsys.readouterr().out
 
 
 def test_verify_passes_on_closed_form_curve(tmp_path):
@@ -123,6 +125,39 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", "--space", str(bad)]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+def _without_model_kind(doc):
+    del doc["model"]["kind"]
+    return doc
+
+
+def _without_ambient_n(doc):
+    del doc["ambient_n"]
+    return doc
+
+
+def _as_list(doc):
+    return [doc]
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize(
+    "damage", [_without_model_kind, _without_ambient_n, _as_list]
+)
+def test_malformed_document_is_usage_error(tmp_path, capsys, command, damage):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(damage(export_entry(get_entry("hopf:1")))))
+    assert main([command, "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "malformed space document" in err
+    assert "Traceback" not in err
+
+
+def test_verify_needs_samples(capsys):
+    assert main(["verify", "--space", "hopf:1", "--samples", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --samples") and "Traceback" not in err
 
 
 def test_tampered_document_fails_validation(tmp_path):

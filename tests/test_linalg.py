@@ -1,5 +1,7 @@
 """Matrix algebra kernel: bracket, trace form, exponentials, Gram-Schmidt."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from homofiber import (
     project,
     span_residual,
 )
-from homofiber.linalg import Flow
+from homofiber.linalg import Flow, brackets, span_residuals
 
 A1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 A2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
@@ -177,6 +179,38 @@ def test_project_rejects_bad_operands():
             fn(S, np.zeros((3, 3), dtype=complex))
         with pytest.raises(DomainError):
             fn(S, bad)
+
+
+def test_zero_norms_are_positive_zero():
+    # the clamp in bnorm and span_residuals must not leave a -0.0 behind
+    S = orthonormalize([A1, A2])
+    zero = np.zeros((2, 2), dtype=complex)
+    assert math.copysign(1.0, bnorm(zero)) == 1.0
+    assert math.copysign(1.0, span_residual(S, A1 - A1)) == 1.0
+    assert math.copysign(1.0, span_residual(Subspace(()), zero)) == 1.0
+    assert all(math.copysign(1.0, r) == 1.0 for r in span_residuals(S, [zero, A1]))
+
+
+def test_stacked_kernels_match_single_matrix_forms():
+    rng = np.random.default_rng(11)
+    S = orthonormalize([random_skew(rng, 3) for _ in range(3)])
+    X = random_skew(rng, 3)
+    stack = brackets(X, S)
+    assert stack.shape == (3, 3, 3)
+    for E, e in zip(stack, S.basis):
+        assert np.array_equal(E, bracket(X, e))
+    residuals = span_residuals(S, stack)
+    assert residuals.max() > 0.1
+    for r, E in zip(residuals, stack):
+        assert r == pytest.approx(span_residual(S, E), rel=0.0, abs=1e-14)
+    # the one-matrix case is span_residual itself, bit for bit
+    assert span_residuals(S, [X])[0] == span_residual(S, X)
+    assert span_residuals(S, np.zeros((0, 3, 3))).shape == (0,)
+    assert brackets(X, Subspace(())).shape == (0, 3, 3)
+    with pytest.raises(DimensionError):
+        brackets(A1, S)
+    with pytest.raises(DimensionError):
+        span_residuals(S, [A1])
 
 
 def test_empty_subspace():

@@ -1,10 +1,14 @@
 """Reductive splits: chains, complements, validators, centers."""
 
+import re
+
 import numpy as np
 import pytest
 
 from homofiber import (
     StructureError,
+    Subspace,
+    bnorm,
     bracket,
     build_custom_split,
     build_split,
@@ -12,10 +16,68 @@ from homofiber import (
     chain,
     hopf,
     inner_b,
+    lie_group,
+    orthonormalize,
     span_residual,
     structure_report,
     twistor_su3,
 )
+from homofiber.split import ReductiveSplit
+
+# Reference definitions: the validators written as plain loops over basis
+# elements, one bracket and one residual at a time. The stacked kernels
+# in the package must reproduce them on inputs whose residuals are not 0.
+
+
+def ref_closure(space):
+    worst, where = 0.0, None
+    for i, x in enumerate(space.basis):
+        for j, y in enumerate(space.basis[i + 1:], start=i + 1):
+            r = span_residual(space, bracket(x, y))
+            if r > worst:
+                worst, where = r, (i, j)
+    return worst, where
+
+
+def ref_pair(split, a, b):
+    ma, mb = split.module(a), split.module(b)
+    return max(span_residual(ma, bracket(x, y)) for x in ma.basis for y in mb.basis)
+
+
+def ref_orthogonality(split):
+    flat = [b for sp in (split.h,) + split.modules for b in sp.basis]
+    return max(
+        abs(inner_b(x, y) - (1.0 if i == j else 0.0))
+        for i, x in enumerate(flat)
+        for j, y in enumerate(flat)
+    )
+
+
+def ref_ad_invariance(split):
+    return max(
+        (span_residual(mod, bracket(z, x))
+         for mod in split.modules for z in split.h.basis for x in mod.basis),
+        default=0.0,
+    )
+
+
+def ref_center_membership(split, W):
+    worst = max((bnorm(bracket(W, x)) for x in split.h.basis), default=0.0)
+    return max(worst, span_residual(split.h, W))
+
+
+def ref_center_basis(split, rank_tol=1e-10):
+    hb = split.h.basis
+    d = len(hb)
+    if d == 0:
+        return Subspace(())
+    rows = []
+    for j in range(d):
+        for l in range(d):
+            rows.append([inner_b(bracket(hb[i], hb[j]), hb[l]) for i in range(d)])
+    _, sv, vt = np.linalg.svd(np.array(rows))
+    null = [vt[i] for i in range(d) if i >= len(sv) or sv[i] < rank_tol]
+    return orthonormalize([sum(c * hb[i] for i, c in enumerate(v)) for v in null])
 
 
 def _E(n, j, l):
@@ -69,6 +131,16 @@ def test_chain_rejects_non_closed_basis():
     a3 = np.array([[1j, 0], [0, -1j]], dtype=complex)
     with pytest.raises(StructureError, match="not closed"):
         chain([a1, a2, a3], [a1, a2], [])
+    # the message names the first worst pair i < j, as the reference loop does
+    a4 = 1j * np.eye(2)
+    for k_basis in ([a1, a2], [a4, a1, a2], [a1, a4, a2 + a4]):
+        worst, (i, j) = ref_closure(orthonormalize(k_basis))
+        assert worst > 0.1
+        with pytest.raises(StructureError) as exc:
+            chain([a1, a2, a3, a4], k_basis, [])
+        got = re.search(r"elements (\d+) and (\d+) .*residual ([0-9.e+-]+)", str(exc.value))
+        assert (int(got[1]), int(got[2])) == (i, j)
+        assert got[3] == f"{worst:.3e}"
 
 
 def test_chain_rejects_non_nested():
@@ -116,6 +188,9 @@ def test_pair_check_direction_matters():
     # [m2, m1] lands back in m1, which is not inside m2
     assert not swapped.checks["bracket_condition"].passed
     assert swapped.checks["bracket_condition"].residual > 0.1
+    assert swapped.checks["bracket_condition"].residual == pytest.approx(
+        ref_pair(split, 2, 1), rel=0.0, abs=1e-14
+    )
 
 
 def test_pair_check_vacuous_without_b():
@@ -131,6 +206,40 @@ def test_root_module_pairs_fail():
             if a != b:
                 report = structure_report(split, pair=(a, b))
                 assert not report.checks["bracket_condition"].passed
+                assert report.checks["bracket_condition"].residual == pytest.approx(
+                    ref_pair(split, a, b), rel=0.0, abs=1e-14
+                )
+
+
+def test_report_matches_reference_loops_off_the_structure():
+    # mixed root planes are neither ad(h)-invariant nor orthonormal, and
+    # a root vector is not in h: every residual is far from zero
+    mods = su3_root_modules()
+    h = orthonormalize(torus_basis())
+    bad = ReductiveSplit(
+        h,
+        (Subspace((mods[0][0], mods[1][0])), Subspace((mods[0][0] + mods[2][1], mods[1][1]))),
+        3,
+    )
+    W = mods[2][0] + torus_basis()[0]
+    rep = structure_report(bad, pair=(1, 2), W=W)
+    want = {
+        "orthogonality": ref_orthogonality(bad),
+        "ad_invariance": ref_ad_invariance(bad),
+        "bracket_condition": ref_pair(bad, 1, 2),
+        "center_membership": ref_center_membership(bad, W),
+    }
+    for name, value in want.items():
+        assert value > 0.1
+        assert rep.checks[name].residual == pytest.approx(value, rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("split, dim", [(twistor_su3().split, 2), (lie_group().split, 0)])
+def test_center_basis_matches_reference(split, dim):
+    z, ref = center_basis(split), ref_center_basis(split)
+    assert z.dim == ref.dim == dim
+    for W in ref.basis:
+        assert span_residual(z, W) < 1e-12
 
 
 def test_center_of_torus_is_torus():
