@@ -42,10 +42,11 @@ class Model:
     frame: tuple = ()
 
     def apply(self, g):
+        """The point of g, or the points of a (..., n, n) stack of g."""
         if self.kind == "vector":
-            return np.asarray(g, dtype=complex) @ self.base
+            return np.einsum("...ij,j->...i", np.asarray(g, dtype=complex), self.base)
         x = adjoint(g, self.base)
-        return np.array([inner_b(x, e) for e in self.frame])
+        return inner_b(x[..., None, :, :], np.array(self.frame))
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,20 +326,28 @@ def load_custom(doc):
         pa, pb = doc["pair"]
         pair = (int(pa), int(pb) if pb is not None else None)
         W = _mat_load(doc["W"])
+        if "k_basis" in doc:
+            kb = [_mat_load(M) for M in doc["k_basis"]]
+        elif "module_bases" in doc:
+            mods = [[_mat_load(M) for M in mod] for mod in doc["module_bases"]]
         model_doc = doc.get("model")
         if model_doc is not None:
-            model_kind, model_base = model_doc["kind"], model_doc["base"]
+            model_kind = model_doc["kind"]
+            if model_kind == "vector":
+                model_base = _vec_load(model_doc["base"])
+            elif model_kind == "orbit":
+                model_base = _mat_load(model_doc["base"])
+            else:
+                raise ValueError(f"unknown model kind {model_kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space document: {exc}") from exc
     ch = None
     if "k_basis" in doc:
-        kb = [_mat_load(M) for M in doc["k_basis"]]
         ch = chain(gb, kb, hb)
         split = build_split(ch)
         source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
                   "h_basis": hb, "k_basis": kb}
     elif "module_bases" in doc:
-        mods = [[_mat_load(M) for M in mod] for mod in doc["module_bases"]]
         split = build_custom_split(gb, hb, mods)
         source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
                   "h_basis": hb, "module_bases": mods}
@@ -346,12 +355,16 @@ def load_custom(doc):
         raise ValueError("space document needs k_basis or module_bases")
     model = None
     if model_doc is not None:
+        want = (split.n,) if model_kind == "vector" else (split.n, split.n)
+        if model_base.shape != want:
+            raise ValueError(
+                f"malformed space document: model base has shape {model_base.shape}, "
+                f"expected {want}"
+            )
         if model_kind == "vector":
-            model = Model("vector", _vec_load(model_base))
-        elif model_kind == "orbit":
-            model = Model("orbit", _mat_load(model_base), tuple(orthonormalize(gb).basis))
+            model = Model("vector", model_base)
         else:
-            raise ValueError(f"unknown model kind {model_kind!r}")
+            model = Model("orbit", model_base, tuple(orthonormalize(gb).basis))
     entry = CatalogEntry(name, split, ch, weights, pair, W, model, source)
     rep = entry.validation_report(tol=1e-10)
     if not rep.passed:

@@ -81,11 +81,23 @@ def _resolve_space(name):
 
 
 def _write(text, out_path):
+    """Write text to out_path, or to stdout.
+
+    Once the reader of stdout has gone away, the rest of the output is
+    dropped: stdout is pointed at the null device, so later writes and
+    the flush at exit succeed and the command ends with its own code.
+    """
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_text(doc):
@@ -147,8 +159,7 @@ def cmd_validate(args):
         _write(_json_text({"passed": False, "error": str(exc)}), args.out)
         return FAIL
     rep = entry.validation_report()
-    for line in rep.lines():
-        print(line)
+    _write("".join(line + "\n" for line in rep.lines()), None)
     doc = {
         "space": entry.name,
         "passed": rep.passed,
@@ -230,9 +241,7 @@ def cmd_verify(args):
     probes = metric_probe_basis(system)
     cfg = ResidualConfig(fd_step=args.fd_step, tolerance=args.tol)
     res = residual_sweep(motion, ts, probes, cfg)
-    alg = max(
-        algebraic_identity_check(motion, t, Z) for t in ts for Z in probes
-    )
+    alg = float(np.max(algebraic_identity_check(motion, ts, probes)))
     cons = conservation_sweep(motion, ts)
     minv = module_invariance_sweep(motion, ts)
     agree = velocity_agreement_sweep(motion, ts)
@@ -343,8 +352,7 @@ def cmd_catalog(args):
     try:
         entry = get_entry(args.name)
     except KeyError as exc:
-        sys.stderr.write(f"error: {exc.args[0]}\n")
-        return FAIL
+        raise UsageError(exc.args[0])
     _write(_json_text(export_entry(entry)), args.out)
     return OK
 

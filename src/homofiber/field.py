@@ -8,6 +8,10 @@ positive weights. A central element W of h together with a module pair
 
 whose domain is m_a + m_b. The electromagnetic two-form is
 omega(X, Y) = <X, I0 Y>.
+
+Each function takes one matrix or a (..., n, n) stack, broadcast over
+the leading axes, and checks every matrix of a stack as it would check
+one matrix: the one-matrix call is the one-point case of the stack.
 """
 
 from __future__ import annotations
@@ -20,10 +24,12 @@ import numpy as np
 from .linalg import (
     DomainError,
     StructureError,
+    _scalar,
     bnorm,
     bracket,
     check_skew_hermitian,
     project,
+    span_residuals,
 )
 from .split import ReductiveSplit, bracket_pair_residual, center_residuals
 
@@ -128,11 +134,14 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
 
 
 def _m_coordinates(sys, X, name):
-    """Coordinates of X in the basis of m, after checking that X lies in m."""
+    """Coordinates of X in the basis of m, after checking that X lies in m.
+
+    On a stack, the worst matrix is the one reported.
+    """
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
-    r = bnorm(A - m.combine(c)) if m.dim else bnorm(A)
+    r = span_residuals(m, A.reshape((-1,) + A.shape[-2:])).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
         raise DomainError(f"{name} has a component of size {r:.3e} outside m")
     return c
@@ -146,25 +155,25 @@ def metric_inner(sys, X, Y):
     """
     cx = _m_coordinates(sys, X, "X")
     cy = _m_coordinates(sys, Y, "Y")
-    return float(np.dot(sys._m_weights * cx, cy))
+    return _scalar(np.sum(sys._m_weights * cx * cy, axis=-1))
 
 
 def metric_norm(sys, X):
-    return float(np.sqrt(max(metric_inner(sys, X, X), 0.0)))
+    return _scalar(np.sqrt(np.maximum(metric_inner(sys, X, X), 0.0)))
 
 
 def apply_I0(sys, X):
     """Field operator on its domain m_a + m_b."""
     Xa = project(sys.ma, X)
     if sys.b is None:
-        r = bnorm(X - Xa)
+        r = np.max(bnorm(X - Xa), initial=0.0)
         if r > MEMBERSHIP_TOL:
             raise DomainError(
                 f"X has a component of size {r:.3e} outside the I0 domain m{sys.a}"
             )
         return bracket(sys.W, Xa)
     Xb = project(sys.mb, X)
-    r = bnorm(X - Xa - Xb)
+    r = np.max(bnorm(X - Xa - Xb), initial=0.0)
     if r > MEMBERSHIP_TOL:
         raise DomainError(
             f"X has a component of size {r:.3e} outside the I0 domain "

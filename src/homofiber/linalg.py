@@ -5,6 +5,13 @@ skew-Hermitian n x n complex matrices, group elements are unitary
 matrices. This module provides the bracket, the trace inner product,
 matrix exponentials, Gram-Schmidt orthonormalization and subspace
 projection that the rest of the package is built on.
+
+The bracket, the inner product and norm, `adjoint`, `project` and the
+subspace coordinates also take (..., n, n) stacks, broadcast over the
+leading axes. An entry of a stack is the same float whatever the shape
+of the stack around it: products and sums run in einsum's fixed order,
+and the bracket keeps its matmul, which numpy applies matrix by matrix
+(never folding the stack into one larger product).
 """
 
 from __future__ import annotations
@@ -28,9 +35,10 @@ class StructureError(ValueError):
     """Input data violates a structural hypothesis (closure, nesting, ...)."""
 
 
-def _as_matrix(X, name="X"):
+def _as_matrix(X, name="X", stack=False):
+    """X as a complex square matrix or, with stack=True, a (..., n, n) stack."""
     A = np.asarray(X, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or (A.ndim > 2 and not stack) or A.shape[-1] != A.shape[-2]:
         raise DimensionError(f"{name} must be a square matrix, got shape {A.shape}")
     if not np.isfinite(A).all():
         raise DomainError(f"{name} has non-finite entries")
@@ -38,7 +46,7 @@ def _as_matrix(X, name="X"):
 
 
 def _same_size(A, B, op):
-    if A.shape != B.shape:
+    if A.shape[-2:] != B.shape[-2:]:
         raise DimensionError(f"{op}: size mismatch {A.shape} vs {B.shape}")
 
 
@@ -61,12 +69,27 @@ def check_unitary(g, tol=1e-10, name="g"):
     return A
 
 
+def mul(A, B):
+    """Matrix product, broadcast over the leading axes of (..., n, n) stacks."""
+    return np.einsum("...ij,...jk->...ik", A, B)
+
+
+def _scalar(x):
+    """A 0-d result as a float; stacked results stay arrays."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def bracket(X, Y):
     """Commutator [X, Y] = XY - YX."""
-    A = _as_matrix(X)
-    B = _as_matrix(Y, "Y")
+    A = _as_matrix(X, stack=True)
+    B = _as_matrix(Y, "Y", stack=True)
     _same_size(A, B, "bracket")
     return A @ B - B @ A
+
+
+def _trace_form(A, B):
+    """-Re trace(AB) over broadcast stacks."""
+    return -np.real(np.einsum("...ij,...ji->...", A, B))
 
 
 def inner_b(X, Y, scale=1.0):
@@ -75,17 +98,17 @@ def inner_b(X, Y, scale=1.0):
     Positive definite on skew-Hermitian matrices. `scale` applies an
     optional overall positive factor.
     """
-    A = _as_matrix(X)
-    B = _as_matrix(Y, "Y")
+    A = _as_matrix(X, stack=True)
+    B = _as_matrix(Y, "Y", stack=True)
     _same_size(A, B, "inner_b")
-    return -scale * float(np.real(np.trace(A @ B)))
+    return _scalar(scale * _trace_form(A, B))
 
 
 def bnorm(X):
     """Norm induced by inner_b."""
-    A = _as_matrix(X)
+    A = _as_matrix(X, stack=True)
     # adding 0.0 turns the clamped -0.0 of a zero matrix into +0.0
-    return float(np.sqrt(max(-float(np.real(np.trace(A @ A))), 0.0))) + 0.0
+    return _scalar(np.sqrt(np.maximum(_trace_form(A, A), 0.0)) + 0.0)
 
 
 class Flow:
@@ -107,11 +130,15 @@ class Flow:
             self._Uh = self._U.conj().T
 
     def __call__(self, t):
-        if self._zero or t == 0.0:
-            return np.eye(self.A.shape[0], dtype=complex)
+        """exp(tA) for a scalar t, or the (T, n, n) stack over a 1-D grid of t."""
+        ts = np.asarray(t, dtype=float)
+        grid = ts.reshape(-1)
         if self._w is None:
-            return scipy.linalg.expm(t * self.A)
-        return (self._U * np.exp(1j * t * self._w)) @ self._Uh
+            out = scipy.linalg.expm(grid[:, None, None] * self.A)
+        else:
+            out = mul(self._U * np.exp(1j * grid[:, None] * self._w)[:, None, :], self._Uh)
+        out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[0])
+        return out if ts.ndim else out[0]
 
 
 def expm(X):
@@ -121,10 +148,10 @@ def expm(X):
 
 def adjoint(g, X):
     """Conjugation Ad(g) X = g X g^{-1} for unitary g."""
-    G = _as_matrix(g, "g")
-    A = _as_matrix(X)
+    G = _as_matrix(g, "g", stack=True)
+    A = _as_matrix(X, stack=True)
     _same_size(G, A, "adjoint")
-    return G @ A @ G.conj().T
+    return mul(mul(G, A), np.swapaxes(G.conj(), -1, -2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,16 +187,18 @@ class Subspace:
 
     def coordinates(self, X):
         """The real vector of inner products B(X, e_i) with the basis."""
-        A = _as_matrix(X)
+        A = _as_matrix(X, stack=True)
         if not self.basis:
-            return np.zeros(0)
+            return np.zeros(A.shape[:-2] + (0,))
         _same_size(A, self.basis[0], "coordinates")
-        return np.real(self.dual @ A.ravel())
+        flat = A.reshape(A.shape[:-2] + (-1,))
+        return np.real(np.einsum("ij,...j->...i", self.dual, flat))
 
     def combine(self, coords):
         """The element sum_i coords_i e_i of the subspace."""
+        c = np.asarray(coords)
         n = self.ambient
-        return (np.asarray(coords) @ self.stacked).reshape(n, n)
+        return np.einsum("...i,ij->...j", c, self.stacked).reshape(c.shape[:-1] + (n, n))
 
 
 def orthonormalize(vectors, rank_tol=1e-10):
@@ -194,7 +223,7 @@ def orthonormalize(vectors, rank_tol=1e-10):
 
 def project(S, X):
     """Orthogonal projection sum_i B(X, e_i) e_i of X onto the subspace S."""
-    A = _as_matrix(X)
+    A = _as_matrix(X, stack=True)
     if not S.basis:
         return np.zeros_like(A)
     return S.combine(S.coordinates(A))

@@ -13,9 +13,10 @@ available for cross-checking. At lam = 1 the pair collapses to Y = 0,
 set exactly to avoid float residue.
 
 Both factors are `linalg.Flow`s, one eigendecomposition per generator.
-A motion keeps no per-t state: each evaluation at t is recomputed from
-the two flows, so callers that reuse a value at the same t hold on to
-it themselves.
+Every method takes a scalar t or a 1-D grid of t; on a grid it returns
+the (T, n, n) stack, one array program for the whole grid, and a
+scalar t is the one-point case. A motion keeps no per-t state, so
+callers that reuse a value at the same t hold on to it themselves.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import MEMBERSHIP_TOL, metric_norm
-from .linalg import DomainError, Flow, adjoint, bnorm, check_skew_hermitian, project, span_residual
+from .linalg import (
+    DomainError,
+    Flow,
+    adjoint,
+    bnorm,
+    check_skew_hermitian,
+    mul,
+    project,
+    span_residual,
+)
 
 
 @dataclass(frozen=True)
@@ -66,16 +76,16 @@ class ClosedFormMotion:
         self._flow_y = Flow(self.Y)
 
     def representative(self, t):
-        return self._flow_x(t) @ self._flow_y(t)
+        return mul(self._flow_x(t), self._flow_y(t))
 
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
-        return adjoint(self._flow_y(-t), self.Xa)
+        return adjoint(self._flow_y(np.negative(t)), self.Xa)
 
     def body_velocity(self, t):
         if self.exact:
             return self.transported_xa(t) + self.Xb
-        xi = adjoint(self._flow_y(-t), self.X) + self.Y
+        xi = adjoint(self._flow_y(np.negative(t)), self.X) + self.Y
         return project(self.system.m, xi)
 
     def body_velocity_numeric(self, t):
@@ -85,8 +95,9 @@ class ClosedFormMotion:
         alpha' = X alpha + exp(tX) Y exp(tY) is formed from matrix
         products and pulled back by solving alpha xi = alpha'.
         """
-        alpha = self.representative(t)
-        alpha_dot = self.X @ alpha + self._flow_x(t) @ self.Y @ self._flow_y(t)
+        fx, fy = self._flow_x(t), self._flow_y(t)
+        alpha = mul(fx, fy)
+        alpha_dot = mul(self.X, alpha) + mul(mul(fx, self.Y), fy)
         return project(self.system.m, np.linalg.solve(alpha, alpha_dot))
 
     def speed(self, t):
@@ -94,13 +105,19 @@ class ClosedFormMotion:
         return metric_norm(self.system, v)
 
     def evaluate(self, t):
-        t = float(t)
-        g = self.representative(t)
-        v = self.body_velocity(t)
-        pos = None
-        if self.system.model is not None:
-            pos = self.system.model.apply(g)
-        return TrajectorySample(t, g, v, metric_norm(self.system, v), pos)
+        """A TrajectorySample at t, or the list of them over a 1-D grid of t."""
+        ts = np.asarray(t, dtype=float)
+        grid = ts.reshape(-1)
+        g = self.representative(grid)
+        v = self.body_velocity(grid)
+        speeds = metric_norm(self.system, v)
+        model = self.system.model
+        pos = [None] * len(grid) if model is None else model.apply(g)
+        samples = [
+            TrajectorySample(t_i, g_i, v_i, s_i, p_i)
+            for t_i, g_i, v_i, s_i, p_i in zip(grid.tolist(), g, v, speeds.tolist(), pos)
+        ]
+        return samples if ts.ndim else samples[0]
 
 
 def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
@@ -136,7 +153,7 @@ def sample_trajectory(motion, t0, t1, count):
         raise ValueError(f"need finite t0 < t1, got [{t0}, {t1}]")
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
-    return [motion.evaluate(t) for t in np.linspace(t0, t1, int(count))]
+    return motion.evaluate(np.linspace(t0, t1, int(count)))
 
 
 def perturb_motion(motion, eps=1e-2, seed=0):

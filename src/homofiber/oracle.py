@@ -24,6 +24,10 @@ invariance of the transported direction, great circles on round
 spheres, circle trajectories with curvature monotone in the charge
 on the adjoint 2-sphere, and the collapse to a one-parameter subgroup
 at lam = 1.
+
+Every check evaluates its whole t-grid, and the weak form its whole
+(t, probe) grid, as one array program over stacks; a single point,
+as in koszul_residual, is the one-point case of the same grid.
 """
 
 from __future__ import annotations
@@ -34,7 +38,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import apply_I0, metric_inner, metric_norm
-from .linalg import DomainError, adjoint, bnorm, bracket, expm, inner_b, project, span_residual
+from .linalg import (
+    DomainError,
+    _scalar,
+    adjoint,
+    bnorm,
+    bracket,
+    expm,
+    inner_b,
+    mul,
+    project,
+    span_residuals,
+)
 from .motion import build_motion
 
 
@@ -91,50 +106,56 @@ def metric_probe_basis(sys):
 
 
 def _unit_probe(sys, Z):
+    """Z scaled to metric length one; on a stack, each probe separately."""
+    Z = np.asarray(Z, dtype=complex)
     zn = metric_norm(sys, Z)
-    if zn == 0.0:
+    if np.any(zn == 0.0):
         raise DomainError("probe Z must be nonzero")
-    return Z / zn
+    return Z / np.expand_dims(zn, (-2, -1))
 
 
 def _probe_stencils(motion, probes, h):
-    """(Z, exp(hZ), exp(-hZ), [Z, Y]_m) for each unit probe Z; none depends on t."""
-    m = motion.system.m
-    return [(Z, expm(h * Z), expm(-h * Z), project(m, bracket(Z, motion.Y))) for Z in probes]
+    """Stacks Z, exp(hZ), exp(-hZ) and [Z, Y]_m over the unit probes Z; none depends on t."""
+    Z = np.asarray(probes, dtype=complex)
+    return (
+        Z,
+        np.array([expm(h * z) for z in Z]),
+        np.array([expm(-h * z) for z in Z]),
+        project(motion.system.m, bracket(Z, motion.Y)),
+    )
 
 
-def _koszul_rows(motion, t, stencils, h):
-    """(t1, t2, t3, rhs, residual) at time t for each probe stencil.
+def _koszul_grid(motion, ts, stencils, h):
+    """The (T, P) arrays t1, t2, t3 and rhs over a t-grid and the probe stencils.
 
-    What depends on t alone, the body velocity, the numeric velocities
-    at t +- h, alpha(t) and I0 of the velocity, is computed once. t1
-    differentiates only body_velocity_numeric, never the shortcut.
+    Rows run over t and columns over the probes. t1 differentiates
+    only body_velocity_numeric, never the shortcut; the numeric
+    velocities at t + h and t - h come from one call on both grids.
     """
     sys = motion.system
-    v = motion.body_velocity(t)
-    v_plus = motion.body_velocity_numeric(t + h)
-    v_minus = motion.body_velocity_numeric(t - h)
-    alpha = motion.representative(t)
+    Z, step_plus, step_minus, zy = stencils
+    Z, zy = Z[None], zy[None]
+    v = motion.body_velocity(ts)[:, None]
+    v_num = motion.body_velocity_numeric(np.concatenate([ts + h, ts - h]))[:, None]
+    v_plus, v_minus = v_num[: len(ts)], v_num[len(ts):]
+    alpha = motion.representative(ts)[:, None]
     force = apply_I0(sys, v)
 
-    def energy(p):
-        w = project(sys.m, adjoint(p.conj().T, motion.X) + motion.Y)
+    def energy(step):
+        p = mul(alpha, step)
+        w = project(sys.m, adjoint(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
         return metric_inner(sys, w, w)
 
-    rows = []
-    for Z, step_plus, step_minus, zy in stencils:
-        t1 = (metric_inner(sys, Z, v_plus) - metric_inner(sys, Z, v_minus)) / (2.0 * h)
-        t2 = metric_inner(sys, v, zy)
-        t3 = -0.5 * (energy(alpha @ step_plus) - energy(alpha @ step_minus)) / (2.0 * h)
-        rhs = sys.k * metric_inner(sys, force, Z)
-        rows.append((t1, t2, t3, rhs, (t1 + t2 + t3) - rhs))
-    return rows
+    t1 = (metric_inner(sys, Z, v_plus) - metric_inner(sys, Z, v_minus)) / (2.0 * h)
+    t2 = metric_inner(sys, v, zy)
+    t3 = -0.5 * (energy(step_plus) - energy(step_minus)) / (2.0 * h)
+    rhs = sys.k * metric_inner(sys, force, Z)
+    return t1, t2, t3, rhs
 
 
 def koszul_residual(motion, t, Z, cfg=DEFAULT_CONFIG):
     """Weak-form residual at time t against probe Z (normalized internally)."""
-    stencils = _probe_stencils(motion, [_unit_probe(motion.system, Z)], cfg.fd_step)
-    return _koszul_rows(motion, float(t), stencils, cfg.fd_step)[0][4]
+    return residual_sweep(motion, [t], [Z], cfg).entries[0].residual
 
 
 def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
@@ -143,13 +164,15 @@ def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
         t_samples = np.linspace(-2.0, 2.0, 25)
     if probes is None:
         probes = metric_probe_basis(motion.system)
-    units = [_unit_probe(motion.system, Z) for Z in probes]
-    stencils = _probe_stencils(motion, units, cfg.fd_step)
-    entries = []
-    for t in t_samples:
-        rows = _koszul_rows(motion, float(t), stencils, cfg.fd_step)
-        entries.extend(ResidualEntry(float(t), j, *row) for j, row in enumerate(rows))
-    return ResidualReport.from_entries(entries)
+    ts = np.asarray(t_samples, dtype=float).reshape(-1)
+    stencils = _probe_stencils(motion, _unit_probe(motion.system, probes), cfg.fd_step)
+    t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, cfg.fd_step)
+    rows = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1).tolist()
+    return ResidualReport.from_entries(
+        ResidualEntry(t, j, *row)
+        for t, per_t in zip(ts.tolist(), rows)
+        for j, row in enumerate(per_t)
+    )
 
 
 def algebraic_identity_check(motion, t, Z):
@@ -164,13 +187,17 @@ def algebraic_identity_check(motion, t, Z):
 
     collapse to -k wa B(Z, [U + V, W]). This is exact bracket algebra,
     no differentiation, so agreement is expected at 1e-11 or better.
+
+    t may be a 1-D grid and Z a stack of probes; the result is then
+    the (T, P) array of gaps, rows over t and columns over the probes.
     """
     sys = motion.system
     wa = sys.metric.weights[sys.a - 1]
     wb = sys.metric.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
     Z = _unit_probe(sys, Z)
-    U = motion.transported_xa(float(t))
+    U = motion.transported_xa(t)
+    U = U.reshape(U.shape[:-2] + (1,) * (Z.ndim - 2) + U.shape[-2:])
     V = motion.Xb
     term1 = (wa - wb) * inner_b(Z, bracket(U, V + (k / lam) * W))
     term2 = (wb - wa) * inner_b(Z, bracket(U, V))
@@ -179,7 +206,7 @@ def algebraic_identity_check(motion, t, Z):
         - (k / lam) * wb * inner_b(Z, bracket(V, W))
     )
     collapsed = -k * wa * inner_b(Z, bracket(U + V, W))
-    return abs(term1 + term2 + term3 - collapsed)
+    return _scalar(np.abs(term1 + term2 + term3 - collapsed))
 
 
 @dataclass(frozen=True)
@@ -194,24 +221,21 @@ class ConservationReport:
 def conservation_sweep(motion, t_samples):
     """Max |speed(t) - speed(0)| over the sweep."""
     s0 = motion.speed(0.0)
-    drift = max(abs(motion.speed(float(t)) - s0) for t in t_samples)
-    return ConservationReport(s0, drift)
+    drift = max(np.abs(motion.speed(np.asarray(t_samples, dtype=float)) - s0))
+    return ConservationReport(s0, float(drift))
 
 
 def module_invariance_sweep(motion, t_samples):
     """Max component of Ad(exp(-tY))Xa outside m_a over the sweep."""
-    ma = motion.system.ma
-    return max(span_residual(ma, motion.transported_xa(float(t))) for t in t_samples)
+    transported = motion.transported_xa(np.asarray(t_samples, dtype=float))
+    return float(max(span_residuals(motion.system.ma, transported)))
 
 
 def velocity_agreement_sweep(motion, t_samples):
     """Max B-distance between the two body-velocity computations."""
-    worst = 0.0
-    for t in t_samples:
-        t = float(t)
-        d = motion.body_velocity_numeric(t) - (motion.transported_xa(t) + motion.Xb)
-        worst = max(worst, bnorm(d))
-    return worst
+    ts = np.asarray(t_samples, dtype=float)
+    d = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
+    return float(np.max(bnorm(d), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -225,8 +249,9 @@ class GreatCircleReport:
 
 
 def _realify(z):
-    z = np.asarray(z).ravel()
-    return np.concatenate([z.real, z.imag])
+    """Real and imaginary parts side by side along the last axis."""
+    z = np.asarray(z)
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _plane_frame(vectors, tol=1e-12):
@@ -257,12 +282,10 @@ def great_circle_check(motion, t_samples=None):
         raise DomainError("great-circle check needs a space with a vector model")
     if sys.k != 0.0:
         raise DomainError(f"great-circle check needs k = 0, got k = {sys.k}")
-    basis = sys.m.basis
-    pushed = [_realify(e @ model.base) for e in basis]
-    gram_model = np.array([[u @ w for w in pushed] for u in pushed])
-    gram_metric = np.array(
-        [[metric_inner(sys, x, y) for y in basis] for x in basis]
-    )
+    basis = np.array(sys.m.basis)
+    pushed = _realify(model.apply(basis))
+    gram_model = np.sum(pushed[:, None] * pushed[None], axis=-1)
+    gram_metric = metric_inner(sys, basis[:, None], basis[None])
     scale = np.trace(gram_metric) / np.trace(gram_model)
     dev = np.max(np.abs(gram_metric - scale * gram_model))
     if dev > 1e-10 * max(1.0, abs(scale)):
@@ -273,17 +296,15 @@ def great_circle_check(motion, t_samples=None):
     if t_samples is None:
         t_samples = np.linspace(0.0, 2.0 * np.pi, 97)
     x0 = model.apply(motion.representative(0.0))
-    xdot0 = (motion.X + motion.Y) @ model.base
+    xdot0 = model.apply(motion.X + motion.Y)
     frame = _plane_frame([_realify(x0), _realify(xdot0)])
-    max_rad, max_plane = 0.0, 0.0
-    for t in t_samples:
-        x = model.apply(motion.representative(float(t)))
-        max_rad = max(max_rad, abs(np.linalg.norm(x) - 1.0))
-        r = _realify(x)
-        for q in frame:
-            r = r - (q @ r) * q
-        max_plane = max(max_plane, float(np.linalg.norm(r)))
-    return GreatCircleReport(max_rad, max_plane, float(scale))
+    x = model.apply(motion.representative(np.asarray(t_samples, dtype=float)))
+    r = _realify(x)
+    for q in frame:
+        r = r - np.sum(q * r, axis=-1, keepdims=True) * q
+    max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
+    max_plane = np.max(np.linalg.norm(r, axis=-1), initial=0.0)
+    return GreatCircleReport(float(max_rad), float(max_plane), float(scale))
 
 
 @dataclass(frozen=True)
@@ -303,23 +324,24 @@ class MagneticCircleReport:
         return self.constant and self.increasing
 
 
-def _stencil_kappa(pos, t, h):
-    """Signed geodesic curvature on the model 2-sphere at time t.
+def _stencil_kappa(pos, ts, h):
+    """Signed geodesic curvature on the model 2-sphere at each time of ts.
 
     Fourth-order five-point stencils give the first two derivatives of
     the position; curvature is the normal-plane component of the
     acceleration per unit squared speed, measured along the surface
-    conormal (outward normal cross tangent).
+    conormal (outward normal cross tangent). pos maps an array of
+    times to the array of positions.
     """
-    p = [pos(t + j * h) for j in (-2, -1, 0, 1, 2)]
+    p = np.moveaxis(pos(ts[:, None] + np.arange(-2, 3) * h), 1, 0)
     d1 = (-p[4] + 8 * p[3] - 8 * p[1] + p[0]) / (12.0 * h)
     d2 = (-p[4] + 16 * p[3] - 30 * p[2] + 16 * p[1] - p[0]) / (12.0 * h * h)
-    speed = np.linalg.norm(d1)
-    if speed == 0.0:
+    speed = np.linalg.norm(d1, axis=-1)
+    if np.any(speed == 0.0):
         raise DomainError("curvature is undefined on a constant trajectory")
-    normal = p[2] / np.linalg.norm(p[2])
-    conormal = np.cross(normal, d1 / speed)
-    return float(d2 @ conormal) / speed**2
+    normal = p[2] / np.linalg.norm(p[2], axis=-1, keepdims=True)
+    conormal = np.cross(normal, d1 / speed[:, None])
+    return np.sum(d2 * conormal, axis=-1) / speed**2
 
 
 def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, stencil_h=1e-3):
@@ -346,10 +368,10 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
         sys_k = dataclasses.replace(sys, k=float(kv))
         motion = build_motion(sys_k, Xa)
 
-        def pos(t, m=motion):
-            return model.apply(m.representative(float(t)))
+        def pos(ts, m=motion):
+            return model.apply(m.representative(ts.ravel())).reshape(ts.shape + (-1,))
 
-        kappas = np.array([_stencil_kappa(pos, float(t), stencil_h) for t in t_samples])
+        kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
         mean = float(np.mean(kappas))
         entries.append(
             MagneticCircleEntry(float(kv), mean, float(np.max(np.abs(kappas - mean))))
@@ -379,11 +401,10 @@ def lambda_collapse_check(motion, t_samples=None):
     if t_samples is None:
         t_samples = np.linspace(-2.0, 2.0, 41)
     gen = motion.Xa + motion.Xb + sys.k * sys.W
-    worst = 0.0
-    for t in t_samples:
-        d = motion.representative(float(t)) - expm(float(t) * gen)
-        worst = max(worst, float(np.linalg.norm(d)))
-    return CollapseReport(worst)
+    ts = np.asarray(t_samples, dtype=float)
+    reference = np.array([expm(t * gen) for t in ts.tolist()]).reshape((len(ts),) + gen.shape)
+    d = motion.representative(ts) - reference
+    return CollapseReport(float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0)))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ invocation itself was bad. Reports written with --out must be
 byte-identical across reruns of the same configuration and seed.
 """
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +159,33 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, command, damage):
     assert "Traceback" not in err
 
 
+BAD_VALUES = (None, True, -1, 2.5, "x", [], [0], [[0, 0]], [[[0, 0]]], {})
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
+)
+def test_mutated_documents_never_end_in_a_traceback(tmp_path, name):
+    """Every top-level and model field of an export, set to each bad value."""
+    base = export_entry(get_entry(name))
+    fields = [(key,) for key in base] + [("model", key) for key in base["model"] or ()]
+    path = tmp_path / "mutated.json"
+    for field in fields:
+        for bad in BAD_VALUES:
+            doc = json.loads(json.dumps(base))
+            target = doc if len(field) == 1 else doc["model"]
+            target[field[-1]] = bad
+            path.write_text(json.dumps(doc))
+            for argv in (["validate"], ["verify", "--samples", "2"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = main(argv + ["--space", str(path)])
+                assert rc in (0, 1, 2), (field, bad, argv)
+                assert "Traceback" not in err.getvalue()
+                if "malformed" in err.getvalue():
+                    assert rc == 2
+
+
 def test_verify_needs_samples(capsys):
     assert main(["verify", "--space", "hopf:1", "--samples", "0"]) == 2
     err = capsys.readouterr().err
@@ -186,8 +218,11 @@ def test_catalog_export_round_trip(tmp_path):
 
 
 def test_catalog_export_unknown(capsys):
-    assert main(["catalog", "export", "nope"]) == 1
-    assert "unknown catalog entry" in capsys.readouterr().err
+    # an unknown name is a bad invocation, not a failed check
+    assert main(["catalog", "export", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown catalog entry 'nope'")
+    assert "Traceback" not in err
 
 
 def test_catalog_export_needs_name(capsys):
@@ -295,3 +330,41 @@ def test_bare_invocations():
     assert main([]) == 2
     assert main(["--help"]) == 0
     assert main(["frobnicate"]) == 2
+
+
+def _cli_process(argv):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "homofiber.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+
+
+def test_reader_closing_after_one_line_is_not_a_traceback():
+    # 20000 samples are far more than a pipe buffer holds
+    proc = _cli_process(["simulate", "--space", "hopf:1", "--samples", "20000"])
+    assert proc.stdout.readline().startswith(b"t,rep_00_re")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0
+    assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["validate", "--space", "twistor_su3"], 0),
+        (["simulate", "--space", "hopf:1", "--samples", "50"], 0),
+        (["verify", "--space", "hopf:1", "--k=1", "--samples", "3", "--perturb", "1e-2"], 1),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code(argv, code):
+    proc = _cli_process(argv)
+    proc.stdout.close()  # gone before the command writes anything
+    err = proc.stderr.read().decode()
+    assert proc.wait() == code
+    assert "Traceback" not in err and "BrokenPipe" not in err
