@@ -229,7 +229,7 @@ def twistor_su3():
     split = build_split(ch, tol=CATALOG_TOL)
     W = 1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     xi0 = 1j * np.diag([1.0, 2.0, -3.0])
-    model = Model("orbit", xi0, tuple(orthonormalize(gb).basis))
+    model = Model("orbit", xi0, ch.g.basis)
     source = {
         "name": "twistor_su3",
         "ambient_n": 3,

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -172,41 +174,42 @@ def cmd_validate(args):
     return OK if rep.passed else FAIL
 
 
-def _sample_rows(samples, n):
+def _sample_csv(samples, n):
+    """The simulate CSV: one row per sample, each float written as %.17g."""
     header = ["t"]
     for i in range(n):
         for j in range(n):
             header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
+    columns = [
+        [s.t for s in samples],
+        _re_im([s.representative.ravel() for s in samples]),
+    ]
     pos0 = samples[0].position
     if pos0 is not None:
         if np.iscomplexobj(pos0):
-            for i in range(len(pos0)):
-                header += [f"pos_{i}_re", f"pos_{i}_im"]
+            header += [f"pos_{i}_{part}" for i in range(len(pos0)) for part in ("re", "im")]
+            columns.append(_re_im([s.position for s in samples]))
         else:
             header += [f"pos_{i}" for i in range(len(pos0))]
+            columns.append([s.position for s in samples])
     header.append("speed")
-    rows = [header]
-    for s in samples:
-        row = [_f(s.t)]
-        for z in np.asarray(s.representative).ravel():
-            row += [_f(z.real), _f(z.imag)]
-        if s.position is not None:
-            if np.iscomplexobj(s.position):
-                for z in s.position:
-                    row += [_f(z.real), _f(z.imag)]
-            else:
-                row += [_f(x) for x in s.position]
-        row.append(_f(s.speed))
-        rows.append(row)
-    return rows
+    columns.append([s.speed for s in samples])
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    fmt = ",".join(["%.17g"] * table.shape[1])
+    return "\n".join([",".join(header)] + [fmt % tuple(row) for row in table.tolist()]) + "\n"
+
+
+def _re_im(rows):
+    """Complex rows as real rows with each entry's real and imaginary parts side by side."""
+    z = np.asarray(rows, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
 
 
 def cmd_simulate(args):
     entry, system, motion = _motion_from_args(args)
     samples = sample_trajectory(motion, args.t0, args.t1, args.samples)
     if args.format == "csv":
-        rows = _sample_rows(samples, system.split.n)
-        text = "\n".join(",".join(r) for r in rows) + "\n"
+        text = _sample_csv(samples, system.split.n)
     else:
         doc = {
             "space": entry.name,
@@ -357,7 +360,8 @@ def cmd_catalog(args):
     return OK
 
 
-def _add_space_flags(p):
+def _space_flags(p, fmt):
+    """The flags of simulate and verify, which differ in the default format."""
     p.add_argument("--space", required=True, help="catalog name or space document path")
     p.add_argument(
         "--lambda",
@@ -379,45 +383,61 @@ def _add_space_flags(p):
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=float, default=0.0, metavar="EPS")
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json-tree"), default=fmt)
 
 
-def build_parser():
+def _validate_flags(p):
+    p.add_argument("--space", required=True)
+    p.add_argument("--out", default=None)
+
+
+def _catalog_flags(p):
+    p.add_argument("action", choices=("list", "export"))
+    p.add_argument("name", nargs="?", default=None)
+    p.add_argument("--out", default=None)
+
+
+_COMMANDS = {
+    "validate": ("run structural validators on a space", _validate_flags, cmd_validate),
+    "simulate": ("sample a closed-form trajectory", partial(_space_flags, fmt="csv"), cmd_simulate),
+    "verify": (
+        "run the residual oracle and all checks", partial(_space_flags, fmt="json-tree"), cmd_verify
+    ),
+    "catalog": ("list entries or export one", _catalog_flags, cmd_catalog),
+}
+
+
+def build_parser(argv):
+    """The command-line parser for argv.
+
+    Only the subcommands named among the words of argv get their flags:
+    argparse enters no other subcommand, and adding arguments is most
+    of the cost of a build. Help and usage list every subcommand. The
+    terminal width that argparse would look up for each argument is
+    looked up once.
+    """
+    formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="homofiber",
         description=(
             "Homogeneous fibrations of compact matrix groups: closed-form "
             "charged-particle trajectories and independent verification."
         ),
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("validate", help="run structural validators on a space")
-    pv.add_argument("--space", required=True)
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=cmd_validate)
-
-    ps = sub.add_parser("simulate", help="sample a closed-form trajectory")
-    _add_space_flags(ps)
-    ps.add_argument("--out", default=None)
-    ps.add_argument("--format", choices=("csv", "json-tree"), default="csv")
-    ps.set_defaults(func=cmd_simulate)
-
-    pf = sub.add_parser("verify", help="run the residual oracle and all checks")
-    _add_space_flags(pf)
-    pf.add_argument("--out", default=None)
-    pf.add_argument("--format", choices=("csv", "json-tree"), default="json-tree")
-    pf.set_defaults(func=cmd_verify)
-
-    pc = sub.add_parser("catalog", help="list entries or export one")
-    pc.add_argument("action", choices=("list", "export"))
-    pc.add_argument("name", nargs="?", default=None)
-    pc.add_argument("--out", default=None)
-    pc.set_defaults(func=cmd_catalog)
+    for name, (help_text, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
+        if name in argv:
+            add_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,11 +25,11 @@ from .linalg import (
     DomainError,
     StructureError,
     _scalar,
+    _trace_form,
     bnorm,
     bracket,
     check_skew_hermitian,
     project,
-    span_residuals,
 )
 from .split import ReductiveSplit, bracket_pair_residual, center_residuals
 
@@ -141,7 +141,8 @@ def _m_coordinates(sys, X, name):
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
-    r = span_residuals(m, A.reshape((-1,) + A.shape[-2:])).max(initial=0.0)
+    R = A - m.combine(c) if m.basis else A
+    r = np.sqrt(np.maximum(_trace_form(R, R), 0.0)).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
         raise DomainError(f"{name} has a component of size {r:.3e} outside m")
     return c
@@ -154,7 +155,7 @@ def metric_inner(sys, X, Y):
     the weighted dot product of the coordinates of X and Y in m.
     """
     cx = _m_coordinates(sys, X, "X")
-    cy = _m_coordinates(sys, Y, "Y")
+    cy = cx if Y is X else _m_coordinates(sys, Y, "Y")
     return _scalar(np.sum(sys._m_weights * cx * cy, axis=-1))
 
 

@@ -207,14 +207,18 @@ def orthonormalize(vectors, rank_tol=1e-10):
     Vectors whose remainder after projection has B-norm below rank_tol
     are dropped, so linearly dependent input is handled by rank
     reduction rather than an error. A second orthogonalization pass
-    keeps the result clean when the input is ill-conditioned.
+    keeps the result clean when the input is ill-conditioned. Each
+    vector is checked once on entry, so the projection loop calls the
+    trace form of inner_b directly.
     """
     kept = []
     for v in vectors:
         u = _as_matrix(v).copy()
+        if kept:
+            _same_size(u, kept[0], "inner_b")
         for _ in range(2):
             for e in kept:
-                u = u - inner_b(u, e) * e
+                u -= float(_trace_form(u, e)) * e
         nrm = bnorm(u)
         if nrm >= rank_tol:
             kept.append(u / nrm)

@@ -28,6 +28,7 @@ from .linalg import (
 
 CATALOG_TOL = 1e-12   # exact integer / half-integer input data
 USER_TOL = 1e-10      # user supplied data
+PAIR_BLOCK = 2**12     # complex entries per bracket-residual stack, 64 KB
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,9 +111,23 @@ class ValidationReport:
 
 
 def _bracket_residuals(target, A, B):
-    """(A.dim, B.dim) residuals off target of [x, y], stacked one row x at a time."""
-    rows = [span_residuals(target, brackets(x, B)) for x in A.basis]
-    return np.array(rows).reshape(A.dim, B.dim)
+    """(A.dim, B.dim) residuals off target of [x, y] over all basis pairs.
+
+    The pairs go through span_residuals in stacks of whole rows x of at
+    most about PAIR_BLOCK complex entries (one stack on every catalog
+    space), so memory stays bounded on large algebras.
+    """
+    if not (A.dim and B.dim):
+        return np.zeros((A.dim, B.dim))
+    n = A.ambient
+    X = A.stacked.reshape(A.dim, 1, n, n)
+    Y = B.stacked.reshape(1, B.dim, n, n)
+    rows = max(1, PAIR_BLOCK // (B.dim * n * n))
+    out = [
+        span_residuals(target, (X[i:i + rows] @ Y - Y @ X[i:i + rows]).reshape(-1, n, n))
+        for i in range(0, A.dim, rows)
+    ]
+    return np.concatenate(out).reshape(A.dim, B.dim)
 
 
 def _closure_residual(space):

@@ -107,8 +107,20 @@ def test_make_system_overrides(hopf1):
 
 
 def test_get_entry_unknown_name():
-    with pytest.raises(KeyError, match="unknown catalog entry"):
+    with pytest.raises(KeyError) as info:
         get_entry("hopf:0")
+    assert info.value.args[0] == (
+        "unknown catalog entry 'hopf:0'; "
+        "known: hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
+    )
+
+
+def test_get_entry_builds_a_fresh_entry():
+    first = get_entry("hopf:2")
+    assert get_entry("hopf:2") is not first
+    assert hopf(2) is not hopf(2)
+    first.W[0, 0] = 5j  # an edit to one entry reaches no other
+    assert get_entry("hopf:2").W[0, 0] == 1j
 
 
 def test_hopf_argument_validation():

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 import pytest
 
-from homofiber import export_entry, get_entry
-from homofiber.cli import main
+from homofiber import export_entry, get_entry, sample_trajectory
+from homofiber.cli import _motion_from_args, build_parser, main
 
 
 def run_out(tmp_path, name, argv):
@@ -368,3 +368,113 @@ def test_closed_stdout_keeps_the_exit_code(argv, code):
     err = proc.stderr.read().decode()
     assert proc.wait() == code
     assert "Traceback" not in err and "BrokenPipe" not in err
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
+    def verify(out, *flags):
+        return ["verify", "--space", "hopf:2", "--samples", "5", *flags, "--out", out]
+
+    runs = [
+        ("1e-5", verify("a.json", "--lambda", "1", "--lambda", "2", "--k", "1",
+                        "--format", "json-tree")),
+        ("1e-7", verify("b.csv", "--lambda", "1", "--lambda", "0.5", "--k", "-0.5",
+                        "--format", "csv")),
+        ("1e-7", verify("c.json")),
+        ("1e-5", ["simulate", "--space", "twistor_su3", "--lambda", "1", "--lambda", "3",
+                  "--k", "2", "--samples", "9", "--format", "json-tree", "--out", "d.json"]),
+    ]
+    monkeypatch.chdir(tmp_path)
+    in_process = []
+    for tol, argv in runs:
+        monkeypatch.setenv("HOMOFIBER_TOL", tol)
+        assert main(argv) == 0
+        in_process.append((tmp_path / argv[-1]).read_bytes())
+    first, third = json.loads(in_process[0]), json.loads(in_process[2])
+    assert (first["tolerance"], third["tolerance"]) == (1e-5, 1e-7)
+    assert (third["weights"], third["k"]) == ([1.0, 2.0], 0.0)  # defaults, not the last call's
+    for (tol, argv), got in zip(runs, in_process):
+        monkeypatch.setenv("HOMOFIBER_TOL", tol)
+        fresh = argv[:-1] + ["fresh-" + argv[-1]]
+        proc = _cli_process(fresh)
+        _, err = proc.communicate()
+        assert proc.returncode == 0, err.decode()
+        assert (tmp_path / fresh[-1]).read_bytes() == got
+
+
+ALL_COMMANDS = ["validate", "simulate", "verify", "catalog"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "2", "--k=-0.5"],
+        ["simulate", "--space", "su2", "--format", "json-tree", "--out", "x"],
+        ["validate", "--space", "verify"],
+        ["catalog", "export", "twistor_su3"],
+        ["catalog", "list", "--out", "simulate"],
+    ],
+)
+def test_parser_for_argv_parses_like_the_full_parser(argv):
+    full = vars(build_parser(ALL_COMMANDS).parse_args(argv))
+    assert vars(build_parser(argv).parse_args(argv)) == full
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["simulate", "--help"],
+                                  ["validate", "--help"], ["catalog", "--help"]])
+def test_parser_for_argv_prints_the_full_help(argv, capsys):
+    texts = []
+    for parser in (build_parser(ALL_COMMANDS), build_parser(argv)):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: homofiber" in texts[0]
+
+
+def _per_float_sample_rows(samples, n):
+    """The simulate CSV rows as they were once written, one float at a time."""
+
+    def f(x):
+        return f"{float(x):.17g}"
+
+    header = ["t"]
+    for i in range(n):
+        for j in range(n):
+            header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
+    pos0 = samples[0].position
+    if pos0 is not None:
+        if np.iscomplexobj(pos0):
+            for i in range(len(pos0)):
+                header += [f"pos_{i}_re", f"pos_{i}_im"]
+        else:
+            header += [f"pos_{i}" for i in range(len(pos0))]
+    header.append("speed")
+    rows = [header]
+    for s in samples:
+        row = [f(s.t)]
+        for z in np.asarray(s.representative).ravel():
+            row += [f(z.real), f(z.imag)]
+        if s.position is not None:
+            if np.iscomplexobj(s.position):
+                for z in s.position:
+                    row += [f(z.real), f(z.imag)]
+            else:
+                row += [f(x) for x in s.position]
+        row.append(f(s.speed))
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
+)
+def test_simulate_csv_matches_per_float_rows(tmp_path, name):
+    argv = ["simulate", "--space", name, "--k", "1", "--samples", "40",
+            "--t0=-7", "--t1", "9", "--seed", "5"]
+    rc, out = run_out(tmp_path, "s.csv", argv)
+    assert rc == 0
+    args = build_parser(argv).parse_args(argv)
+    _, system, motion = _motion_from_args(args)
+    rows = _per_float_sample_rows(
+        sample_trajectory(motion, args.t0, args.t1, args.samples), system.split.n
+    )
+    assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()

@@ -17,10 +17,12 @@ from homofiber import (
     check_skew_hermitian,
     check_unitary,
     expm,
+    hopf,
     inner_b,
     orthonormalize,
     project,
     span_residual,
+    twistor_su3,
 )
 from homofiber.linalg import Flow, brackets, span_residuals
 
@@ -146,6 +148,41 @@ def test_orthonormalize_u2():
     for i, x in enumerate(S.basis):
         for j, y in enumerate(S.basis):
             assert inner_b(x, y) == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+
+
+def ref_orthonormalize(vectors, rank_tol=1e-10):
+    """Reference Gram-Schmidt: inner_b, with its checks, on every pair."""
+    kept = []
+    for v in vectors:
+        u = np.asarray(v, dtype=complex).copy()
+        for _ in range(2):
+            for e in kept:
+                u = u - inner_b(u, e) * e
+        nrm = bnorm(u)
+        if nrm >= rank_tol:
+            kept.append(u / nrm)
+    return kept
+
+
+def test_orthonormalize_matches_the_inner_b_loop_bitwise():
+    # catalog bases, random sets with dependent members, a near-parallel pair
+    rng = np.random.default_rng(11)
+    inputs = [hopf(3).source[key] for key in ("g_basis", "k_basis", "h_basis")]
+    inputs.append(twistor_su3().source["g_basis"])
+    for n in (2, 3, 4):
+        vecs = [random_skew(rng, n) for _ in range(n * n + 2)]
+        inputs.append(vecs + [vecs[0] - 2.0 * vecs[1]])
+    inputs.append([A1, A1 + 1e-9 * A2, A3])
+    for vecs in inputs:
+        got, want = orthonormalize(vecs).basis, ref_orthonormalize(vecs)
+        assert len(got) == len(want)
+        # tobytes also tells -0.0 from 0.0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_orthonormalize_rejects_mixed_sizes():
+    with pytest.raises(DimensionError):
+        orthonormalize([A1, 1j * np.eye(3)])
 
 
 def test_project_and_residual():

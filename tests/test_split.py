@@ -1,10 +1,12 @@
 """Reductive splits: chains, complements, validators, centers."""
 
+import itertools
 import re
 
 import numpy as np
 import pytest
 
+import homofiber.split as split_module
 from homofiber import (
     StructureError,
     Subspace,
@@ -22,7 +24,8 @@ from homofiber import (
     structure_report,
     twistor_su3,
 )
-from homofiber.split import ReductiveSplit
+from homofiber.linalg import brackets, span_residuals
+from homofiber.split import ReductiveSplit, _bracket_residuals
 
 # Reference definitions: the validators written as plain loops over basis
 # elements, one bracket and one residual at a time. The stacked kernels
@@ -232,6 +235,38 @@ def test_report_matches_reference_loops_off_the_structure():
     for name, value in want.items():
         assert value > 0.1
         assert rep.checks[name].residual == pytest.approx(value, rel=0.0, abs=1e-14)
+
+
+def _row_stacked_residuals(target, A, B):
+    """Reference for _bracket_residuals: one stack per basis element x of A."""
+    rows = [span_residuals(target, brackets(x, B)) for x in A.basis]
+    return np.array(rows).reshape(A.dim, B.dim)
+
+
+def test_all_pair_residuals_match_row_stacks(monkeypatch):
+    # On catalog splits one stack over all basis pairs gives every residual
+    # the bits it had with a stack per row, so validate output does not move.
+    splits = [hopf(1).split, hopf(3).split, twistor_su3().split, lie_group().split]
+    splits.append(build_custom_split(su3_basis(), torus_basis(), su3_root_modules()))
+    for split in splits:
+        spaces = (split.h,) + split.modules
+        for target, A, B in itertools.product(spaces, repeat=3):
+            want = _row_stacked_residuals(target, A, B)
+            assert _bracket_residuals(target, A, B).tobytes() == want.tobytes()
+    # On generic subspaces the matrix products run in larger batches and a
+    # residual can move by an ulp.
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((9, 3, 3)) + 1j * rng.standard_normal((9, 3, 3))
+    skew = list(M - np.swapaxes(M.conj(), 1, 2))
+    generic = (orthonormalize(skew[:2]), orthonormalize(skew[2:5]), orthonormalize(skew[5:]))
+    for target, A, B in itertools.product(generic, repeat=3):
+        got, want = _bracket_residuals(target, A, B), _row_stacked_residuals(target, A, B)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    # A block below one row's worth of entries falls back to a stack per row.
+    monkeypatch.setattr(split_module, "PAIR_BLOCK", 1)
+    for target, A, B in itertools.product(generic, repeat=3):
+        want = _row_stacked_residuals(target, A, B)
+        assert _bracket_residuals(target, A, B).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("split, dim", [(twistor_su3().split, 2), (lie_group().split, 0)])
