@@ -11,6 +11,7 @@ back, which is also the custom-space input format of the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -60,10 +61,13 @@ class CatalogEntry:
     model: object
     source: dict
 
+    @cached_property
+    def _report(self):
+        return structure_report(self.split, pair=self.pair, W=self.W, ch=self.chain)
+
     def validation_report(self, tol=CATALOG_TOL):
-        return structure_report(
-            self.split, pair=self.pair, W=self.W, ch=self.chain, tol=tol
-        )
+        """Every structural check, from residuals computed once per entry, against tol."""
+        return self._report.at(tol)
 
 
 def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):

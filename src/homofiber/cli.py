@@ -25,7 +25,7 @@ from .catalog import (
     make_system,
 )
 from .field import metric_norm
-from .linalg import DomainError, StructureError
+from .linalg import DomainError, StructureError, bnorm
 from .motion import build_motion, perturb_motion, sample_trajectory
 from .oracle import (
     ResidualConfig,
@@ -146,10 +146,22 @@ def _initial_data(system, args):
 
 def _motion_from_args(args):
     entry, system = _system_from_args(args)
+    lam, k = system.lam, system.k
+    if not 0.0 < lam < np.inf:
+        raise UsageError(f"the --lambda weight ratio {lam:.3e} is out of floating-point range")
+    if not np.isfinite(k / lam):
+        raise UsageError(f"--k {k:.3e} over the --lambda weight ratio {lam:.3e} overflows")
     Xa, Xb = _initial_data(system, args)
     motion = build_motion(system, Xa, Xb)
     if args.perturb:
         motion = perturb_motion(motion, eps=args.perturb, seed=args.seed)
+    sizes = {"generator X": motion.X, "generator Y": motion.Y, "central element W": system.W}
+    for name, G in sizes.items():
+        if not np.isfinite(bnorm(G)):
+            raise UsageError(
+                f"the {name} overflows at --k {k:.3e} and --lambda weight ratio "
+                f"{lam:.3e}; reduce --k, --W-scale, --perturb or the ratio"
+            )
     return entry, system, motion
 
 

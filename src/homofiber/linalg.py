@@ -3,8 +3,10 @@
 Everything in this package lives inside u(n): algebra elements are
 skew-Hermitian n x n complex matrices, group elements are unitary
 matrices. This module provides the bracket, the trace inner product,
-matrix exponentials, Gram-Schmidt orthonormalization and subspace
-projection that the rest of the package is built on.
+matrix exponentials, orthonormalization and subspace projection that
+the rest of the package is built on. Orthonormalization is classical
+Gram-Schmidt with one reorthogonalisation (CGS2): each pass takes a
+vector's coefficients against all kept vectors in one product.
 
 The bracket, the inner product and norm, `adjoint`, `project` and the
 subspace coordinates also take (..., n, n) stacks, broadcast over the
@@ -178,12 +180,13 @@ class Subspace:
     @cached_property
     def stacked(self):
         """The basis as the rows of a (dim, n^2) complex matrix."""
-        return np.array([np.ravel(e) for e in self.basis], dtype=complex)
+        return np.array(self.basis, dtype=complex).reshape(self.dim, self.ambient**2)
 
     @cached_property
     def dual(self):
         """Rows d_i with B(X, e_i) = Re(d_i @ vec X), as B(X, e) = -Re sum X_jl e_lj."""
-        return np.array([-np.ravel(np.transpose(e)) for e in self.basis], dtype=complex)
+        n = self.ambient
+        return -np.swapaxes(self.stacked.reshape(self.dim, n, n), 1, 2).reshape(self.dim, n * n)
 
     def coordinates(self, X):
         """The real vector of inner products B(X, e_i) with the basis."""
@@ -202,26 +205,35 @@ class Subspace:
 
 
 def orthonormalize(vectors, rank_tol=1e-10):
-    """Gram-Schmidt with respect to inner_b.
+    """Classical Gram-Schmidt with one reorthogonalisation (CGS2) for inner_b.
 
-    Vectors whose remainder after projection has B-norm below rank_tol
-    are dropped, so linearly dependent input is handled by rank
-    reduction rather than an error. A second orthogonalization pass
-    keeps the result clean when the input is ill-conditioned. Each
-    vector is checked once on entry, so the projection loop calls the
-    trace form of inner_b directly.
+    Each vector u, in input order, takes its coefficients against all
+    kept vectors e_i at once, B(u, e_i) = Re(dual_i . vec u), and has
+    them subtracted; the second pass keeps the result orthonormal to
+    working precision when the input is ill-conditioned. A vector whose
+    remainder has B-norm below rank_tol is dropped, so linearly
+    dependent input is handled by rank reduction rather than an error.
     """
+    vectors = list(vectors)
     kept = []
     for v in vectors:
-        u = _as_matrix(v).copy()
+        u = _as_matrix(v)
+        flat = u.reshape(-1)
         if kept:
             _same_size(u, kept[0], "inner_b")
-        for _ in range(2):
-            for e in kept:
-                u -= float(_trace_form(u, e)) * e
-        nrm = bnorm(u)
+            E, D = frame[:len(kept)], duals[:len(kept)]
+            for _ in range(2):
+                flat = flat - np.real(D @ flat) @ E
+        else:
+            n = u.shape[0]
+            frame = np.empty((len(vectors), n * n), dtype=complex)
+            duals = np.empty_like(frame)
+        nrm = bnorm(flat.reshape(n, n))
         if nrm >= rank_tol:
-            kept.append(u / nrm)
+            e = flat.reshape(n, n) / nrm
+            frame[len(kept)] = e.reshape(-1)
+            duals[len(kept)] = -e.T.reshape(-1)
+            kept.append(e)
     return Subspace(tuple(kept))
 
 

@@ -40,6 +40,7 @@ import numpy as np
 from .field import apply_I0, metric_inner, metric_norm
 from .linalg import (
     DomainError,
+    Flow,
     _scalar,
     adjoint,
     bnorm,
@@ -115,14 +116,13 @@ def _unit_probe(sys, Z):
 
 
 def _probe_stencils(motion, probes, h):
-    """Stacks Z, exp(hZ), exp(-hZ) and [Z, Y]_m over the unit probes Z; none depends on t."""
+    """Stacks Z, exp(hZ), exp(-hZ) and [Z, Y]_m over the unit probes Z; none depends on t.
+
+    Both steps of a probe come from the one flow of hZ, taken at 1 and -1.
+    """
     Z = np.asarray(probes, dtype=complex)
-    return (
-        Z,
-        np.array([expm(h * z) for z in Z]),
-        np.array([expm(-h * z) for z in Z]),
-        project(motion.system.m, bracket(Z, motion.Y)),
-    )
+    steps = np.array([Flow(h * z)(np.array([1.0, -1.0])) for z in Z])
+    return Z, steps[:, 0], steps[:, 1], project(motion.system.m, bracket(Z, motion.Y))
 
 
 def _koszul_grid(motion, ts, stencils, h):

@@ -40,6 +40,11 @@ class SubalgebraChain:
     h: Subspace
     n: int
 
+    @cached_property
+    def closures(self):
+        """(worst residual, argmax pair) of the bracket closure of g, k and h."""
+        return tuple(_closure_residual(space) for space in (self.g, self.k, self.h))
+
 
 @dataclass(frozen=True, eq=False)
 class ReductiveSplit:
@@ -78,6 +83,14 @@ class ReductiveSplit:
         flat = Subspace(self.h.basis + self.m.basis)
         return np.real(flat.stacked @ flat.dual.T) if flat.dim else np.zeros((0, 0))
 
+    @cached_property
+    def ad_invariance(self):
+        """Worst residual of [x, y] off m_i over x in h, y in m_i, over the modules."""
+        return max(
+            (_bracket_residuals(mod, self.h, mod).max(initial=0.0) for mod in self.modules),
+            default=0.0,
+        )
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -101,6 +114,13 @@ class ValidationReport:
     @property
     def worst(self):
         return max((c.residual for c in self.checks.values()), default=0.0)
+
+    def at(self, tol):
+        """The same residuals judged against tol."""
+        rep = ValidationReport()
+        for name, c in self.checks.items():
+            rep.add(name, c.residual, tol)
+        return rep
 
     def lines(self):
         out = []
@@ -137,8 +157,8 @@ def _closure_residual(space):
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
 
 
-def _require_closed(name, space, tol):
-    worst, where = _closure_residual(space)
+def _require_closed(name, closure, tol):
+    worst, where = closure
     if worst > tol:
         raise StructureError(
             f"{name} basis is not closed under bracket: elements "
@@ -162,17 +182,18 @@ def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
     h = orthonormalize(h_basis)
     if g.dim == 0:
         raise StructureError("g basis spans nothing")
-    for name, space in (("g", g), ("k", k), ("h", h)):
-        _require_closed(name, space, tol)
+    ch = SubalgebraChain(g, k, h, g.ambient)
+    for name, closure in zip("gkh", ch.closures):
+        _require_closed(name, closure, tol)
     _require_contained("h", h, "k", k, tol)
     _require_contained("k", k, "g", g, tol)
-    return SubalgebraChain(g, k, h, g.ambient)
+    return ch
 
 
 def _complement(outer, inner):
     """Orthonormal basis of the B-orthogonal complement of inner in outer."""
-    leftovers = [x - project(inner, x) for x in outer.basis]
-    return orthonormalize(leftovers)
+    X = outer.stacked.reshape(outer.dim, outer.ambient, outer.ambient)
+    return orthonormalize(X - project(inner, X))
 
 
 def build_split(ch, tol=USER_TOL):
@@ -208,7 +229,7 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
     g = orthonormalize(g_basis)
     h = orthonormalize(h_basis)
     mods = tuple(orthonormalize(mb) for mb in module_bases)
-    _require_closed("h", h, tol)
+    _require_closed("h", _closure_residual(h), tol)
     split = ReductiveSplit(h, mods, g.ambient)
     pieces = [("h", h)] + [(f"m{i + 1}", mod) for i, mod in enumerate(mods)]
     edges = np.cumsum([0] + [space.dim for _, space in pieces])
@@ -248,21 +269,20 @@ def structure_report(split, pair=None, W=None, ch=None, tol=USER_TOL):
 
     Optional arguments add checks: `pair` the bracket condition,
     `W` membership in the center of h, `ch` closure of the original
-    chain bases.
+    chain bases. The ad-invariance and chain closure residuals are
+    computed once per split and chain and read from there.
     """
     rep = ValidationReport()
     G = split.gram
     rep.add("orthogonality", np.abs(G - np.eye(len(G))).max(initial=0.0), tol)
-    ad = [_bracket_residuals(mod, split.h, mod).max(initial=0.0) for mod in split.modules]
-    rep.add("ad_invariance", max(ad, default=0.0), tol)
+    rep.add("ad_invariance", split.ad_invariance, tol)
     if pair is not None:
         a, b = pair
         rep.add("bracket_condition", bracket_pair_residual(split, a, b), tol)
     if W is not None:
         rep.add("center_membership", max(center_residuals(split.h, W)), tol)
     if ch is not None:
-        worst = max(_closure_residual(space)[0] for space in (ch.g, ch.k, ch.h))
-        rep.add("chain_closure", worst, tol)
+        rep.add("chain_closure", max(worst for worst, _ in ch.closures), tol)
     return rep
 
 

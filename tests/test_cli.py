@@ -44,6 +44,36 @@ def test_validate_every_entry(name, capsys):
     assert "-0.000" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("document", [False, True])
+def test_validate_computes_each_residual_once(tmp_path, monkeypatch, document):
+    # every structural residual is computed once per op, although
+    # building, loading and reporting the entry all read them
+    import homofiber.split as split_mod
+
+    space = "hopf:2"
+    if document:
+        space = str(tmp_path / "hopf2.json")
+        with open(space, "w") as fh:
+            json.dump(export_entry(get_entry("hopf:2")), fh)
+    closures, pairs = [], []
+    real_closure, real_pairs = split_mod._closure_residual, split_mod._bracket_residuals
+    monkeypatch.setattr(
+        split_mod, "_closure_residual", lambda S: closures.append(S.dim) or real_closure(S)
+    )
+    monkeypatch.setattr(
+        split_mod,
+        "_bracket_residuals",
+        lambda T, A, B: pairs.append((T, A, B)) or real_pairs(T, A, B),
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--space", space]) == 0
+    assert closures == [9, 5, 4]  # g = u(3), k = u(2) + u(1), h = u(2)
+    # ad-invariance brackets h with a module m_i and measures off m_i
+    assert sum(B is T and A is not T for T, A, B in pairs) == 2  # m1 and m2
+    # and [m1, k] in m1 and the bracket condition [m1, m2] in m1 once each
+    assert len(pairs) == 3 + 2 + 1 + 1
+
+
 def test_verify_passes_on_closed_form_curve(tmp_path):
     rc, out = run_out(
         tmp_path,
@@ -190,6 +220,22 @@ def test_verify_needs_samples(capsys):
     assert main(["verify", "--space", "hopf:1", "--samples", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: --samples") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--lambda", "1", "--lambda", "1e-300", "--k=1"], "--lambda"),
+        (["--k=1e300"], "--k"),
+        (["--lambda", "1e300", "--lambda", "1e-300"], "--lambda"),
+    ],
+)
+def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
+    # a weight ratio, k/lam or generator beyond floating-point range is
+    # rejected before any check runs, so exit 1 keeps meaning a failed check
+    assert main(["verify", "--space", "hopf:2"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
 
 def test_tampered_document_fails_validation(tmp_path):

@@ -164,20 +164,44 @@ def ref_orthonormalize(vectors, rank_tol=1e-10):
     return kept
 
 
+def gram(basis):
+    return np.array([[inner_b(x, y) for y in basis] for x in basis])
+
+
 def test_orthonormalize_matches_the_inner_b_loop_bitwise():
-    # catalog bases, random sets with dependent members, a near-parallel pair
-    rng = np.random.default_rng(11)
-    inputs = [hopf(3).source[key] for key in ("g_basis", "k_basis", "h_basis")]
-    inputs.append(twistor_su3().source["g_basis"])
-    for n in (2, 3, 4):
-        vecs = [random_skew(rng, n) for _ in range(n * n + 2)]
-        inputs.append(vecs + [vecs[0] - 2.0 * vecs[1]])
-    inputs.append([A1, A1 + 1e-9 * A2, A3])
-    for vecs in inputs:
+    # the stacked classical passes subtract the same projections as the
+    # per-pair loop, summed in another order
+    exact = [hopf(3).source[key] for key in ("g_basis", "k_basis", "h_basis")]
+    for vecs in exact:
         got, want = orthonormalize(vecs).basis, ref_orthonormalize(vecs)
         assert len(got) == len(want)
         # tobytes also tells -0.0 from 0.0
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    # here only zeros whose input was -0.0 may change sign
+    for vecs in (twistor_su3().source["g_basis"], [A1, A1 + 1e-9 * A2, A3]):
+        got, want = orthonormalize(vecs).basis, ref_orthonormalize(vecs)
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    # random sets with dependent members: equal rank, entries within roundoff
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        vecs = [random_skew(rng, n) for _ in range(n * n + 2)]
+        vecs.append(vecs[0] - 2.0 * vecs[1])
+        got, want = orthonormalize(vecs).basis, ref_orthonormalize(vecs)
+        assert len(got) == len(want)
+        assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(got, want))
+        assert np.abs(gram(got) - np.eye(len(got))).max() <= 1e-15
+
+
+def test_orthonormalize_reorthogonalises_near_dependent_input():
+    # A1 + 1e-k A_j loses about k digits to cancellation in one pass;
+    # the second pass restores orthonormality to roundoff
+    inputs = [[A1, A1 + 10.0**-k * A2, A1 + 10.0**-k * A3] for k in range(4, 10)]
+    inputs.append(hopf(5).source["g_basis"])
+    for vecs in inputs:
+        got = orthonormalize(vecs).basis
+        assert len(got) == len(ref_orthonormalize(vecs))
+        assert np.abs(gram(got) - np.eye(len(got))).max() <= 1e-14
 
 
 def test_orthonormalize_rejects_mixed_sizes():

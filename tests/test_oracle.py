@@ -166,17 +166,18 @@ def test_koszul_residual_matches_sweep_entry(entries, name):
 
 
 def test_sweep_builds_probe_stencils_once(hopf1, monkeypatch):
-    # exp(+-hZ) depends on the probe alone, so a sweep takes two
-    # exponentials per probe, however many times it samples
+    # exp(+-hZ) depends on the probe alone, so a sweep builds one flow
+    # of hZ per probe, and no other exponential, however many times it samples
     import homofiber.oracle as oracle
 
     calls = []
-    real_expm = oracle.expm
+    real_flow, real_expm = oracle.Flow, oracle.expm
+    monkeypatch.setattr(oracle, "Flow", lambda A: calls.append(1) or real_flow(A))
     monkeypatch.setattr(oracle, "expm", lambda X: calls.append(1) or real_expm(X))
     motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
     probes = metric_probe_basis(motion.system)
     residual_sweep(motion, TS, probes)
-    assert len(calls) == 2 * len(probes)
+    assert len(calls) == len(probes)
 
 
 def test_conservation_zero_data_is_exact(hopf1):
