@@ -59,11 +59,25 @@ def _parse_pair(text):
     return a, b
 
 
-def _parse_coeffs(text):
+def _parse_coeffs(text, flag):
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        coeffs = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise UsageError(f"bad coefficient list {text!r}")
+    if not np.all(np.isfinite(coeffs)):
+        raise UsageError(f"{flag} wants finite coefficients, got {text!r}")
+    return coeffs
+
+
+def _finite_float(text):
+    """The argparse type of the float flags: a finite float."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not np.isfinite(x):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return x
 
 
 def _resolve_space(name):
@@ -73,6 +87,8 @@ def _resolve_space(name):
         try:
             with open(name) as fh:
                 doc = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read {name}: {exc.strerror}")
         except json.JSONDecodeError as exc:
             raise UsageError(f"cannot parse {name}: {exc}")
         return load_custom(doc)
@@ -90,8 +106,11 @@ def _write(text, out_path):
     the flush at exit succeed and the command ends with its own code.
     """
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}")
         return
     try:
         sys.stdout.write(text)
@@ -104,10 +123,6 @@ def _write(text, out_path):
 
 def _json_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _f(x):
-    return f"{float(x):.17g}"
 
 
 def _system_from_args(args):
@@ -129,13 +144,12 @@ def _initial_data(system, args):
                 raise UsageError(
                     f"{name} wants {space.dim} coefficients, got {len(coeffs)}"
                 )
-            return sum(c * e for c, e in zip(coeffs, space.basis))
-        raw = rng.standard_normal(space.dim)
-        X = sum(c * e for c, e in zip(raw, space.basis))
+            return space.combine(coeffs)
+        X = space.combine(rng.standard_normal(space.dim))
         return X / metric_norm(system, X)
 
-    xa = _parse_coeffs(args.xa) if args.xa else None
-    xb = _parse_coeffs(args.xb) if args.xb else None
+    xa = _parse_coeffs(args.xa, "--xa") if args.xa else None
+    xb = _parse_coeffs(args.xb, "--xb") if args.xb else None
     Xa = build(ma, xa, "--xa")
     if mb is None or mb.dim == 0:
         if xb:
@@ -186,61 +200,55 @@ def cmd_validate(args):
     return OK if rep.passed else FAIL
 
 
-def _sample_csv(samples, n):
-    """The simulate CSV: one row per sample, each float written as %.17g."""
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
-    columns = [
-        [s.t for s in samples],
-        _re_im([s.representative.ravel() for s in samples]),
-    ]
-    pos0 = samples[0].position
-    if pos0 is not None:
-        if np.iscomplexobj(pos0):
-            header += [f"pos_{i}_{part}" for i in range(len(pos0)) for part in ("re", "im")]
-            columns.append(_re_im([s.position for s in samples]))
-        else:
-            header += [f"pos_{i}" for i in range(len(pos0))]
-            columns.append([s.position for s in samples])
-    header.append("speed")
-    columns.append([s.speed for s in samples])
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+def _csv(header, table):
+    """A header line and one line per table row, each value written as %.17g."""
     fmt = ",".join(["%.17g"] * table.shape[1])
     return "\n".join([",".join(header)] + [fmt % tuple(row) for row in table.tolist()]) + "\n"
 
 
-def _re_im(rows):
-    """Complex rows as real rows with each entry's real and imaginary parts side by side."""
-    z = np.asarray(rows, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1).reshape(len(z), -1)
+def _re_im(z):
+    """Complex entries as [real, imaginary] pairs along a new last axis."""
+    return np.stack([z.real, z.imag], axis=-1)
+
+
+def _sample_csv(traj, n):
+    """The simulate CSV: one row per t of the trajectory's stacks."""
+    header = ["t"]
+    for i in range(n):
+        for j in range(n):
+            header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
+    T = len(traj.t)
+    columns = [traj.t, _re_im(traj.representative).reshape(T, -1)]
+    pos = traj.position
+    if pos is not None:
+        if np.iscomplexobj(pos):
+            header += [f"pos_{i}_{part}" for i in range(pos.shape[1]) for part in ("re", "im")]
+            pos = _re_im(pos).reshape(T, -1)
+        else:
+            header += [f"pos_{i}" for i in range(pos.shape[1])]
+        columns.append(pos)
+    header.append("speed")
+    columns.append(traj.speed)
+    return _csv(header, np.column_stack(columns))
 
 
 def cmd_simulate(args):
     entry, system, motion = _motion_from_args(args)
-    samples = sample_trajectory(motion, args.t0, args.t1, args.samples)
+    traj = sample_trajectory(motion, args.t0, args.t1, args.samples)
     if args.format == "csv":
-        text = _sample_csv(samples, system.split.n)
+        text = _sample_csv(traj, system.split.n)
     else:
+        pos = traj.position
+        if pos is None:
+            pos = [None] * len(traj.t)
+        else:
+            pos = (_re_im(pos) if np.iscomplexobj(pos) else pos).tolist()
+        rep = _re_im(traj.representative).tolist()
         doc = {
             "space": entry.name,
             "samples": [
-                {
-                    "t": s.t,
-                    "representative": [
-                        [[z.real, z.imag] for z in row] for row in s.representative
-                    ],
-                    "position": None
-                    if s.position is None
-                    else (
-                        [[z.real, z.imag] for z in s.position]
-                        if np.iscomplexobj(s.position)
-                        else [float(x) for x in s.position]
-                    ),
-                    "speed": s.speed,
-                }
-                for s in samples
+                {"t": t, "representative": g, "position": p, "speed": s}
+                for t, g, p, s in zip(traj.t.tolist(), rep, pos, traj.speed.tolist())
             ],
         }
         text = _json_text(doc)
@@ -334,12 +342,11 @@ def cmd_verify(args):
         "passed": not failures,
     }
     if args.format == "csv":
-        rows = [["t", "probe", "t1", "t2", "t3", "rhs", "residual"]]
-        for e in res.entries:
-            rows.append(
-                [_f(e.t), str(e.probe), _f(e.t1), _f(e.t2), _f(e.t3), _f(e.rhs), _f(e.residual)]
-            )
-        text = "\n".join(",".join(r) for r in rows) + "\n"
+        T, P = res.values.shape[:2]
+        table = np.column_stack(
+            [np.repeat(res.t, P), np.tile(np.arange(P), T), res.values.reshape(T * P, 5)]
+        )
+        text = _csv(["t", "probe", "t1", "t2", "t3", "rhs", "residual"], table)
     else:
         text = _json_text(doc)
     _write(text, args.out)
@@ -379,22 +386,22 @@ def _space_flags(p, fmt):
         "--lambda",
         dest="weights",
         action="append",
-        type=float,
+        type=_finite_float,
         metavar="WEIGHT",
         help="metric weight, once per module (in order)",
     )
     p.add_argument("--pair", default=None, help="module pair 'a,b' (or 'a' for no b)")
-    p.add_argument("--k", type=float, default=0.0, help="charge")
-    p.add_argument("--W-scale", dest="w_scale", type=float, default=1.0)
+    p.add_argument("--k", type=_finite_float, default=0.0, help="charge")
+    p.add_argument("--W-scale", dest="w_scale", type=_finite_float, default=1.0)
     p.add_argument("--xa", default=None, help="comma-separated coefficients in the m_a basis")
     p.add_argument("--xb", default=None, help="comma-separated coefficients in the m_b basis")
-    p.add_argument("--t0", type=float, default=-2.0)
-    p.add_argument("--t1", type=float, default=2.0)
+    p.add_argument("--t0", type=_finite_float, default=-2.0)
+    p.add_argument("--t1", type=_finite_float, default=2.0)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=1e-4)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--fd-step", dest="fd_step", type=_finite_float, default=1e-4)
+    p.add_argument("--tol", type=_finite_float, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--perturb", type=float, default=0.0, metavar="EPS")
+    p.add_argument("--perturb", type=_finite_float, default=0.0, metavar="EPS")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json-tree"), default=fmt)
 

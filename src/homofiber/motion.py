@@ -40,10 +40,12 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    t: float
+    """A curve at one t, or over a t-grid with each field stacked along its first axis."""
+
+    t: object
     representative: np.ndarray
     body_velocity: np.ndarray
-    speed: float
+    speed: object
     position: object = None
 
 
@@ -52,12 +54,12 @@ class ClosedFormMotion:
 
     `exact` marks curves built from valid initial data, for which the
     body velocity is Ad(exp(-tY))Xa + Xb. Deliberately damaged curves
-    (see perturb_motion) carry exact=False and fall back to projecting
-    the honest logarithmic derivative, since the shortcut formula no
-    longer applies.
+    (see perturb_motion) pass Y_override, carry exact=False and fall
+    back to projecting the honest logarithmic derivative, since the
+    shortcut formula no longer applies.
     """
 
-    def __init__(self, system, Xa, Xb, Y_override=None, exact=True):
+    def __init__(self, system, Xa, Xb, Y_override=None):
         self.system = system
         self.Xa = np.asarray(Xa, dtype=complex)
         self.Xb = np.asarray(Xb, dtype=complex)
@@ -65,13 +67,11 @@ class ClosedFormMotion:
         self.X = self.Xa + lam * self.Xb + k * W
         if Y_override is not None:
             self.Y = np.asarray(Y_override, dtype=complex)
-            self.exact = False
+        elif lam == 1.0:
+            self.Y = np.zeros_like(self.X)
         else:
-            if lam == 1.0:
-                self.Y = np.zeros_like(self.X)
-            else:
-                self.Y = (1.0 - lam) * (self.Xb + (k / lam) * W)
-            self.exact = bool(exact)
+            self.Y = (1.0 - lam) * (self.Xb + (k / lam) * W)
+        self.exact = Y_override is None
         self._flow_x = Flow(self.X)
         self._flow_y = Flow(self.Y)
 
@@ -105,19 +105,17 @@ class ClosedFormMotion:
         return metric_norm(self.system, v)
 
     def evaluate(self, t):
-        """A TrajectorySample at t, or the list of them over a 1-D grid of t."""
+        """The TrajectorySample at t; over a 1-D grid of t, one sample of stacks."""
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape(-1)
         g = self.representative(grid)
         v = self.body_velocity(grid)
-        speeds = metric_norm(self.system, v)
         model = self.system.model
-        pos = [None] * len(grid) if model is None else model.apply(g)
-        samples = [
-            TrajectorySample(t_i, g_i, v_i, s_i, p_i)
-            for t_i, g_i, v_i, s_i, p_i in zip(grid.tolist(), g, v, speeds.tolist(), pos)
-        ]
-        return samples if ts.ndim else samples[0]
+        pos = None if model is None else model.apply(g)
+        fields = (grid, g, v, metric_norm(self.system, v), pos)
+        if ts.ndim == 0:
+            fields = [None if f is None else f[0] for f in fields]
+        return TrajectorySample(*fields)
 
 
 def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
@@ -148,7 +146,7 @@ def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
 
 
 def sample_trajectory(motion, t0, t1, count):
-    """Uniform inclusive samples over [t0, t1]."""
+    """Uniform inclusive samples over [t0, t1], as one TrajectorySample of stacks."""
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise ValueError(f"need finite t0 < t1, got [{t0}, {t1}]")
     if count < 2:
@@ -168,8 +166,7 @@ def perturb_motion(motion, eps=1e-2, seed=0):
     sys = motion.system
     target = sys.mb if (sys.mb is not None and sys.mb.dim > 0) else sys.ma
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(target.dim)
-    N = sum(c * e for c, e in zip(coeffs, target.basis))
+    N = target.combine(rng.standard_normal(target.dim))
     N = N / metric_norm(sys, N)
     return ClosedFormMotion(
         motion.system, motion.Xa, motion.Xb, Y_override=motion.Y + eps * N

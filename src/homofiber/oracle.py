@@ -82,28 +82,34 @@ class ResidualEntry:
     residual: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
-    entries: tuple
+    """The weak form over a t-grid times a probe set.
+
+    `values[i, j]` holds t1, t2, t3, rhs and the residual at t[i] and
+    probe j. `argmax` is the (t, probe) of the first largest |residual|
+    in row-major order, or (None, None) when every residual is 0.
+    """
+
+    t: np.ndarray
+    values: np.ndarray
     max_abs: float
     argmax: tuple
 
-    @classmethod
-    def from_entries(cls, entries):
-        entries = tuple(entries)
-        best, where = 0.0, (None, None)
-        for e in entries:
-            if abs(e.residual) > best:
-                best, where = abs(e.residual), (e.t, e.probe)
-        return cls(entries, best, where)
+    @property
+    def entries(self):
+        """One ResidualEntry per (t, probe), in row-major order."""
+        return tuple(
+            ResidualEntry(t, j, *row)
+            for t, per_t in zip(self.t.tolist(), self.values.tolist())
+            for j, row in enumerate(per_t)
+        )
 
 
 def metric_probe_basis(sys):
-    """Metric-orthonormal basis of m: module bases scaled by 1/sqrt(weight)."""
-    probes = []
-    for w, mod in zip(sys.metric.weights, sys.split.modules):
-        probes.extend(e / np.sqrt(w) for e in mod.basis)
-    return probes
+    """Metric-orthonormal basis of m, the (dim m, n, n) stack of module bases over sqrt(weight)."""
+    n = sys.split.n
+    return sys.m.stacked.reshape(-1, n, n) / np.sqrt(sys._m_weights)[:, None, None]
 
 
 def _unit_probe(sys, Z):
@@ -155,7 +161,7 @@ def _koszul_grid(motion, ts, stencils, h):
 
 def koszul_residual(motion, t, Z, cfg=DEFAULT_CONFIG):
     """Weak-form residual at time t against probe Z (normalized internally)."""
-    return residual_sweep(motion, [t], [Z], cfg).entries[0].residual
+    return float(residual_sweep(motion, [t], [Z], cfg).values[0, 0, 4])
 
 
 def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
@@ -167,12 +173,12 @@ def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
     ts = np.asarray(t_samples, dtype=float).reshape(-1)
     stencils = _probe_stencils(motion, _unit_probe(motion.system, probes), cfg.fd_step)
     t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, cfg.fd_step)
-    rows = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1).tolist()
-    return ResidualReport.from_entries(
-        ResidualEntry(t, j, *row)
-        for t, per_t in zip(ts.tolist(), rows)
-        for j, row in enumerate(per_t)
-    )
+    values = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1)
+    # a leading 0 is the first maximum exactly when no |residual| exceeds 0
+    r = np.concatenate([[0.0], np.abs(values[..., 4]).ravel()])
+    k = int(np.argmax(r))
+    i, j = divmod(k - 1, values.shape[1])
+    return ResidualReport(ts, values, float(r[k]), (float(ts[i]), j) if k else (None, None))
 
 
 def algebraic_identity_check(motion, t, Z):

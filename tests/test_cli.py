@@ -15,7 +15,14 @@ import sys
 import numpy as np
 import pytest
 
-from homofiber import export_entry, get_entry, sample_trajectory
+from homofiber import (
+    ResidualConfig,
+    export_entry,
+    get_entry,
+    metric_probe_basis,
+    residual_sweep,
+    sample_trajectory,
+)
 from homofiber.cli import _motion_from_args, build_parser, main
 
 
@@ -476,43 +483,54 @@ def test_parser_for_argv_prints_the_full_help(argv, capsys):
     assert texts[0] == texts[1] and "usage: homofiber" in texts[0]
 
 
-def _per_float_sample_rows(samples, n):
+def _f(x):
+    return f"{float(x):.17g}"
+
+
+def _per_float_sample_rows(traj, n):
     """The simulate CSV rows as they were once written, one float at a time."""
-
-    def f(x):
-        return f"{float(x):.17g}"
-
     header = ["t"]
     for i in range(n):
         for j in range(n):
             header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
-    pos0 = samples[0].position
-    if pos0 is not None:
-        if np.iscomplexobj(pos0):
-            for i in range(len(pos0)):
+    pos = traj.position
+    if pos is not None:
+        if np.iscomplexobj(pos):
+            for i in range(pos.shape[1]):
                 header += [f"pos_{i}_re", f"pos_{i}_im"]
         else:
-            header += [f"pos_{i}" for i in range(len(pos0))]
+            header += [f"pos_{i}" for i in range(pos.shape[1])]
     header.append("speed")
     rows = [header]
-    for s in samples:
-        row = [f(s.t)]
-        for z in np.asarray(s.representative).ravel():
-            row += [f(z.real), f(z.imag)]
-        if s.position is not None:
-            if np.iscomplexobj(s.position):
-                for z in s.position:
-                    row += [f(z.real), f(z.imag)]
+    for k in range(len(traj.t)):
+        row = [_f(traj.t[k])]
+        for z in np.asarray(traj.representative[k]).ravel():
+            row += [_f(z.real), _f(z.imag)]
+        if pos is not None:
+            if np.iscomplexobj(pos):
+                for z in pos[k]:
+                    row += [_f(z.real), _f(z.imag)]
             else:
-                row += [f(x) for x in s.position]
-        row.append(f(s.speed))
+                row += [_f(x) for x in pos[k]]
+        row.append(_f(traj.speed[k]))
         rows.append(row)
     return rows
 
 
-@pytest.mark.parametrize(
-    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
-)
+def _per_entry_verify_rows(report):
+    """The verify CSV rows as they were once written, one ResidualEntry at a time."""
+    rows = [["t", "probe", "t1", "t2", "t3", "rhs", "residual"]]
+    for e in report.entries:
+        rows.append(
+            [_f(e.t), str(e.probe), _f(e.t1), _f(e.t2), _f(e.t3), _f(e.rhs), _f(e.residual)]
+        )
+    return rows
+
+
+SPACES = ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
+
+
+@pytest.mark.parametrize("name", SPACES)
 def test_simulate_csv_matches_per_float_rows(tmp_path, name):
     argv = ["simulate", "--space", name, "--k", "1", "--samples", "40",
             "--t0=-7", "--t1", "9", "--seed", "5"]
@@ -524,3 +542,61 @@ def test_simulate_csv_matches_per_float_rows(tmp_path, name):
         sample_trajectory(motion, args.t0, args.t1, args.samples), system.split.n
     )
     assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("perturb", [[], ["--perturb", "1e-2"]])
+@pytest.mark.parametrize("name", SPACES)
+def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
+    argv = ["verify", "--space", name, "--k", "1", "--samples", "9",
+            "--t0=-3", "--t1", "2", "--seed", "5", "--format", "csv"] + perturb
+    rc, out = run_out(tmp_path, "r.csv", argv)
+    assert rc == (1 if perturb else 0)
+    args = build_parser(argv).parse_args(argv)
+    _, system, motion = _motion_from_args(args)
+    report = residual_sweep(
+        motion,
+        np.linspace(args.t0, args.t1, args.samples),
+        metric_probe_basis(system),
+        ResidualConfig(fd_step=args.fd_step),
+    )
+    rows = _per_entry_verify_rows(report)
+    assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "--space", "hopf:2", "--k=1", "--t1", "nan"], "--t1"),
+        (["verify", "--space", "hopf:2", "--k=1", "--t0", "inf"], "--t0"),
+        (["verify", "--space", "hopf:2", "--k=1", "--fd-step", "inf"], "--fd-step"),
+        (["verify", "--space", "hopf:2", "--k=1", "--perturb", "nan"], "--perturb"),
+        (["verify", "--space", "hopf:2", "--k=1", "--perturb", "inf"], "--perturb"),
+        (["verify", "--space", "hopf:2", "--k=1", "--W-scale", "inf"], "--W-scale"),
+        (["verify", "--space", "hopf:2", "--k=1", "--W-scale", "nan"], "--W-scale"),
+        (["simulate", "--space", "hopf:2", "--xa", "nan,0,0,0"], "--xa"),
+        (["simulate", "--space", "hopf:2", "--xb", "0,inf"], "--xb"),
+        (["simulate", "--space", "hopf:2", "--k=-inf"], "--k"),
+        (["simulate", "--space", "hopf:2", "--lambda", "1", "--lambda", "nan"], "--lambda"),
+        (["verify", "--space", "hopf:2", "--tol", "inf"], "--tol"),
+    ],
+)
+def test_non_finite_flags_are_usage_errors(capsys, argv, flag):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--space", "{dir}"],
+        ["verify", "--space", "{dir}"],
+        ["simulate", "--space", "hopf:2", "--out", "{dir}"],
+        ["simulate", "--space", "hopf:2", "--out", "{dir}/missing/x.csv"],
+    ],
+)
+def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and argv[-1] in err and "Traceback" not in err

@@ -171,13 +171,13 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
             grid = method(TS)
             for i, t in enumerate(TS):
                 assert np.array_equal(grid[i], method(t))
-        samples = sample_trajectory(motion, -1.0, 1.0, 5)
-        for s in samples:
-            one = motion.evaluate(s.t)
-            assert np.array_equal(s.representative, one.representative)
-            assert s.speed == one.speed
-            if s.position is not None:
-                assert np.array_equal(s.position, one.position)
+        traj = sample_trajectory(motion, -1.0, 1.0, 5)
+        for i, t in enumerate(traj.t):
+            one = motion.evaluate(t)
+            assert np.array_equal(traj.representative[i], one.representative)
+            assert traj.speed[i] == one.speed
+            if traj.position is not None:
+                assert np.array_equal(traj.position[i], one.position)
 
 
 def test_flow_grid_entries_are_one_point_values():

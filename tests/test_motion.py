@@ -173,21 +173,23 @@ def test_build_motion_accepts_omitted_xb(hopf1):
 def test_sample_trajectory_shape_and_endpoints(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = build_motion(sys, *unit_basis_pair(sys))
-    samples = sample_trajectory(motion, -1.0, 3.0, 9)
-    assert len(samples) == 9
-    assert samples[0].t == -1.0
-    assert samples[-1].t == 3.0
+    traj = sample_trajectory(motion, -1.0, 3.0, 9)
+    assert len(traj.t) == 9
+    assert traj.t[0] == -1.0
+    assert traj.t[-1] == 3.0
+    assert traj.representative.shape == traj.body_velocity.shape == (9, 2, 2)
+    assert traj.speed.shape == (9,)
     # hopf carries a vector model, so positions are sphere points in C^2
-    for s in samples:
-        assert s.position.shape == (2,)
-        assert np.linalg.norm(s.position) == pytest.approx(1.0, abs=1e-12)
-        assert s.speed == pytest.approx(samples[0].speed, abs=1e-12)
+    for i in range(len(traj.t)):
+        assert traj.position[i].shape == (2,)
+        assert np.linalg.norm(traj.position[i]) == pytest.approx(1.0, abs=1e-12)
+        assert traj.speed[i] == pytest.approx(traj.speed[0], abs=1e-12)
 
 
 def test_sample_trajectory_without_model_has_no_positions(entries):
     sys = system_for(entries["su2"], ratio=1.0)
     motion = build_motion(sys, *unit_basis_pair(sys))
-    assert all(s.position is None for s in sample_trajectory(motion, 0.0, 1.0, 3))
+    assert sample_trajectory(motion, 0.0, 1.0, 3).position is None
 
 
 def test_sample_trajectory_argument_errors(hopf1):

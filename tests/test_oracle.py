@@ -13,7 +13,6 @@ import pytest
 from homofiber import (
     DomainError,
     ResidualConfig,
-    ResidualReport,
     algebraic_identity_check,
     bracket,
     build_motion,
@@ -32,7 +31,6 @@ from homofiber import (
     perturb_motion,
     residual_sweep,
 )
-from homofiber.oracle import ResidualEntry
 from conftest import seeded_unit_pair, system_for
 
 TS = np.linspace(-2.0, 2.0, 7)
@@ -80,13 +78,23 @@ def test_resting_charged_particle_residual_is_truncation_only(hopf1):
     assert worst <= 1e-6
 
 
-def test_report_takes_first_argmax():
-    e = lambda t, j, r: ResidualEntry(t, j, 0.0, 0.0, 0.0, 0.0, r)
-    report = ResidualReport.from_entries(
-        [e(0.0, 0, 1e-9), e(0.5, 1, -3e-8), e(1.0, 2, 3e-8)]
-    )
-    assert report.max_abs == 3e-8
-    assert report.argmax == (0.5, 1)
+def test_report_takes_first_argmax(hopf1, monkeypatch):
+    # the sweep's terms are replaced so that the residual grid is exactly r
+    import homofiber.oracle as oracle
+
+    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
+    probes = metric_probe_basis(motion.system)
+
+    def report(r):
+        zero = np.zeros_like(r)
+        monkeypatch.setattr(oracle, "_koszul_grid", lambda *args: (zero, zero, zero, -r))
+        return residual_sweep(motion, [0.0, 0.5, 1.0], probes)
+
+    peaked, flat = report(np.diag([1e-9, -3e-8, 3e-8])), report(np.zeros((3, 3)))
+    assert peaked.max_abs == 3e-8
+    assert peaked.argmax == (0.5, 1)
+    assert flat.max_abs == 0.0
+    assert flat.argmax == (None, None)
 
 
 def test_config_rejects_bad_steps():
