@@ -4,8 +4,11 @@ Every entry carries a validated split, default metric weights, the
 module pair (a, b) used by the field operator, a central element W,
 and, where one exists, a base-point model that turns group
 representatives into points of a concrete sphere or adjoint orbit.
-Entries can be exported to a plain JSON-compatible document and loaded
-back, which is also the custom-space input format of the CLI.
+The builders and load_custom make every entry through one constructor,
+so an exported entry loads back into the same split bit for bit. A
+document is plain JSON, each array nested lists ending in [re, im]
+pairs and ambient_n the size of the matrices; it is also the
+custom-space input format of the CLI.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .field import charged_system
 from .linalg import StructureError, adjoint, inner_b, orthonormalize
 from .split import (
     CATALOG_TOL,
+    USER_TOL,
     build_custom_split,
     build_split,
     chain,
@@ -26,6 +30,7 @@ from .split import (
 )
 
 SQ2 = np.sqrt(2.0)
+_MODEL_RANK = {"vector": 1, "orbit": 2}   # array rank of a model's base point
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,15 +78,8 @@ class CatalogEntry:
 def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):
     """ChargedSystem from an entry with optional overrides."""
     a, b = pair if pair is not None else entry.pair
-    return charged_system(
-        entry.split,
-        tuple(weights) if weights is not None else entry.weights,
-        a,
-        b,
-        w_scale * entry.W,
-        k,
-        model=entry.model,
-    )
+    weights = tuple(weights) if weights is not None else entry.weights
+    return charged_system(entry.split, weights, a, b, w_scale * entry.W, k, model=entry.model)
 
 
 def _E(n, j, l):
@@ -90,42 +88,64 @@ def _E(n, j, l):
     return M
 
 
-def _u_basis(n):
-    """Orthonormal basis of u(n): diagonal imaginary units, then real and
-    imaginary rotation pairs for each index pair."""
-    out = [1j * _E(n, j, j) for j in range(n)]
+def _u_basis(n, size=None):
+    """Orthonormal basis of u(n) in the top-left block of size x size matrices
+    (default n): diagonal imaginary units, then rotation pairs per index pair."""
+    N = size or n
+    out = [1j * _E(N, j, j) for j in range(n)]
     for j in range(n):
         for l in range(j + 1, n):
-            out.append((_E(n, j, l) - _E(n, l, j)) / SQ2)
-            out.append(1j * (_E(n, j, l) + _E(n, l, j)) / SQ2)
-    return out
-
-
-def _embed(mats, n):
-    out = []
-    for M in mats:
-        big = np.zeros((n, n), dtype=complex)
-        big[: M.shape[0], : M.shape[1]] = M
-        out.append(big)
+            out.append((_E(N, j, l) - _E(N, l, j)) / SQ2)
+            out.append(1j * (_E(N, j, l) + _E(N, l, j)) / SQ2)
     return out
 
 
 def _su2_basis():
-    a1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    a2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
-    a3 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-    return [a1 / SQ2, a2 / SQ2, a3 / SQ2]
+    """The rotation pair of u(2), then the diagonal direction."""
+    return _u_basis(2)[2:] + [np.diag([1j, -1j]) / SQ2]
 
 
 def _su3_basis():
-    out = []
-    for j in range(3):
-        for l in range(j + 1, 3):
-            out.append((_E(3, j, l) - _E(3, l, j)) / SQ2)
-            out.append(1j * (_E(3, j, l) + _E(3, l, j)) / SQ2)
-    out.append(1j * np.diag([1.0, -1.0, 0.0]) / SQ2)
-    out.append(1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0))
-    return out
+    """The three rotation pairs of u(3), then the two diagonal directions."""
+    return _u_basis(3)[3:] + [
+        1j * np.diag([1.0, -1.0, 0.0]) / SQ2,
+        1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0),
+    ]
+
+
+def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
+           module_bases=None, tol=CATALOG_TOL):
+    """The catalog entry of a space given by bases; every entry is made here.
+
+    A k_basis makes the chain h <= k <= g and its two-module split;
+    module_bases gives the modules outright. model is None or
+    (kind, base); an orbit model reads points against the orthonormal
+    frame of g.
+    """
+    if k_basis is not None:
+        ch = chain(gb, k_basis, hb, tol=tol)
+        split = build_split(ch, tol=tol)
+        key, bases = "k_basis", k_basis
+    elif module_bases is not None:
+        ch = None
+        split = build_custom_split(gb, hb, module_bases, tol=tol)
+        key, bases = "module_bases", module_bases
+    else:
+        raise ValueError("space document needs k_basis or module_bases")
+    if model is not None:
+        kind, base = model
+        want = (split.n,) * _MODEL_RANK[kind]
+        if base.shape != want:
+            raise ValueError(
+                f"malformed space document: model base has shape {base.shape}, "
+                f"expected {want}"
+            )
+        frame = ()
+        if kind == "orbit":
+            frame = (ch.g if ch is not None else orthonormalize(gb)).basis
+        model = Model(kind, base, frame)
+    source = {"name": name, "ambient_n": split.n, "g_basis": gb, "h_basis": hb, key: bases}
+    return CatalogEntry(name, split, ch, weights, pair, W, model, source)
 
 
 def hopf(n):
@@ -140,25 +160,12 @@ def hopf(n):
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     N = n + 1
-    gb = _u_basis(N)
-    hb = _embed(_u_basis(n), N)
-    kb = hb + [1j * _E(N, n, n)]
-    ch = chain(gb, kb, hb, tol=CATALOG_TOL)
-    split = build_split(ch, tol=CATALOG_TOL)
+    hb = _u_basis(n, N)
     W = 1j * np.diag([1.0] * n + [0.0])
     v0 = np.zeros(N, dtype=complex)
     v0[n] = 1.0
-    model = Model("vector", v0)
-    source = {
-        "name": f"hopf:{n}",
-        "ambient_n": N,
-        "g_basis": gb,
-        "h_basis": hb,
-        "k_basis": kb,
-    }
-    return CatalogEntry(
-        f"hopf:{n}", split, ch, (1.0, 2.0), (1, 2), W, model, source
-    )
+    return _entry(f"hopf:{n}", _u_basis(N), hb, (1.0, 2.0), (1, 2), W, ("vector", v0),
+                  k_basis=hb + [1j * _E(N, n, n)])
 
 
 def lie_group(group="SU(2)", subgroup_basis=None):
@@ -178,17 +185,8 @@ def lie_group(group="SU(2)", subgroup_basis=None):
         raise ValueError(f"unsupported group {group!r}; use SU(2) or U(2)")
     if subgroup_basis is None:
         subgroup_basis = [gb[2]]
-    ch = chain(gb, subgroup_basis, [], tol=CATALOG_TOL)
-    split = build_split(ch, tol=CATALOG_TOL)
     W = np.zeros((2, 2), dtype=complex)
-    source = {
-        "name": key,
-        "ambient_n": 2,
-        "g_basis": gb,
-        "h_basis": [],
-        "k_basis": [np.asarray(M, dtype=complex) for M in subgroup_basis],
-    }
-    return CatalogEntry(key, split, ch, (1.0, 1.0), (1, 2), W, None, source)
+    return _entry(key, gb, [], (1.0, 1.0), (1, 2), W, k_basis=list(subgroup_basis))
 
 
 def kahler_s2():
@@ -199,22 +197,9 @@ def kahler_s2():
     scale, and charged trajectories are circles on the orbit sphere.
     """
     gb = _su2_basis()
-    hb = [gb[2]]
-    mod = [gb[0], gb[1]]
-    split = build_custom_split(gb, hb, [mod], tol=CATALOG_TOL)
-    W = gb[2].copy()
     xi0 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-    model = Model("orbit", xi0, tuple(orthonormalize(gb).basis))
-    source = {
-        "name": "kahler_s2",
-        "ambient_n": 2,
-        "g_basis": gb,
-        "h_basis": hb,
-        "module_bases": [mod],
-    }
-    return CatalogEntry(
-        "kahler_s2", split, None, (1.0,), (1, None), W, model, source
-    )
+    return _entry("kahler_s2", gb, [gb[2]], (1.0,), (1, None), gb[2].copy(), ("orbit", xi0),
+                  module_bases=[[gb[0], gb[1]]])
 
 
 def twistor_su3():
@@ -228,22 +213,10 @@ def twistor_su3():
     """
     gb = _su3_basis()
     hb = [gb[6], gb[7]]
-    kb = hb + [gb[2], gb[3]]
-    ch = chain(gb, kb, hb, tol=CATALOG_TOL)
-    split = build_split(ch, tol=CATALOG_TOL)
     W = 1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     xi0 = 1j * np.diag([1.0, 2.0, -3.0])
-    model = Model("orbit", xi0, ch.g.basis)
-    source = {
-        "name": "twistor_su3",
-        "ambient_n": 3,
-        "g_basis": gb,
-        "h_basis": hb,
-        "k_basis": kb,
-    }
-    return CatalogEntry(
-        "twistor_su3", split, ch, (1.0, 1.0), (1, 2), W, model, source
-    )
+    return _entry("twistor_su3", gb, hb, (1.0, 1.0), (1, 2), W, ("orbit", xi0),
+                  k_basis=hb + [gb[2], gb[3]])
 
 
 _BUILDERS = {
@@ -267,47 +240,47 @@ def get_entry(name):
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(_BUILDERS)}")
 
 
-def _mat_doc(M):
-    M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+def _doc(A):
+    """A complex array of any rank as nested lists ending in [re, im] pairs."""
+    A = np.asarray(A, dtype=complex)
+    return np.stack([A.real, A.imag], -1).tolist()
 
 
-def _mat_load(doc):
-    return np.array([[complex(re, im) for re, im in row] for row in doc])
+def _pairs(doc):
+    """Nested lists of complex numbers from nested lists of [re, im] pairs.
+
+    A list whose first entry starts with a list holds lists of one rank
+    less; any other list is read as the pairs of a vector.
+    """
+    first = doc[0] if isinstance(doc, list) and doc else None
+    if isinstance(first, list) and first and isinstance(first[0], list):
+        return [_pairs(x) for x in doc]
+    return [complex(re, im) for re, im in doc]
 
 
-def _vec_doc(v):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
-
-
-def _vec_load(doc):
-    return np.array([complex(re, im) for re, im in doc])
+def _load(doc):
+    """The complex array written by _doc."""
+    return np.array(_pairs(doc))
 
 
 def export_entry(entry, weights=None, k=0.0):
     """Plain-data document for an entry, suitable for JSON round-trips."""
+    src, model = entry.source, entry.model
     doc = {
         "name": entry.name,
-        "ambient_n": int(entry.source["ambient_n"]),
-        "g_basis": [_mat_doc(M) for M in entry.source["g_basis"]],
-        "h_basis": [_mat_doc(M) for M in entry.source["h_basis"]],
+        "ambient_n": src["ambient_n"],
+        "g_basis": _doc(src["g_basis"]),
+        "h_basis": _doc(src["h_basis"]),
         "weights": list(weights if weights is not None else entry.weights),
         "pair": list(entry.pair),
-        "W": _mat_doc(entry.W),
+        "W": _doc(entry.W),
         "k": float(k),
+        "model": None if model is None else {"kind": model.kind, "base": _doc(model.base)},
     }
-    if "k_basis" in entry.source:
-        doc["k_basis"] = [_mat_doc(M) for M in entry.source["k_basis"]]
+    if "k_basis" in src:
+        doc["k_basis"] = _doc(src["k_basis"])
     else:
-        doc["module_bases"] = [
-            [_mat_doc(M) for M in mod] for mod in entry.source["module_bases"]
-        ]
-    if entry.model is None:
-        doc["model"] = None
-    elif entry.model.kind == "vector":
-        doc["model"] = {"kind": "vector", "base": _vec_doc(entry.model.base)}
-    else:
-        doc["model"] = {"kind": "orbit", "base": _mat_doc(entry.model.base)}
+        doc["module_bases"] = [_doc(mod) for mod in src["module_bases"]]
     return doc
 
 
@@ -316,60 +289,40 @@ def load_custom(doc):
 
     A document with a k_basis is treated as a subalgebra chain and
     split into two modules; one with module_bases is taken as an
-    explicit decomposition. Validation failures raise StructureError
-    with the offending check in the message.
+    explicit decomposition. ambient_n must be the size of the matrices.
+    Validation failures raise StructureError with the offending check
+    in the message.
     """
     try:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         name = str(doc.get("name", "custom"))
         ambient_n = doc["ambient_n"]
-        gb = [_mat_load(M) for M in doc["g_basis"]]
-        hb = [_mat_load(M) for M in doc["h_basis"]]
+        gb = _load(doc["g_basis"])
+        hb = _load(doc["h_basis"])
         weights = tuple(float(w) for w in doc["weights"])
         pa, pb = doc["pair"]
         pair = (int(pa), int(pb) if pb is not None else None)
-        W = _mat_load(doc["W"])
+        W = _load(doc["W"])
+        bases = {}
         if "k_basis" in doc:
-            kb = [_mat_load(M) for M in doc["k_basis"]]
+            bases["k_basis"] = _load(doc["k_basis"])
         elif "module_bases" in doc:
-            mods = [[_mat_load(M) for M in mod] for mod in doc["module_bases"]]
-        model_doc = doc.get("model")
-        if model_doc is not None:
-            model_kind = model_doc["kind"]
-            if model_kind == "vector":
-                model_base = _vec_load(model_doc["base"])
-            elif model_kind == "orbit":
-                model_base = _mat_load(model_doc["base"])
-            else:
-                raise ValueError(f"unknown model kind {model_kind!r}")
+            bases["module_bases"] = [_load(mod) for mod in doc["module_bases"]]
+        model = doc.get("model")
+        if model is not None:
+            if model["kind"] not in _MODEL_RANK:
+                raise ValueError(f"unknown model kind {model['kind']!r}")
+            model = (model["kind"], _load(model["base"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space document: {exc}") from exc
-    ch = None
-    if "k_basis" in doc:
-        ch = chain(gb, kb, hb)
-        split = build_split(ch)
-        source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
-                  "h_basis": hb, "k_basis": kb}
-    elif "module_bases" in doc:
-        split = build_custom_split(gb, hb, mods)
-        source = {"name": name, "ambient_n": ambient_n, "g_basis": gb,
-                  "h_basis": hb, "module_bases": mods}
-    else:
-        raise ValueError("space document needs k_basis or module_bases")
-    model = None
-    if model_doc is not None:
-        want = (split.n,) if model_kind == "vector" else (split.n, split.n)
-        if model_base.shape != want:
-            raise ValueError(
-                f"malformed space document: model base has shape {model_base.shape}, "
-                f"expected {want}"
-            )
-        if model_kind == "vector":
-            model = Model("vector", model_base)
-        else:
-            model = Model("orbit", model_base, tuple(orthonormalize(gb).basis))
-    entry = CatalogEntry(name, split, ch, weights, pair, W, model, source)
+    entry = _entry(name, gb, hb, weights, pair, W, model, **bases, tol=USER_TOL)
+    n = entry.source["ambient_n"]
+    if type(ambient_n) is not int or ambient_n != n:
+        raise ValueError(
+            f"malformed space document: ambient_n is {ambient_n!r}, "
+            f"but the matrices are {n} x {n}"
+        )
     rep = entry.validation_report(tol=1e-10)
     if not rep.passed:
         raise StructureError(

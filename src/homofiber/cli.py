@@ -80,6 +80,14 @@ def _finite_float(text):
     return x
 
 
+def _env_tol():
+    """The default of --tol: HOMOFIBER_TOL when set, read by the rule of the flag."""
+    try:
+        return _finite_float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"HOMOFIBER_TOL: {exc}")
+
+
 def _resolve_space(name):
     if name in catalog_names():
         return get_entry(name)
@@ -461,9 +469,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
-    if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-        args.tol = float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
     try:
+        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
+            args.tol = _env_tol()
         return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

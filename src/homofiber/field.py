@@ -164,23 +164,22 @@ def metric_norm(sys, X):
 
 
 def apply_I0(sys, X):
-    """Field operator on its domain m_a + m_b."""
-    Xa = project(sys.ma, X)
-    if sys.b is None:
-        r = np.max(bnorm(X - Xa), initial=0.0)
-        if r > MEMBERSHIP_TOL:
-            raise DomainError(
-                f"X has a component of size {r:.3e} outside the I0 domain m{sys.a}"
-            )
-        return bracket(sys.W, Xa)
-    Xb = project(sys.mb, X)
-    r = np.max(bnorm(X - Xa - Xb), initial=0.0)
+    """Field operator on its domain m_a + m_b (m_a alone when b is None)."""
+    domain = [sys.a] if sys.b is None else [sys.a, sys.b]
+    Xa, *rest = parts = [project(sys.split.module(i), X) for i in domain]
+    R = X
+    for P in parts:
+        R = R - P
+    r = np.max(bnorm(R), initial=0.0)
     if r > MEMBERSHIP_TOL:
         raise DomainError(
             f"X has a component of size {r:.3e} outside the I0 domain "
-            f"m{sys.a} + m{sys.b}"
+            + " + ".join(f"m{i}" for i in domain)
         )
-    return bracket(sys.W, Xa) + bracket(sys.W, Xb) / sys.lam
+    out = bracket(sys.W, Xa)
+    for Xb in rest:
+        out = out + bracket(sys.W, Xb) / sys.lam
+    return out
 
 
 def em_two_form(sys, X, Y):

@@ -237,3 +237,55 @@ def test_three_module_document(entries):
     Xa, _ = seeded_unit_pair(sys, np.random.default_rng(2))
     report = residual_sweep(build_motion(sys, Xa), t_samples=np.linspace(-1, 1, 5))
     assert report.max_abs <= 1e-6
+
+
+def _arrays(entry):
+    """Shape and bytes of every basis, W and model array of an entry."""
+    split = entry.split
+    out = {"g_basis": entry.source["g_basis"], "h": split.h.basis, "W": entry.W}
+    out.update({f"m{i}": mod.basis for i, mod in enumerate(split.modules, 1)})
+    if entry.chain is not None:
+        out.update(chain_g=entry.chain.g.basis, chain_k=entry.chain.k.basis)
+    if entry.model is not None:
+        out.update(model_base=entry.model.base, model_frame=entry.model.frame)
+    return {key: (np.shape(A), np.asarray(A).tobytes()) for key, A in out.items()}
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3", "hopf:4", "hopf:5"]
+)
+def test_export_load_export_is_exact(name):
+    """Builders and load_custom make the same entry from the same bases, bit for bit."""
+    entry = get_entry(name) if name in catalog_names() else hopf(int(name.split(":")[1]))
+    doc = export_entry(entry)
+    loaded = load_custom(json.loads(json.dumps(doc)))
+    text = json.dumps(doc, sort_keys=True)
+    assert json.dumps(export_entry(loaded), sort_keys=True) == text
+    assert (loaded.name, loaded.weights, loaded.pair) == (entry.name, entry.weights, entry.pair)
+    assert _arrays(loaded) == _arrays(entry)
+
+
+def _string_leaf(W):
+    W[1][1] = "ab"
+
+
+def _string_first_leaf(W):
+    W[0][0] = "0"
+
+
+def _three_element_leaf(W):
+    W[0][1] = [0.0, 0.0, 0.0]
+
+
+def _ragged_rows(W):
+    del W[1][1]
+
+
+@pytest.mark.parametrize(
+    "damage", [_string_leaf, _string_first_leaf, _three_element_leaf, _ragged_rows]
+)
+def test_malformed_arrays_are_rejected(hopf1, damage):
+    doc = export_entry(hopf1)
+    damage(doc["W"])
+    with pytest.raises(ValueError, match="malformed space document"):
+        load_custom(doc)

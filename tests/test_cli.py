@@ -153,6 +153,14 @@ def test_verify_respects_env_tolerance(tmp_path, monkeypatch):
     assert rc == 1
 
 
+def test_bad_env_tolerance_is_usage_error(monkeypatch, capsys):
+    for value in ("abc", "inf", "nan"):
+        monkeypatch.setenv("HOMOFIBER_TOL", value)
+        assert main(["verify", "--space", "hopf:1", "--samples", "2"]) == 2, value
+        err = capsys.readouterr().err
+        assert err.startswith("error: HOMOFIBER_TOL") and "Traceback" not in err, value
+
+
 def test_unknown_space_is_usage_error(capsys):
     assert main(["validate", "--space", "nope"]) == 2
     assert "unknown space" in capsys.readouterr().err
@@ -194,6 +202,17 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, command, damage):
     err = capsys.readouterr().err
     assert "malformed space document" in err
     assert "Traceback" not in err
+
+
+def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
+    path = tmp_path / "ambient.json"
+    for bad in (99, "x", -1, None):
+        doc = export_entry(get_entry("hopf:1"))
+        doc["ambient_n"] = bad
+        path.write_text(json.dumps(doc))
+        assert main(["verify", "--space", str(path)]) == 2, bad
+        err = capsys.readouterr().err
+        assert "malformed space document: ambient_n" in err and "Traceback" not in err, bad
 
 
 BAD_VALUES = (None, True, -1, 2.5, "x", [], [0], [[0, 0]], [[[0, 0]]], {})
