@@ -289,9 +289,9 @@ def load_custom(doc):
 
     A document with a k_basis is treated as a subalgebra chain and
     split into two modules; one with module_bases is taken as an
-    explicit decomposition. ambient_n must be the size of the matrices.
-    Validation failures raise StructureError with the offending check
-    in the message.
+    explicit decomposition, and one with both is malformed. ambient_n
+    must be the size of the matrices. Validation failures raise
+    StructureError with the offending check in the message.
     """
     try:
         if not isinstance(doc, dict):
@@ -305,6 +305,8 @@ def load_custom(doc):
         pair = (int(pa), int(pb) if pb is not None else None)
         W = _load(doc["W"])
         bases = {}
+        if "k_basis" in doc and "module_bases" in doc:
+            raise ValueError("a document gives k_basis or module_bases, not both")
         if "k_basis" in doc:
             bases["k_basis"] = _load(doc["k_basis"])
         elif "module_bases" in doc:

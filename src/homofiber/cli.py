@@ -80,10 +80,18 @@ def _finite_float(text):
     return x
 
 
+def _positive_float(text):
+    """The argparse type of --tol and --fd-step: a positive finite float."""
+    x = _finite_float(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return x
+
+
 def _env_tol():
     """The default of --tol: HOMOFIBER_TOL when set, read by the rule of the flag."""
     try:
-        return _finite_float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
+        return _positive_float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
     except argparse.ArgumentTypeError as exc:
         raise UsageError(f"HOMOFIBER_TOL: {exc}")
 
@@ -406,8 +414,8 @@ def _space_flags(p, fmt):
     p.add_argument("--t0", type=_finite_float, default=-2.0)
     p.add_argument("--t1", type=_finite_float, default=2.0)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--fd-step", dest="fd_step", type=_finite_float, default=1e-4)
-    p.add_argument("--tol", type=_finite_float, default=None)
+    p.add_argument("--fd-step", dest="fd_step", type=_positive_float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=_finite_float, default=0.0, metavar="EPS")
     p.add_argument("--out", default=None)
@@ -438,11 +446,13 @@ _COMMANDS = {
 def build_parser(argv):
     """The command-line parser for argv.
 
-    Only the subcommands named among the words of argv get their flags:
-    argparse enters no other subcommand, and adding arguments is most
-    of the cost of a build. Help and usage list every subcommand. The
-    terminal width that argparse would look up for each argument is
-    looked up once.
+    When argv[0] names a subcommand, the parser has only the
+    subcommands named among the words of argv: argparse enters no
+    other, and creating subparsers and adding flags is most of the cost
+    of a build. Otherwise, as for --help, no command or an unknown one,
+    it has all four. Either way only the named subcommands get their
+    flags, and usage lists all four. The terminal width that argparse
+    would look up for each argument is looked up once.
     """
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
@@ -453,8 +463,13 @@ def build_parser(argv):
         ),
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, func) in _COMMANDS.items():
+    every = not (argv and argv[0] in _COMMANDS)
+    names = [name for name in _COMMANDS if every or name in argv]
+    # usage lists all four either way; errors about the command name its dest
+    metavar = None if every else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_flags, func = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text, formatter_class=formatter)
         if name in argv:
             add_flags(p)

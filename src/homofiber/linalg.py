@@ -228,9 +228,10 @@ def orthonormalize(vectors, rank_tol=1e-10):
             n = u.shape[0]
             frame = np.empty((len(vectors), n * n), dtype=complex)
             duals = np.empty_like(frame)
-        nrm = bnorm(flat.reshape(n, n))
+        r = flat.reshape(n, n)
+        nrm = np.sqrt(max(_trace_form(r, r), 0.0))
         if nrm >= rank_tol:
-            e = flat.reshape(n, n) / nrm
+            e = r / nrm
             frame[len(kept)] = e.reshape(-1)
             duals[len(kept)] = -e.T.reshape(-1)
             kept.append(e)
@@ -263,7 +264,7 @@ def span_residuals(S, M):
         _same_size(M[0], S.basis[0], "coordinates")
         flat = flat - np.real(S.dual @ flat.T).T @ S.stacked
     R = flat.reshape(k, n, n)
-    return np.sqrt(np.maximum(-np.real(np.trace(R @ R, axis1=1, axis2=2)), 0.0)) + 0.0
+    return np.sqrt(np.maximum(_trace_form(R, R), 0.0)) + 0.0
 
 
 def span_residual(S, X):

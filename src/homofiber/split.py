@@ -131,28 +131,41 @@ class ValidationReport:
 
 
 def _bracket_residuals(target, A, B):
-    """(A.dim, B.dim) residuals off target of [x, y] over all basis pairs.
+    """(A.dim, B.dim) residuals off target of [x, y] over basis pairs x of A, y of B.
 
-    The pairs go through span_residuals in stacks of whole rows x of at
-    most about PAIR_BLOCK complex entries (one stack on every catalog
-    space), so memory stays bounded on large algebras.
+    B None stands for B = A with only the pairs i < j bracketed, the
+    other entries left 0: a closure check needs no mirror pair, as
+    [y, x] = -[x, y], and no diagonal. The pairs go through
+    span_residuals in stacks of at most about PAIR_BLOCK complex
+    entries (one stack on every catalog space), whole rows x at a time
+    for a given B, so memory stays bounded on large algebras.
     """
+    upper = B is None
+    if upper:
+        B = A
+    r = np.zeros((A.dim, B.dim))
     if not (A.dim and B.dim):
-        return np.zeros((A.dim, B.dim))
+        return r
     n = A.ambient
-    X = A.stacked.reshape(A.dim, 1, n, n)
-    Y = B.stacked.reshape(1, B.dim, n, n)
+    X, Y = A.stacked.reshape(A.dim, n, n), B.stacked.reshape(B.dim, n, n)
+    if upper:
+        I, J = np.divmod(np.arange(r.size), B.dim)
+        I, J = I[I < J], J[I < J]
+        step = max(1, PAIR_BLOCK // (n * n))
+        for s in range(0, len(I), step):
+            i, j = I[s:s + step], J[s:s + step]
+            r[i, j] = span_residuals(target, X[i] @ X[j] - X[j] @ X[i])
+        return r
     rows = max(1, PAIR_BLOCK // (B.dim * n * n))
-    out = [
-        span_residuals(target, (X[i:i + rows] @ Y - Y @ X[i:i + rows]).reshape(-1, n, n))
-        for i in range(0, A.dim, rows)
-    ]
-    return np.concatenate(out).reshape(A.dim, B.dim)
+    for i in range(0, A.dim, rows):
+        x = X[i:i + rows, None]
+        r[i:i + rows] = span_residuals(target, (x @ Y - Y @ x).reshape(-1, n, n)).reshape(-1, B.dim)
+    return r
 
 
 def _closure_residual(space):
     """Worst residual of [x, y] off span(space) over basis pairs i < j, with argmax."""
-    r = np.triu(_bracket_residuals(space, space, space), 1)
+    r = _bracket_residuals(space, space, None)
     worst = r.max(initial=0.0)
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
 

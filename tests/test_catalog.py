@@ -206,6 +206,17 @@ def test_malformed_documents(hopf1):
         load_custom(doc)
 
 
+def test_document_with_both_split_forms_is_malformed(hopf1):
+    # a chain and explicit modules state two splits; neither is dropped in silence
+    doc = export_entry(hopf1)
+    doc["module_bases"] = "garbage"
+    with pytest.raises(ValueError, match="malformed space document: .*not both"):
+        load_custom(doc)
+    doc["module_bases"] = [doc["g_basis"][:2]]
+    with pytest.raises(ValueError, match="malformed space document: .*not both"):
+        load_custom(doc)
+
+
 def test_three_module_document(entries):
     """A hand-written flag-manifold document with three modules loads.
 

@@ -398,6 +398,47 @@ def test_reports_are_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--space", "hopf:1", "--bogus"],
+        ["verify", "--k", "abc"],
+        ["simulate", "--space", "su2", "--format", "xml"],
+        ["validate"],
+        ["catalog", "bogus"],
+    ],
+)
+def test_parser_for_argv_prints_the_full_errors(argv, capsys):
+    # usage names every subcommand although the parser for argv has one
+    outcomes = []
+    for parser in (build_parser(ALL_COMMANDS), build_parser(argv)):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        outcomes.append((exc.value.code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
+    assert "usage: homofiber" in outcomes[0][1]
+
+
+@pytest.mark.parametrize(
+    "argv,env,name",
+    [
+        (["verify", "--space", "hopf:1", "--tol", "0"], None, "--tol"),
+        (["verify", "--space", "hopf:1", "--tol=-1"], None, "--tol"),
+        (["verify", "--space", "hopf:1", "--fd-step", "0"], None, "--fd-step"),
+        (["verify", "--space", "hopf:1", "--fd-step=-1e-4"], None, "--fd-step"),
+        (["verify", "--space", "hopf:1"], "0", "HOMOFIBER_TOL"),
+        (["verify", "--space", "hopf:1"], "-1", "HOMOFIBER_TOL"),
+        (["simulate", "--space", "hopf:1", "--tol", "-0.0"], None, "--tol"),
+    ],
+)
+def test_tolerances_that_are_not_positive_are_usage_errors(monkeypatch, capsys, argv, env, name):
+    if env is not None:
+        monkeypatch.setenv("HOMOFIBER_TOL", env)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert name in err and "not positive" in err and "Traceback" not in err
+
+
 def test_bare_invocations():
     assert main([]) == 2
     assert main(["--help"]) == 0

@@ -14,8 +14,10 @@ from homofiber import (
     bracket,
     build_custom_split,
     build_split,
+    catalog_names,
     center_basis,
     chain,
+    get_entry,
     hopf,
     inner_b,
     lie_group,
@@ -25,7 +27,7 @@ from homofiber import (
     twistor_su3,
 )
 from homofiber.linalg import brackets, span_residuals
-from homofiber.split import ReductiveSplit, _bracket_residuals
+from homofiber.split import ReductiveSplit, _bracket_residuals, _closure_residual
 
 # Reference definitions: the validators written as plain loops over basis
 # elements, one bracket and one residual at a time. The stacked kernels
@@ -267,6 +269,86 @@ def test_all_pair_residuals_match_row_stacks(monkeypatch):
     for target, A, B in itertools.product(generic, repeat=3):
         want = _row_stacked_residuals(target, A, B)
         assert _bracket_residuals(target, A, B).tobytes() == want.tobytes()
+
+
+def full_square_closure(space):
+    """Reference for _closure_residual: all d^2 ordered pairs, cut to i < j by np.triu."""
+    r = np.triu(_bracket_residuals(space, space, space), 1)
+    worst = r.max(initial=0.0)
+    return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
+
+
+def _random_skew(rng, k, n):
+    M = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return M - np.swapaxes(M.conj(), 1, 2)
+
+
+def test_closure_over_pairs_i_below_j_keeps_every_bit_on_catalog_spaces():
+    entries = [get_entry(name) for name in catalog_names()] + [hopf(4), hopf(5)]
+    for entry in entries:
+        ch = entry.chain
+        spaces = (ch.g, ch.k, ch.h) if ch is not None else ()
+        for space in spaces + (entry.split.h,) + entry.split.modules:
+            worst, where = _closure_residual(space)
+            want_worst, want_where = full_square_closure(space)
+            assert worst.tobytes() == want_worst.tobytes(), entry.name
+            assert where == want_where, entry.name
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closure_over_pairs_i_below_j_matches_the_full_square_off_closed_spaces(n):
+    # span_residuals takes coordinates by one BLAS product per stack, so
+    # the smaller stacks of pairs i < j can move a residual by an ulp
+    rng = np.random.default_rng(n)
+    for k in (2, 3, 5, 8):
+        space = orthonormalize(_random_skew(rng, k, n))
+        worst, where = _closure_residual(space)
+        want_worst, want_where = full_square_closure(space)
+        assert worst > 0.1 and where == want_where
+        assert abs(worst - want_worst) <= 1e-15
+        upper = _bracket_residuals(space, space, None)
+        full = np.triu(_bracket_residuals(space, space, space), 1)
+        np.testing.assert_allclose(upper, full, rtol=0.0, atol=1e-15)
+        assert not np.tril(upper).any()
+
+
+def test_closure_pair_stacks_stay_within_the_block(monkeypatch):
+    space = orthonormalize(_random_skew(np.random.default_rng(1), 6, 3))
+    want = _bracket_residuals(space, space, None)
+    sizes = []
+    real = split_module.span_residuals
+    monkeypatch.setattr(split_module, "span_residuals", lambda S, M: sizes.append(len(M)) or real(S, M))
+    monkeypatch.setattr(split_module, "PAIR_BLOCK", 4 * 9)
+    np.testing.assert_allclose(_bracket_residuals(space, space, None), want, rtol=0.0, atol=1e-15)
+    assert sizes == [4, 4, 4, 3]  # 15 pairs i < j, 4 matrices of 9 entries per stack
+
+
+def _trace_of_square_residuals(S, M):
+    """span_residuals as it once took each norm, from the product R @ R."""
+    k, n = M.shape[0], M.shape[-1]
+    flat = M.reshape(k, n * n)
+    if S.basis:
+        flat = flat - np.real(S.dual @ flat.T).T @ S.stacked
+    R = flat.reshape(k, n, n)
+    return np.sqrt(np.maximum(-np.real(np.trace(R @ R, axis1=1, axis2=2)), 0.0)) + 0.0
+
+
+def test_span_residuals_takes_the_norm_without_the_product():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5):
+        for k in (0, 1, 3):
+            S = orthonormalize(_random_skew(rng, k, n))
+            M = _random_skew(rng, 7, n)
+            np.testing.assert_array_max_ulp(
+                span_residuals(S, M), _trace_of_square_residuals(S, M), maxulp=4
+            )
+    # members whose remainder is exactly zero read +0.0, not -0.0
+    g = hopf(2).chain.g
+    members = np.concatenate([np.array(g.basis[:3]), np.zeros((2, 3, 3))])
+    for S in (g, Subspace(())):
+        M = members if S.dim else members[3:]
+        r = span_residuals(S, M)
+        assert not r.any() and not np.signbit(r).any()
 
 
 @pytest.mark.parametrize("split, dim", [(twistor_su3().split, 2), (lie_group().split, 0)])
