@@ -13,7 +13,6 @@ custom-space input format of the CLI.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +32,6 @@ SQ2 = np.sqrt(2.0)
 _MODEL_RANK = {"vector": 1, "orbit": 2}   # array rank of a model's base point
 
 
-@dataclass(frozen=True, eq=False)
 class Model:
     """Base-point model of the coset space.
 
@@ -43,9 +41,10 @@ class Model:
     (adjoint orbits).
     """
 
-    kind: str
-    base: np.ndarray
-    frame: tuple = ()
+    __slots__ = ("kind", "base", "frame")
+
+    def __init__(self, kind, base, frame=()):
+        self.kind, self.base, self.frame = kind, base, frame
 
     def apply(self, g):
         """The point of g, or the points of a (..., n, n) stack of g."""
@@ -55,16 +54,10 @@ class Model:
         return inner_b(x[..., None, :, :], np.array(self.frame))
 
 
-@dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    name: str
-    split: object
-    chain: object
-    weights: tuple
-    pair: tuple
-    W: np.ndarray
-    model: object
-    source: dict
+    def __init__(self, name, split, chain, weights, pair, W, model, source):
+        self.name, self.split, self.chain, self.weights = name, split, chain, weights
+        self.pair, self.W, self.model, self.source = pair, W, model, source
 
     @cached_property
     def _report(self):

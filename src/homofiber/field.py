@@ -16,7 +16,6 @@ one matrix: the one-matrix call is the one-point case of the stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,25 +30,23 @@ from .linalg import (
     check_skew_hermitian,
     project,
 )
-from .split import ReductiveSplit, bracket_pair_residual, center_residuals
+from .split import bracket_pair_residual, center_residuals
 
 MEMBERSHIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
 class DiagonalMetric:
     """Positive weights, one per module of a split."""
 
-    weights: tuple
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        ws = tuple(float(w) for w in self.weights)
+    def __init__(self, weights):
+        ws = tuple(float(w) for w in weights)
         if not ws or any(w <= 0 or not np.isfinite(w) for w in ws):
-            raise ValueError(f"weights must be positive and finite, got {self.weights}")
-        object.__setattr__(self, "weights", ws)
+            raise ValueError(f"weights must be positive and finite, got {weights}")
+        self.weights = ws
 
 
-@dataclass(frozen=True, eq=False)
 class ChargedSystem:
     """A split, metric, field pair (a, b), central element W and charge k.
 
@@ -57,18 +54,12 @@ class ChargedSystem:
     the I0 domain shrinks to m_a. Module indices are 1-based.
     """
 
-    split: ReductiveSplit
-    metric: DiagonalMetric
-    a: int
-    b: object
-    W: np.ndarray
-    k: float
-    model: object = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", float(self.k))
+    def __init__(self, split, metric, a, b, W, k, model=None):
+        self.split, self.metric, self.a, self.b, self.W = split, metric, a, b, W
+        self.k = float(k)
         if not np.isfinite(self.k):
             raise ValueError("charge k must be finite")
+        self.model = model
 
     @property
     def lam(self):

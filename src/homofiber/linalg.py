@@ -18,11 +18,9 @@ and the bracket keeps its matmul, which numpy applies matrix by matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 
 class DimensionError(ValueError):
@@ -118,8 +116,8 @@ class Flow:
 
     Skew-Hermitian A admits exp(tA) = U diag(exp(i t w)) U* with
     -iA = U diag(w) U*, exactly unitary up to roundoff. Anything else
-    falls through to scipy's scaling-and-squaring at each t. t = 0 and
-    A = 0 give the identity exactly.
+    falls through to scipy's scaling-and-squaring at each t, importing
+    scipy only then. t = 0 and A = 0 give the identity exactly.
     """
 
     def __init__(self, A):
@@ -136,6 +134,7 @@ class Flow:
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape(-1)
         if self._w is None:
+            import scipy.linalg
             out = scipy.linalg.expm(grid[:, None, None] * self.A)
         else:
             out = mul(self._U * np.exp(1j * grid[:, None] * self._w)[:, None, :], self._Uh)
@@ -156,7 +155,6 @@ def adjoint(g, X):
     return mul(mul(G, A), np.swapaxes(G.conj(), -1, -2))
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of u(n) carried as an ordered B-orthonormal basis.
 
@@ -164,7 +162,8 @@ class Subspace:
     use and cached, so the basis arrays must not be mutated afterwards.
     """
 
-    basis: tuple
+    def __init__(self, basis):
+        self.basis = basis
 
     @property
     def dim(self):

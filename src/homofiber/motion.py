@@ -21,8 +21,6 @@ callers that reuse a value at the same t hold on to it themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .field import MEMBERSHIP_TOL, metric_norm
@@ -38,15 +36,14 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class TrajectorySample:
     """A curve at one t, or over a t-grid with each field stacked along its first axis."""
 
-    t: object
-    representative: np.ndarray
-    body_velocity: np.ndarray
-    speed: object
-    position: object = None
+    __slots__ = ("t", "representative", "body_velocity", "speed", "position")
+
+    def __init__(self, t, representative, body_velocity, speed, position=None):
+        self.t, self.representative, self.body_velocity = t, representative, body_velocity
+        self.speed, self.position = speed, position
 
 
 class ClosedFormMotion:

@@ -32,12 +32,9 @@ as in koszul_residual, is the one-point case of the same grid.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
-from .field import apply_I0, metric_inner, metric_norm
+from .field import ChargedSystem, apply_I0, metric_inner, metric_norm
 from .linalg import (
     DomainError,
     Flow,
@@ -54,35 +51,30 @@ from .linalg import (
 from .motion import build_motion
 
 
-@dataclass(frozen=True)
 class ResidualConfig:
     """Finite-difference step and pass tolerance."""
 
-    fd_step: float = 1e-4
-    tolerance: float = 1e-6
+    __slots__ = ("fd_step", "tolerance")
 
-    def __post_init__(self):
-        if not self.fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
+    def __init__(self, fd_step=1e-4, tolerance=1e-6):
+        if not fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {fd_step}")
+        if not tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {tolerance}")
+        self.fd_step, self.tolerance = fd_step, tolerance
 
 
 DEFAULT_CONFIG = ResidualConfig()
 
 
-@dataclass(frozen=True)
 class ResidualEntry:
-    t: float
-    probe: int
-    t1: float
-    t2: float
-    t3: float
-    rhs: float
-    residual: float
+    __slots__ = ("t", "probe", "t1", "t2", "t3", "rhs", "residual")
+
+    def __init__(self, t, probe, t1, t2, t3, rhs, residual):
+        self.t, self.probe, self.t1, self.t2, self.t3 = t, probe, t1, t2, t3
+        self.rhs, self.residual = rhs, residual
 
 
-@dataclass(frozen=True, eq=False)
 class ResidualReport:
     """The weak form over a t-grid times a probe set.
 
@@ -91,10 +83,10 @@ class ResidualReport:
     in row-major order, or (None, None) when every residual is 0.
     """
 
-    t: np.ndarray
-    values: np.ndarray
-    max_abs: float
-    argmax: tuple
+    __slots__ = ("t", "values", "max_abs", "argmax")
+
+    def __init__(self, t, values, max_abs, argmax):
+        self.t, self.values, self.max_abs, self.argmax = t, values, max_abs, argmax
 
     @property
     def entries(self):
@@ -215,10 +207,11 @@ def algebraic_identity_check(motion, t, Z):
     return _scalar(np.abs(term1 + term2 + term3 - collapsed))
 
 
-@dataclass(frozen=True)
 class ConservationReport:
-    speed0: float
-    max_drift: float
+    __slots__ = ("speed0", "max_drift")
+
+    def __init__(self, speed0, max_drift):
+        self.speed0, self.max_drift = speed0, max_drift
 
     def passed(self, tol=1e-10):
         return self.max_drift <= tol
@@ -244,11 +237,12 @@ def velocity_agreement_sweep(motion, t_samples):
     return float(np.max(bnorm(d), initial=0.0))
 
 
-@dataclass(frozen=True)
 class GreatCircleReport:
-    max_radius_dev: float
-    max_planarity: float
-    metric_scale: float
+    __slots__ = ("max_radius_dev", "max_planarity", "metric_scale")
+
+    def __init__(self, max_radius_dev, max_planarity, metric_scale):
+        self.max_radius_dev, self.max_planarity = max_radius_dev, max_planarity
+        self.metric_scale = metric_scale
 
     def passed(self, radius_tol=1e-10, plane_tol=1e-9):
         return self.max_radius_dev <= radius_tol and self.max_planarity <= plane_tol
@@ -313,18 +307,18 @@ def great_circle_check(motion, t_samples=None):
     return GreatCircleReport(float(max_rad), float(max_plane), float(scale))
 
 
-@dataclass(frozen=True)
 class MagneticCircleEntry:
-    k: float
-    kappa_mean: float
-    kappa_variation: float
+    __slots__ = ("k", "kappa_mean", "kappa_variation")
+
+    def __init__(self, k, kappa_mean, kappa_variation):
+        self.k, self.kappa_mean, self.kappa_variation = k, kappa_mean, kappa_variation
 
 
-@dataclass(frozen=True)
 class MagneticCircleReport:
-    entries: tuple
-    constant: bool
-    increasing: bool
+    __slots__ = ("entries", "constant", "increasing")
+
+    def __init__(self, entries, constant, increasing):
+        self.entries, self.constant, self.increasing = entries, constant, increasing
 
     def passed(self):
         return self.constant and self.increasing
@@ -371,7 +365,7 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
         t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
     entries = []
     for kv in k_values:
-        sys_k = dataclasses.replace(sys, k=float(kv))
+        sys_k = ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, model)
         motion = build_motion(sys_k, Xa)
 
         def pos(ts, m=motion):
@@ -391,9 +385,11 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
     return MagneticCircleReport(tuple(entries), constant, increasing)
 
 
-@dataclass(frozen=True)
 class CollapseReport:
-    max_frobenius: float
+    __slots__ = ("max_frobenius",)
+
+    def __init__(self, max_frobenius):
+        self.max_frobenius = max_frobenius
 
     def passed(self, tol=1e-12):
         return self.max_frobenius <= tol
@@ -413,18 +409,18 @@ def lambda_collapse_check(motion, t_samples=None):
     return CollapseReport(float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0)))
 
 
-@dataclass(frozen=True)
 class ConvergencePoint:
-    t: float
-    probe: int
-    residuals: tuple
-    ratios: tuple
+    __slots__ = ("t", "probe", "residuals", "ratios")
+
+    def __init__(self, t, probe, residuals, ratios):
+        self.t, self.probe, self.residuals, self.ratios = t, probe, residuals, ratios
 
 
-@dataclass(frozen=True)
 class ConvergenceReport:
-    h_values: tuple
-    points: tuple
+    __slots__ = ("h_values", "points")
+
+    def __init__(self, h_values, points):
+        self.h_values, self.points = h_values, points
 
 
 def convergence_ratios(motion, points, probes, h_values=(2e-4, 1e-4, 5e-5)):

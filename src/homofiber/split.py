@@ -10,7 +10,6 @@ front end can print all failures at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -31,14 +30,11 @@ USER_TOL = 1e-10      # user supplied data
 PAIR_BLOCK = 2**12     # complex entries per bracket-residual stack, 64 KB
 
 
-@dataclass(frozen=True, eq=False)
 class SubalgebraChain:
     """Nested subalgebras h <= k <= g, each stored as an orthonormal Subspace."""
 
-    g: Subspace
-    k: Subspace
-    h: Subspace
-    n: int
+    def __init__(self, g, k, h, n):
+        self.g, self.k, self.h, self.n = g, k, h, n
 
     @cached_property
     def closures(self):
@@ -46,7 +42,6 @@ class SubalgebraChain:
         return tuple(_closure_residual(space) for space in (self.g, self.k, self.h))
 
 
-@dataclass(frozen=True, eq=False)
 class ReductiveSplit:
     """B-orthogonal decomposition g = h + m1 + ... + ms.
 
@@ -55,9 +50,8 @@ class ReductiveSplit:
     API, matching the names m1, m2, ...
     """
 
-    h: Subspace
-    modules: tuple
-    n: int
+    def __init__(self, h, modules, n):
+        self.h, self.modules, self.n = h, modules, n
 
     @property
     def s(self):
@@ -92,17 +86,20 @@ class ReductiveSplit:
         )
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    passed: bool
-    residual: float
+    __slots__ = ("passed", "residual")
+
+    def __init__(self, passed, residual):
+        self.passed, self.residual = passed, residual
 
 
-@dataclass
 class ValidationReport:
     """Named structural checks with worst residuals."""
 
-    checks: dict = field(default_factory=dict)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks=None):
+        self.checks = {} if checks is None else checks
 
     def add(self, name, residual, tol):
         self.checks[name] = CheckResult(bool(residual <= tol), float(residual))

@@ -1,0 +1,47 @@
+"""Cold start: no class is generated at import, and a CLI run leaves scipy unloaded.
+
+pytest loads scipy itself, so the run is checked in a fresh interpreter.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+VERIFY_RUN = """
+import sys
+from homofiber import cli
+code = cli.main(["verify", "--space", "hopf:2", "--k=1", "--samples", "3"])
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_verify_run_leaves_scipy_unloaded():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", VERIFY_RUN],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 []"
+
+
+def test_no_module_imports_dataclasses():
+    offenders = []
+    for path in sorted((SRC / "homofiber").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"dataclasses imported at {', '.join(offenders)}"

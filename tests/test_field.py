@@ -27,12 +27,13 @@ from conftest import combo
 
 
 def test_weights_must_be_positive():
-    with pytest.raises(ValueError):
-        DiagonalMetric((1.0, -2.0))
-    with pytest.raises(ValueError):
-        DiagonalMetric(())
-    with pytest.raises(ValueError):
-        DiagonalMetric((np.inf,))
+    for weights in [(1.0, -2.0), (), (np.inf,)]:
+        with pytest.raises(ValueError, match=r"weights must be positive and finite, got \("):
+            DiagonalMetric(weights)
+    entry = hopf(1)
+    for k in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="charge k must be finite"):
+            charged_system(entry.split, entry.weights, 1, 2, entry.W, k)
 
 
 def test_weight_count_must_match():
