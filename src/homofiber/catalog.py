@@ -251,9 +251,18 @@ def _pairs(doc):
     return [complex(re, im) for re, im in doc]
 
 
-def _load(doc):
-    """The complex array written by _doc."""
-    return np.array(_pairs(doc))
+def _load(doc, name=None):
+    """The complex array written by _doc; a named field must hold skew-Hermitian matrices."""
+    A = np.array(_pairs(doc))
+    if name and A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
+        D = A + np.swapaxes(A, -1, -2).conj()
+        if D.any():  # an exactly skew field, as in every export, needs no norms
+            dev = np.abs(D).max(axis=(-2, -1), initial=0.0)
+            bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))))
+            for i in bad[:1]:
+                where = name if A.ndim == 2 else f"{name}[{i}]"
+                raise ValueError(f"{where} is not skew-Hermitian (deviation {dev.flat[i]:.3e})")
+    return A
 
 
 def export_entry(entry, weights=None, k=0.0):
@@ -283,27 +292,29 @@ def load_custom(doc):
     A document with a k_basis is treated as a subalgebra chain and
     split into two modules; one with module_bases is taken as an
     explicit decomposition, and one with both is malformed. ambient_n
-    must be the size of the matrices. Validation failures raise
-    StructureError with the offending check in the message.
+    must be the size of the matrices, and each matrix skew-Hermitian.
+    Validation failures raise StructureError with the offending check
+    in the message.
     """
     try:
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         name = str(doc.get("name", "custom"))
         ambient_n = doc["ambient_n"]
-        gb = _load(doc["g_basis"])
-        hb = _load(doc["h_basis"])
+        gb = _load(doc["g_basis"], "g_basis")
+        hb = _load(doc["h_basis"], "h_basis")
         weights = tuple(float(w) for w in doc["weights"])
         pa, pb = doc["pair"]
         pair = (int(pa), int(pb) if pb is not None else None)
-        W = _load(doc["W"])
+        W = _load(doc["W"], "W")
         bases = {}
         if "k_basis" in doc and "module_bases" in doc:
             raise ValueError("a document gives k_basis or module_bases, not both")
         if "k_basis" in doc:
-            bases["k_basis"] = _load(doc["k_basis"])
+            bases["k_basis"] = _load(doc["k_basis"], "k_basis")
         elif "module_bases" in doc:
-            bases["module_bases"] = [_load(mod) for mod in doc["module_bases"]]
+            mods = enumerate(doc["module_bases"])
+            bases["module_bases"] = [_load(mod, f"module_bases[{i}]") for i, mod in mods]
         model = doc.get("model")
         if model is not None:
             if model["kind"] not in _MODEL_RANK:

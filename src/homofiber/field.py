@@ -23,8 +23,8 @@ import numpy as np
 from .linalg import (
     DomainError,
     StructureError,
+    _real_rows,
     _scalar,
-    _trace_form,
     bnorm,
     bracket,
     check_skew_hermitian,
@@ -132,8 +132,8 @@ def _m_coordinates(sys, X, name):
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
-    R = A - m.combine(c) if m.basis else A
-    r = np.sqrt(np.maximum(_trace_form(R, R), 0.0)).max(initial=0.0)
+    R = _real_rows(A) - (np.einsum("...i,ij->...j", c, m.frame) if m.basis else 0.0)
+    r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
         raise DomainError(f"{name} has a component of size {r:.3e} outside m")
     return c

@@ -4,9 +4,11 @@ Everything in this package lives inside u(n): algebra elements are
 skew-Hermitian n x n complex matrices, group elements are unitary
 matrices. This module provides the bracket, the trace inner product,
 matrix exponentials, orthonormalization and subspace projection that
-the rest of the package is built on. Orthonormalization is classical
-Gram-Schmidt with one reorthogonalisation (CGS2): each pass takes a
-vector's coefficients against all kept vectors in one product.
+the rest of the package is built on. A subspace also has a real frame,
+each basis matrix viewed without a copy as 2n^2 reals: for skew e,
+B(X, e) = Re X . Re e + Im X . Im e, so Gram-Schmidt (CGS2, classical
+with one reorthogonalisation), coordinates and span residuals run in
+real arithmetic, and a residual is a Frobenius norm, B's on u(n).
 
 The bracket, the inner product and norm, `adjoint`, `project` and the
 subspace coordinates also take (..., n, n) stacks, broadcast over the
@@ -158,8 +160,8 @@ def adjoint(g, X):
 class Subspace:
     """A subspace of u(n) carried as an ordered B-orthonormal basis.
 
-    The frame, `stacked` and `dual`, is built from the basis on first
-    use and cached, so the basis arrays must not be mutated afterwards.
+    `stacked` and its real view `frame` are cached on first use, so
+    the basis arrays must not be mutated afterwards.
     """
 
     def __init__(self, basis):
@@ -182,10 +184,9 @@ class Subspace:
         return np.array(self.basis, dtype=complex).reshape(self.dim, self.ambient**2)
 
     @cached_property
-    def dual(self):
-        """Rows d_i with B(X, e_i) = Re(d_i @ vec X), as B(X, e) = -Re sum X_jl e_lj."""
-        n = self.ambient
-        return -np.swapaxes(self.stacked.reshape(self.dim, n, n), 1, 2).reshape(self.dim, n * n)
+    def frame(self):
+        """`stacked` viewed as (dim, 2n^2) reals: B(X, e_i) is row i dotted with X's view."""
+        return self.stacked.view(float)
 
     def coordinates(self, X):
         """The real vector of inner products B(X, e_i) with the basis."""
@@ -193,8 +194,7 @@ class Subspace:
         if not self.basis:
             return np.zeros(A.shape[:-2] + (0,))
         _same_size(A, self.basis[0], "coordinates")
-        flat = A.reshape(A.shape[:-2] + (-1,))
-        return np.real(np.einsum("ij,...j->...i", self.dual, flat))
+        return np.einsum("ij,...j->...i", self.frame, _real_rows(A))
 
     def combine(self, coords):
         """The element sum_i coords_i e_i of the subspace."""
@@ -203,38 +203,38 @@ class Subspace:
         return np.einsum("...i,ij->...j", c, self.stacked).reshape(c.shape[:-1] + (n, n))
 
 
+def _real_rows(A):
+    """The (..., n, n) complex stack A as (..., 2n^2) rows of real and imaginary parts."""
+    return np.ascontiguousarray(A).reshape(A.shape[:-2] + (-1,)).view(float)
+
+
 def orthonormalize(vectors, rank_tol=1e-10):
     """Classical Gram-Schmidt with one reorthogonalisation (CGS2) for inner_b.
 
     Each vector u, in input order, takes its coefficients against all
-    kept vectors e_i at once, B(u, e_i) = Re(dual_i . vec u), and has
-    them subtracted; the second pass keeps the result orthonormal to
-    working precision when the input is ill-conditioned. A vector whose
-    remainder has B-norm below rank_tol is dropped, so linearly
+    kept rows e_i of the real frame at once, B(u, e_i) = e_i . u, and
+    has them subtracted; the second pass keeps the result orthonormal
+    to working precision when the input is ill-conditioned. A vector
+    whose remainder has norm below rank_tol is dropped, so linearly
     dependent input is handled by rank reduction rather than an error.
     """
     vectors = list(vectors)
-    kept = []
-    for v in vectors:
-        u = _as_matrix(v)
-        flat = u.reshape(-1)
-        if kept:
-            _same_size(u, kept[0], "inner_b")
-            E, D = frame[:len(kept)], duals[:len(kept)]
-            for _ in range(2):
-                flat = flat - np.real(D @ flat) @ E
-        else:
-            n = u.shape[0]
-            frame = np.empty((len(vectors), n * n), dtype=complex)
-            duals = np.empty_like(frame)
-        r = flat.reshape(n, n)
-        nrm = np.sqrt(max(_trace_form(r, r), 0.0))
+    shapes = sorted({np.shape(v) for v in vectors})
+    if len(shapes) > 1:
+        raise DimensionError(f"inner_b: size mismatch {shapes[0]} vs {shapes[-1]}")
+    if not vectors:
+        return Subspace(())
+    n = _as_matrix(vectors[0]).shape[0]
+    F = _real_rows(_as_matrix(vectors, stack=True)).copy()
+    d = 0
+    for x in F:
+        for _ in range(2 if d else 0):
+            x = x - (F[:d] @ x) @ F[:d]
+        nrm = np.sqrt(x @ x)
         if nrm >= rank_tol:
-            e = r / nrm
-            frame[len(kept)] = e.reshape(-1)
-            duals[len(kept)] = -e.T.reshape(-1)
-            kept.append(e)
-    return Subspace(tuple(kept))
+            F[d] = x / nrm
+            d += 1
+    return Subspace(tuple(F[:d].view(complex).reshape(d, n, n)))
 
 
 def project(S, X):
@@ -255,17 +255,17 @@ def brackets(X, S):
 
 
 def span_residuals(S, M):
-    """span_residual of each matrix in the (k, n, n) stack M: bnorm(X - project(S, X))."""
+    """span_residual of each matrix in the (k, n, n) stack M: the norm of X - project(S, X)."""
     M = np.asarray(M, dtype=complex)
-    k, n = M.shape[0], M.shape[-1]
-    flat = M.reshape(k, n * n)
-    if S.basis and k:
+    if not len(M):
+        return np.zeros(0)
+    x = _real_rows(M)
+    if S.basis:
         _same_size(M[0], S.basis[0], "coordinates")
-        flat = flat - np.real(S.dual @ flat.T).T @ S.stacked
-    R = flat.reshape(k, n, n)
-    return np.sqrt(np.maximum(_trace_form(R, R), 0.0)) + 0.0
+        x = x - (x @ S.frame.T) @ S.frame
+    return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 
 def span_residual(S, X):
-    """B-norm of the component of X orthogonal to S."""
+    """Norm of the component of X orthogonal to S: its B-norm when X is in u(n)."""
     return float(span_residuals(S, _as_matrix(X)[None])[0])

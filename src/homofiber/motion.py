@@ -119,8 +119,8 @@ def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
     """Validated constructor: Xa must lie in m_a and Xb in m_b.
 
     Xb may be omitted (zero); when the system has no second module it
-    must be omitted or zero. Both must be skew-Hermitian: B is indefinite
-    off u(n), so the span residual alone cannot see a Hermitian part.
+    must be omitted or zero. Both must be skew-Hermitian, checked first so
+    that an error names a Hermitian part, which the span residual also sees.
     """
     Xa = check_skew_hermitian(Xa, name="Xa")
     Xb = check_skew_hermitian(np.zeros_like(Xa) if Xb is None else Xb, name="Xb")

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     StructureError,
     Subspace,
+    _real_rows,
     brackets,
     orthonormalize,
     project,
@@ -74,8 +75,8 @@ class ReductiveSplit:
     @cached_property
     def gram(self):
         """Gram matrix B(x, y) over the concatenated bases of h, m1, ..., ms."""
-        flat = Subspace(self.h.basis + self.m.basis)
-        return np.real(flat.stacked @ flat.dual.T) if flat.dim else np.zeros((0, 0))
+        F = Subspace(self.h.basis + self.m.basis).frame
+        return F @ F.T
 
     @cached_property
     def ad_invariance(self):
@@ -146,8 +147,7 @@ def _bracket_residuals(target, A, B):
     n = A.ambient
     X, Y = A.stacked.reshape(A.dim, n, n), B.stacked.reshape(B.dim, n, n)
     if upper:
-        I, J = np.divmod(np.arange(r.size), B.dim)
-        I, J = I[I < J], J[I < J]
+        I, J = np.triu_indices(A.dim, 1)
         step = max(1, PAIR_BLOCK // (n * n))
         for s in range(0, len(I), step):
             i, j = I[s:s + step], J[s:s + step]
@@ -308,7 +308,7 @@ def center_basis(split, rank_tol=1e-10):
     d = h.dim
     if d == 0:
         return Subspace(())
-    C = np.array([np.real(brackets(x, h).reshape(d, -1) @ h.dual.T) for x in h.basis])
+    X = h.stacked.reshape(d, 1, h.ambient, h.ambient)
+    C = _real_rows(X @ X.swapaxes(0, 1) - X.swapaxes(0, 1) @ X) @ h.frame.T
     _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
-    null = [vt[i] for i in range(d) if i >= len(sv) or sv[i] < rank_tol]
-    return orthonormalize([h.combine(v) for v in null])
+    return orthonormalize(h.combine(vt[sv < rank_tol]))

@@ -204,6 +204,44 @@ def test_malformed_document_is_usage_error(tmp_path, capsys, command, damage):
     assert "Traceback" not in err
 
 
+def _times_i(matrix):
+    """A document matrix of [re, im] pairs multiplied by i."""
+    A = np.array(matrix)
+    return np.stack([-A[..., 1], A[..., 0]], -1).tolist()
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
+)
+def test_matrices_that_are_not_skew_hermitian_are_usage_errors(tmp_path, capsys, name):
+    # i times a nonzero skew-Hermitian matrix is Hermitian: no document
+    # may carry one into u(n), where the split is built
+    base = export_entry(get_entry(name))
+    cases = []
+    for key in ("g_basis", "h_basis", "k_basis"):
+        size = len(base.get(key, []))
+        cases += [((key, i), f"{key}[{i}]") for i in sorted({0, size - 1}) if size]
+    for j, mod in enumerate(base.get("module_bases", [])):
+        cases.append((("module_bases", j, len(mod) - 1), f"module_bases[{j}][{len(mod) - 1}]"))
+    if np.any(base["W"]):
+        cases.append((("W",), "W"))
+    assert len(cases) >= 3
+    path = tmp_path / "hermitian.json"
+    for where, label in cases:
+        doc = json.loads(json.dumps(base))
+        *outer, last = where
+        target = doc
+        for step in outer:
+            target = target[step]
+        target[last] = _times_i(target[last])
+        path.write_text(json.dumps(doc))
+        for argv in (["validate"], ["verify", "--samples", "2"]):
+            assert main(argv + ["--space", str(path)]) == 2, (label, argv)
+            err = capsys.readouterr().err
+            assert f"malformed space document: {label} is not skew-Hermitian" in err, err
+            assert "Traceback" not in err
+
+
 def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
     path = tmp_path / "ambient.json"
     for bad in (99, "x", -1, None):

@@ -135,8 +135,8 @@ def test_charged_system_validates_W():
 
 
 def test_charged_system_rejects_hermitian_W():
-    # the Hermitian part has zero span residual off h and commutes with
-    # the diagonal h of hopf(1), so only the skew-Hermitian check sees it
+    # the Hermitian part commutes with the diagonal h of hopf(1), so the
+    # skew-Hermitian check, which runs first, is what names it
     entry = hopf(1)
     H = 0.3 * np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(DomainError, match="W is not skew-Hermitian"):

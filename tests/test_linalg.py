@@ -14,9 +14,11 @@ from homofiber import (
     adjoint,
     bnorm,
     bracket,
+    catalog_names,
     check_skew_hermitian,
     check_unitary,
     expm,
+    get_entry,
     hopf,
     inner_b,
     orthonormalize,
@@ -191,6 +193,69 @@ def test_orthonormalize_matches_the_inner_b_loop_bitwise():
         assert len(got) == len(want)
         assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(got, want))
         assert np.abs(gram(got) - np.eye(len(got))).max() <= 1e-15
+
+
+def complex_cgs2(vectors, rank_tol=1e-10):
+    """orthonormalize as it once ran: complex rows against the duals -e^T, trace-form norms."""
+    kept, frame, duals = [], [], []
+    for v in vectors:
+        u = np.asarray(v, dtype=complex)
+        flat = u.reshape(-1)
+        if kept:
+            E, D = np.array(frame), np.array(duals)
+            for _ in range(2):
+                flat = flat - np.real(D @ flat) @ E
+        r = flat.reshape(u.shape)
+        nrm = np.sqrt(max(-np.real(np.einsum("ij,ji->", r, r)), 0.0))
+        if nrm >= rank_tol:
+            e = r / nrm
+            frame.append(e.reshape(-1))
+            duals.append(-e.T.reshape(-1))
+            kept.append(e)
+    return kept
+
+
+def exact_inputs():
+    """Every basis a catalog entry or hopf(1..6) starts its split from."""
+    sources = [get_entry(name).source for name in catalog_names()]
+    sources += [hopf(n).source for n in range(1, 7)]
+    for src in sources:
+        yield src["g_basis"]
+        yield src["h_basis"]
+        yield from src.get("module_bases", [src.get("k_basis")])
+
+
+def test_real_frame_gram_schmidt_keeps_every_bit_of_the_complex_one():
+    for vecs in exact_inputs():
+        got, want = orthonormalize(vecs).basis, complex_cgs2(vecs)
+        assert len(got) == len(want)
+        # tobytes also tells -0.0 from 0.0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 4):
+        vecs = [random_skew(rng, n) for _ in range(n * n + 2)]
+        vecs.append(vecs[0] - 2.0 * vecs[1])
+        got, want = orthonormalize(vecs).basis, complex_cgs2(vecs)
+        assert len(got) == len(want) == n * n
+        assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(got, want))
+
+
+def test_frame_coordinates_and_residuals_match_the_trace_form():
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 5):
+        S = orthonormalize([random_skew(rng, n) for _ in range(n + 1)])
+        assert S.frame.shape == (S.dim, 2 * n * n)
+        # a view of the complex rows, not a copy
+        assert np.shares_memory(S.frame, S.stacked)
+        X = rng.standard_normal((6, n, n)) + 1j * rng.standard_normal((6, n, n))
+        want = np.array([[inner_b(x, e) for e in S.basis] for x in X])
+        # the two sums run in other orders, so they agree to a few ulps of
+        # the sum of absolute terms, not of a result that cancels
+        terms = np.abs(X.reshape(6, -1)) @ np.abs(S.stacked).T
+        assert (np.abs(S.coordinates(X) - want) <= 4 * np.spacing(terms)).all()
+        skew = X - np.swapaxes(X, 1, 2).conj()
+        want = np.array([bnorm(x - project(S, x)) for x in skew])
+        np.testing.assert_array_max_ulp(span_residuals(S, skew), want, maxulp=4)
 
 
 def test_orthonormalize_reorthogonalises_near_dependent_input():

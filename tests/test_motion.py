@@ -149,13 +149,13 @@ def test_build_motion_rejects_data_outside_the_modules(hopf1, entries):
 
 
 def test_build_motion_rejects_hermitian_components(hopf1):
-    # B is indefinite off u(n): the span residual of a Hermitian part
-    # clamps to zero, so only the skew-Hermitian check can see it
+    # the span residual is the Frobenius norm of the real view, so it
+    # sees the whole Hermitian part; the skew-Hermitian check names it
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     Xa, Xb = unit_basis_pair(sys)
     H = 0.3 * np.diag([1.0, -1.0]).astype(complex)
-    assert span_residual(sys.ma, Xa + H) <= 1e-10
-    assert span_residual(sys.mb, Xb + H) <= 1e-10
+    assert span_residual(sys.ma, Xa + H) == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
+    assert span_residual(sys.mb, Xb + H) == pytest.approx(0.3 * np.sqrt(2.0), abs=1e-15)
     with pytest.raises(DomainError, match="Xa is not skew-Hermitian"):
         build_motion(sys, Xa + H, Xb)
     with pytest.raises(DomainError, match="Xb is not skew-Hermitian"):

@@ -22,6 +22,7 @@ from homofiber import (
     inner_b,
     lie_group,
     orthonormalize,
+    project,
     span_residual,
     structure_report,
     twistor_su3,
@@ -328,7 +329,8 @@ def _trace_of_square_residuals(S, M):
     k, n = M.shape[0], M.shape[-1]
     flat = M.reshape(k, n * n)
     if S.basis:
-        flat = flat - np.real(S.dual @ flat.T).T @ S.stacked
+        dual = -np.swapaxes(S.stacked.reshape(S.dim, n, n), 1, 2).reshape(S.dim, n * n)
+        flat = flat - np.real(dual @ flat.T).T @ S.stacked
     R = flat.reshape(k, n, n)
     return np.sqrt(np.maximum(-np.real(np.trace(R @ R, axis1=1, axis2=2)), 0.0)) + 0.0
 
@@ -349,6 +351,28 @@ def test_span_residuals_takes_the_norm_without_the_product():
         M = members if S.dim else members[3:]
         r = span_residuals(S, M)
         assert not r.any() and not np.signbit(r).any()
+
+
+def test_complements_keep_every_bit_of_the_complex_gram_schmidt():
+    from test_linalg import complex_cgs2
+    entries = [get_entry(name) for name in catalog_names()] + [hopf(n) for n in range(1, 7)]
+    chains = [(e.chain, e.split) for e in entries if e.chain is not None]
+    assert len(chains) == 11
+    for ch, split in chains:
+        for outer, inner, module in ((ch.g, ch.k, split.module(1)), (ch.k, ch.h, split.module(2))):
+            X = outer.stacked.reshape(outer.dim, ch.n, ch.n)
+            got, want = module.basis, complex_cgs2(X - project(inner, X))
+            assert len(got) == len(want) == outer.dim - inner.dim
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_gram_of_the_real_frame_is_the_trace_form_gram():
+    for name in catalog_names():
+        split = get_entry(name).split
+        flat = split.h.basis + split.m.basis
+        want = np.array([[inner_b(x, y) for y in flat] for x in flat])
+        np.testing.assert_allclose(split.gram, want, rtol=0.0, atol=1e-15)
+    assert ReductiveSplit(Subspace(()), (), 2).gram.shape == (0, 0)
 
 
 @pytest.mark.parametrize("split, dim", [(twistor_su3().split, 2), (lie_group().split, 0)])
