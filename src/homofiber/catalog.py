@@ -252,8 +252,10 @@ def _pairs(doc):
 
 
 def _load(doc, name=None):
-    """The complex array written by _doc; a named field must hold skew-Hermitian matrices."""
+    """The complex array written by _doc; a named field must be finite, and its matrices skew."""
     A = np.array(_pairs(doc))
+    if name and not np.isfinite(A).all():
+        raise ValueError(f"{name} has non-finite entries")
     if name and A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
         D = A + np.swapaxes(A, -1, -2).conj()
         if D.any():  # an exactly skew field, as in every export, needs no norms
@@ -292,7 +294,8 @@ def load_custom(doc):
     A document with a k_basis is treated as a subalgebra chain and
     split into two modules; one with module_bases is taken as an
     explicit decomposition, and one with both is malformed. ambient_n
-    must be the size of the matrices, and each matrix skew-Hermitian.
+    must be the size of the matrices, every entry finite, and each
+    matrix, the orbit model's base point included, skew-Hermitian.
     Validation failures raise StructureError with the offending check
     in the message.
     """
@@ -319,7 +322,7 @@ def load_custom(doc):
         if model is not None:
             if model["kind"] not in _MODEL_RANK:
                 raise ValueError(f"unknown model kind {model['kind']!r}")
-            model = (model["kind"], _load(model["base"]))
+            model = (model["kind"], _load(model["base"], "model.base"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed space document: {exc}") from exc
     entry = _entry(name, gb, hb, weights, pair, W, model, **bases, tol=USER_TOL)

@@ -7,7 +7,9 @@ positive weights. A central element W of h together with a module pair
     I0 = ad(W) on m_a  +  (1/lam) ad(W) on m_b,    lam = w_b / w_a,
 
 whose domain is m_a + m_b. The electromagnetic two-form is
-omega(X, Y) = <X, I0 Y>.
+omega(X, Y) = <X, I0 Y>. In the B-orthonormal basis of m the metric is
+a weighted dot product of coordinates, and I0 is the fixed
+(dim m)^2 matrix `ChargedSystem.I0`, built once per system.
 
 Each function takes one matrix or a (..., n, n) stack, broadcast over
 the leading axes, and checks every matrix of a stack as it would check
@@ -25,10 +27,8 @@ from .linalg import (
     StructureError,
     _real_rows,
     _scalar,
-    bnorm,
-    bracket,
+    brackets,
     check_skew_hermitian,
-    project,
 )
 from .split import bracket_pair_residual, center_residuals
 
@@ -86,6 +86,17 @@ class ChargedSystem:
         """The module weights repeated per basis element of m."""
         return np.repeat(self.metric.weights, self.split.dims)
 
+    @cached_property
+    def _domain_scale(self):
+        """Per basis element of m: 1 on m_a, 1/lam on m_b and 0 off the I0 domain."""
+        scale = {self.a: 1.0, self.b: 1.0 / self.lam}
+        return np.repeat([scale.get(i, 0.0) for i in range(1, self.split.s + 1)], self.split.dims)
+
+    @cached_property
+    def I0(self):
+        """I0 on m-coordinates: column j holds [W, e_j]'s coordinates times e_j's domain scale."""
+        return self.m.coordinates(brackets(self.W, self.m)).T * self._domain_scale
+
 
 def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
     """Validated constructor for ChargedSystem.
@@ -124,18 +135,22 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
     return ChargedSystem(split, metric, a, int(b) if b is not None else None, W, k, model)
 
 
-def _m_coordinates(sys, X, name):
+def _m_coordinates(sys, X, name, domain=False):
     """Coordinates of X in the basis of m, after checking that X lies in m.
 
-    On a stack, the worst matrix is the one reported.
+    With domain=True the check is against the I0 domain instead. On a
+    stack, the worst matrix is the one reported.
     """
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
-    R = _real_rows(A) - (np.einsum("...i,ij->...j", c, m.frame) if m.basis else 0.0)
+    kept = c * (sys._domain_scale != 0.0) if domain else c
+    R = _real_rows(A) - (np.einsum("...i,ij->...j", kept, m.frame) if m.basis else 0.0)
     r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
-        raise DomainError(f"{name} has a component of size {r:.3e} outside m")
+        modules = " + ".join(f"m{i}" for i in (sys.a, sys.b) if i)
+        where = f"the I0 domain {modules}" if domain else "m"
+        raise DomainError(f"{name} has a component of size {r:.3e} outside {where}")
     return c
 
 
@@ -156,21 +171,8 @@ def metric_norm(sys, X):
 
 def apply_I0(sys, X):
     """Field operator on its domain m_a + m_b (m_a alone when b is None)."""
-    domain = [sys.a] if sys.b is None else [sys.a, sys.b]
-    Xa, *rest = parts = [project(sys.split.module(i), X) for i in domain]
-    R = X
-    for P in parts:
-        R = R - P
-    r = np.max(bnorm(R), initial=0.0)
-    if r > MEMBERSHIP_TOL:
-        raise DomainError(
-            f"X has a component of size {r:.3e} outside the I0 domain "
-            + " + ".join(f"m{i}" for i in domain)
-        )
-    out = bracket(sys.W, Xa)
-    for Xb in rest:
-        out = out + bracket(sys.W, Xb) / sys.lam
-    return out
+    c = _m_coordinates(sys, X, "X", domain=True)
+    return sys.m.combine(np.einsum("ij,...j->...i", sys.I0, c))
 
 
 def em_two_form(sys, X, Y):

@@ -119,28 +119,30 @@ class Flow:
     Skew-Hermitian A admits exp(tA) = U diag(exp(i t w)) U* with
     -iA = U diag(w) U*, exactly unitary up to roundoff. Anything else
     falls through to scipy's scaling-and-squaring at each t, importing
-    scipy only then. t = 0 and A = 0 give the identity exactly.
+    scipy only then. t = 0 and A = 0 give the identity exactly. A may
+    be a (..., n, n) stack, decomposed by one stacked eigh.
     """
 
     def __init__(self, A):
-        self.A = _as_matrix(A)
-        self._zero = not self.A.any()
-        scale = max(1.0, float(np.abs(self.A).max(initial=0.0)))
+        self.A = _as_matrix(A, stack=True)
+        self._zero = ~self.A.any(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(self.A).max(axis=(-2, -1), initial=0.0))
+        dev = np.abs(self.A + np.swapaxes(self.A.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
         self._w = None
-        if float(np.abs(self.A + self.A.conj().T).max(initial=0.0)) <= 1e-12 * scale:
+        if np.all(dev <= 1e-12 * scale):
             self._w, self._U = np.linalg.eigh(-1j * self.A)
-            self._Uh = self._U.conj().T
+            self._Uh = np.swapaxes(self._U.conj(), -1, -2)
 
     def __call__(self, t):
-        """exp(tA) for a scalar t, or the (T, n, n) stack over a 1-D grid of t."""
+        """exp(tA) for a scalar t, or the (T, ..., n, n) stack over a 1-D grid of t."""
         ts = np.asarray(t, dtype=float)
-        grid = ts.reshape(-1)
+        grid = ts.reshape((-1,) + (1,) * (self.A.ndim - 2))
         if self._w is None:
             import scipy.linalg
-            out = scipy.linalg.expm(grid[:, None, None] * self.A)
+            out = scipy.linalg.expm(grid[..., None, None] * self.A)
         else:
-            out = mul(self._U * np.exp(1j * grid[:, None] * self._w)[:, None, :], self._Uh)
-        out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[0])
+            out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
+        out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[-1])
         return out if ts.ndim else out[0]
 
 

@@ -27,14 +27,17 @@ at lam = 1.
 
 Every check evaluates its whole t-grid, and the weak form its whole
 (t, probe) grid, as one array program over stacks; a single point,
-as in koszul_residual, is the one-point case of the same grid.
+as in koszul_residual, is the one-point case of the same grid. The
+weak form runs on real m-coordinates: the probes and the body velocity
+are checked for membership once each, and every term is an einsum
+contraction of (T, dim m) and (P, dim m) coordinate arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .field import ChargedSystem, apply_I0, metric_inner, metric_norm
+from .field import ChargedSystem, _m_coordinates, metric_inner, metric_norm
 from .linalg import (
     DomainError,
     Flow,
@@ -42,10 +45,7 @@ from .linalg import (
     adjoint,
     bnorm,
     bracket,
-    expm,
-    inner_b,
     mul,
-    project,
     span_residuals,
 )
 from .motion import build_motion
@@ -105,49 +105,47 @@ def metric_probe_basis(sys):
 
 
 def _unit_probe(sys, Z):
-    """Z scaled to metric length one; on a stack, each probe separately."""
+    """Z scaled to metric length one, and its m-coordinates; on a stack, each probe separately."""
     Z = np.asarray(Z, dtype=complex)
-    zn = metric_norm(sys, Z)
+    c = _m_coordinates(sys, Z, "X")
+    zn = np.sqrt(np.maximum(np.sum(sys._m_weights * c * c, axis=-1), 0.0))
     if np.any(zn == 0.0):
         raise DomainError("probe Z must be nonzero")
-    return Z / np.expand_dims(zn, (-2, -1))
+    return Z / zn[..., None, None], c / zn[..., None]
 
 
 def _probe_stencils(motion, probes, h):
-    """Stacks Z, exp(hZ), exp(-hZ) and [Z, Y]_m over the unit probes Z; none depends on t.
-
-    Both steps of a probe come from the one flow of hZ, taken at 1 and -1.
+    """Over the unit probes Z, the weighted m-coordinates of Z and of [Z, Y]_m, each (P, d),
+    and the (2, P, n, n) steps exp(hZ), exp(-hZ) from one stacked flow; none depends on t.
     """
-    Z = np.asarray(probes, dtype=complex)
-    steps = np.array([Flow(h * z)(np.array([1.0, -1.0])) for z in Z])
-    return Z, steps[:, 0], steps[:, 1], project(motion.system.m, bracket(Z, motion.Y))
+    sys = motion.system
+    Z, zc = _unit_probe(sys, probes)
+    zy = sys.m.coordinates(bracket(Z, motion.Y))
+    return zc * sys._m_weights, zy * sys._m_weights, Flow(h * Z)(np.array([1.0, -1.0]))
 
 
 def _koszul_grid(motion, ts, stencils, h):
     """The (T, P) arrays t1, t2, t3 and rhs over a t-grid and the probe stencils.
 
-    Rows run over t and columns over the probes. t1 differentiates
-    only body_velocity_numeric, never the shortcut; the numeric
-    velocities at t + h and t - h come from one call on both grids.
+    Rows run over t and columns over the probes, and every term is a
+    contraction of m-coordinates. The body velocity is checked once,
+    against the I0 domain. t1 differentiates only body_velocity_numeric,
+    never the shortcut, at t + h and t - h in one call; those velocities,
+    the extension w and [Z, Y]_m are projections onto m, taken to
+    coordinates unchecked.
     """
     sys = motion.system
-    Z, step_plus, step_minus, zy = stencils
-    Z, zy = Z[None], zy[None]
-    v = motion.body_velocity(ts)[:, None]
-    v_num = motion.body_velocity_numeric(np.concatenate([ts + h, ts - h]))[:, None]
-    v_plus, v_minus = v_num[: len(ts)], v_num[len(ts):]
-    alpha = motion.representative(ts)[:, None]
-    force = apply_I0(sys, v)
-
-    def energy(step):
-        p = mul(alpha, step)
-        w = project(sys.m, adjoint(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
-        return metric_inner(sys, w, w)
-
-    t1 = (metric_inner(sys, Z, v_plus) - metric_inner(sys, Z, v_minus)) / (2.0 * h)
-    t2 = metric_inner(sys, v, zy)
-    t3 = -0.5 * (energy(step_plus) - energy(step_minus)) / (2.0 * h)
-    rhs = sys.k * metric_inner(sys, force, Z)
+    zw, zyw, steps = stencils
+    v = _m_coordinates(sys, motion.body_velocity(ts), "X", domain=True)
+    v_num = sys.m.coordinates(motion.body_velocity_numeric(np.concatenate([ts + h, ts - h])))
+    p = mul(motion.representative(ts)[:, None], steps[:, None])
+    w = sys.m.coordinates(adjoint(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
+    energy = np.einsum("...j,j,...j->...", w, sys._m_weights, w)
+    dv = np.einsum("tj,pj->tp", v_num, zw)
+    t1 = (dv[: len(ts)] - dv[len(ts):]) / (2.0 * h)
+    t2 = np.einsum("tj,pj->tp", v, zyw)
+    t3 = -0.5 * (energy[0] - energy[1]) / (2.0 * h)
+    rhs = sys.k * np.einsum("tj,pj->tp", np.einsum("ij,tj->ti", sys.I0, v), zw)
     return t1, t2, t3, rhs
 
 
@@ -163,7 +161,7 @@ def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
     if probes is None:
         probes = metric_probe_basis(motion.system)
     ts = np.asarray(t_samples, dtype=float).reshape(-1)
-    stencils = _probe_stencils(motion, _unit_probe(motion.system, probes), cfg.fd_step)
+    stencils = _probe_stencils(motion, probes, cfg.fd_step)
     t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, cfg.fd_step)
     values = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1)
     # a leading 0 is the first maximum exactly when no |residual| exceeds 0
@@ -185,6 +183,7 @@ def algebraic_identity_check(motion, t, Z):
 
     collapse to -k wa B(Z, [U + V, W]). This is exact bracket algebra,
     no differentiation, so agreement is expected at 1e-11 or better.
+    Each B(Z, .) is a contraction of m-coordinates with those of Z.
 
     t may be a 1-D grid and Z a stack of probes; the result is then
     the (T, P) array of gaps, rows over t and columns over the probes.
@@ -193,18 +192,14 @@ def algebraic_identity_check(motion, t, Z):
     wa = sys.metric.weights[sys.a - 1]
     wb = sys.metric.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
-    Z = _unit_probe(sys, Z)
-    U = motion.transported_xa(t)
-    U = U.reshape(U.shape[:-2] + (1,) * (Z.ndim - 2) + U.shape[-2:])
-    V = motion.Xb
-    term1 = (wa - wb) * inner_b(Z, bracket(U, V + (k / lam) * W))
-    term2 = (wb - wa) * inner_b(Z, bracket(U, V))
-    term3 = (
-        -(k / lam) * wa * inner_b(Z, bracket(U, W))
-        - (k / lam) * wb * inner_b(Z, bracket(V, W))
-    )
-    collapsed = -k * wa * inner_b(Z, bracket(U + V, W))
-    return _scalar(np.abs(term1 + term2 + term3 - collapsed))
+    zc = _unit_probe(sys, Z)[1]
+    U, V = motion.transported_xa(t), motion.Xb
+    pairs = ((U, V + (k / lam) * W), (U, V), (U, W), (V, W), (U + V, W))
+    c = sys.m.coordinates(np.stack(np.broadcast_arrays(*(bracket(x, y) for x, y in pairs))))
+    b = np.einsum("k...j,pj->k...p", c, zc.reshape(-1, sys.m.dim))
+    b = b.reshape(b.shape[:-1] + zc.shape[:-1])
+    term3 = -(k / lam) * wa * b[2] - (k / lam) * wb * b[3]
+    return _scalar(np.abs((wa - wb) * b[0] + (wb - wa) * b[1] + term3 - (-k * wa * b[4])))
 
 
 class ConservationReport:
@@ -404,7 +399,7 @@ def lambda_collapse_check(motion, t_samples=None):
         t_samples = np.linspace(-2.0, 2.0, 41)
     gen = motion.Xa + motion.Xb + sys.k * sys.W
     ts = np.asarray(t_samples, dtype=float)
-    reference = np.array([expm(t * gen) for t in ts.tolist()]).reshape((len(ts),) + gen.shape)
+    reference = Flow(ts[:, None, None] * gen)(1.0)
     d = motion.representative(ts) - reference
     return CollapseReport(float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0)))
 

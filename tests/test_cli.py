@@ -242,6 +242,45 @@ def test_matrices_that_are_not_skew_hermitian_are_usage_errors(tmp_path, capsys,
             assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["hopf:1", "kahler_s2"])
+def test_non_finite_document_entries_are_usage_errors(tmp_path, capsys, name):
+    # Python's json reads NaN and Infinity; a document carrying one is
+    # refused by field name before any split is built
+    base = export_entry(get_entry(name))
+    fields = ["g_basis", "h_basis", "W", "k_basis", "module_bases", "model"]
+    path = tmp_path / "non_finite.json"
+    for key in [f for f in fields if base.get(f)]:
+        for value in (float("nan"), float("inf")):
+            doc = json.loads(json.dumps(base))
+            target, label = doc[key], key
+            if key == "module_bases":
+                target, label = target[0], "module_bases[0]"
+            elif key == "model":
+                target, label = target["base"], "model.base"
+            while isinstance(target[0], list):
+                target = target[0]
+            target[0] = value
+            path.write_text(json.dumps(doc))
+            for argv in (["validate"], ["verify", "--samples", "2"]):
+                assert main(argv + ["--space", str(path)]) == 2, (label, argv)
+                err = capsys.readouterr().err
+                assert f"malformed space document: {label} has non-finite entries" in err, err
+                assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["kahler_s2", "twistor_su3"])
+def test_orbit_model_base_must_be_skew_hermitian(tmp_path, capsys, name):
+    doc = export_entry(get_entry(name))
+    doc["model"]["base"] = _times_i(doc["model"]["base"])
+    path = tmp_path / "hermitian_base.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["verify", "--k=1", "--samples", "3"]):
+        assert main(argv + ["--space", str(path)]) == 2, argv
+        err = capsys.readouterr().err
+        assert "malformed space document: model.base is not skew-Hermitian" in err, err
+        assert "Traceback" not in err
+
+
 def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
     path = tmp_path / "ambient.json"
     for bad in (99, "x", -1, None):
@@ -300,6 +339,15 @@ def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
     assert main(["verify", "--space", "hopf:2"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+def test_huge_charge_fails_the_koszul_check_without_a_traceback(capsys):
+    # --k=1e150 is in floating-point range, but the product-rule velocity
+    # of t1 carries roundoff far above the tolerance: the weak form fails
+    # as a check (exit 1), not as an m-membership error
+    assert main(["verify", "--space", "hopf:2", "--k=1e150"]) == 1
+    err = capsys.readouterr().err
+    assert "koszul residual" in err and "outside m" not in err and "Traceback" not in err
 
 
 def test_tampered_document_fails_validation(tmp_path):

@@ -10,9 +10,12 @@ from homofiber import (
     DomainError,
     StructureError,
     apply_I0,
+    bnorm,
     bracket,
+    catalog_names,
     charged_system,
     em_two_form,
+    get_entry,
     hopf,
     inner_b,
     kahler_s2,
@@ -125,6 +128,46 @@ def test_apply_I0_domain_error():
     sys = make_system(entry)
     with pytest.raises(DomainError, match="domain"):
         apply_I0(sys, entry.split.h.basis[0])
+
+
+def reference_apply_I0(sys, X):
+    """I0 as a projection loop: W bracketed with each domain module's part of X."""
+    domain = [sys.a] if sys.b is None else [sys.a, sys.b]
+    Xa, *rest = parts = [project(sys.split.module(i), X) for i in domain]
+    R = X
+    for P in parts:
+        R = R - P
+    r = np.max(bnorm(R), initial=0.0)
+    if r > 1e-10:
+        raise DomainError(f"X has a component of size {r:.3e} outside the I0 domain")
+    out = bracket(sys.W, Xa)
+    for Xb in rest:
+        out = out + bracket(sys.W, Xb) / sys.lam
+    return out
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_I0_matrix_matches_the_projection_loop(name):
+    # the fixed (dim m)^2 matrix gives the projection loop's values, on a
+    # stack and one matrix at a time, for every weight ratio and W scale
+    entry = get_entry(name)
+    rng = np.random.default_rng(11)
+    ratios = [None] if entry.split.s == 1 else [(1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (3.0, 0.1)]
+    for weights in ratios:
+        for w_scale in (1.0, 7.0):
+            sys = make_system(entry, weights=weights, k=1.0, w_scale=w_scale)
+            domain = [sys.ma] if sys.mb is None else [sys.ma, sys.mb]
+            X = sum(mod.combine(rng.standard_normal((6, mod.dim))) for mod in domain)
+            want = reference_apply_I0(sys, X)
+            got = apply_I0(sys, X)
+            assert got.shape == X.shape
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= 1e-15 * scale, (weights, w_scale)
+            assert np.array_equal(apply_I0(sys, X[2]), got[2])
+            # an h direction, or i times the identity when h is trivial
+            off = sys.split.h.basis[0] if sys.split.h.dim else 1j * np.eye(sys.split.n)
+            with pytest.raises(DomainError, match="outside the I0 domain"):
+                apply_I0(sys, X + 1e-6 * off)
 
 
 def test_charged_system_validates_W():

@@ -174,18 +174,47 @@ def test_koszul_residual_matches_sweep_entry(entries, name):
 
 
 def test_sweep_builds_probe_stencils_once(hopf1, monkeypatch):
-    # exp(+-hZ) depends on the probe alone, so a sweep builds one flow
-    # of hZ per probe, and no other exponential, however many times it samples
+    # exp(+-hZ) depends on the probe alone, so a sweep builds one stacked
+    # flow of hZ over all probes, and no other exponential, however many
+    # times it samples
+    import homofiber.linalg as linalg
+    import homofiber.motion as motion_module
+    import homofiber.oracle as oracle
+
+    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
+    probes = metric_probe_basis(motion.system)
+    calls = []
+    real_flow = linalg.Flow
+    for module in (linalg, motion_module, oracle):
+        monkeypatch.setattr(module, "Flow", lambda A: calls.append(np.shape(A)) or real_flow(A))
+    residual_sweep(motion, TS, probes)
+    assert calls == [probes.shape]
+
+
+def test_sweep_checks_membership_a_fixed_number_of_times(entries, monkeypatch):
+    # the probes and the body velocity are checked once each, as stacks,
+    # whatever the numbers of times and probes
+    import homofiber.field as field
     import homofiber.oracle as oracle
 
     calls = []
-    real_flow, real_expm = oracle.Flow, oracle.expm
-    monkeypatch.setattr(oracle, "Flow", lambda A: calls.append(1) or real_flow(A))
-    monkeypatch.setattr(oracle, "expm", lambda X: calls.append(1) or real_expm(X))
-    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
-    probes = metric_probe_basis(motion.system)
-    residual_sweep(motion, TS, probes)
-    assert len(calls) == len(probes)
+    real = field._m_coordinates
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(field, "_m_coordinates", counted)
+    monkeypatch.setattr(oracle, "_m_coordinates", counted)
+    sys = system_for(entries["twistor_su3"], ratio=2.0, k=1.0)
+    motion = seeded_motion(sys, seed=3)
+    probes = metric_probe_basis(sys)
+    counts = []
+    for ts, ps in ((TS[:1], probes[:1]), (TS, probes), (np.linspace(-2, 2, 25), probes[:3])):
+        calls.clear()
+        residual_sweep(motion, ts, ps)
+        counts.append(len(calls))
+    assert counts == [2, 2, 2]
 
 
 def test_conservation_zero_data_is_exact(hopf1):
