@@ -443,18 +443,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(argv):
-    """The command-line parser for argv.
+def build_parser(name=None):
+    """The parser of the command `name`, as its subparser; with no name, the top-level parser.
 
-    When argv[0] names a subcommand, the parser has only the
-    subcommands named among the words of argv: argparse enters no
-    other, and creating subparsers and adding flags is most of the cost
-    of a build. Otherwise, as for --help, no command or an unknown one,
-    it has all four. Either way only the named subcommands get their
-    flags, and usage lists all four. The terminal width that argparse
-    would look up for each argument is looked up once.
+    The top-level parser lists the four commands without their flags.
+    It parses an argv that names no command, as for --help, and reports
+    what a command's parser leaves over. The terminal width that
+    argparse would look up for each argument is looked up once.
     """
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    if name is not None:
+        _, add_flags, func = _COMMANDS[name]
+        parser = argparse.ArgumentParser(prog=f"homofiber {name}", formatter_class=formatter)
+        add_flags(parser)
+        parser.set_defaults(command=name, func=func)
+        return parser
     parser = argparse.ArgumentParser(
         prog="homofiber",
         description=(
@@ -463,25 +466,19 @@ def build_parser(argv):
         ),
         formatter_class=formatter,
     )
-    every = not (argv and argv[0] in _COMMANDS)
-    names = [name for name in _COMMANDS if every or name in argv]
-    # usage lists all four either way; errors about the command name its dest
-    metavar = None if every else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, add_flags, func = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=formatter)
-        if name in argv:
-            add_flags(p)
-            p.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd, (help_text, _, _) in _COMMANDS.items():
+        sub.add_parser(cmd, help=help_text, formatter_class=formatter)
     return parser
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        name = argv[0] if argv and argv[0] in _COMMANDS else None
+        args, extra = build_parser(name).parse_known_args(argv[1:] if name else argv)
+        if extra:  # as parse_args would report them, in the top-level usage
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

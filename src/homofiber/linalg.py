@@ -16,6 +16,10 @@ leading axes. An entry of a stack is the same float whatever the shape
 of the stack around it: products and sums run in einsum's fixed order,
 and the bracket keeps its matmul, which numpy applies matrix by matrix
 (never folding the stack into one larger product).
+
+The public functions check their operands: square, finite, one size.
+Their kernels `_commutator`, `_conjugate` and `Subspace._coordinates`
+(on a nonempty basis) trust arrays checked where they entered.
 """
 
 from __future__ import annotations
@@ -86,6 +90,10 @@ def bracket(X, Y):
     A = _as_matrix(X, stack=True)
     B = _as_matrix(Y, "Y", stack=True)
     _same_size(A, B, "bracket")
+    return _commutator(A, B)
+
+
+def _commutator(A, B):
     return A @ B - B @ A
 
 
@@ -156,6 +164,10 @@ def adjoint(g, X):
     G = _as_matrix(g, "g", stack=True)
     A = _as_matrix(X, stack=True)
     _same_size(G, A, "adjoint")
+    return _conjugate(G, A)
+
+
+def _conjugate(G, A):
     return mul(mul(G, A), np.swapaxes(G.conj(), -1, -2))
 
 
@@ -196,6 +208,9 @@ class Subspace:
         if not self.basis:
             return np.zeros(A.shape[:-2] + (0,))
         _same_size(A, self.basis[0], "coordinates")
+        return self._coordinates(A)
+
+    def _coordinates(self, A):
         return np.einsum("ij,...j->...i", self.frame, _real_rows(A))
 
     def combine(self, coords):
@@ -241,10 +256,7 @@ def orthonormalize(vectors, rank_tol=1e-10):
 
 def project(S, X):
     """Orthogonal projection sum_i B(X, e_i) e_i of X onto the subspace S."""
-    A = _as_matrix(X, stack=True)
-    if not S.basis:
-        return np.zeros_like(A)
-    return S.combine(S.coordinates(A))
+    return S.combine(S.coordinates(X)) if S.basis else np.zeros_like(_as_matrix(X, stack=True))
 
 
 def brackets(X, S):
@@ -252,8 +264,7 @@ def brackets(X, S):
     A = _as_matrix(X)
     if S.basis:
         _same_size(A, S.basis[0], "bracket")
-    E = S.stacked.reshape(S.dim, *A.shape)
-    return A @ E - E @ A
+    return _commutator(A, S.stacked.reshape(S.dim, *A.shape))
 
 
 def span_residuals(S, M):

@@ -27,11 +27,10 @@ from .field import MEMBERSHIP_TOL, metric_norm
 from .linalg import (
     DomainError,
     Flow,
-    adjoint,
+    _conjugate,
     bnorm,
     check_skew_hermitian,
     mul,
-    project,
     span_residual,
 )
 
@@ -77,13 +76,14 @@ class ClosedFormMotion:
 
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
-        return adjoint(self._flow_y(np.negative(t)), self.Xa)
+        return _conjugate(self._flow_y(np.negative(t)), self.Xa)
 
     def body_velocity(self, t):
         if self.exact:
             return self.transported_xa(t) + self.Xb
-        xi = adjoint(self._flow_y(np.negative(t)), self.X) + self.Y
-        return project(self.system.m, xi)
+        m = self.system.m
+        xi = _conjugate(self._flow_y(np.negative(t)), self.X) + self.Y
+        return m.combine(m._coordinates(xi))
 
     def body_velocity_numeric(self, t):
         """m-projection of alpha^-1 alpha', differentiated by product rule.
@@ -95,7 +95,8 @@ class ClosedFormMotion:
         fx, fy = self._flow_x(t), self._flow_y(t)
         alpha = mul(fx, fy)
         alpha_dot = mul(self.X, alpha) + mul(mul(fx, self.Y), fy)
-        return project(self.system.m, np.linalg.solve(alpha, alpha_dot))
+        m = self.system.m
+        return m.combine(m._coordinates(np.linalg.solve(alpha, alpha_dot)))
 
     def speed(self, t):
         v = self.body_velocity(t)

@@ -41,10 +41,10 @@ from .field import ChargedSystem, _m_coordinates, metric_inner, metric_norm
 from .linalg import (
     DomainError,
     Flow,
+    _commutator,
+    _conjugate,
     _scalar,
-    adjoint,
-    bnorm,
-    bracket,
+    _trace_form,
     mul,
     span_residuals,
 )
@@ -120,7 +120,7 @@ def _probe_stencils(motion, probes, h):
     """
     sys = motion.system
     Z, zc = _unit_probe(sys, probes)
-    zy = sys.m.coordinates(bracket(Z, motion.Y))
+    zy = sys.m._coordinates(_commutator(Z, motion.Y))
     return zc * sys._m_weights, zy * sys._m_weights, Flow(h * Z)(np.array([1.0, -1.0]))
 
 
@@ -137,9 +137,9 @@ def _koszul_grid(motion, ts, stencils, h):
     sys = motion.system
     zw, zyw, steps = stencils
     v = _m_coordinates(sys, motion.body_velocity(ts), "X", domain=True)
-    v_num = sys.m.coordinates(motion.body_velocity_numeric(np.concatenate([ts + h, ts - h])))
+    v_num = sys.m._coordinates(motion.body_velocity_numeric(np.concatenate([ts + h, ts - h])))
     p = mul(motion.representative(ts)[:, None], steps[:, None])
-    w = sys.m.coordinates(adjoint(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
+    w = sys.m._coordinates(_conjugate(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
     energy = np.einsum("...j,j,...j->...", w, sys._m_weights, w)
     dv = np.einsum("tj,pj->tp", v_num, zw)
     t1 = (dv[: len(ts)] - dv[len(ts):]) / (2.0 * h)
@@ -195,7 +195,7 @@ def algebraic_identity_check(motion, t, Z):
     zc = _unit_probe(sys, Z)[1]
     U, V = motion.transported_xa(t), motion.Xb
     pairs = ((U, V + (k / lam) * W), (U, V), (U, W), (V, W), (U + V, W))
-    c = sys.m.coordinates(np.stack(np.broadcast_arrays(*(bracket(x, y) for x, y in pairs))))
+    c = sys.m._coordinates(np.stack(np.broadcast_arrays(*(_commutator(x, y) for x, y in pairs))))
     b = np.einsum("k...j,pj->k...p", c, zc.reshape(-1, sys.m.dim))
     b = b.reshape(b.shape[:-1] + zc.shape[:-1])
     term3 = -(k / lam) * wa * b[2] - (k / lam) * wb * b[3]
@@ -213,10 +213,9 @@ class ConservationReport:
 
 
 def conservation_sweep(motion, t_samples):
-    """Max |speed(t) - speed(0)| over the sweep."""
-    s0 = motion.speed(0.0)
-    drift = max(np.abs(motion.speed(np.asarray(t_samples, dtype=float)) - s0))
-    return ConservationReport(s0, float(drift))
+    """Max |speed(t) - speed(0)| over the sweep, from one speed evaluation over [0, *ts]."""
+    s = motion.speed(np.concatenate([[0.0], np.asarray(t_samples, dtype=float).reshape(-1)]))
+    return ConservationReport(float(s[0]), float(np.max(np.abs(s[1:] - s[0]))))
 
 
 def module_invariance_sweep(motion, t_samples):
@@ -229,7 +228,7 @@ def velocity_agreement_sweep(motion, t_samples):
     """Max B-distance between the two body-velocity computations."""
     ts = np.asarray(t_samples, dtype=float)
     d = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
-    return float(np.max(bnorm(d), initial=0.0))
+    return float(np.sqrt(np.max(_trace_form(d, d), initial=0.0)))
 
 
 class GreatCircleReport:

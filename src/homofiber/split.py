@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     StructureError,
     Subspace,
+    _commutator,
     _real_rows,
     brackets,
     orthonormalize,
@@ -151,12 +152,12 @@ def _bracket_residuals(target, A, B):
         step = max(1, PAIR_BLOCK // (n * n))
         for s in range(0, len(I), step):
             i, j = I[s:s + step], J[s:s + step]
-            r[i, j] = span_residuals(target, X[i] @ X[j] - X[j] @ X[i])
+            r[i, j] = span_residuals(target, _commutator(X[i], X[j]))
         return r
     rows = max(1, PAIR_BLOCK // (B.dim * n * n))
     for i in range(0, A.dim, rows):
-        x = X[i:i + rows, None]
-        r[i:i + rows] = span_residuals(target, (x @ Y - Y @ x).reshape(-1, n, n)).reshape(-1, B.dim)
+        brs = _commutator(X[i:i + rows, None], Y).reshape(-1, n, n)
+        r[i:i + rows] = span_residuals(target, brs).reshape(-1, B.dim)
     return r
 
 
@@ -309,6 +310,6 @@ def center_basis(split, rank_tol=1e-10):
     if d == 0:
         return Subspace(())
     X = h.stacked.reshape(d, 1, h.ambient, h.ambient)
-    C = _real_rows(X @ X.swapaxes(0, 1) - X.swapaxes(0, 1) @ X) @ h.frame.T
+    C = _real_rows(_commutator(X, X.swapaxes(0, 1))) @ h.frame.T
     _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
     return orthonormalize(h.combine(vt[sv < rank_tol]))

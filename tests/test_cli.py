@@ -5,6 +5,7 @@ invocation itself was bad. Reports written with --out must be
 byte-identical across reruns of the same configuration and seed.
 """
 
+import argparse
 import contextlib
 import io
 import json
@@ -23,7 +24,7 @@ from homofiber import (
     residual_sweep,
     sample_trajectory,
 )
-from homofiber.cli import _motion_from_args, build_parser, main
+from homofiber.cli import _COMMANDS, _motion_from_args, build_parser, main
 
 
 def run_out(tmp_path, name, argv):
@@ -350,6 +351,53 @@ def test_huge_charge_fails_the_koszul_check_without_a_traceback(capsys):
     assert "koszul residual" in err and "outside m" not in err and "Traceback" not in err
 
 
+def _numbers(doc):
+    if isinstance(doc, dict):
+        return [x for v in doc.values() for x in _numbers(v)]
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, float) else []
+
+
+def test_charge_just_under_the_overflow_gate_keeps_every_number_finite(capsys):
+    # the largest charges the generator gate lets through still give a finite
+    # report: arrays built inside the motion and the referee need no re-check
+    argv = ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "2", "--samples", "5"]
+    assert main(argv + ["--k=9.5e153"]) == 2
+    capsys.readouterr()
+    assert main(argv + ["--k=9.4e153"]) == 1
+    out, err = capsys.readouterr()
+    numbers = _numbers(json.loads(out))
+    assert len(numbers) > 5 and np.all(np.isfinite(numbers))
+    assert "koszul residual" in err and "Traceback" not in err
+
+
+def test_verify_calls_no_checked_linalg_function_from_motion_or_oracle(monkeypatch, capsys):
+    import homofiber
+
+    callers = []
+    modules = [homofiber] + [getattr(homofiber, m) for m in
+                             ("linalg", "split", "field", "motion", "oracle", "catalog", "cli")]
+    for name in ("bracket", "adjoint", "project"):
+        original = getattr(homofiber.linalg, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            callers.append((_name, sys._getframe(1).f_globals["__name__"]))
+            return _original(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, spy)
+    base = ["verify", "--k=1", "--samples", "5"]
+    assert main(base + ["--space", "hopf:2", "--lambda", "1", "--lambda", "2"]) == 0
+    assert main(base + ["--space", "hopf:2", "--perturb", "1e-2"]) == 1
+    assert main(base + ["--space", "kahler_s2"]) == 0
+    capsys.readouterr()
+    assert ("adjoint", "homofiber.catalog") in callers  # the orbit model's positions
+    assert not [c for c in callers if c[1] in ("homofiber.motion", "homofiber.oracle")]
+
+
 def test_tampered_document_fails_validation(tmp_path):
     doc = export_entry(get_entry("hopf:1"))
     doc["h_basis"] = [doc["g_basis"][2]]
@@ -495,14 +543,47 @@ def test_reports_are_deterministic(tmp_path):
     ],
 )
 def test_parser_for_argv_prints_the_full_errors(argv, capsys):
-    # usage names every subcommand although the parser for argv has one
-    outcomes = []
-    for parser in (build_parser(ALL_COMMANDS), build_parser(argv)):
-        with pytest.raises(SystemExit) as exc:
-            parser.parse_args(argv)
-        outcomes.append((exc.value.code, capsys.readouterr().err))
-    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 2
-    assert "usage: homofiber" in outcomes[0][1]
+    # usage names every subcommand although main parses argv with one command's parser
+    with pytest.raises(SystemExit) as exc:
+        _full_parser().parse_args(argv)
+    full = (exc.value.code, capsys.readouterr().err)
+    assert (main(argv), capsys.readouterr().err) == full and full[0] == 2
+    assert "usage: homofiber" in full[1]
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["simulate", "--space", "su2", "extra"], "extra"),
+        (["verify", "--space", "hopf:1", "--bogus"], "--bogus"),
+    ],
+)
+def test_left_over_arguments_are_reported_by_the_top_level_parser(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "usage: homofiber [-h] {validate,simulate,verify,catalog} ...\n"
+        f"homofiber: error: unrecognized arguments: {err}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--space", "hopf:1", "--samples", "3", "--out", "{out}"],
+        ["validate", "--space", "hopf:1", "--out", "{out}"],
+    ],
+)
+def test_an_op_builds_one_parser(tmp_path, monkeypatch, capsys, argv):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main([a.format(out=tmp_path / "out.json") for a in argv]) == 0
+    assert built == [f"homofiber {argv[0]}"]
 
 
 @pytest.mark.parametrize(
@@ -600,7 +681,22 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
         assert (tmp_path / fresh[-1]).read_bytes() == got
 
 
-ALL_COMMANDS = ["validate", "simulate", "verify", "catalog"]
+def _full_parser():
+    """The two-level parser with every command's flags, which main's one-command parse matches."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in sub.choices.items():
+        _, add_flags, func = _COMMANDS[name]
+        add_flags(p)
+        p.set_defaults(func=func)
+    return parser
+
+
+def _one_command_parse(argv):
+    """argv through the parser main builds for it: one command's, or the top-level one."""
+    if argv[0] in _COMMANDS:
+        return build_parser(argv[0]).parse_args(argv[1:])
+    return build_parser().parse_args(argv)
 
 
 @pytest.mark.parametrize(
@@ -614,17 +710,17 @@ ALL_COMMANDS = ["validate", "simulate", "verify", "catalog"]
     ],
 )
 def test_parser_for_argv_parses_like_the_full_parser(argv):
-    full = vars(build_parser(ALL_COMMANDS).parse_args(argv))
-    assert vars(build_parser(argv).parse_args(argv)) == full
+    full = vars(_full_parser().parse_args(argv))
+    assert vars(_one_command_parse(argv)) == full
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["simulate", "--help"],
                                   ["validate", "--help"], ["catalog", "--help"]])
 def test_parser_for_argv_prints_the_full_help(argv, capsys):
     texts = []
-    for parser in (build_parser(ALL_COMMANDS), build_parser(argv)):
+    for parse in (_full_parser().parse_args, _one_command_parse):
         with pytest.raises(SystemExit):
-            parser.parse_args(argv)
+            parse(argv)
         texts.append(capsys.readouterr().out)
     assert texts[0] == texts[1] and "usage: homofiber" in texts[0]
 
@@ -682,7 +778,7 @@ def test_simulate_csv_matches_per_float_rows(tmp_path, name):
             "--t0=-7", "--t1", "9", "--seed", "5"]
     rc, out = run_out(tmp_path, "s.csv", argv)
     assert rc == 0
-    args = build_parser(argv).parse_args(argv)
+    args = _one_command_parse(argv)
     _, system, motion = _motion_from_args(args)
     rows = _per_float_sample_rows(
         sample_trajectory(motion, args.t0, args.t1, args.samples), system.split.n
@@ -697,7 +793,7 @@ def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
             "--t0=-3", "--t1", "2", "--seed", "5", "--format", "csv"] + perturb
     rc, out = run_out(tmp_path, "r.csv", argv)
     assert rc == (1 if perturb else 0)
-    args = build_parser(argv).parse_args(argv)
+    args = _one_command_parse(argv)
     _, system, motion = _motion_from_args(args)
     report = residual_sweep(
         motion,
