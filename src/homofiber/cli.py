@@ -285,15 +285,15 @@ def cmd_verify(args):
     minv = module_invariance_sweep(motion, ts)
     agree = velocity_agreement_sweep(motion, ts)
     failures = []
-    if res.max_abs > cfg.tolerance:
+    if not res.max_abs <= cfg.tolerance:
         failures.append(f"koszul residual {res.max_abs:.3e} > {cfg.tolerance:.1e}")
-    if alg > 1e-11:
+    if not alg <= 1e-11:
         failures.append(f"bracket identity {alg:.3e} > 1e-11")
-    if cons.max_drift > 1e-10:
+    if not cons.passed():
         failures.append(f"speed drift {cons.max_drift:.3e} > 1e-10")
-    if minv > 1e-10:
+    if not minv <= 1e-10:
         failures.append(f"module invariance {minv:.3e} > 1e-10")
-    if agree > 1e-11:
+    if not agree <= 1e-11:
         failures.append(f"velocity agreement {agree:.3e} > 1e-11")
     special = {}
     if system.lam == 1.0 and motion.exact:
@@ -446,10 +446,9 @@ _COMMANDS = {
 def build_parser(name=None):
     """The parser of the command `name`, as its subparser; with no name, the top-level parser.
 
-    The top-level parser lists the four commands without their flags.
-    It parses an argv that names no command, as for --help, and reports
-    what a command's parser leaves over. The terminal width that
-    argparse would look up for each argument is looked up once.
+    The top-level parser lists the four commands without their flags; it
+    parses an argv that names no command, as for --help, and reports what
+    a command's parser leaves over. The terminal width is looked up once.
     """
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     if name is not None:

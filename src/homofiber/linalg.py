@@ -17,9 +17,9 @@ of the stack around it: products and sums run in einsum's fixed order,
 and the bracket keeps its matmul, which numpy applies matrix by matrix
 (never folding the stack into one larger product).
 
-The public functions check their operands: square, finite, one size.
-Their kernels `_commutator`, `_conjugate` and `Subspace._coordinates`
-(on a nonempty basis) trust arrays checked where they entered.
+Public functions check their operands: square, finite, one size. The
+kernels `_commutator`, `_conjugate` and `Subspace._coordinates` trust
+arrays checked on entry, flows at a caller's t too (NaN once |tw| overflows).
 """
 
 from __future__ import annotations

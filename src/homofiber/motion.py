@@ -27,7 +27,9 @@ from .field import MEMBERSHIP_TOL, metric_norm
 from .linalg import (
     DomainError,
     Flow,
+    _as_matrix,
     _conjugate,
+    _same_size,
     bnorm,
     check_skew_hermitian,
     mul,
@@ -70,20 +72,20 @@ class ClosedFormMotion:
         self.exact = Y_override is None
         self._flow_x = Flow(self.X)
         self._flow_y = Flow(self.Y)
+        _same_size(self.X, self.Y, "ClosedFormMotion")
 
     def representative(self, t):
         return mul(self._flow_x(t), self._flow_y(t))
 
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
-        return _conjugate(self._flow_y(np.negative(t)), self.Xa)
+        return _conjugate(_as_matrix(self._flow_y(np.negative(t)), "g", stack=True), self.Xa)
 
     def body_velocity(self, t):
         if self.exact:
             return self.transported_xa(t) + self.Xb
-        m = self.system.m
-        xi = _conjugate(self._flow_y(np.negative(t)), self.X) + self.Y
-        return m.combine(m._coordinates(xi))
+        xi = _conjugate(_as_matrix(self._flow_y(np.negative(t)), "g", stack=True), self.X) + self.Y
+        return self.system.m.combine(self.system.m._coordinates(xi))
 
     def body_velocity_numeric(self, t):
         """m-projection of alpha^-1 alpha', differentiated by product rule.
@@ -95,8 +97,8 @@ class ClosedFormMotion:
         fx, fy = self._flow_x(t), self._flow_y(t)
         alpha = mul(fx, fy)
         alpha_dot = mul(self.X, alpha) + mul(mul(fx, self.Y), fy)
-        m = self.system.m
-        return m.combine(m._coordinates(np.linalg.solve(alpha, alpha_dot)))
+        xi = _as_matrix(np.linalg.solve(alpha, alpha_dot), stack=True)
+        return self.system.m.combine(self.system.m._coordinates(xi))
 
     def speed(self, t):
         v = self.body_velocity(t)

@@ -44,7 +44,7 @@ from .linalg import (
     _commutator,
     _conjugate,
     _scalar,
-    _trace_form,
+    bnorm,
     mul,
     span_residuals,
 )
@@ -228,7 +228,7 @@ def velocity_agreement_sweep(motion, t_samples):
     """Max B-distance between the two body-velocity computations."""
     ts = np.asarray(t_samples, dtype=float)
     d = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
-    return float(np.sqrt(np.max(_trace_form(d, d), initial=0.0)))
+    return float(np.max(bnorm(d), initial=0.0))
 
 
 class GreatCircleReport:

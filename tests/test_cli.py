@@ -361,7 +361,7 @@ def _numbers(doc):
 
 def test_charge_just_under_the_overflow_gate_keeps_every_number_finite(capsys):
     # the largest charges the generator gate lets through still give a finite
-    # report: arrays built inside the motion and the referee need no re-check
+    # report: the brackets and conjugations inside the referee need no re-check
     argv = ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "2", "--samples", "5"]
     assert main(argv + ["--k=9.5e153"]) == 2
     capsys.readouterr()
@@ -370,6 +370,37 @@ def test_charge_just_under_the_overflow_gate_keeps_every_number_finite(capsys):
     numbers = _numbers(json.loads(out))
     assert len(numbers) > 5 and np.all(np.isfinite(numbers))
     assert "koszul residual" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["--lambda", "1", "--lambda", "1", "--perturb", "1e-2"], "X has non-finite entries"),
+        (["--lambda", "1", "--lambda", "1.0001"], "X has non-finite entries"),
+        (["--lambda", "1", "--lambda", "2", "--perturb", "1e-2"], "g has non-finite entries"),
+    ],
+)
+def test_a_flow_that_overflows_at_a_far_t_fails_without_a_report(capsys, argv, err):
+    # once |t| times an eigenvalue passes float range, exp(tX) or exp(tY) is NaN:
+    # the motion checks each flow it evaluates at a caller's t, so no NaN is reported
+    base = ["verify", "--space", "hopf:2", "--k", "10", "--t1", "1e308", "--samples", "2"]
+    with np.errstate(all="ignore"):
+        assert main(base + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "check,failure",
+    [
+        ("algebraic_identity_check", "bracket identity nan > 1e-11"),
+        ("module_invariance_sweep", "module invariance nan > 1e-10"),
+        ("velocity_agreement_sweep", "velocity agreement nan > 1e-11"),
+    ],
+)
+def test_a_check_that_reads_nan_fails(monkeypatch, capsys, check, failure):
+    monkeypatch.setattr(f"homofiber.cli.{check}", lambda motion, *args: float("nan"))
+    assert main(["verify", "--space", "hopf:1", "--samples", "3"]) == 1
+    assert failure in capsys.readouterr().err
 
 
 def test_verify_calls_no_checked_linalg_function_from_motion_or_oracle(monkeypatch, capsys):
@@ -536,6 +567,7 @@ def test_reports_are_deterministic(tmp_path):
     "argv",
     [
         ["verify", "--space", "hopf:1", "--bogus"],
+        ["simulate", "--space", "su2", "extra"],
         ["verify", "--k", "abc"],
         ["simulate", "--space", "su2", "--format", "xml"],
         ["validate"],
@@ -551,18 +583,11 @@ def test_parser_for_argv_prints_the_full_errors(argv, capsys):
     assert "usage: homofiber" in full[1]
 
 
-@pytest.mark.parametrize(
-    "argv,err",
-    [
-        (["simulate", "--space", "su2", "extra"], "extra"),
-        (["verify", "--space", "hopf:1", "--bogus"], "--bogus"),
-    ],
-)
-def test_left_over_arguments_are_reported_by_the_top_level_parser(argv, err, capsys):
-    assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "usage: homofiber [-h] {validate,simulate,verify,catalog} ...\n"
-        f"homofiber: error: unrecognized arguments: {err}\n"
+def test_options_before_the_command_are_reported_with_the_command_flags(capsys):
+    # the top-level parser carries no command flags, so they are left over with -x
+    assert main(["-x", "verify", "--space", "su2"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "homofiber: error: unrecognized arguments: -x --space su2\n"
     )
 
 

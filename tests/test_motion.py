@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homofiber import (
+    DimensionError,
     DomainError,
     ClosedFormMotion,
     bnorm,
@@ -229,6 +230,8 @@ def test_override_constructor_forces_inexact(hopf1):
     Xa, Xb = unit_basis_pair(sys)
     motion = ClosedFormMotion(sys, Xa, Xb, Y_override=np.zeros((2, 2)))
     assert motion.exact is False
+    with pytest.raises(DimensionError, match="ClosedFormMotion: size mismatch"):
+        ClosedFormMotion(sys, Xa, Xb, Y_override=np.zeros((3, 3)))
 
 
 @settings(deadline=None, max_examples=30)
