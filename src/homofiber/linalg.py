@@ -145,11 +145,12 @@ class Flow:
         """exp(tA) for a scalar t, or the (T, ..., n, n) stack over a 1-D grid of t."""
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape((-1,) + (1,) * (self.A.ndim - 2))
-        if self._w is None:
-            import scipy.linalg
-            out = scipy.linalg.expm(grid[..., None, None] * self.A)
-        else:
-            out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the flow
+            if self._w is None:
+                import scipy.linalg
+                out = scipy.linalg.expm(grid[..., None, None] * self.A)
+            else:
+                out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
         out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[-1])
         return out if ts.ndim else out[0]
 

@@ -75,7 +75,7 @@ class ClosedFormMotion:
         _same_size(self.X, self.Y, "ClosedFormMotion")
 
     def representative(self, t):
-        return mul(self._flow_x(t), self._flow_y(t))
+        return _as_matrix(mul(self._flow_x(t), self._flow_y(t)), stack=True)
 
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
@@ -108,8 +108,8 @@ class ClosedFormMotion:
         """The TrajectorySample at t; over a 1-D grid of t, one sample of stacks."""
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape(-1)
-        g = self.representative(grid)
         v = self.body_velocity(grid)
+        g = self.representative(grid)
         model = self.system.model
         pos = None if model is None else model.apply(g)
         fields = (grid, g, v, metric_norm(self.system, v), pos)

@@ -202,20 +202,10 @@ def algebraic_identity_check(motion, t, Z):
     return _scalar(np.abs((wa - wb) * b[0] + (wb - wa) * b[1] + term3 - (-k * wa * b[4])))
 
 
-class ConservationReport:
-    __slots__ = ("speed0", "max_drift")
-
-    def __init__(self, speed0, max_drift):
-        self.speed0, self.max_drift = speed0, max_drift
-
-    def passed(self, tol=1e-10):
-        return self.max_drift <= tol
-
-
 def conservation_sweep(motion, t_samples):
     """Max |speed(t) - speed(0)| over the sweep, from one speed evaluation over [0, *ts]."""
     s = motion.speed(np.concatenate([[0.0], np.asarray(t_samples, dtype=float).reshape(-1)]))
-    return ConservationReport(float(s[0]), float(np.max(np.abs(s[1:] - s[0]))))
+    return float(np.max(np.abs(s[1:] - s[0])))
 
 
 def module_invariance_sweep(motion, t_samples):
@@ -229,17 +219,6 @@ def velocity_agreement_sweep(motion, t_samples):
     ts = np.asarray(t_samples, dtype=float)
     d = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
     return float(np.max(bnorm(d), initial=0.0))
-
-
-class GreatCircleReport:
-    __slots__ = ("max_radius_dev", "max_planarity", "metric_scale")
-
-    def __init__(self, max_radius_dev, max_planarity, metric_scale):
-        self.max_radius_dev, self.max_planarity = max_radius_dev, max_planarity
-        self.metric_scale = metric_scale
-
-    def passed(self, radius_tol=1e-10, plane_tol=1e-9):
-        return self.max_radius_dev <= radius_tol and self.max_planarity <= plane_tol
 
 
 def _realify(z):
@@ -266,9 +245,9 @@ def great_circle_check(motion, t_samples=None):
     Requires k = 0 and a vector model on which the chosen metric is
     proportional to the ambient round metric; the Gram matrices of the
     module bases are compared numerically, so the check never trusts a
-    weight convention. Reports the worst deviation of |x(t)| from 1 and
-    the worst component of x(t) off the plane spanned by the initial
-    position and velocity.
+    weight convention. Returns the worst deviation of |x(t)| from 1, the
+    worst component of x(t) off the plane spanned by the initial
+    position and velocity, and the metric's scale over the model's.
     """
     sys = motion.system
     model = sys.model
@@ -298,7 +277,7 @@ def great_circle_check(motion, t_samples=None):
         r = r - np.sum(q * r, axis=-1, keepdims=True) * q
     max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
     max_plane = np.max(np.linalg.norm(r, axis=-1), initial=0.0)
-    return GreatCircleReport(float(max_rad), float(max_plane), float(scale))
+    return float(max_rad), float(max_plane), float(scale)
 
 
 class MagneticCircleEntry:
@@ -379,18 +358,11 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
     return MagneticCircleReport(tuple(entries), constant, increasing)
 
 
-class CollapseReport:
-    __slots__ = ("max_frobenius",)
-
-    def __init__(self, max_frobenius):
-        self.max_frobenius = max_frobenius
-
-    def passed(self, tol=1e-12):
-        return self.max_frobenius <= tol
-
-
 def lambda_collapse_check(motion, t_samples=None):
-    """At lam = 1 the curve is the one-parameter subgroup of Xa + Xb + kW."""
+    """At lam = 1 the curve is the one-parameter subgroup of Xa + Xb + kW.
+
+    Returns the largest Frobenius distance between the two over the sweep.
+    """
     sys = motion.system
     if sys.lam != 1.0:
         raise DomainError(f"collapse check needs lam = 1, got lam = {sys.lam}")
@@ -400,7 +372,7 @@ def lambda_collapse_check(motion, t_samples=None):
     ts = np.asarray(t_samples, dtype=float)
     reference = Flow(ts[:, None, None] * gen)(1.0)
     d = motion.representative(ts) - reference
-    return CollapseReport(float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0)))
+    return float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0))
 
 
 class ConvergencePoint:

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -372,21 +373,39 @@ def test_charge_just_under_the_overflow_gate_keeps_every_number_finite(capsys):
     assert "koszul residual" in err and "Traceback" not in err
 
 
+FAR_T = ["--space", "hopf:2", "--k", "10", "--t1", "1e308", "--samples", "2"]
+X_NAN, G_NAN = "X has non-finite entries", "g has non-finite entries"
+
+
 @pytest.mark.parametrize(
     "argv,err",
     [
-        (["--lambda", "1", "--lambda", "1", "--perturb", "1e-2"], "X has non-finite entries"),
-        (["--lambda", "1", "--lambda", "1.0001"], "X has non-finite entries"),
-        (["--lambda", "1", "--lambda", "2", "--perturb", "1e-2"], "g has non-finite entries"),
+        (["verify", "--lambda", "1", "--lambda", "1", "--perturb", "1e-2"], X_NAN),
+        (["verify", "--lambda", "1", "--lambda", "1.0001"], X_NAN),
+        (["verify", "--lambda", "1", "--lambda", "2", "--perturb", "1e-2"], G_NAN),
+        (["simulate", "--lambda", "1", "--lambda", "1"], X_NAN),
+        (["simulate", "--lambda", "1", "--lambda", "1", "--format", "json-tree"], X_NAN),
+        (["simulate", "--lambda", "1", "--lambda", "1.0001", "--perturb", "1e-2"], X_NAN),
+        (["simulate", "--lambda", "1", "--lambda", "2"], G_NAN),
     ],
 )
 def test_a_flow_that_overflows_at_a_far_t_fails_without_a_report(capsys, argv, err):
     # once |t| times an eigenvalue passes float range, exp(tX) or exp(tY) is NaN:
     # the motion checks each flow it evaluates at a caller's t, so no NaN is reported
-    base = ["verify", "--space", "hopf:2", "--k", "10", "--t1", "1e308", "--samples", "2"]
-    with np.errstate(all="ignore"):
-        assert main(base + argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and the flow warns of nothing
+        assert main(argv[:1] + FAR_T + argv[1:]) == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_flow_that_overflows_prints_one_error_line(command):
+    argv = [command, *FAR_T, "--lambda", "1", "--lambda", "1"]
+    run = subprocess.run(
+        [sys.executable, "-m", "homofiber.cli", *argv], capture_output=True, text=True,
+        env=_cli_env(), timeout=120,
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (1, "", f"error: {X_NAN}\n")
 
 
 @pytest.mark.parametrize(
@@ -637,15 +656,19 @@ def test_bare_invocations():
     assert main(["frobnicate"]) == 2
 
 
-def _cli_process(argv):
+def _cli_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_process(argv):
     return subprocess.Popen(
         [sys.executable, "-m", "homofiber.cli"] + argv,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(),
     )
 
 

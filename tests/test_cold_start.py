@@ -1,6 +1,6 @@
 """Cold start: no class is generated at import, and a CLI run leaves scipy unloaded.
 
-pytest loads scipy itself, so the run is checked in a fresh interpreter.
+pytest loads scipy itself, so each run is checked in a fresh interpreter.
 """
 
 import ast
@@ -19,17 +19,37 @@ print(code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
 
-def test_verify_run_leaves_scipy_unloaded():
+SIMULATE_RUN = """
+import sys
+from homofiber import cli
+argv = ["simulate", "--space", "twistor_su3", "--k=1", "--samples", "40", "--out", sys.argv[1]]
+code = cli.main(argv)
+unwanted = ("scipy", "fractions", "decimal")
+print(code, sorted(m for m in sys.modules if m.partition(".")[0] in unwanted))
+"""
+
+
+def _fresh(script, *args):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
-        [sys.executable, "-c", VERIFY_RUN],
+        [sys.executable, "-c", script, *args],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 []"
+    return run.stdout.splitlines()[-1]
+
+
+def test_verify_run_leaves_scipy_unloaded():
+    assert _fresh(VERIFY_RUN) == "0 []"
+
+
+def test_simulate_run_leaves_scipy_fractions_and_decimal_unloaded(tmp_path):
+    # the CSV writer's table of powers of ten comes from int arithmetic alone
+    assert _fresh(SIMULATE_RUN, str(tmp_path / "s.csv")) == "0 []"
+    assert (tmp_path / "s.csv").read_text().count("\n") == 41
 
 
 def test_no_module_imports_dataclasses():

@@ -220,19 +220,20 @@ def test_sweep_checks_membership_a_fixed_number_of_times(entries, monkeypatch):
 def test_conservation_zero_data_is_exact(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     zero = np.zeros((2, 2), dtype=complex)
-    report = conservation_sweep(build_motion(sys, zero, zero), TS)
-    assert report.speed0 == 0.0
-    assert report.max_drift == 0.0
-    assert report.passed()
+    motion = build_motion(sys, zero, zero)
+    drift = conservation_sweep(motion, TS)
+    assert motion.speed(0.0) == 0.0
+    assert drift == 0.0
+    assert drift <= 1e-10
 
 
 def test_conservation_along_closed_form_curves(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=11)
-    report = conservation_sweep(motion, np.linspace(-2.0, 2.0, 17))
+    drift = conservation_sweep(motion, np.linspace(-2.0, 2.0, 17))
     want = np.sqrt(inner_b(motion.Xa, motion.Xa) + 2.0 * inner_b(motion.Xb, motion.Xb))
-    assert report.speed0 == pytest.approx(want, abs=1e-12)
-    assert report.passed()
+    assert motion.speed(0.0) == pytest.approx(want, abs=1e-12)
+    assert drift <= 1e-10
 
 
 def test_conservation_is_weaker_than_the_residual(entries):
@@ -250,11 +251,11 @@ def test_conservation_is_weaker_than_the_residual(entries):
     for name, floor in [("hopf:1", None), ("kahler_s2", 1e-4), ("twistor_su3", 1e-4)]:
         sys = system_for(entries[name], ratio=2.0, k=1.0)
         damaged = perturb_motion(seeded_motion(sys, seed=11), eps=1e-2)
-        report = conservation_sweep(damaged, ts)
+        drift = conservation_sweep(damaged, ts)
         if floor is None:
-            assert report.passed()
+            assert drift <= 1e-10
         else:
-            assert report.max_drift > floor
+            assert drift > floor
 
 
 def test_module_invariance_and_velocity_agreement(entries):
@@ -270,9 +271,9 @@ def test_module_invariance_and_velocity_agreement(entries):
 def test_uncharged_round_sphere_runs_on_great_circles(hopf1):
     sys = system_for(hopf1, k=0.0)  # catalog default weights are the round ones
     motion = seeded_motion(sys, seed=17)
-    report = great_circle_check(motion)
-    assert report.passed()
-    assert report.metric_scale == pytest.approx(2.0, abs=1e-12)
+    radius_dev, planarity, metric_scale = great_circle_check(motion)
+    assert radius_dev <= 1e-10 and planarity <= 1e-9
+    assert metric_scale == pytest.approx(2.0, abs=1e-12)
 
 
 def test_great_circle_check_rejects_squashed_metric(hopf1):
@@ -323,8 +324,7 @@ def test_magnetic_circle_preconditions(hopf1, entries):
 
 def test_equal_weights_collapse_to_subgroup(hopf1):
     sys = system_for(hopf1, ratio=1.0, k=1.0)
-    report = lambda_collapse_check(seeded_motion(sys, seed=19))
-    assert report.passed()
+    assert lambda_collapse_check(seeded_motion(sys, seed=19)) <= 1e-12
 
 
 def test_collapse_check_requires_equal_weights(hopf1):
