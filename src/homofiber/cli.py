@@ -24,7 +24,6 @@ from .catalog import (
     load_custom,
     make_system,
 )
-from .csvtext import format_rows
 from .field import metric_norm
 from .linalg import DomainError, StructureError, bnorm
 from .motion import build_motion, perturb_motion, sample_trajectory
@@ -219,6 +218,8 @@ def cmd_validate(args):
 
 def _csv(header, table):
     """A header line and one line per table row, each value written as %.17g."""
+    from .csvtext import format_rows  # imported here: commands that write no CSV never load it
+
     return ",".join(header) + "\n" + format_rows(table)
 
 
