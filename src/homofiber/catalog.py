@@ -75,35 +75,31 @@ def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):
     return charged_system(entry.split, weights, a, b, w_scale * entry.W, k, model=entry.model)
 
 
-def _E(n, j, l):
-    M = np.zeros((n, n), dtype=complex)
-    M[j, l] = 1.0
-    return M
-
-
 def _u_basis(n, size=None):
     """Orthonormal basis of u(n) in the top-left block of size x size matrices
-    (default n): diagonal imaginary units, then rotation pairs per index pair."""
+    (default n), as a stack: diagonal imaginary units, then rotation pairs per
+    index pair j < l in row-major order."""
     N = size or n
-    out = [1j * _E(N, j, j) for j in range(n)]
-    for j in range(n):
-        for l in range(j + 1, n):
-            out.append((_E(N, j, l) - _E(N, l, j)) / SQ2)
-            out.append(1j * (_E(N, j, l) + _E(N, l, j)) / SQ2)
+    j, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    r = n + 2 * np.arange(len(j))
+    out = np.zeros((n * n, N, N), dtype=complex)
+    out[range(n), range(n), range(n)] = 1j
+    out[r, j, l], out[r, l, j] = 1.0 / SQ2, -1.0 / SQ2
+    out[r + 1, j, l] = out[r + 1, l, j] = 1j / SQ2
     return out
 
 
 def _su2_basis():
     """The rotation pair of u(2), then the diagonal direction."""
-    return _u_basis(2)[2:] + [np.diag([1j, -1j]) / SQ2]
+    return np.concatenate([_u_basis(2)[2:], [np.diag([1j, -1j]) / SQ2]])
 
 
 def _su3_basis():
     """The three rotation pairs of u(3), then the two diagonal directions."""
-    return _u_basis(3)[3:] + [
-        1j * np.diag([1.0, -1.0, 0.0]) / SQ2,
-        1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0),
-    ]
+    return np.concatenate([
+        _u_basis(3)[3:],
+        [1j * np.diag([1.0, -1.0, 0.0]) / SQ2, 1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)],
+    ])
 
 
 def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
@@ -157,8 +153,10 @@ def hopf(n):
     W = 1j * np.diag([1.0] * n + [0.0])
     v0 = np.zeros(N, dtype=complex)
     v0[n] = 1.0
+    fiber = np.zeros((1, N, N), dtype=complex)
+    fiber[0, n, n] = 1j
     return _entry(f"hopf:{n}", _u_basis(N), hb, (1.0, 2.0), (1, 2), W, ("vector", v0),
-                  k_basis=hb + [1j * _E(N, n, n)])
+                  k_basis=np.concatenate([hb, fiber]))
 
 
 def lie_group(group="SU(2)", subgroup_basis=None):
@@ -173,7 +171,7 @@ def lie_group(group="SU(2)", subgroup_basis=None):
     if key == "su2":
         gb = _su2_basis()
     elif key == "u2":
-        gb = _su2_basis() + [1j * np.eye(2) / SQ2]
+        gb = np.concatenate([_su2_basis(), [1j * np.eye(2) / SQ2]])
     else:
         raise ValueError(f"unsupported group {group!r}; use SU(2) or U(2)")
     if subgroup_basis is None:
@@ -191,8 +189,8 @@ def kahler_s2():
     """
     gb = _su2_basis()
     xi0 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
-    return _entry("kahler_s2", gb, [gb[2]], (1.0,), (1, None), gb[2].copy(), ("orbit", xi0),
-                  module_bases=[[gb[0], gb[1]]])
+    return _entry("kahler_s2", gb, gb[2:3], (1.0,), (1, None), gb[2].copy(), ("orbit", xi0),
+                  module_bases=[gb[:2]])
 
 
 def twistor_su3():
@@ -205,11 +203,11 @@ def twistor_su3():
     is available as the center.
     """
     gb = _su3_basis()
-    hb = [gb[6], gb[7]]
+    hb = gb[6:8]
     W = 1j * np.diag([1.0, 1.0, -2.0]) / np.sqrt(6.0)
     xi0 = 1j * np.diag([1.0, 2.0, -3.0])
     return _entry("twistor_su3", gb, hb, (1.0, 1.0), (1, 2), W, ("orbit", xi0),
-                  k_basis=hb + [gb[2], gb[3]])
+                  k_basis=gb[[6, 7, 2, 3]])
 
 
 _BUILDERS = {

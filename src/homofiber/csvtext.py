@@ -22,8 +22,10 @@ drops trailing zeros. A cell is laid out in 36 bytes from three
 tables: sign, "0.000" prefix and first digit; five groups of three
 digits, each with the point before one of its digits or none and with
 trailing zeros blanked or kept; and the last digit with the e+dd
-suffix and the separator. Unused bytes are NUL, dropped by one
-bytes.translate.
+suffix and the separator. The cells of a block are laid out in one
+bytearray, reused from block to block, and its unused bytes are NUL,
+dropped by one translate. `blocks` yields each block's bytes, and
+`format_rows` joins them into one str.
 """
 
 from __future__ import annotations
@@ -107,8 +109,12 @@ def _scaled(a, X):
     return whole + up.astype(np.int64), whole + np.floor(f).astype(np.int64), 0.5 - np.abs(f - up)
 
 
-def _block(table):
-    """The bytes of the rows of one block, each row ending in a newline."""
+def _block(table, buf):
+    """The bytes of the rows of one block, each row ending in a newline.
+
+    The cells are laid out in buf, 36 bytes each, which the caller
+    reuses from block to block.
+    """
     sig, groups, head, tail = _tables()[4:]
     v = table.reshape(-1)
     a = np.abs(v)
@@ -131,7 +137,7 @@ def _block(table):
     fast &= ~(fixed & (n < X + 1)) & (point < 16)
     last = np.where(fast & (last != 0), last, 10)
 
-    cells = np.empty((v.size, 9), np.uint32)
+    cells = np.frombuffer(buf, np.uint32, 9 * v.size).reshape(-1, 9)
     zeros = np.where(fixed & (X < 0), -X, 0)
     cells[:, :2] = head[(np.signbit(v) * 5 + zeros) * 10 + first].view(np.uint32).reshape(-1, 2)
     for k, gk in enumerate(g):
@@ -145,11 +151,19 @@ def _block(table):
         text = ("%.17g" % v[i]).encode()
         raw[i, :28] = 0
         raw[i, : len(text)] = np.frombuffer(text, np.uint8)
-    return raw.tobytes().translate(None, b"\0")
+    return (buf if raw.size == len(buf) else buf[: raw.size]).translate(None, b"\0")
+
+
+def blocks(table):
+    """The CSV bytes of a 2-D float table, block by block: one line per row, each value
+    as "%.17g" % v."""
+    table = np.ascontiguousarray(table, dtype=float)
+    rows = max(1, BLOCK_CELLS // max(1, table.shape[1]))
+    buf = bytearray(36 * min(rows, len(table)) * table.shape[1])
+    for i in range(0, len(table), rows):
+        yield _block(table[i : i + rows], buf)
 
 
 def format_rows(table):
     """A 2-D float table as CSV text, one line per row, each value as "%.17g" % v."""
-    table = np.ascontiguousarray(table, dtype=float)
-    rows = max(1, BLOCK_CELLS // max(1, table.shape[1]))
-    return b"".join(_block(table[i : i + rows]) for i in range(0, len(table), rows)).decode("ascii")
+    return b"".join(blocks(table)).decode("ascii")

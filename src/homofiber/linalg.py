@@ -9,6 +9,9 @@ each basis matrix viewed without a copy as 2n^2 reals: for skew e,
 B(X, e) = Re X . Re e + Im X . Im e, so Gram-Schmidt (CGS2, classical
 with one reorthogonalisation), coordinates and span residuals run in
 real arithmetic, and a residual is a Frobenius norm, B's on u(n).
+`orthonormalize` takes its candidates as one (k, n, n) stack (a list is
+stacked once), drops those of norm below rank_tol / 2 before CGS2, and
+returns a Subspace whose frame is the Gram-Schmidt rows themselves.
 
 The bracket, the inner product and norm, `adjoint`, `project` and the
 subspace coordinates also take (..., n, n) stacks, broadcast over the
@@ -24,6 +27,7 @@ arrays checked on entry, flows at a caller's t too (NaN once |tw| overflows).
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -175,8 +179,9 @@ def _conjugate(G, A):
 class Subspace:
     """A subspace of u(n) carried as an ordered B-orthonormal basis.
 
-    `stacked` and its real view `frame` are cached on first use, so
-    the basis arrays must not be mutated afterwards.
+    `stacked` and its real view `frame` are cached on first use, or set
+    by orthonormalize to views of its rows, so the basis arrays must
+    not be mutated afterwards.
     """
 
     def __init__(self, basis):
@@ -229,30 +234,47 @@ def _real_rows(A):
 def orthonormalize(vectors, rank_tol=1e-10):
     """Classical Gram-Schmidt with one reorthogonalisation (CGS2) for inner_b.
 
-    Each vector u, in input order, takes its coefficients against all
-    kept rows e_i of the real frame at once, B(u, e_i) = e_i . u, and
-    has them subtracted; the second pass keeps the result orthonormal
-    to working precision when the input is ill-conditioned. A vector
-    whose remainder has norm below rank_tol is dropped, so linearly
-    dependent input is handled by rank reduction rather than an error.
+    vectors is a (k, n, n) stack, taken as it is, or a list of n x n
+    matrices, checked matrix by matrix and stacked once. Each vector u,
+    in input order, takes its coefficients against all kept rows e_i of
+    the real frame at once, B(u, e_i) = e_i . u, and has them
+    subtracted; the second pass keeps the result orthonormal to working
+    precision when the input is ill-conditioned. A vector whose
+    remainder has norm below rank_tol is dropped, so linearly dependent
+    input is handled by rank reduction rather than an error.
+
+    A candidate of norm below rank_tol / 2 is dropped before the loop:
+    a pass never grows a norm by more than a relative O(k eps), so it
+    would be dropped anyway, and every kept row is the same to the bit.
+    The Subspace's `stacked` and `frame` are views of the kept rows.
     """
-    vectors = list(vectors)
-    shapes = sorted({np.shape(v) for v in vectors})
-    if len(shapes) > 1:
-        raise DimensionError(f"inner_b: size mismatch {shapes[0]} vs {shapes[-1]}")
-    if not vectors:
+    if not isinstance(vectors, np.ndarray):
+        vectors = list(vectors)
+        shapes = sorted({np.shape(v) for v in vectors})
+        if len(shapes) > 1:
+            raise DimensionError(f"inner_b: size mismatch {shapes[0]} vs {shapes[-1]}")
+    if not len(vectors):
         return Subspace(())
-    n = _as_matrix(vectors[0]).shape[0]
-    F = _real_rows(_as_matrix(vectors, stack=True)).copy()
+    shape = np.shape(vectors[0])
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise DimensionError(f"X must be a square matrix, got shape {shape}")
+    R = _real_rows(_as_matrix(vectors, stack=True))
+    F = R[np.sqrt(np.einsum("ij,ij->i", R, R)) >= 0.5 * rank_tol]
     d = 0
     for x in F:
-        for _ in range(2 if d else 0):
-            x = x - (F[:d] @ x) @ F[:d]
-        nrm = np.sqrt(x @ x)
+        if d:
+            E = F[:d]
+            x = x - (E @ x) @ E
+            x = x - (E @ x) @ E
+        nrm = math.sqrt(x @ x)
         if nrm >= rank_tol:
             F[d] = x / nrm
             d += 1
-    return Subspace(tuple(F[:d].view(complex).reshape(d, n, n)))
+    if not d:
+        return Subspace(())
+    S = Subspace(tuple(F[:d].view(complex).reshape(d, *shape)))
+    S.stacked = F[:d].view(complex)  # preset, so the cached property never re-stacks
+    return S
 
 
 def project(S, X):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import ChargedSystem, _m_coordinates, metric_inner, metric_norm
+from .field import _m_coordinates, metric_inner, metric_norm
 from .linalg import (
     DomainError,
     Flow,
@@ -45,10 +45,10 @@ from .linalg import (
     _conjugate,
     _scalar,
     bnorm,
+    check_skew_hermitian,
     mul,
     span_residuals,
 )
-from .motion import build_motion
 
 
 class ResidualConfig:
@@ -303,17 +303,17 @@ def _stencil_kappa(pos, ts, h):
     Fourth-order five-point stencils give the first two derivatives of
     the position; curvature is the normal-plane component of the
     acceleration per unit squared speed, measured along the surface
-    conormal (outward normal cross tangent). pos maps an array of
-    times to the array of positions.
+    conormal (outward normal cross tangent). pos maps a (T, 5) array of
+    times to the (..., T, 5, 3) positions, over any leading axes.
     """
-    p = np.moveaxis(pos(ts[:, None] + np.arange(-2, 3) * h), 1, 0)
+    p = np.moveaxis(pos(ts[:, None] + np.arange(-2, 3) * h), -2, 0)
     d1 = (-p[4] + 8 * p[3] - 8 * p[1] + p[0]) / (12.0 * h)
     d2 = (-p[4] + 16 * p[3] - 30 * p[2] + 16 * p[1] - p[0]) / (12.0 * h * h)
     speed = np.linalg.norm(d1, axis=-1)
     if np.any(speed == 0.0):
         raise DomainError("curvature is undefined on a constant trajectory")
     normal = p[2] / np.linalg.norm(p[2], axis=-1, keepdims=True)
-    conormal = np.cross(normal, d1 / speed[:, None])
+    conormal = np.cross(normal, d1 / speed[..., None])
     return np.sum(d2 * conormal, axis=-1) / speed**2
 
 
@@ -324,6 +324,10 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
     computes geodesic curvature along each trajectory by finite
     differences, and reports whether curvature is constant along each
     curve (variation at most 1e-6) and strictly increasing in |k|.
+
+    A single-module system has b = None, so lam = 1 and Y = 0: the
+    curve at charge k is the flow of Xa + k W, and one stacked Flow
+    evaluates every charge over the whole (t, stencil) grid.
     """
     model = sys.model
     if model is None or getattr(model, "kind", None) != "orbit":
@@ -334,21 +338,22 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
         raise DomainError("magnetic-circle check needs an adjoint orbit in 3-space")
     if metric_norm(sys, np.asarray(Xa, dtype=complex)) == 0.0:
         raise DomainError("Xa must be nonzero")
+    Xa = check_skew_hermitian(Xa, name="Xa")
     if t_samples is None:
         t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
+    ks = np.array(k_values, dtype=float)
+    # the motion's X = Xa + lam Xb + k W with lam = 1 and Xb = 0, zeros signed alike
+    flow = Flow((Xa + 0.0) + ks[:, None, None] * sys.W)
+
+    def pos(ts):
+        g = np.swapaxes(flow(ts.ravel()), 0, 1)
+        return model.apply(g).reshape((len(ks),) + ts.shape + (3,))
+
+    kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
     entries = []
-    for kv in k_values:
-        sys_k = ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, model)
-        motion = build_motion(sys_k, Xa)
-
-        def pos(ts, m=motion):
-            return model.apply(m.representative(ts.ravel())).reshape(ts.shape + (-1,))
-
-        kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
-        mean = float(np.mean(kappas))
-        entries.append(
-            MagneticCircleEntry(float(kv), mean, float(np.max(np.abs(kappas - mean))))
-        )
+    for kv, row in zip(ks.tolist(), kappas):
+        mean = float(np.mean(row))
+        entries.append(MagneticCircleEntry(kv, mean, float(np.max(np.abs(row - mean)))))
     constant = all(e.kappa_variation <= 1e-6 for e in entries)
     by_charge = sorted(entries, key=lambda e: abs(e.k))
     increasing = all(

@@ -148,7 +148,7 @@ def _bracket_residuals(target, A, B):
     n = A.ambient
     X, Y = A.stacked.reshape(A.dim, n, n), B.stacked.reshape(B.dim, n, n)
     if upper:
-        I, J = np.triu_indices(A.dim, 1)
+        I, J = np.nonzero(np.arange(A.dim)[:, None] < np.arange(A.dim))
         step = max(1, PAIR_BLOCK // (n * n))
         for s in range(0, len(I), step):
             i, j = I[s:s + step], J[s:s + step]
@@ -179,7 +179,8 @@ def _require_closed(name, closure, tol):
 
 
 def _require_contained(inner_name, inner, outer_name, outer, tol):
-    worst = span_residuals(outer, inner.basis).max(initial=0.0)
+    n = outer.ambient
+    worst = span_residuals(outer, inner.stacked.reshape(inner.dim, n, n)).max(initial=0.0)
     if worst > tol:
         raise StructureError(
             f"{inner_name} is not contained in {outer_name} (residual {worst:.3e})"

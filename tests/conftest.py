@@ -1,12 +1,71 @@
 import numpy as np
 import pytest
 
-from homofiber import get_entry, make_system, metric_norm
+from homofiber import Subspace, build_motion, get_entry, make_system, metric_norm
+from homofiber.field import ChargedSystem
+from homofiber.oracle import _stencil_kappa
 
 
 def combo(space, coeffs):
     """Linear combination of a Subspace basis."""
     return sum(c * e for c, e in zip(coeffs, space.basis))
+
+
+def list_orthonormalize(vectors, rank_tol=1e-10):
+    """orthonormalize on the list path: CGS2 over every candidate, zero ones too.
+
+    The rows are taken from the stacked list and the basis is left to
+    Subspace to stack again on first use.
+    """
+    vectors = list(vectors)
+    if not vectors:
+        return Subspace(())
+    n = len(vectors[0])
+    F = np.array(vectors, dtype=complex).reshape(len(vectors), -1).view(float).copy()
+    d = 0
+    for x in F:
+        for _ in range(2 if d else 0):
+            x = x - (F[:d] @ x) @ F[:d]
+        nrm = np.sqrt(x @ x)
+        if nrm >= rank_tol:
+            F[d] = x / nrm
+            d += 1
+    return Subspace(tuple(F[:d].view(complex).reshape(d, n, n)))
+
+
+def per_charge_magnetic_circles(sys, Xa, k_values, t_samples=None, stencil_h=1e-3):
+    """(k, kappa mean, kappa variation) per charge, from one validated motion each."""
+    if t_samples is None:
+        t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
+    out = []
+    for kv in k_values:
+        sys_k = ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, sys.model)
+        motion = build_motion(sys_k, Xa)
+
+        def pos(ts, m=motion):
+            return sys.model.apply(m.representative(ts.ravel())).reshape(ts.shape + (-1,))
+
+        kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
+        mean = float(np.mean(kappas))
+        out.append((float(kv), mean, float(np.max(np.abs(kappas - mean)))))
+    return out
+
+
+def _E(n, j, l):
+    M = np.zeros((n, n), dtype=complex)
+    M[j, l] = 1.0
+    return M
+
+
+def per_element_u_basis(n, size=None):
+    """The u(n) basis built one matrix at a time, from unit matrices E_jl."""
+    N = size or n
+    out = [1j * _E(N, j, j) for j in range(n)]
+    for j in range(n):
+        for l in range(j + 1, n):
+            out.append((_E(N, j, l) - _E(N, l, j)) / np.sqrt(2.0))
+            out.append(1j * (_E(N, j, l) + _E(N, l, j)) / np.sqrt(2.0))
+    return out
 
 
 def seeded_unit_pair(system, rng):

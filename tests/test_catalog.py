@@ -20,7 +20,7 @@ from homofiber import (
     make_system,
     residual_sweep,
 )
-from conftest import combo, seeded_unit_pair, system_for
+from conftest import combo, per_element_u_basis, seeded_unit_pair, system_for
 
 
 def mdoc(M):
@@ -300,3 +300,12 @@ def test_malformed_arrays_are_rejected(hopf1, damage):
     damage(doc["W"])
     with pytest.raises(ValueError, match="malformed space document"):
         load_custom(doc)
+
+
+@pytest.mark.parametrize("n,size", [(n, size) for n in range(1, 5) for size in (None, n, n + 1, n + 2)])
+def test_u_basis_matches_the_per_element_build_bitwise(n, size):
+    from homofiber.catalog import _u_basis
+
+    got = _u_basis(n, size)
+    assert got.shape == (n * n, size or n, size or n)
+    assert got.tobytes() == np.array(per_element_u_basis(n, size)).tobytes()

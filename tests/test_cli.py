@@ -890,3 +890,25 @@ def test_unusable_paths_are_usage_errors(tmp_path, capsys, argv):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and argv[-1] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--space", "hopf:3", "--k", "1", "--samples", "800", "--t0=-30", "--t1", "30"],
+        ["simulate", "--space", "hopf:3", "--samples", "2"],
+        ["simulate", "--space", "twistor_su3", "--k", "1", "--samples", "300"],
+        ["verify", "--space", "hopf:3", "--k", "1", "--samples", "40", "--format", "csv"],
+        ["verify", "--space", "kahler_s2", "--samples", "2", "--format", "csv"],
+    ],
+    ids=["simulate 800", "simulate 2", "simulate twistor", "verify hopf:3", "verify kahler_s2"],
+)
+def test_csv_blocks_written_to_the_file_equal_stdout(tmp_path, capsys, argv):
+    # --out takes the CSV blocks as bytes, stdout one decoded text
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    rc, out = run_out(tmp_path, "o.csv", argv)
+    assert rc == 0 and capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode("ascii")
+    if argv[0] == "simulate":
+        assert printed.count("\n") == int(argv[argv.index("--samples") + 1]) + 1

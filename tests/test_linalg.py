@@ -28,6 +28,8 @@ from homofiber import (
 )
 from homofiber.linalg import Flow, brackets, span_residuals
 
+from conftest import list_orthonormalize
+
 A1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 A2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
 A3 = np.array([[1j, 0.0], [0.0, -1j]], dtype=complex)
@@ -272,6 +274,102 @@ def test_orthonormalize_reorthogonalises_near_dependent_input():
 def test_orthonormalize_rejects_mixed_sizes():
     with pytest.raises(DimensionError):
         orthonormalize([A1, 1j * np.eye(3)])
+
+
+def _near_threshold_candidates(rank_tol, unit):
+    """Multiples of unit whose B-norms lie just below, at and just above rank_tol and rank_tol / 2."""
+    scales = [c * f for c in (rank_tol, rank_tol / 2) for f in (1 - 1e-6, 1.0, 1 + 1e-6)]
+    return [s * unit / bnorm(unit) for s in scales]
+
+
+STACK_INPUTS = {
+    "full rank": [A1, A2, A3],
+    "hopf(3) g": list(hopf(3).source["g_basis"]),
+    "rank deficient": [A1, A2, A1 + A2, 2.0 * A2, np.zeros((2, 2), complex), A3, A1 - A3],
+    "near the drop thresholds": [*_near_threshold_candidates(1e-10, A3), A1,
+                                 *_near_threshold_candidates(1e-10, A3), A2],
+    "near dependent": [A1, A1 + 1e-9 * A2, A2 + 3e-11 * A3, A3],
+}
+# exact input, on which the inner_b loop divides to the same bits
+INNER_B_EXACT = {"full rank", "hopf(3) g", "rank deficient", "near dependent"}
+
+
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("name", STACK_INPUTS)
+def test_orthonormalize_takes_a_stack_bitwise(name, rank_tol):
+    # a stack, the list it came from and CGS2 over every candidate keep the
+    # same rows, bit for bit: candidates below rank_tol / 2, dropped before
+    # the loop, are exactly the ones the loop would drop
+    vecs = STACK_INPUTS[name]
+    if rank_tol != 1e-10:
+        vecs = vecs + _near_threshold_candidates(rank_tol, vecs[-1])
+    stacked = orthonormalize(np.stack(vecs), rank_tol=rank_tol)
+    listed = orthonormalize(vecs, rank_tol=rank_tol)
+    every = list_orthonormalize(vecs, rank_tol=rank_tol)
+    want = ref_orthonormalize(vecs, rank_tol=rank_tol)
+    assert stacked.dim == listed.dim == every.dim == len(want)
+    bits = [b.tobytes() for b in every.basis]
+    assert [b.tobytes() for b in stacked.basis] == [b.tobytes() for b in listed.basis] == bits
+    if name in INNER_B_EXACT and rank_tol == 1e-10:
+        assert all(np.array_equal(a, b) for a, b in zip(stacked.basis, want))
+    else:  # the inner_b loop divides by a complex norm, rounding twice
+        assert all(np.abs(a - b).max() <= 1e-15 for a, b in zip(stacked.basis, want))
+    # the frame is the Gram-Schmidt rows themselves, not a re-stacked copy
+    assert np.shares_memory(stacked.frame, stacked.basis[0])
+    assert stacked.stacked.tobytes() == np.array(stacked.basis).tobytes()
+
+
+def test_orthonormalize_drops_tiny_candidates_before_the_loop():
+    unit = A3 / bnorm(A3)
+    below = orthonormalize(np.stack([A1, 0.49e-10 * unit]))
+    above = orthonormalize(np.stack([A1, 0.51e-10 * unit, 1.01e-10 * unit]))
+    assert below.dim == 1
+    assert above.dim == 2 and np.abs(above.basis[1] - unit).max() <= 1e-15
+
+
+def test_hopf3_build_runs_42_gram_schmidt_iterations(monkeypatch):
+    # one norm per CGS2 iteration: 61 candidates reach orthonormalize, and the
+    # 19 zero complement candidates of k in g and of h in k never enter the loop
+    from homofiber import catalog, linalg, split
+
+    norms = []
+
+    class CountingMath:
+        @staticmethod
+        def sqrt(x):
+            norms.append(x)
+            return math.sqrt(x)
+
+    candidates = []
+
+    def spy(vectors):
+        candidates.append(len(vectors))
+        return orthonormalize(vectors)
+
+    monkeypatch.setattr(linalg, "math", CountingMath)
+    for module in (catalog, split):
+        monkeypatch.setattr(module, "orthonormalize", spy)
+    hopf(3)
+    assert sum(candidates) == 61
+    assert len(norms) == 42
+
+
+@pytest.mark.parametrize(
+    "stack",
+    [np.zeros((3, 2, 3)), np.zeros((2, 3)), np.zeros((2, 2, 2, 2)), np.full((2, 2, 2), np.nan)],
+    ids=["not square", "vectors", "rank 3 entries", "not finite"],
+)
+def test_orthonormalize_stack_errors_match_the_list(stack):
+    with pytest.raises((DimensionError, DomainError)) as from_list:
+        orthonormalize(list(stack))
+    with pytest.raises(from_list.type) as from_stack:
+        orthonormalize(stack)
+    assert str(from_stack.value) == str(from_list.value)
+
+
+def test_orthonormalize_of_an_empty_stack_is_empty():
+    assert orthonormalize(np.zeros((0, 2, 2), complex)).dim == 0
+    assert orthonormalize(np.zeros((3, 2, 2), complex)).dim == 0
 
 
 def test_project_and_residual():

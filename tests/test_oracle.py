@@ -31,7 +31,7 @@ from homofiber import (
     perturb_motion,
     residual_sweep,
 )
-from conftest import seeded_unit_pair, system_for
+from conftest import per_charge_magnetic_circles, seeded_unit_pair, system_for
 
 TS = np.linspace(-2.0, 2.0, 7)
 
@@ -301,6 +301,18 @@ def test_magnetic_circles_constant_curvature_monotone_charge(entries):
         assert abs(entry.kappa_mean) == pytest.approx(entry.k / np.sqrt(2.0), abs=1e-6)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_magnetic_circles_of_all_charges_at_once_match_one_motion_per_charge(entries, seed):
+    sys = system_for(entries["kahler_s2"], k=1.0)
+    Xa = seeded_unit_pair(sys, np.random.default_rng(seed))[0] * (1.0 + seed)
+    k_values = (0.0, 0.5, -1.0, 1.0, 2.0, 3.0, -0.5)
+    report = magnetic_circle_check(sys, Xa, k_values=k_values)
+    got = [(e.k, e.kappa_mean, e.kappa_variation) for e in report.entries]
+    # repr tells -0.0 from 0.0, as the JSON report does
+    assert repr(got) == repr(per_charge_magnetic_circles(sys, Xa, k_values))
+    assert magnetic_circle_check(sys, Xa, k_values=()).entries == ()
+
+
 def test_magnetic_circle_homogeneity(entries):
     # scaling charge and speed together keeps the same circle
     sys = system_for(entries["kahler_s2"], k=1.0)
@@ -320,6 +332,9 @@ def test_magnetic_circle_preconditions(hopf1, entries):
     sphere = system_for(entries["kahler_s2"], k=1.0)
     with pytest.raises(DomainError, match="nonzero"):
         magnetic_circle_check(sphere, np.zeros((2, 2)))
+    # a Hermitian part below the membership tolerance is still refused
+    with pytest.raises(DomainError, match="Xa is not skew-Hermitian"):
+        magnetic_circle_check(sphere, sphere.ma.basis[0] + 1e-11 * np.eye(2))
 
 
 def test_equal_weights_collapse_to_subgroup(hopf1):
