@@ -80,10 +80,11 @@ def _u_basis(n, size=None):
     (default n), as a stack: diagonal imaginary units, then rotation pairs per
     index pair j < l in row-major order."""
     N = size or n
-    j, l = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+    d = np.arange(n)
+    j, l = np.nonzero(d[:, None] < d)
     r = n + 2 * np.arange(len(j))
     out = np.zeros((n * n, N, N), dtype=complex)
-    out[range(n), range(n), range(n)] = 1j
+    out[d, d, d] = 1j
     out[r, j, l], out[r, l, j] = 1.0 / SQ2, -1.0 / SQ2
     out[r + 1, j, l] = out[r + 1, l, j] = 1j / SQ2
     return out
