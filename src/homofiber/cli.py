@@ -117,7 +117,7 @@ def _resolve_space(name):
 def _write(text, out_path):
     """Write text, a str or a list of ASCII bytes blocks, to out_path or to stdout.
 
-    Blocks go to the file as they come; stdout takes the text in one
+    Bytes go to the file as they are; stdout takes the text in one
     write. Once the reader of stdout has gone away, the rest of the
     output is dropped: stdout is pointed at the null device, so later
     writes and the flush at exit succeed and the command ends with its
@@ -222,9 +222,9 @@ def cmd_validate(args):
 def _csv(header, table):
     """The header line and the CSV blocks of the table rows, as a list of bytes, each value as %.17g.
 
-    Every block is formatted before the first write: a write between
-    blocks let the allocator trim and refault the heap, twice the page
-    faults of a simulate op.
+    Every block is formatted before the first write: writing between
+    blocks lets the allocator trim and refault the heap, which doubles
+    the page faults of a simulate op.
     """
     from .csvtext import blocks  # imported here: commands that write no CSV never load it
 
