@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import charged_system
-from .linalg import StructureError, adjoint, inner_b, orthonormalize
+from .linalg import StructureError, adjoint, check_skew_hermitian, inner_b, orthonormalize
 from .split import (
     CATALOG_TOL,
     USER_TOL,
@@ -253,16 +253,10 @@ def _pairs(doc):
 def _load(doc, name=None):
     """The complex array written by _doc; a named field must be finite, and its matrices skew."""
     A = np.array(_pairs(doc))
-    if name and not np.isfinite(A).all():
-        raise ValueError(f"{name} has non-finite entries")
     if name and A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
-        D = A + np.swapaxes(A, -1, -2).conj()
-        if D.any():  # an exactly skew field, as in every export, needs no norms
-            dev = np.abs(D).max(axis=(-2, -1), initial=0.0)
-            bad = np.flatnonzero(dev > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1))))
-            for i in bad[:1]:
-                where = name if A.ndim == 2 else f"{name}[{i}]"
-                raise ValueError(f"{where} is not skew-Hermitian (deviation {dev.flat[i]:.3e})")
+        check_skew_hermitian(A, name=name)  # refuses a non-finite entry in the same words
+    elif name and not np.isfinite(A).all():
+        raise ValueError(f"{name} has non-finite entries")
     return A
 
 

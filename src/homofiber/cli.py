@@ -182,20 +182,27 @@ def _motion_from_args(args):
     lam, k = system.lam, system.k
     if not 0.0 < lam < np.inf:
         raise UsageError(f"the --lambda weight ratio {lam:.3e} is out of floating-point range")
-    if not np.isfinite(k / lam):
-        raise UsageError(f"--k {k:.3e} over the --lambda weight ratio {lam:.3e} overflows")
     Xa, Xb = _initial_data(system, args)
+    w, a, b = bnorm(system.W), bnorm(Xa), 0.0 if Xb is None else bnorm(Xb)
+    # the motion forms X = Xa + lam Xb + k W and Y = (1 - lam)(Xb + (k/lam) W) as matrices,
+    # so the triangle bounds of their B-norms, which bound every entry, are gated first
+    _gate_sizes({"central element W": w, "generator X": a + lam * b + abs(k) * w,
+                 "generator Y": abs(1.0 - lam) * (b + abs(k / lam) * w)}, k, lam)
     motion = build_motion(system, Xa, Xb)
     if args.perturb:
         motion = perturb_motion(motion, eps=args.perturb, seed=args.seed)
-    sizes = {"generator X": motion.X, "generator Y": motion.Y, "central element W": system.W}
-    for name, G in sizes.items():
-        if not np.isfinite(bnorm(G)):
+    _gate_sizes({"generator X": bnorm(motion.X), "generator Y": bnorm(motion.Y)}, k, lam)
+    return entry, system, motion
+
+
+def _gate_sizes(sizes, k, lam):
+    """Raise UsageError naming the first of the sizes, B-norms keyed by name, that is not finite."""
+    for name, size in sizes.items():
+        if not np.isfinite(size):
             raise UsageError(
                 f"the {name} overflows at --k {k:.3e} and --lambda weight ratio "
                 f"{lam:.3e}; reduce --k, --W-scale, --perturb or the ratio"
             )
-    return entry, system, motion
 
 
 def cmd_validate(args):
@@ -281,6 +288,16 @@ def cmd_simulate(args):
     return OK
 
 
+def _special(motion, check, *args):
+    """check(*args) on an exact motion, or None where the check does not apply (DomainError)."""
+    if not motion.exact:
+        return None
+    try:
+        return check(*args)
+    except DomainError:
+        return None
+
+
 def cmd_verify(args):
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
@@ -305,41 +322,26 @@ def cmd_verify(args):
     if not agree <= 1e-11:
         failures.append(f"velocity agreement {agree:.3e} > 1e-11")
     special = {}
-    if system.lam == 1.0 and motion.exact:
-        gap = lambda_collapse_check(motion, ts)
+    gap = _special(motion, lambda_collapse_check, motion, ts)
+    if gap is not None:
         special["collapse"] = {"max_frobenius": gap}
         if not gap <= 1e-12:
             failures.append(f"collapse {gap:.3e} > 1e-12")
-    if (
-        system.model is not None
-        and getattr(system.model, "kind", None) == "vector"
-        and system.k == 0.0
-        and motion.exact
-    ):
-        try:
-            radius_dev, planarity, _ = great_circle_check(motion)
-        except DomainError:
-            pass
-        else:
-            special["great_circle"] = {"max_radius_dev": radius_dev, "max_planarity": planarity}
-            if not (radius_dev <= 1e-10 and planarity <= 1e-9):
-                failures.append("great-circle check failed")
-    if (
-        system.model is not None
-        and getattr(system.model, "kind", None) == "orbit"
-        and system.split.s == 1
-        and motion.exact
-    ):
-        mc = magnetic_circle_check(system, motion.Xa)
+    circle = _special(motion, great_circle_check, motion)
+    if circle is not None:
+        radius_dev, planarity, _ = circle
+        special["great_circle"] = {"max_radius_dev": radius_dev, "max_planarity": planarity}
+        if not (radius_dev <= 1e-10 and planarity <= 1e-9):
+            failures.append("great-circle check failed")
+    mc = _special(motion, magnetic_circle_check, system, motion.Xa)
+    if mc is not None:
+        rows, constant, increasing = mc
         special["magnetic_circle"] = {
-            "entries": [
-                {"k": e.k, "kappa_mean": e.kappa_mean, "variation": e.kappa_variation}
-                for e in mc.entries
-            ],
-            "constant": mc.constant,
-            "increasing": mc.increasing,
+            "entries": [{"k": k, "kappa_mean": m, "variation": v} for k, m, v in rows.tolist()],
+            "constant": constant,
+            "increasing": increasing,
         }
-        if not mc.passed():
+        if not (constant and increasing):
             failures.append("magnetic-circle check failed")
     doc = {
         "space": entry.name,

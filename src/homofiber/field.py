@@ -103,7 +103,7 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
 
     Checks the weight count, the pair indices, the bracket condition
     [m_a, m_b] in m_a, and that W is skew-Hermitian and lies in the
-    center of h. When h is trivial, W is forced to zero.
+    center of h, to within tol max(1, max|W|); a trivial h forces W = 0.
     """
     metric = DiagonalMetric(tuple(weights))
     if len(metric.weights) != split.s:
@@ -124,6 +124,7 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
         )
     W = check_skew_hermitian(W, name="W")
     rs, rc = center_residuals(split.h, W)
+    tol = tol * max(1.0, float(np.abs(W).max(initial=0.0)))  # roundoff grows with |W|
     if split.h.dim == 0:
         if rs > tol:
             raise StructureError("h is trivial, so W must be zero")

@@ -61,21 +61,19 @@ def _same_size(A, B, op):
 
 
 def check_skew_hermitian(X, tol=1e-12, name="X"):
-    """Raise DomainError unless X + X^H vanishes to within tol (scale aware)."""
-    A = _as_matrix(X, name)
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    dev = float(np.abs(A + A.conj().T).max(initial=0.0))
-    if dev > tol * scale:
-        raise DomainError(f"{name} is not skew-Hermitian (deviation {dev:.3e})")
-    return A
+    """Raise DomainError unless X, one matrix or a (..., n, n) stack, is skew-Hermitian.
 
-
-def check_unitary(g, tol=1e-10, name="g"):
-    """Raise DomainError unless g g^H = I to within tol."""
-    A = _as_matrix(g, name)
-    dev = float(np.abs(A @ A.conj().T - np.eye(A.shape[0])).max())
-    if dev > tol:
-        raise DomainError(f"{name} is not unitary (deviation {dev:.3e})")
+    Matrix by matrix, max|A + A^H| may be at most tol max(1, max|A|);
+    an error names the first bad matrix of a stack as name[i].
+    """
+    A = _as_matrix(X, name, stack=True)
+    D = A + np.swapaxes(A.conj(), -1, -2)
+    if D.any():  # an exactly skew input needs no norms
+        dev = np.abs(D).max(axis=(-2, -1), initial=0.0)
+        bad = np.argwhere(dev > tol * np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0)))
+        if len(bad):
+            where = f"{name}[{', '.join(map(str, bad[0]))}]" if A.ndim > 2 else name
+            raise DomainError(f"{where} is not skew-Hermitian (deviation {dev[tuple(bad[0])]:.3e})")
     return A
 
 
@@ -126,35 +124,26 @@ def bnorm(X):
 
 
 class Flow:
-    """The one-parameter group t -> exp(tA), from one eigendecomposition.
+    """The one-parameter group t -> exp(tA) of a skew-Hermitian A, from one eigendecomposition.
 
-    Skew-Hermitian A admits exp(tA) = U diag(exp(i t w)) U* with
-    -iA = U diag(w) U*, exactly unitary up to roundoff. Anything else
-    falls through to scipy's scaling-and-squaring at each t, importing
-    scipy only then. t = 0 and A = 0 give the identity exactly. A may
-    be a (..., n, n) stack, decomposed by one stacked eigh.
+    exp(tA) = U diag(exp(i t w)) U* with -iA = U diag(w) U*, exactly
+    unitary up to roundoff; any other A raises DomainError. t = 0 and
+    A = 0 give the identity exactly. A may be a (..., n, n) stack,
+    decomposed by one stacked eigh.
     """
 
     def __init__(self, A):
-        self.A = _as_matrix(A, stack=True)
+        self.A = check_skew_hermitian(A)
         self._zero = ~self.A.any(axis=(-2, -1))
-        scale = np.maximum(1.0, np.abs(self.A).max(axis=(-2, -1), initial=0.0))
-        dev = np.abs(self.A + np.swapaxes(self.A.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-        self._w = None
-        if np.all(dev <= 1e-12 * scale):
-            self._w, self._U = np.linalg.eigh(-1j * self.A)
-            self._Uh = np.swapaxes(self._U.conj(), -1, -2)
+        self._w, self._U = np.linalg.eigh(-1j * self.A)
+        self._Uh = np.swapaxes(self._U.conj(), -1, -2)
 
     def __call__(self, t):
         """exp(tA) for a scalar t, or the (T, ..., n, n) stack over a 1-D grid of t."""
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape((-1,) + (1,) * (self.A.ndim - 2))
         with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the flow
-            if self._w is None:
-                import scipy.linalg
-                out = scipy.linalg.expm(grid[..., None, None] * self.A)
-            else:
-                out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
+            out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
         out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[-1])
         return out if ts.ndim else out[0]
 

@@ -280,23 +280,6 @@ def great_circle_check(motion, t_samples=None):
     return float(max_rad), float(max_plane), float(scale)
 
 
-class MagneticCircleEntry:
-    __slots__ = ("k", "kappa_mean", "kappa_variation")
-
-    def __init__(self, k, kappa_mean, kappa_variation):
-        self.k, self.kappa_mean, self.kappa_variation = k, kappa_mean, kappa_variation
-
-
-class MagneticCircleReport:
-    __slots__ = ("entries", "constant", "increasing")
-
-    def __init__(self, entries, constant, increasing):
-        self.entries, self.constant, self.increasing = entries, constant, increasing
-
-    def passed(self):
-        return self.constant and self.increasing
-
-
 def _stencil_kappa(pos, ts, h):
     """Signed geodesic curvature on the model 2-sphere at each time of ts.
 
@@ -320,10 +303,12 @@ def _stencil_kappa(pos, ts, h):
 def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, stencil_h=1e-3):
     """Charged trajectories on the adjoint 2-sphere are circles.
 
-    Runs the same initial direction at each charge in k_values,
+    Runs the same initial direction at each charge in k_values and
     computes geodesic curvature along each trajectory by finite
-    differences, and reports whether curvature is constant along each
-    curve (variation at most 1e-6) and strictly increasing in |k|.
+    differences. Returns (rows, constant, increasing): the (charges, 3)
+    array of rows (k, kappa mean, kappa variation), whether curvature
+    is constant along each curve (variation at most 1e-6), and whether
+    |kappa mean| is strictly increasing in |k|.
 
     A single-module system has b = None, so lam = 1 and Y = 0: the
     curve at charge k is the flow of Xa + k W, and one stacked Flow
@@ -350,17 +335,10 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
         return model.apply(g).reshape((len(ks),) + ts.shape + (3,))
 
     kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
-    entries = []
-    for kv, row in zip(ks.tolist(), kappas):
-        mean = float(np.mean(row))
-        entries.append(MagneticCircleEntry(kv, mean, float(np.max(np.abs(row - mean)))))
-    constant = all(e.kappa_variation <= 1e-6 for e in entries)
-    by_charge = sorted(entries, key=lambda e: abs(e.k))
-    increasing = all(
-        abs(a.kappa_mean) < abs(b.kappa_mean)
-        for a, b in zip(by_charge, by_charge[1:])
-    )
-    return MagneticCircleReport(tuple(entries), constant, increasing)
+    mean = np.mean(kappas, axis=-1)
+    rows = np.column_stack([ks, mean, np.max(np.abs(kappas - mean[:, None]), axis=-1)])
+    by_charge = np.abs(mean[np.argsort(np.abs(ks), kind="stable")])
+    return rows, bool(np.all(rows[:, 2] <= 1e-6)), bool(np.all(by_charge[:-1] < by_charge[1:]))
 
 
 def lambda_collapse_check(motion, t_samples=None):
@@ -380,36 +358,13 @@ def lambda_collapse_check(motion, t_samples=None):
     return float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0))
 
 
-class ConvergencePoint:
-    __slots__ = ("t", "probe", "residuals", "ratios")
-
-    def __init__(self, t, probe, residuals, ratios):
-        self.t, self.probe, self.residuals, self.ratios = t, probe, residuals, ratios
-
-
-class ConvergenceReport:
-    __slots__ = ("h_values", "points")
-
-    def __init__(self, h_values, points):
-        self.h_values, self.points = h_values, points
-
-
 def convergence_ratios(motion, points, probes, h_values=(2e-4, 1e-4, 5e-5)):
-    """Residual decay under step halving at chosen (t, probe) points.
+    """The (points, h) array of |residual| at each (t, probe) point under each step.
 
     The central differences are second order, so halving h should
-    shrink the residual by a factor near 4 wherever the leading error
-    coefficient is not degenerate.
+    shrink the residual, r[:, i] / r[:, i + 1], by a factor near 4
+    wherever the leading error coefficient is not degenerate.
     """
-    out = []
-    for t, j in points:
-        rs = tuple(
-            abs(koszul_residual(motion, t, probes[j], ResidualConfig(fd_step=h)))
-            for h in h_values
-        )
-        ratios = tuple(
-            rs[i] / rs[i + 1] if rs[i + 1] != 0.0 else float("inf")
-            for i in range(len(rs) - 1)
-        )
-        out.append(ConvergencePoint(float(t), j, rs, ratios))
-    return ConvergenceReport(tuple(h_values), tuple(out))
+    r = [abs(koszul_residual(motion, t, probes[j], ResidualConfig(fd_step=h)))
+         for t, j in points for h in h_values]
+    return np.array(r).reshape(len(points), len(h_values))

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from homofiber import Subspace, build_motion, get_entry, make_system, metric_norm
+from homofiber import DomainError, Subspace, build_motion, get_entry, make_system, metric_norm
 from homofiber.field import ChargedSystem
 from homofiber.oracle import _stencil_kappa
+
+
+def check_unitary(g, tol=1e-10, name="g"):
+    """Raise DomainError unless g g^H = I to within tol."""
+    A = np.asarray(g, dtype=complex)
+    dev = float(np.abs(A @ A.conj().T - np.eye(A.shape[0])).max())
+    if dev > tol:
+        raise DomainError(f"{name} is not unitary (deviation {dev:.3e})")
+    return A
 
 
 def combo(space, coeffs):

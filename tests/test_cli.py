@@ -120,6 +120,42 @@ def test_verify_reports_special_checks(tmp_path):
     assert [e["k"] for e in entries] == [0.5, 1.0, 2.0]
 
 
+@pytest.fixture(scope="module")
+def cp2_document(tmp_path_factory):
+    """CP^2 = SU(3)/S(U(2) x U(1)): one module, an adjoint orbit in 8-space."""
+    from homofiber.catalog import _entry, _su3_basis
+
+    gb = _su3_basis()
+    entry = _entry("cp2", gb, gb[[0, 1, 6, 7]], (1.0,), (1, None), gb[7],
+                   ("orbit", 1j * np.diag([1.0, 1.0, -2.0])), module_bases=[gb[2:6]])
+    path = tmp_path_factory.mktemp("cp2") / "cp2.json"
+    path.write_text(json.dumps(export_entry(entry)))
+    return str(path)
+
+
+def test_a_flag_manifold_with_one_module_verifies(cp2_document, tmp_path, capsys):
+    # the magnetic-circle check needs an orbit in 3-space, so it is left out, not failed
+    assert main(["validate", "--space", cp2_document]) == 0
+    for k in ("0", "1"):
+        rc, out = run_out(tmp_path, "cp2.json", ["verify", "--space", cp2_document, "--k", k])
+        assert rc == 0, capsys.readouterr().err
+        special = json.loads(out.read_text())["special"]
+        assert "collapse" in special and "magnetic_circle" not in special
+
+
+def test_a_zero_initial_direction_leaves_the_magnetic_circle_check_out(tmp_path, capsys):
+    rc, out = run_out(tmp_path, "z.json", ["verify", "--space", "kahler_s2", "--xa", "0,0"])
+    assert rc == 0, capsys.readouterr().err
+    assert "magnetic_circle" not in json.loads(out.read_text())["special"]
+
+
+@pytest.mark.parametrize("scale", ["1e6", "1e12"])
+def test_a_large_W_scale_stays_in_h(capsys, scale):
+    # the roundoff of W's membership residual grows with |W|, and so does its tolerance
+    assert main(["verify", "--space", "twistor_su3", "--k", "0", "--W-scale", scale]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_verify_collapse_reported_at_equal_weights(tmp_path):
     rc, out = run_out(
         tmp_path,
@@ -333,12 +369,17 @@ def test_verify_needs_samples(capsys):
         (["--lambda", "1", "--lambda", "1e-300", "--k=1"], "--lambda"),
         (["--k=1e300"], "--k"),
         (["--lambda", "1e300", "--lambda", "1e-300"], "--lambda"),
+        (["--k", "1e300", "--W-scale", "1e10"], "--W-scale"),
+        (["--lambda", "1", "--lambda", "1e300", "--xb", "1e10"], "--lambda"),
     ],
 )
 def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
     # a weight ratio, k/lam or generator beyond floating-point range is
-    # rejected before any check runs, so exit 1 keeps meaning a failed check
-    assert main(["verify", "--space", "hopf:2"] + argv) == 2
+    # rejected before any check runs, so exit 1 keeps meaning a failed check;
+    # the generators are sized before the motion forms them, so nothing overflows with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--space", "hopf:2"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
 

@@ -1,4 +1,4 @@
-"""Cold start: no class is generated at import, and a CLI run leaves scipy unloaded.
+"""Cold start: no class is generated at import, and every command runs without scipy.
 
 pytest loads scipy itself, so each run is checked in a fresh interpreter.
 """
@@ -29,6 +29,23 @@ print(code, sorted(m for m in sys.modules if m.partition(".")[0] in unwanted))
 """
 
 
+BLOCKED_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from homofiber import cli
+out = sys.argv[1]
+runs = [
+    ["validate", "--space", "twistor_su3"],
+    ["verify", "--space", "hopf:2", "--k=1", "--samples", "3"],
+    ["verify", "--space", "kahler_s2", "--k=1", "--samples", "3", "--format", "csv"],
+    ["verify", "--space", "hopf:1", "--samples", "3", "--perturb", "1e-2"],
+    ["simulate", "--space", "twistor_su3", "--k=1", "--samples", "40"],
+    ["catalog", "export", "hopf:3"],
+]
+print([cli.main(argv + ["--out", out]) for argv in runs])
+"""
+
+
 def _fresh(script, *args):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     run = subprocess.run(
@@ -50,6 +67,11 @@ def test_simulate_run_leaves_scipy_fractions_and_decimal_unloaded(tmp_path):
     # the CSV writer's table of powers of ten comes from int arithmetic alone
     assert _fresh(SIMULATE_RUN, str(tmp_path / "s.csv")) == "0 []"
     assert (tmp_path / "s.csv").read_text().count("\n") == 41
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # the perturbed curve fails its checks (exit 1), as it does with scipy
+    assert _fresh(BLOCKED_RUN, str(tmp_path / "out")) == "[0, 0, 0, 1, 0, 0]"
 
 
 def test_no_module_imports_dataclasses():

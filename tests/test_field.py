@@ -177,6 +177,18 @@ def test_charged_system_validates_W():
         charged_system(entry.split, (1.0, 2.0), 1, 2, m1.basis[0], 1.0)
 
 
+def test_W_membership_tolerance_scales_with_W():
+    # roundoff off h grows with |W|; a real off-h part of 1e-6 |W| fails at every scale
+    entry = twistor_su3()
+    off = entry.split.module(1).basis[0]
+    for scale in (1.0, 1e6, 1e12):
+        sys = charged_system(entry.split, (1.0, 1.0), 1, 2, scale * entry.W, 0.0)
+        assert np.array_equal(sys.W, scale * entry.W)
+        W = scale * (entry.W + 1e-6 * off)
+        with pytest.raises(StructureError, match="not in h"):
+            charged_system(entry.split, (1.0, 1.0), 1, 2, W, 0.0)
+
+
 def test_charged_system_rejects_hermitian_W():
     # the Hermitian part commutes with the diagonal h of hopf(1), so the
     # skew-Hermitian check, which runs first, is what names it

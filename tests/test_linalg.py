@@ -16,7 +16,6 @@ from homofiber import (
     bracket,
     catalog_names,
     check_skew_hermitian,
-    check_unitary,
     expm,
     get_entry,
     hopf,
@@ -28,7 +27,7 @@ from homofiber import (
 )
 from homofiber.linalg import Flow, brackets, span_residuals
 
-from conftest import list_orthonormalize
+from conftest import check_unitary, list_orthonormalize
 
 A1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
 A2 = np.array([[0.0, 1j], [1j, 0.0]], dtype=complex)
@@ -83,13 +82,6 @@ def test_expm_unitary_on_skew():
         check_unitary(expm(X))
 
 
-def test_expm_general_fallback():
-    # a non-skew matrix goes through the general path and must still
-    # satisfy exp(X) exp(-X) = I
-    X = np.array([[0.1, 0.7], [0.0, -0.2]], dtype=complex)
-    assert np.allclose(expm(X) @ expm(-X), np.eye(2), atol=1e-12)
-
-
 def test_flow_matches_expm():
     rng = np.random.default_rng(3)
     for n in (2, 3, 5):
@@ -97,13 +89,17 @@ def test_flow_matches_expm():
         flow = Flow(A)
         for t in (-2.5, -0.1, 0.7, 3.0):
             assert np.abs(flow(t) - expm(t * A)).max() < 1e-13
-    # a non-skew generator goes through the scipy path
-    G = np.array([[0.1, 0.7], [0.0, -0.2]], dtype=complex)
-    for t in (-1.3, 0.5, 2.0):
-        assert np.abs(Flow(G)(t) - expm(t * G)).max() < 1e-13
     eye = np.eye(3, dtype=complex)
     assert np.array_equal(Flow(random_skew(rng, 3))(0.0), eye)
     assert np.array_equal(Flow(np.zeros((3, 3)))(1.7), eye)
+
+
+def test_exponentials_refuse_a_non_skew_generator():
+    G = np.array([[0.1, 0.7], [0.0, -0.2]], dtype=complex)
+    with pytest.raises(DomainError, match=r"^X is not skew-Hermitian \(deviation 7\.000e-01\)$"):
+        expm(G)
+    with pytest.raises(DomainError, match=r"^X\[1\] is not skew-Hermitian"):
+        Flow(np.stack([A1, G, G]))
 
 
 def test_expm_against_mpmath():
@@ -137,6 +133,37 @@ def test_check_skew_hermitian():
     check_skew_hermitian(A1)
     with pytest.raises(DomainError):
         check_skew_hermitian(np.array([[1.0, 0.0], [0.0, 1.0]]))
+
+
+def _verdict(X, **kwargs):
+    try:
+        check_skew_hermitian(X, **kwargs)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def test_stacked_skew_check_agrees_with_the_matrix_by_matrix_call():
+    rng = np.random.default_rng(8)
+    # exactly skew, skew to roundoff, and a Hermitian part whose deviation
+    # 2c max|A| lies just inside or just outside the scale-aware tolerance
+    stack = []
+    for scale in (1.0, 1e6):
+        A = scale * random_skew(rng, 3)
+        H = np.diag([1.0, 0.0, 0.0]).astype(complex) * np.abs(A).max()
+        stack += [A, A + 1e-17 * H, A + 0.4e-12 * H, A + 0.6e-12 * H]
+    stack = np.array(stack)
+    one = [_verdict(A, name="M") for A in stack]
+    assert [v is None for v in one] == [True, True, True, False] * 2
+    # each bad matrix alone names itself as the stack names it
+    for i, A in enumerate(stack):
+        got = _verdict(stack[i:i + 1], name="M")
+        assert got == (None if one[i] is None else one[i].replace("M", "M[0]", 1))
+    assert _verdict(stack, name="M") == one[3].replace("M", "M[3]", 1)
+    assert _verdict(stack.reshape(2, 4, 3, 3), name="M") == one[3].replace("M", "M[0, 3]", 1)
+    check_skew_hermitian(stack[[0, 1, 2, 4, 5, 6]])
+    with pytest.raises(DomainError, match="X has non-finite entries"):
+        check_skew_hermitian(np.where(np.eye(3) > 0, np.nan, stack[0]))
 
 
 def test_orthonormalize_drops_dependent():

@@ -12,7 +12,6 @@ from homofiber import (
     ClosedFormMotion,
     bnorm,
     build_motion,
-    check_unitary,
     expm,
     inner_b,
     make_system,
@@ -21,7 +20,7 @@ from homofiber import (
     sample_trajectory,
     span_residual,
 )
-from conftest import combo, seeded_unit_pair, system_for
+from conftest import check_unitary, combo, seeded_unit_pair, system_for
 
 
 def unit_basis_pair(system):

@@ -295,10 +295,11 @@ def test_great_circle_check_preconditions(hopf1, entries):
 def test_magnetic_circles_constant_curvature_monotone_charge(entries):
     sys = system_for(entries["kahler_s2"], k=1.0)
     Xa = sys.ma.basis[0]
-    report = magnetic_circle_check(sys, Xa, k_values=(0.0, 0.5, 1.0, 2.0))
-    assert report.passed()
-    for entry in report.entries:
-        assert abs(entry.kappa_mean) == pytest.approx(entry.k / np.sqrt(2.0), abs=1e-6)
+    rows, constant, increasing = magnetic_circle_check(sys, Xa, k_values=(0.0, 0.5, 1.0, 2.0))
+    assert constant and increasing
+    assert rows.shape == (4, 3)
+    for k, kappa_mean, _ in rows:
+        assert abs(kappa_mean) == pytest.approx(k / np.sqrt(2.0), abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -306,20 +307,20 @@ def test_magnetic_circles_of_all_charges_at_once_match_one_motion_per_charge(ent
     sys = system_for(entries["kahler_s2"], k=1.0)
     Xa = seeded_unit_pair(sys, np.random.default_rng(seed))[0] * (1.0 + seed)
     k_values = (0.0, 0.5, -1.0, 1.0, 2.0, 3.0, -0.5)
-    report = magnetic_circle_check(sys, Xa, k_values=k_values)
-    got = [(e.k, e.kappa_mean, e.kappa_variation) for e in report.entries]
+    rows = magnetic_circle_check(sys, Xa, k_values=k_values)[0]
+    got = [tuple(row) for row in rows.tolist()]
     # repr tells -0.0 from 0.0, as the JSON report does
     assert repr(got) == repr(per_charge_magnetic_circles(sys, Xa, k_values))
-    assert magnetic_circle_check(sys, Xa, k_values=()).entries == ()
+    assert magnetic_circle_check(sys, Xa, k_values=())[0].shape == (0, 3)
 
 
 def test_magnetic_circle_homogeneity(entries):
     # scaling charge and speed together keeps the same circle
     sys = system_for(entries["kahler_s2"], k=1.0)
     Xa = sys.ma.basis[0]
-    one = magnetic_circle_check(sys, Xa, k_values=(1.0,)).entries[0]
-    scaled = magnetic_circle_check(sys, 3.0 * Xa, k_values=(3.0,)).entries[0]
-    assert scaled.kappa_mean == pytest.approx(one.kappa_mean, abs=1e-6)
+    one = magnetic_circle_check(sys, Xa, k_values=(1.0,))[0][0]
+    scaled = magnetic_circle_check(sys, 3.0 * Xa, k_values=(3.0,))[0][0]
+    assert scaled[1] == pytest.approx(one[1], abs=1e-6)
 
 
 def test_magnetic_circle_preconditions(hopf1, entries):
@@ -352,7 +353,10 @@ def test_residual_shrinks_at_second_order(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=11)
     probes = metric_probe_basis(sys)
-    report = convergence_ratios(motion, [(-1.7, 0), (0.3, 0)], probes)
-    assert report.h_values == (2e-4, 1e-4, 5e-5)
-    for point in report.points:
-        assert 3.5 <= point.ratios[0] <= 4.5
+    r = convergence_ratios(motion, [(-1.7, 0), (0.3, 0)], probes)
+    assert r.shape == (2, 3)
+    for rs in r:
+        assert 3.5 <= rs[0] / rs[1] <= 4.5
+    # each entry is the one-point |residual| at its step
+    want = abs(koszul_residual(motion, 0.3, probes[0], ResidualConfig(fd_step=5e-5)))
+    assert r[1, 2] == want

@@ -20,16 +20,18 @@ import pytest
 
 from homofiber import catalog, catalog_names, cli, export_entry, hopf, load_custom, split
 from homofiber.csvtext import format_rows
-from homofiber.oracle import MagneticCircleEntry, MagneticCircleReport
+from homofiber.oracle import magnetic_circle_check
 
 from conftest import list_orthonormalize, per_charge_magnetic_circles, per_element_u_basis
 
 
 def per_charge_magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
-    entries = tuple(MagneticCircleEntry(*e) for e in per_charge_magnetic_circles(sys, Xa, k_values))
-    by_charge = sorted(entries, key=lambda e: abs(e.k))
-    increasing = all(abs(a.kappa_mean) < abs(b.kappa_mean) for a, b in zip(by_charge, by_charge[1:]))
-    return MagneticCircleReport(entries, all(e.kappa_variation <= 1e-6 for e in entries), increasing)
+    """The check's preconditions, then one validated motion per charge, compared in Python."""
+    magnetic_circle_check(sys, Xa, k_values=())  # raises DomainError where the check does not apply
+    rows = per_charge_magnetic_circles(sys, Xa, k_values)
+    by_charge = sorted(rows, key=lambda row: abs(row[0]))
+    increasing = all(abs(a[1]) < abs(b[1]) for a, b in zip(by_charge, by_charge[1:]))
+    return np.array(rows).reshape(-1, 3), all(row[2] <= 1e-6 for row in rows), increasing
 
 
 def list_path(monkeypatch):
