@@ -51,7 +51,7 @@ class Model:
         if self.kind == "vector":
             return np.einsum("...ij,j->...i", np.asarray(g, dtype=complex), self.base)
         x = adjoint(g, self.base)
-        return inner_b(x[..., None, :, :], np.array(self.frame))
+        return inner_b(x[..., None, :, :], self.frame)
 
 
 class CatalogEntry:
@@ -178,7 +178,7 @@ def lie_group(group="SU(2)", subgroup_basis=None):
     if subgroup_basis is None:
         subgroup_basis = [gb[2]]
     W = np.zeros((2, 2), dtype=complex)
-    return _entry(key, gb, [], (1.0, 1.0), (1, 2), W, k_basis=list(subgroup_basis))
+    return _entry(key, gb, gb[:0], (1.0, 1.0), (1, 2), W, k_basis=list(subgroup_basis))
 
 
 def kahler_s2():

@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .field import metric_norm
 from .linalg import DomainError, StructureError, bnorm
 from .motion import build_motion, perturb_motion, sample_trajectory
 from .oracle import (
-    ResidualConfig,
     algebraic_identity_check,
     conservation_sweep,
     great_circle_check,
@@ -304,15 +303,14 @@ def cmd_verify(args):
     entry, system, motion = _motion_from_args(args)
     ts = np.linspace(args.t0, args.t1, args.samples)
     probes = metric_probe_basis(system)
-    cfg = ResidualConfig(fd_step=args.fd_step, tolerance=args.tol)
-    res = residual_sweep(motion, ts, probes, cfg)
+    res = residual_sweep(motion, ts, probes, args.fd_step)
     alg = float(np.max(algebraic_identity_check(motion, ts, probes)))
     drift = conservation_sweep(motion, ts)
     minv = module_invariance_sweep(motion, ts)
     agree = velocity_agreement_sweep(motion, ts)
     failures = []
-    if not res.max_abs <= cfg.tolerance:
-        failures.append(f"koszul residual {res.max_abs:.3e} > {cfg.tolerance:.1e}")
+    if not res.max_abs <= args.tol:
+        failures.append(f"koszul residual {res.max_abs:.3e} > {args.tol:.1e}")
     if not alg <= 1e-11:
         failures.append(f"bracket identity {alg:.3e} > 1e-11")
     if not drift <= 1e-10:
@@ -350,8 +348,8 @@ def cmd_verify(args):
         "k": system.k,
         "seed": args.seed,
         "perturb": args.perturb,
-        "fd_step": cfg.fd_step,
-        "tolerance": cfg.tolerance,
+        "fd_step": args.fd_step,
+        "tolerance": args.tol,
         "koszul": {
             "max_abs": res.max_abs,
             "argmax_t": res.argmax[0],
@@ -451,20 +449,13 @@ _COMMANDS = {
 }
 
 
-def build_parser(name=None):
-    """The parser of the command `name`, as its subparser; with no name, the top-level parser.
+@cache
+def build_parser():
+    """The two-level parser: the four commands, each with its flags, built once per process.
 
-    The top-level parser lists the four commands without their flags; it
-    parses an argv that names no command, as for --help, and reports what
-    a command's parser leaves over. The terminal width is looked up once.
+    The terminal width is looked up when it is built.
     """
     formatter = partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    if name is not None:
-        _, add_flags, func = _COMMANDS[name]
-        parser = argparse.ArgumentParser(prog=f"homofiber {name}", formatter_class=formatter)
-        add_flags(parser)
-        parser.set_defaults(command=name, func=func)
-        return parser
     parser = argparse.ArgumentParser(
         prog="homofiber",
         description=(
@@ -474,18 +465,16 @@ def build_parser(name=None):
         formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (help_text, _, _) in _COMMANDS.items():
-        sub.add_parser(cmd, help=help_text, formatter_class=formatter)
+    for cmd, (help_text, add_flags, func) in _COMMANDS.items():
+        p = sub.add_parser(cmd, help=help_text, formatter_class=formatter)
+        add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        name = argv[0] if argv and argv[0] in _COMMANDS else None
-        args, extra = build_parser(name).parse_known_args(argv[1:] if name else argv)
-        if extra:  # as parse_args would report them, in the top-level usage
-            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:

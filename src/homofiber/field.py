@@ -146,7 +146,7 @@ def _m_coordinates(sys, X, name, domain=False):
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
     kept = c * (sys._domain_scale != 0.0) if domain else c
-    R = _real_rows(A) - (np.einsum("...i,ij->...j", kept, m.frame) if m.basis else 0.0)
+    R = _real_rows(A) - np.einsum("...i,ij->...j", kept, m.frame)
     r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
         modules = " + ".join(f"m{i}" for i in (sys.a, sys.b) if i)

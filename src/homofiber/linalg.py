@@ -28,7 +28,6 @@ arrays checked on entry, flows at a caller's t too (NaN once |tw| overflows).
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -168,41 +167,21 @@ def _conjugate(G, A):
 class Subspace:
     """A subspace of u(n) carried as an ordered B-orthonormal basis.
 
-    `stacked` and its real view `frame` are cached on first use, or set
-    by orthonormalize to views of its rows, so the basis arrays must
-    not be mutated afterwards.
+    `basis` is one (dim, n, n) complex array, an empty subspace a
+    (0, n, n) one; `stacked` (dim, n^2) and `frame` (dim, 2n^2) are
+    views of it, so it must not be mutated afterwards.
     """
 
     def __init__(self, basis):
         self.basis = basis
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @property
-    def ambient(self):
-        return self.basis[0].shape[0] if self.basis else 0
-
-    def __iter__(self):
-        return iter(self.basis)
-
-    @cached_property
-    def stacked(self):
-        """The basis as the rows of a (dim, n^2) complex matrix."""
-        return np.array(self.basis, dtype=complex).reshape(self.dim, self.ambient**2)
-
-    @cached_property
-    def frame(self):
-        """`stacked` viewed as (dim, 2n^2) reals: B(X, e_i) is row i dotted with X's view."""
-        return self.stacked.view(float)
+        self.dim, self.ambient = basis.shape[:2]
+        self.stacked = basis.reshape(self.dim, self.ambient**2)
+        self.frame = self.stacked.view(float)  # B(X, e_i) is row i dotted with X's view
 
     def coordinates(self, X):
         """The real vector of inner products B(X, e_i) with the basis."""
         A = _as_matrix(X, stack=True)
-        if not self.basis:
-            return np.zeros(A.shape[:-2] + (0,))
-        _same_size(A, self.basis[0], "coordinates")
+        _same_size(A, self.basis, "coordinates")
         return self._coordinates(A)
 
     def _coordinates(self, A):
@@ -217,34 +196,36 @@ class Subspace:
 
 def _real_rows(A):
     """The (..., n, n) complex stack A as (..., 2n^2) rows of real and imaginary parts."""
-    return np.ascontiguousarray(A).reshape(A.shape[:-2] + (-1,)).view(float)
+    return np.ascontiguousarray(A).reshape(*A.shape[:-2], A.shape[-2] * A.shape[-1]).view(float)
 
 
 def orthonormalize(vectors, rank_tol=1e-10):
     """Classical Gram-Schmidt with one reorthogonalisation (CGS2) for inner_b.
 
-    vectors is a (k, n, n) stack, taken as it is, or a list of n x n
-    matrices, checked matrix by matrix and stacked once. Each vector u,
-    in input order, takes its coefficients against all kept rows e_i of
-    the real frame at once, B(u, e_i) = e_i . u, and has them
-    subtracted; the second pass keeps the result orthonormal to working
-    precision when the input is ill-conditioned. A vector whose
+    vectors is a (k, n, n) stack, taken as it is, or a nonempty list of
+    n x n matrices, checked matrix by matrix and stacked once. Each
+    vector u, in input order, takes its coefficients against all kept
+    rows e_i of the real frame at once, B(u, e_i) = e_i . u, and has
+    them subtracted; the second pass keeps the result orthonormal to
+    working precision when the input is ill-conditioned. A vector whose
     remainder has norm below rank_tol is dropped, so linearly dependent
     input is handled by rank reduction rather than an error.
 
     A candidate of norm below rank_tol / 2 is dropped before the loop:
     a pass never grows a norm by more than a relative O(k eps), so it
     would be dropped anyway, and every kept row is the same to the bit.
-    The Subspace's `stacked` and `frame` are views of the kept rows.
+    The Subspace is a view of the kept rows, (0, n, n) when none is kept.
     """
-    if not isinstance(vectors, np.ndarray):
+    if isinstance(vectors, np.ndarray):
+        shape = vectors.shape[1:]
+    else:
         vectors = list(vectors)
         shapes = sorted({np.shape(v) for v in vectors})
+        if not shapes:
+            raise DimensionError("an empty list has no matrix size; pass a (0, n, n) stack")
         if len(shapes) > 1:
             raise DimensionError(f"inner_b: size mismatch {shapes[0]} vs {shapes[-1]}")
-    if not len(vectors):
-        return Subspace(())
-    shape = np.shape(vectors[0])
+        shape = shapes[0]
     if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionError(f"X must be a square matrix, got shape {shape}")
     R = _real_rows(_as_matrix(vectors, stack=True))
@@ -259,35 +240,27 @@ def orthonormalize(vectors, rank_tol=1e-10):
         if nrm >= rank_tol:
             F[d] = x / nrm
             d += 1
-    if not d:
-        return Subspace(())
-    S = Subspace(tuple(F[:d].view(complex).reshape(d, *shape)))
-    S.stacked = F[:d].view(complex)  # preset, so the cached property never re-stacks
-    return S
+    return Subspace(F[:d].view(complex).reshape(d, *shape))
 
 
 def project(S, X):
     """Orthogonal projection sum_i B(X, e_i) e_i of X onto the subspace S."""
-    return S.combine(S.coordinates(X)) if S.basis else np.zeros_like(_as_matrix(X, stack=True))
+    return S.combine(S.coordinates(X))
 
 
 def brackets(X, S):
     """The commutators [X, e_i] over the basis of S, as a (dim S, n, n) stack."""
     A = _as_matrix(X)
-    if S.basis:
-        _same_size(A, S.basis[0], "bracket")
-    return _commutator(A, S.stacked.reshape(S.dim, *A.shape))
+    _same_size(A, S.basis, "bracket")
+    return _commutator(A, S.basis)
 
 
 def span_residuals(S, M):
     """span_residual of each matrix in the (k, n, n) stack M: the norm of X - project(S, X)."""
     M = np.asarray(M, dtype=complex)
-    if not len(M):
-        return np.zeros(0)
+    _same_size(M, S.basis, "coordinates")
     x = _real_rows(M)
-    if S.basis:
-        _same_size(M[0], S.basis[0], "coordinates")
-        x = x - (x @ S.frame.T) @ S.frame
+    x = x - (x @ S.frame.T) @ S.frame
     return np.sqrt(np.einsum("ij,ij->i", x, x))
 
 

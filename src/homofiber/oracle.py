@@ -51,22 +51,6 @@ from .linalg import (
 )
 
 
-class ResidualConfig:
-    """Finite-difference step and pass tolerance."""
-
-    __slots__ = ("fd_step", "tolerance")
-
-    def __init__(self, fd_step=1e-4, tolerance=1e-6):
-        if not fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {fd_step}")
-        if not tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {tolerance}")
-        self.fd_step, self.tolerance = fd_step, tolerance
-
-
-DEFAULT_CONFIG = ResidualConfig()
-
-
 class ResidualEntry:
     __slots__ = ("t", "probe", "t1", "t2", "t3", "rhs", "residual")
 
@@ -100,8 +84,7 @@ class ResidualReport:
 
 def metric_probe_basis(sys):
     """Metric-orthonormal basis of m, the (dim m, n, n) stack of module bases over sqrt(weight)."""
-    n = sys.split.n
-    return sys.m.stacked.reshape(-1, n, n) / np.sqrt(sys._m_weights)[:, None, None]
+    return sys.m.basis / np.sqrt(sys._m_weights)[:, None, None]
 
 
 def _unit_probe(sys, Z):
@@ -149,20 +132,22 @@ def _koszul_grid(motion, ts, stencils, h):
     return t1, t2, t3, rhs
 
 
-def koszul_residual(motion, t, Z, cfg=DEFAULT_CONFIG):
+def koszul_residual(motion, t, Z, fd_step=1e-4):
     """Weak-form residual at time t against probe Z (normalized internally)."""
-    return float(residual_sweep(motion, [t], [Z], cfg).values[0, 0, 4])
+    return float(residual_sweep(motion, [t], [Z], fd_step).values[0, 0, 4])
 
 
-def residual_sweep(motion, t_samples=None, probes=None, cfg=DEFAULT_CONFIG):
-    """Residuals over a t-grid times a probe set, reduced by max."""
+def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
+    """Residuals over a t-grid times a probe set, reduced by max; fd_step is the stencil's h."""
+    if not fd_step > 0:
+        raise ValueError(f"fd_step must be positive, got {fd_step}")
     if t_samples is None:
         t_samples = np.linspace(-2.0, 2.0, 25)
     if probes is None:
         probes = metric_probe_basis(motion.system)
     ts = np.asarray(t_samples, dtype=float).reshape(-1)
-    stencils = _probe_stencils(motion, probes, cfg.fd_step)
-    t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, cfg.fd_step)
+    stencils = _probe_stencils(motion, probes, fd_step)
+    t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, fd_step)
     values = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1)
     # a leading 0 is the first maximum exactly when no |residual| exceeds 0
     r = np.concatenate([[0.0], np.abs(values[..., 4]).ravel()])
@@ -255,7 +240,7 @@ def great_circle_check(motion, t_samples=None):
         raise DomainError("great-circle check needs a space with a vector model")
     if sys.k != 0.0:
         raise DomainError(f"great-circle check needs k = 0, got k = {sys.k}")
-    basis = np.array(sys.m.basis)
+    basis = sys.m.basis
     pushed = _realify(model.apply(basis))
     gram_model = np.sum(pushed[:, None] * pushed[None], axis=-1)
     gram_metric = metric_inner(sys, basis[:, None], basis[None])
@@ -300,15 +285,21 @@ def _stencil_kappa(pos, ts, h):
     return np.sum(d2 * conormal, axis=-1) / speed**2
 
 
-def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, stencil_h=1e-3):
+def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None):
     """Charged trajectories on the adjoint 2-sphere are circles.
 
     Runs the same initial direction at each charge in k_values and
     computes geodesic curvature along each trajectory by finite
     differences. Returns (rows, constant, increasing): the (charges, 3)
     array of rows (k, kappa mean, kappa variation), whether curvature
-    is constant along each curve (variation at most 1e-6), and whether
-    |kappa mean| is strictly increasing in |k|.
+    is constant along each curve (variation at most 1e-6 max(1, |kappa
+    mean|), as roundoff grows with the curvature), and whether |kappa
+    mean| is strictly increasing in |k|.
+
+    The stencil step is 1e-3 / max(1, rho), rho the largest |eigenvalue|
+    over the charges' generators: exp(tA) turns at rates up to rho, so a
+    step spans the same phase at any |k| max|W| and the truncation error
+    of the stencils does not grow with it.
 
     A single-module system has b = None, so lam = 1 and Y = 0: the
     curve at charge k is the flow of Xa + k W, and one stacked Flow
@@ -334,11 +325,13 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None, ste
         g = np.swapaxes(flow(ts.ravel()), 0, 1)
         return model.apply(g).reshape((len(ks),) + ts.shape + (3,))
 
-    kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
+    h = 1e-3 / max(1.0, np.abs(flow._w).max(initial=0.0))
+    kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), h)
     mean = np.mean(kappas, axis=-1)
     rows = np.column_stack([ks, mean, np.max(np.abs(kappas - mean[:, None]), axis=-1)])
+    constant = np.all(rows[:, 2] <= 1e-6 * np.maximum(1.0, np.abs(mean)))
     by_charge = np.abs(mean[np.argsort(np.abs(ks), kind="stable")])
-    return rows, bool(np.all(rows[:, 2] <= 1e-6)), bool(np.all(by_charge[:-1] < by_charge[1:]))
+    return rows, bool(constant), bool(np.all(by_charge[:-1] < by_charge[1:]))
 
 
 def lambda_collapse_check(motion, t_samples=None):
@@ -365,6 +358,6 @@ def convergence_ratios(motion, points, probes, h_values=(2e-4, 1e-4, 5e-5)):
     shrink the residual, r[:, i] / r[:, i + 1], by a factor near 4
     wherever the leading error coefficient is not degenerate.
     """
-    r = [abs(koszul_residual(motion, t, probes[j], ResidualConfig(fd_step=h)))
+    r = [abs(koszul_residual(motion, t, probes[j], fd_step=h))
          for t, j in points for h in h_values]
     return np.array(r).reshape(len(points), len(h_values))

@@ -10,7 +10,6 @@ front end can print all failures at once.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -33,35 +32,40 @@ PAIR_BLOCK = 2**12     # complex entries per bracket-residual stack, 64 KB
 
 
 class SubalgebraChain:
-    """Nested subalgebras h <= k <= g, each stored as an orthonormal Subspace."""
+    """Nested subalgebras h <= k <= g, each stored as an orthonormal Subspace.
+
+    `closures` holds the (worst residual, argmax pair) of the bracket
+    closure of g, k and h.
+    """
 
     def __init__(self, g, k, h, n):
         self.g, self.k, self.h, self.n = g, k, h, n
-
-    @cached_property
-    def closures(self):
-        """(worst residual, argmax pair) of the bracket closure of g, k and h."""
-        return tuple(_closure_residual(space) for space in (self.g, self.k, self.h))
+        self.closures = tuple(_closure_residual(space) for space in (g, k, h))
 
 
 class ReductiveSplit:
     """B-orthogonal decomposition g = h + m1 + ... + ms.
 
     `modules` is the ordered tuple (m1, ..., ms) and `m` their
-    concatenation. Module indices are 1-based throughout the public
-    API, matching the names m1, m2, ...
+    concatenation. `gram` is the Gram matrix B(x, y) over the bases of
+    h, m1, ..., ms in turn, and `ad_invariance` the worst residual of
+    [x, y] off m_i over x in h, y in m_i, over the modules. Module
+    indices are 1-based throughout the public API, matching the names
+    m1, m2, ...
     """
 
     def __init__(self, h, modules, n):
         self.h, self.modules, self.n = h, modules, n
+        hm = Subspace(np.concatenate([h.basis, *(mod.basis for mod in modules)]))
+        self.m = Subspace(hm.basis[h.dim:])
+        self.gram = hm.frame @ hm.frame.T
+        self.ad_invariance = max(
+            (_bracket_residuals(mod, h, mod).max(initial=0.0) for mod in modules), default=0.0
+        )
 
     @property
     def s(self):
         return len(self.modules)
-
-    @cached_property
-    def m(self):
-        return Subspace(tuple(b for mod in self.modules for b in mod.basis))
 
     def module(self, index):
         """Return m_index (1-based)."""
@@ -72,20 +76,6 @@ class ReductiveSplit:
     @property
     def dims(self):
         return tuple(mod.dim for mod in self.modules)
-
-    @cached_property
-    def gram(self):
-        """Gram matrix B(x, y) over the concatenated bases of h, m1, ..., ms."""
-        F = Subspace(self.h.basis + self.m.basis).frame
-        return F @ F.T
-
-    @cached_property
-    def ad_invariance(self):
-        """Worst residual of [x, y] off m_i over x in h, y in m_i, over the modules."""
-        return max(
-            (_bracket_residuals(mod, self.h, mod).max(initial=0.0) for mod in self.modules),
-            default=0.0,
-        )
 
 
 class CheckResult:
@@ -146,7 +136,7 @@ def _bracket_residuals(target, A, B):
     if not (A.dim and B.dim):
         return r
     n = A.ambient
-    X, Y = A.stacked.reshape(A.dim, n, n), B.stacked.reshape(B.dim, n, n)
+    X, Y = A.basis, B.basis
     if upper:
         I, J = np.nonzero(np.arange(A.dim)[:, None] < np.arange(A.dim))
         step = max(1, PAIR_BLOCK // (n * n))
@@ -179,19 +169,23 @@ def _require_closed(name, closure, tol):
 
 
 def _require_contained(inner_name, inner, outer_name, outer, tol):
-    n = outer.ambient
-    worst = span_residuals(outer, inner.stacked.reshape(inner.dim, n, n)).max(initial=0.0)
+    worst = span_residuals(outer, inner.basis).max(initial=0.0)
     if worst > tol:
         raise StructureError(
             f"{inner_name} is not contained in {outer_name} (residual {worst:.3e})"
         )
 
 
+def _span(vectors, n):
+    """orthonormalize(vectors), where an empty list or array spans the (0, n, n) subspace."""
+    return orthonormalize(vectors if len(vectors) else np.zeros((0, n, n), complex))
+
+
 def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
     """Build a SubalgebraChain, checking closure and nesting."""
-    g = orthonormalize(g_basis)
-    k = orthonormalize(k_basis)
-    h = orthonormalize(h_basis)
+    g = _span(g_basis, 0)
+    k = _span(k_basis, g.ambient)
+    h = _span(h_basis, g.ambient)
     if g.dim == 0:
         raise StructureError("g basis spans nothing")
     ch = SubalgebraChain(g, k, h, g.ambient)
@@ -204,8 +198,7 @@ def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
 
 def _complement(outer, inner):
     """Orthonormal basis of the B-orthogonal complement of inner in outer."""
-    X = outer.stacked.reshape(outer.dim, outer.ambient, outer.ambient)
-    return orthonormalize(X - project(inner, X))
+    return orthonormalize(outer.basis - project(inner, outer.basis))
 
 
 def build_split(ch, tol=USER_TOL):
@@ -238,9 +231,9 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
     then be mutually B-orthogonal, h must be a subalgebra, the pieces
     must fill g, and each module must be ad(h)-invariant.
     """
-    g = orthonormalize(g_basis)
-    h = orthonormalize(h_basis)
-    mods = tuple(orthonormalize(mb) for mb in module_bases)
+    g = _span(g_basis, 0)
+    h = _span(h_basis, g.ambient)
+    mods = tuple(_span(mb, g.ambient) for mb in module_bases)
     _require_closed("h", _closure_residual(h), tol)
     split = ReductiveSplit(h, mods, g.ambient)
     pieces = [("h", h)] + [(f"m{i + 1}", mod) for i, mod in enumerate(mods)]
@@ -272,7 +265,7 @@ def bracket_pair_residual(split, a, b):
 
 def center_residuals(h, W):
     """(B-norm of W off h, largest B-norm of [W, x] over the basis x of h)."""
-    central = span_residuals(Subspace(()), brackets(W, h)).max(initial=0.0)
+    central = span_residuals(Subspace(h.basis[:0]), brackets(W, h)).max(initial=0.0)
     return span_residual(h, W), float(central)
 
 
@@ -309,8 +302,8 @@ def center_basis(split, rank_tol=1e-10):
     h = split.h
     d = h.dim
     if d == 0:
-        return Subspace(())
-    X = h.stacked.reshape(d, 1, h.ambient, h.ambient)
+        return h
+    X = h.basis[:, None]
     C = _real_rows(_commutator(X, X.swapaxes(0, 1))) @ h.frame.T
     _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
     return orthonormalize(h.combine(vt[sv < rank_tol]))

@@ -23,15 +23,13 @@ def combo(space, coeffs):
 def list_orthonormalize(vectors, rank_tol=1e-10):
     """orthonormalize on the list path: CGS2 over every candidate, zero ones too.
 
-    The rows are taken from the stacked list and the basis is left to
-    Subspace to stack again on first use.
+    The rows are taken from the candidates as a (k, n, n) array, so an
+    empty stack keeps its n, and the kept rows are copied into the
+    Subspace's basis.
     """
-    vectors = list(vectors)
-    if not vectors:
-        return Subspace(())
-    n = len(vectors[0])
-    F = np.array(vectors, dtype=complex).reshape(len(vectors), -1).view(float).copy()
-    d = 0
+    V = np.array(vectors, dtype=complex)
+    d, n = 0, V.shape[-1]
+    F = V.reshape(len(V), n * n).view(float).copy()
     for x in F:
         for _ in range(2 if d else 0):
             x = x - (F[:d] @ x) @ F[:d]
@@ -39,22 +37,29 @@ def list_orthonormalize(vectors, rank_tol=1e-10):
         if nrm >= rank_tol:
             F[d] = x / nrm
             d += 1
-    return Subspace(tuple(F[:d].view(complex).reshape(d, n, n)))
+    return Subspace(F[:d].view(complex).reshape(d, n, n).copy())
 
 
-def per_charge_magnetic_circles(sys, Xa, k_values, t_samples=None, stencil_h=1e-3):
-    """(k, kappa mean, kappa variation) per charge, from one validated motion each."""
+def per_charge_magnetic_circles(sys, Xa, k_values, t_samples=None):
+    """(k, kappa mean, kappa variation) per charge, from one validated motion each.
+
+    The stencil step is 1e-3 / max(1, rho), rho the largest |eigenvalue|
+    of the generators X of all the motions.
+    """
     if t_samples is None:
         t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
+    motions = [
+        build_motion(ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, sys.model), Xa)
+        for kv in k_values
+    ]
+    rho = max((np.abs(np.linalg.eigh(-1j * m.X)[0]).max() for m in motions), default=0.0)
     out = []
-    for kv in k_values:
-        sys_k = ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, sys.model)
-        motion = build_motion(sys_k, Xa)
+    for kv, motion in zip(k_values, motions):
 
         def pos(ts, m=motion):
             return sys.model.apply(m.representative(ts.ravel())).reshape(ts.shape + (-1,))
 
-        kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), stencil_h)
+        kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), 1e-3 / max(1.0, rho))
         mean = float(np.mean(kappas))
         out.append((float(kv), mean, float(np.max(np.abs(kappas - mean)))))
     return out

@@ -18,14 +18,13 @@ import numpy as np
 import pytest
 
 from homofiber import (
-    ResidualConfig,
     export_entry,
     get_entry,
     metric_probe_basis,
     residual_sweep,
     sample_trajectory,
 )
-from homofiber.cli import _COMMANDS, _motion_from_args, build_parser, main
+from homofiber.cli import _motion_from_args, build_parser, main
 
 
 def run_out(tmp_path, name, argv):
@@ -147,6 +146,19 @@ def test_a_zero_initial_direction_leaves_the_magnetic_circle_check_out(tmp_path,
     rc, out = run_out(tmp_path, "z.json", ["verify", "--space", "kahler_s2", "--xa", "0,0"])
     assert rc == 0, capsys.readouterr().err
     assert "magnetic_circle" not in json.loads(out.read_text())["special"]
+
+
+@pytest.mark.parametrize("scale", [1e2, 1e3, 1e4])
+def test_magnetic_circles_hold_at_a_large_field(tmp_path, capsys, scale):
+    # the stencil step shrinks with the generators' spectrum and the
+    # constancy bound grows with kappa, so a strong field reads its
+    # circles as the unit speed predicts, kappa = k s / sqrt(2)
+    rc, out = run_out(tmp_path, "mc.json", ["verify", "--space", "kahler_s2", f"--W-scale={scale}"])
+    assert rc == 0, capsys.readouterr().err
+    circle = json.loads(out.read_text())["special"]["magnetic_circle"]
+    assert circle["constant"] and circle["increasing"]
+    for e in circle["entries"]:
+        assert e["kappa_mean"] == pytest.approx(e["k"] * scale / np.sqrt(2.0), rel=1e-6, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", ["1e6", "1e12"])
@@ -317,6 +329,28 @@ def test_orbit_model_base_must_be_skew_hermitian(tmp_path, capsys, name):
         err = capsys.readouterr().err
         assert "malformed space document: model.base is not skew-Hermitian" in err, err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name,key,message",
+    [
+        ("hopf:1", "g_basis", "g basis spans nothing"),
+        ("hopf:1", "k_basis", "h is not contained in k"),
+        ("hopf:1", "h_basis", "FAIL  center_membership"),
+        ("kahler_s2", "g_basis", "pieces span dimension 3 but g has dimension 0"),
+        ("kahler_s2", "module_bases", "pieces span dimension 1 but g has dimension 3"),
+    ],
+)
+def test_an_empty_basis_fails_validation(tmp_path, capsys, name, key, message):
+    # an empty list spans the empty subspace of the space's n, so each
+    # check reports what is missing instead of a shape error
+    doc = export_entry(get_entry(name))
+    doc[key] = [[]] if key == "module_bases" else []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--space", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err, err
 
 
 def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
@@ -635,20 +669,18 @@ def test_reports_are_deterministic(tmp_path):
     ],
 )
 def test_parser_for_argv_prints_the_full_errors(argv, capsys):
-    # usage names every subcommand although main parses argv with one command's parser
+    # main prints the errors of a fresh two-level parser, usage naming every subcommand
     with pytest.raises(SystemExit) as exc:
-        _full_parser().parse_args(argv)
+        build_parser.__wrapped__().parse_args(argv)
     full = (exc.value.code, capsys.readouterr().err)
     assert (main(argv), capsys.readouterr().err) == full and full[0] == 2
     assert "usage: homofiber" in full[1]
 
 
-def test_options_before_the_command_are_reported_with_the_command_flags(capsys):
-    # the top-level parser carries no command flags, so they are left over with -x
+def test_an_option_before_the_command_is_reported_alone(capsys):
+    # the verify subparser takes --space, so only -x is left over
     assert main(["-x", "verify", "--space", "su2"]) == 2
-    assert capsys.readouterr().err.endswith(
-        "homofiber: error: unrecognized arguments: -x --space su2\n"
-    )
+    assert capsys.readouterr().err.endswith("homofiber: error: unrecognized arguments: -x\n")
 
 
 @pytest.mark.parametrize(
@@ -658,7 +690,9 @@ def test_options_before_the_command_are_reported_with_the_command_flags(capsys):
         ["validate", "--space", "hopf:1", "--out", "{out}"],
     ],
 )
-def test_an_op_builds_one_parser(tmp_path, monkeypatch, capsys, argv):
+def test_no_op_after_the_first_builds_a_parser(tmp_path, monkeypatch, capsys, argv):
+    argv = [a.format(out=tmp_path / "out.json") for a in argv]
+    assert main(argv) == 0
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -667,8 +701,9 @@ def test_an_op_builds_one_parser(tmp_path, monkeypatch, capsys, argv):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    assert main([a.format(out=tmp_path / "out.json") for a in argv]) == 0
-    assert built == [f"homofiber {argv[0]}"]
+    for other in (["catalog", "list", "--out", str(tmp_path / "list.txt")], argv):
+        assert main(other) == 0
+    assert built == []
 
 
 @pytest.mark.parametrize(
@@ -770,48 +805,33 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
         assert (tmp_path / fresh[-1]).read_bytes() == got
 
 
-def _full_parser():
-    """The two-level parser with every command's flags, which main's one-command parse matches."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, p in sub.choices.items():
-        _, add_flags, func = _COMMANDS[name]
-        add_flags(p)
-        p.set_defaults(func=func)
-    return parser
+PARSED = [
+    ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "2", "--k=-0.5"],
+    ["simulate", "--space", "su2", "--format", "json-tree", "--out", "x"],
+    ["validate", "--space", "verify"],
+    ["catalog", "export", "twistor_su3"],
+    ["catalog", "list", "--out", "simulate"],
+]
 
 
-def _one_command_parse(argv):
-    """argv through the parser main builds for it: one command's, or the top-level one."""
-    if argv[0] in _COMMANDS:
-        return build_parser(argv[0]).parse_args(argv[1:])
-    return build_parser().parse_args(argv)
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "2", "--k=-0.5"],
-        ["simulate", "--space", "su2", "--format", "json-tree", "--out", "x"],
-        ["validate", "--space", "verify"],
-        ["catalog", "export", "twistor_su3"],
-        ["catalog", "list", "--out", "simulate"],
-    ],
-)
+@pytest.mark.parametrize("argv", PARSED)
 def test_parser_for_argv_parses_like_the_full_parser(argv):
-    full = vars(_full_parser().parse_args(argv))
-    assert vars(_one_command_parse(argv)) == full
+    # the cached parser keeps no state from the parses before: it reads
+    # argv as a fresh two-level parser does
+    for other in PARSED:
+        build_parser().parse_args(other)
+    fresh = build_parser.__wrapped__()
+    assert vars(build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"], ["simulate", "--help"],
                                   ["validate", "--help"], ["catalog", "--help"]])
 def test_parser_for_argv_prints_the_full_help(argv, capsys):
-    texts = []
-    for parse in (_full_parser().parse_args, _one_command_parse):
-        with pytest.raises(SystemExit):
-            parse(argv)
-        texts.append(capsys.readouterr().out)
-    assert texts[0] == texts[1] and "usage: homofiber" in texts[0]
+    with pytest.raises(SystemExit):
+        build_parser.__wrapped__().parse_args(argv)
+    fresh = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh and "usage: homofiber" in fresh
 
 
 def _f(x):
@@ -867,7 +887,7 @@ def test_simulate_csv_matches_per_float_rows(tmp_path, name):
             "--t0=-7", "--t1", "9", "--seed", "5"]
     rc, out = run_out(tmp_path, "s.csv", argv)
     assert rc == 0
-    args = _one_command_parse(argv)
+    args = build_parser().parse_args(argv)
     _, system, motion = _motion_from_args(args)
     rows = _per_float_sample_rows(
         sample_trajectory(motion, args.t0, args.t1, args.samples), system.split.n
@@ -882,13 +902,13 @@ def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
             "--t0=-3", "--t1", "2", "--seed", "5", "--format", "csv"] + perturb
     rc, out = run_out(tmp_path, "r.csv", argv)
     assert rc == (1 if perturb else 0)
-    args = _one_command_parse(argv)
+    args = build_parser().parse_args(argv)
     _, system, motion = _motion_from_args(args)
     report = residual_sweep(
         motion,
         np.linspace(args.t0, args.t1, args.samples),
         metric_probe_basis(system),
-        ResidualConfig(fd_step=args.fd_step),
+        args.fd_step,
     )
     rows = _per_entry_verify_rows(report)
     assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()

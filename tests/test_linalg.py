@@ -395,8 +395,12 @@ def test_orthonormalize_stack_errors_match_the_list(stack):
 
 
 def test_orthonormalize_of_an_empty_stack_is_empty():
-    assert orthonormalize(np.zeros((0, 2, 2), complex)).dim == 0
-    assert orthonormalize(np.zeros((3, 2, 2), complex)).dim == 0
+    for stack in (np.zeros((0, 2, 2), complex), np.zeros((3, 2, 2), complex)):
+        S = orthonormalize(stack)
+        assert (S.dim, S.ambient, S.basis.shape) == (0, 2, (0, 2, 2))
+    # an empty list carries no matrix size
+    with pytest.raises(DimensionError, match="empty list"):
+        orthonormalize([])
 
 
 def test_project_and_residual():
@@ -438,7 +442,7 @@ def test_zero_norms_are_positive_zero():
     zero = np.zeros((2, 2), dtype=complex)
     assert math.copysign(1.0, bnorm(zero)) == 1.0
     assert math.copysign(1.0, span_residual(S, A1 - A1)) == 1.0
-    assert math.copysign(1.0, span_residual(Subspace(()), zero)) == 1.0
+    assert math.copysign(1.0, span_residual(Subspace(np.zeros((0, 2, 2), complex)), zero)) == 1.0
     assert all(math.copysign(1.0, r) == 1.0 for r in span_residuals(S, [zero, A1]))
 
 
@@ -457,7 +461,7 @@ def test_stacked_kernels_match_single_matrix_forms():
     # the one-matrix case is span_residual itself, bit for bit
     assert span_residuals(S, [X])[0] == span_residual(S, X)
     assert span_residuals(S, np.zeros((0, 3, 3))).shape == (0,)
-    assert brackets(X, Subspace(())).shape == (0, 3, 3)
+    assert brackets(X, Subspace(S.basis[:0])).shape == (0, 3, 3)
     with pytest.raises(DimensionError):
         brackets(A1, S)
     with pytest.raises(DimensionError):
@@ -465,10 +469,16 @@ def test_stacked_kernels_match_single_matrix_forms():
 
 
 def test_empty_subspace():
-    S = Subspace(())
-    assert S.dim == 0 and S.ambient == 0
-    assert np.allclose(project(S, A1), 0.0)
+    # an empty subspace keeps its n: it projects to +0.0 zeros and refuses other sizes
+    S = Subspace(np.zeros((0, 2, 2), complex))
+    assert S.dim == 0 and S.ambient == 2
+    assert S.stacked.shape == (0, 4) and S.frame.shape == (0, 8)
+    P = project(S, A1)
+    assert P.shape == (2, 2) and not P.view(float).any() and not np.signbit(P.view(float)).any()
+    assert S.coordinates(A1).shape == (0,)
     assert span_residual(S, A1) == pytest.approx(bnorm(A1))
+    with pytest.raises(DimensionError):
+        project(S, np.zeros((3, 3), complex))
 
 
 coeff = st.floats(

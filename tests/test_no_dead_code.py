@@ -4,7 +4,8 @@ Read with `ast` alone. A name imported into a module of
 src/homofiber must be referenced in that module (`__init__.py`, which
 re-exports, is exempt), and a module-level `_private` function, class
 or constant must be referenced somewhere in src/homofiber outside its
-own definition.
+own definition. `__init__.__all__` names exactly what `__init__` imports,
+so a name deleted from a module leaves no export behind.
 """
 
 import ast
@@ -69,3 +70,24 @@ def test_every_private_name_is_referenced():
             ):
                 orphans.append(f"{name}:{node.lineno} {private}")
     assert not orphans, f"private names nothing in src/ references: {', '.join(orphans)}"
+
+
+def test_all_names_exactly_the_imports_of_init():
+    tree = MODULES["__init__.py"]
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    assert len(exported) == len(set(exported)), "__all__ names a name twice"
+    assert set(exported) == imported, (
+        f"exported, not imported: {sorted(set(exported) - imported)}; "
+        f"imported, not exported: {sorted(imported - set(exported))}"
+    )

@@ -12,7 +12,6 @@ import pytest
 
 from homofiber import (
     DomainError,
-    ResidualConfig,
     algebraic_identity_check,
     bracket,
     build_motion,
@@ -97,11 +96,14 @@ def test_report_takes_first_argmax(hopf1, monkeypatch):
     assert flat.argmax == (None, None)
 
 
-def test_config_rejects_bad_steps():
-    with pytest.raises(ValueError, match="fd_step"):
-        ResidualConfig(fd_step=0.0)
-    with pytest.raises(ValueError, match="tolerance"):
-        ResidualConfig(tolerance=-1e-6)
+def test_config_rejects_bad_steps(hopf1):
+    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0))
+    probe = metric_probe_basis(motion.system)[0]
+    for step in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValueError, match="fd_step must be positive, got"):
+            residual_sweep(motion, [0.0], [probe], fd_step=step)
+        with pytest.raises(ValueError, match="fd_step must be positive, got"):
+            koszul_residual(motion, 0.0, probe, fd_step=step)
 
 
 def test_zero_probe_rejected(hopf1):
@@ -358,5 +360,5 @@ def test_residual_shrinks_at_second_order(hopf1):
     for rs in r:
         assert 3.5 <= rs[0] / rs[1] <= 4.5
     # each entry is the one-point |residual| at its step
-    want = abs(koszul_residual(motion, 0.3, probes[0], ResidualConfig(fd_step=5e-5)))
+    want = abs(koszul_residual(motion, 0.3, probes[0], fd_step=5e-5))
     assert r[1, 2] == want

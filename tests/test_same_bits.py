@@ -31,7 +31,8 @@ def per_charge_magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
     rows = per_charge_magnetic_circles(sys, Xa, k_values)
     by_charge = sorted(rows, key=lambda row: abs(row[0]))
     increasing = all(abs(a[1]) < abs(b[1]) for a, b in zip(by_charge, by_charge[1:]))
-    return np.array(rows).reshape(-1, 3), all(row[2] <= 1e-6 for row in rows), increasing
+    constant = all(row[2] <= 1e-6 * max(1.0, abs(row[1])) for row in rows)
+    return np.array(rows).reshape(-1, 3), constant, increasing
 
 
 def list_path(monkeypatch):
