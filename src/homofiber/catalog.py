@@ -18,13 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from .field import charged_system
-from .linalg import StructureError, adjoint, check_skew_hermitian, inner_b, orthonormalize
+from .linalg import adjoint, check_skew_hermitian, inner_b, orthonormalize
 from .split import (
     CATALOG_TOL,
     USER_TOL,
     build_custom_split,
     build_split,
     chain,
+    require,
     structure_report,
 )
 
@@ -60,12 +61,9 @@ class CatalogEntry:
         self.pair, self.W, self.model, self.source = pair, W, model, source
 
     @cached_property
-    def _report(self):
+    def report(self):
+        """Every structural residual of the entry, by check name, computed once."""
         return structure_report(self.split, pair=self.pair, W=self.W, ch=self.chain)
-
-    def validation_report(self, tol=CATALOG_TOL):
-        """Every structural check, from residuals computed once per entry, against tol."""
-        return self._report.at(tol)
 
 
 def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):
@@ -325,9 +323,5 @@ def load_custom(doc):
             f"malformed space document: ambient_n is {ambient_n!r}, "
             f"but the matrices are {n} x {n}"
         )
-    rep = entry.validation_report(tol=1e-10)
-    if not rep.passed:
-        raise StructureError(
-            "space document fails validation:\n" + "\n".join(rep.lines())
-        )
+    require(entry.report, USER_TOL, "space document")
     return entry

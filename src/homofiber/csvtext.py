@@ -9,8 +9,8 @@ of 10^q built exactly from integers) and D is the nearest integer.
 
 A cell is written by "%.17g" % v itself when the fast path cannot
 decide or would need a layout it lacks:
-- v is zero, nan or infinite, or |v| lies outside [1e-98, 1e98), so
-  every exponent of the fast path has two digits;
+- v is nan or infinite, or |v| lies outside [1e-98, 1e98), so every
+  exponent of the fast path has two digits;
 - the scaled value lies within a guard of a tie (Python rounds ties to
   even), or off [10^16, 10^17), where log10 misjudged X or D rounds up
   to 10^17 (both only next to a power of ten);
@@ -122,9 +122,10 @@ def _block(table, buf):
     a = np.where(fast, a, 1.0)
     X = np.floor(np.log10(a)).astype(np.int64)
     D, floor, margin = _scaled(a, X)
-    fast &= (margin > _GUARD) & (floor >= 10**16) & (D < 10**17)
+    zero = v == 0.0  # laid out as the first digit 0 alone: "0" or "-0"
+    fast = fast & (margin > _GUARD) & (floor >= 10**16) & (D < 10**17) | zero
 
-    first, rest = np.divmod(np.where(fast, D, 10**16), 10**16)
+    first, rest = np.divmod(np.where(fast, D, 10**16) * ~zero, 10**16)
     rest, last = np.divmod(rest, 10)
     g = [rest // 10**12] + [rest // 10**j % 1000 for j in (9, 6, 3, 0)]
     n = np.ones_like(D)  # significant digits: through the last nonzero one

@@ -123,8 +123,10 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
             f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})"
         )
     W = check_skew_hermitian(W, name="W")
-    rs, rc = center_residuals(split.h, W)
-    tol = tol * max(1.0, float(np.abs(W).max(initial=0.0)))  # roundoff grows with |W|
+    # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
+    s = max(1.0, float(np.abs(W).max(initial=0.0)))
+    rs, rc = (s * r for r in center_residuals(split.h, W / s))
+    tol = tol * s
     if split.h.dim == 0:
         if rs > tol:
             raise StructureError("h is trivial, so W must be zero")

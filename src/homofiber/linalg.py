@@ -103,16 +103,15 @@ def _trace_form(A, B):
     return -np.real(np.einsum("...ij,...ji->...", A, B))
 
 
-def inner_b(X, Y, scale=1.0):
+def inner_b(X, Y):
     """Ad-invariant inner product B(X, Y) = -Re trace(XY).
 
-    Positive definite on skew-Hermitian matrices. `scale` applies an
-    optional overall positive factor.
+    Positive definite on skew-Hermitian matrices.
     """
     A = _as_matrix(X, stack=True)
     B = _as_matrix(Y, "Y", stack=True)
     _same_size(A, B, "inner_b")
-    return _scalar(scale * _trace_form(A, B))
+    return _scalar(_trace_form(A, B))
 
 
 def bnorm(X):

@@ -212,18 +212,6 @@ def _realify(z):
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def _plane_frame(vectors, tol=1e-12):
-    frame = []
-    for v in vectors:
-        w = v.astype(float).copy()
-        for q in frame:
-            w -= (q @ w) * q
-        nw = np.linalg.norm(w)
-        if nw > tol:
-            frame.append(w / nw)
-    return frame
-
-
 def great_circle_check(motion, t_samples=None):
     """Geodesics of the round sphere model are planar unit circles.
 
@@ -255,11 +243,11 @@ def great_circle_check(motion, t_samples=None):
         t_samples = np.linspace(0.0, 2.0 * np.pi, 97)
     x0 = model.apply(motion.representative(0.0))
     xdot0 = model.apply(motion.X + motion.Y)
-    frame = _plane_frame([_realify(x0), _realify(xdot0)])
+    q, R = np.linalg.qr(_realify(np.stack([x0, xdot0])).T)
+    q = q[:, np.abs(np.diag(R)) > 1e-12]  # a zero velocity spans no second direction
     x = model.apply(motion.representative(np.asarray(t_samples, dtype=float)))
     r = _realify(x)
-    for q in frame:
-        r = r - np.sum(q * r, axis=-1, keepdims=True) * q
+    r = r - (r @ q) @ q.T
     max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
     max_plane = np.max(np.linalg.norm(r, axis=-1), initial=0.0)
     return float(max_rad), float(max_plane), float(scale)

@@ -4,8 +4,9 @@ A fibration chain h <= k <= g produces the two-module split with
 m1 the B-orthogonal complement of k in g and m2 the complement of h
 inside k. Custom multi-module splits are accepted as explicit bases.
 Every structural hypothesis used by the motion and oracle modules is
-checkable here, and checks report residuals instead of raising so a
-front end can print all failures at once.
+checkable here. `structure_report` gives each check's worst residual
+by name, without judging it, so a front end can print all failures at
+once; `report_lines` and `require` judge a report against a tolerance.
 """
 
 from __future__ import annotations
@@ -76,47 +77,6 @@ class ReductiveSplit:
     @property
     def dims(self):
         return tuple(mod.dim for mod in self.modules)
-
-
-class CheckResult:
-    __slots__ = ("passed", "residual")
-
-    def __init__(self, passed, residual):
-        self.passed, self.residual = passed, residual
-
-
-class ValidationReport:
-    """Named structural checks with worst residuals."""
-
-    __slots__ = ("checks",)
-
-    def __init__(self, checks=None):
-        self.checks = {} if checks is None else checks
-
-    def add(self, name, residual, tol):
-        self.checks[name] = CheckResult(bool(residual <= tol), float(residual))
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks.values())
-
-    @property
-    def worst(self):
-        return max((c.residual for c in self.checks.values()), default=0.0)
-
-    def at(self, tol):
-        """The same residuals judged against tol."""
-        rep = ValidationReport()
-        for name, c in self.checks.items():
-            rep.add(name, c.residual, tol)
-        return rep
-
-    def lines(self):
-        out = []
-        for name, c in sorted(self.checks.items()):
-            status = "PASS" if c.passed else "FAIL"
-            out.append(f"{status}  {name:20s} residual {c.residual:.3e}")
-        return out
 
 
 def _bracket_residuals(target, A, B):
@@ -215,9 +175,7 @@ def build_split(ch, tol=USER_TOL):
     split = ReductiveSplit(ch.h, (m1, m2), ch.n)
     if ch.h.dim + m1.dim + m2.dim != ch.g.dim:
         raise StructureError("complement dimensions do not add up; input bases overlap")
-    rep = structure_report(split, tol=tol)
-    if not rep.passed:
-        raise StructureError("split of chain fails validation:\n" + "\n".join(rep.lines()))
+    require(structure_report(split), tol, "split of chain")
     worst = _bracket_residuals(m1, m1, ch.k).max(initial=0.0)
     if worst > tol:
         raise StructureError(f"[m1, k] leaves m1 (residual {worst:.3e})")
@@ -249,9 +207,7 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
         )
     for name, space in pieces:
         _require_contained(name, space, "g", g, tol)
-    rep = structure_report(split, tol=tol)
-    if not rep.passed:
-        raise StructureError("custom split fails validation:\n" + "\n".join(rep.lines()))
+    require(structure_report(split), tol, "custom split")
     return split
 
 
@@ -269,26 +225,40 @@ def center_residuals(h, W):
     return span_residual(h, W), float(central)
 
 
-def structure_report(split, pair=None, W=None, ch=None, tol=USER_TOL):
-    """Full validation report for a split.
+def structure_report(split, pair=None, W=None, ch=None):
+    """Every structural residual of a split, as {check name: worst residual}.
 
     Optional arguments add checks: `pair` the bracket condition,
     `W` membership in the center of h, `ch` closure of the original
     chain bases. The ad-invariance and chain closure residuals are
     computed once per split and chain and read from there.
     """
-    rep = ValidationReport()
     G = split.gram
-    rep.add("orthogonality", np.abs(G - np.eye(len(G))).max(initial=0.0), tol)
-    rep.add("ad_invariance", split.ad_invariance, tol)
+    rep = {
+        "orthogonality": np.abs(G - np.eye(len(G))).max(initial=0.0),
+        "ad_invariance": split.ad_invariance,
+    }
     if pair is not None:
-        a, b = pair
-        rep.add("bracket_condition", bracket_pair_residual(split, a, b), tol)
+        rep["bracket_condition"] = bracket_pair_residual(split, *pair)
     if W is not None:
-        rep.add("center_membership", max(center_residuals(split.h, W)), tol)
+        rep["center_membership"] = max(center_residuals(split.h, W))
     if ch is not None:
-        rep.add("chain_closure", max(worst for worst, _ in ch.closures), tol)
-    return rep
+        rep["chain_closure"] = max(worst for worst, _ in ch.closures)
+    return {name: float(r) for name, r in rep.items()}
+
+
+def report_lines(report, tol):
+    """One PASS or FAIL line per check of a report, in name order; NaN fails."""
+    return [
+        f"{'PASS' if r <= tol else 'FAIL'}  {name:20s} residual {r:.3e}"
+        for name, r in sorted(report.items())
+    ]
+
+
+def require(report, tol, what):
+    """Raise StructureError with the report's lines unless every residual is at most tol."""
+    if not all(r <= tol for r in report.values()):
+        raise StructureError(f"{what} fails validation:\n" + "\n".join(report_lines(report, tol)))
 
 
 def center_basis(split, rank_tol=1e-10):

@@ -20,6 +20,7 @@ import pytest
 from homofiber import (
     export_entry,
     get_entry,
+    load_custom,
     metric_probe_basis,
     residual_sweep,
     sample_trajectory,
@@ -405,6 +406,10 @@ def test_verify_needs_samples(capsys):
         (["--lambda", "1e300", "--lambda", "1e-300"], "--lambda"),
         (["--k", "1e300", "--W-scale", "1e10"], "--W-scale"),
         (["--lambda", "1", "--lambda", "1e300", "--xb", "1e10"], "--lambda"),
+        # W is in h, but the squares of its membership residuals would overflow;
+        # the second --space overrides hopf:2
+        (["--space", "twistor_su3", "--W-scale", "1e200"], "--W-scale"),
+        (["--space", "kahler_s2", "--W-scale", "1e200"], "--W-scale"),
     ],
 )
 def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
@@ -531,6 +536,29 @@ def test_tampered_document_fails_validation(tmp_path):
     rc, out = run_out(tmp_path, "t.json", ["validate", "--space", str(path)])
     assert rc == 1
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_a_document_is_loaded_at_the_user_tolerance_and_validated_at_the_catalog_one(
+    tmp_path, capsys
+):
+    # W moved 3e-11 off the center of h: within USER_TOL (1e-10), so the
+    # document loads and verifies, but beyond CATALOG_TOL (1e-12), so validate fails
+    entry = get_entry("hopf:1")
+    W = entry.W + 3e-11 * entry.split.module(1).basis[0]
+    doc = export_entry(entry)
+    doc["W"] = np.stack([W.real, W.imag], axis=-1).tolist()
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(doc))
+    assert load_custom(json.loads(path.read_text())).report["center_membership"] > 1e-12
+    rc, out = run_out(tmp_path, "v.json", ["validate", "--space", str(path)])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL  center_membership    residual 3.000e-11"
+    ]
+    assert len(lines) == 5
+    assert json.loads(out.read_text())["passed"] is False
+    assert main(["verify", "--space", str(path), "--samples", "3"]) == 0
 
 
 def test_catalog_list(capsys):

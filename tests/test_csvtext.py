@@ -41,7 +41,9 @@ def test_edge_values_match_percent_formatting():
 def test_blocks_and_row_ends(monkeypatch):
     rng = np.random.default_rng(3)
     table = rng.standard_normal((301, 7)) * 10.0 ** rng.integers(-30, 30, (301, 7))
+    table[::3, 0], table[1::3, 0], table[::2, -1], table[1::2, -1] = 0.0, -0.0, -0.0, 0.0
     want = per_float(table)
+    assert want.startswith("0,") and "\n-0," in want and ",-0\n" in want and ",0\n" in want
     assert format_rows(table) == want
     monkeypatch.setattr(csvtext, "BLOCK_CELLS", 10)  # 1 row of 7 cells per block
     assert format_rows(table) == want

@@ -50,7 +50,6 @@ def test_inner_b_values():
     assert inner_b(A3, A3) == pytest.approx(2.0)
     assert inner_b(A1, A1) == pytest.approx(2.0)
     assert inner_b(A1, A2) == pytest.approx(0.0)
-    assert inner_b(A3, A3, scale=0.5) == pytest.approx(1.0)
     assert bnorm(A3) == pytest.approx(np.sqrt(2.0))
 
 

@@ -103,8 +103,7 @@ def _bits(entry):
         spaces += [entry.chain.g, entry.chain.k, entry.chain.h]
     bases = [np.array(s.basis).tobytes() for s in spaces]
     frames = [s.frame.tobytes() for s in spaces]
-    checks = entry.validation_report().checks
-    return bases, frames, repr(sorted((name, c.residual) for name, c in checks.items()))
+    return bases, frames, repr(sorted(entry.report.items()))
 
 
 @pytest.mark.parametrize("space", SPACES)

@@ -28,7 +28,14 @@ from homofiber import (
     twistor_su3,
 )
 from homofiber.linalg import brackets, span_residuals
-from homofiber.split import ReductiveSplit, _bracket_residuals, _closure_residual
+from homofiber.split import (
+    USER_TOL,
+    ReductiveSplit,
+    _bracket_residuals,
+    _closure_residual,
+    report_lines,
+    require,
+)
 
 # Reference definitions: the validators written as plain loops over basis
 # elements, one bracket and one residual at a time. The stacked kernels
@@ -127,7 +134,7 @@ def test_hopf_chain_dims():
 def test_build_split_orthogonality():
     split = hopf(2).split
     rep = structure_report(split)
-    assert rep.passed and rep.worst < 1e-12
+    assert max(rep.values()) < 1e-12
 
 
 def test_chain_rejects_non_closed_basis():
@@ -161,8 +168,7 @@ def test_chain_rejects_non_nested():
 def test_custom_split_su3_roots():
     split = build_custom_split(su3_basis(), torus_basis(), su3_root_modules())
     assert split.dims == (2, 2, 2)
-    rep = structure_report(split)
-    assert rep.passed
+    assert max(structure_report(split).values()) <= USER_TOL
 
 
 def test_custom_split_completeness_error():
@@ -189,19 +195,18 @@ def test_custom_split_overlapping_modules():
 def test_pair_check_direction_matters():
     split = hopf(1).split
     ok = structure_report(split, pair=(1, 2))
-    assert ok.passed
+    assert max(ok.values()) <= USER_TOL
     swapped = structure_report(split, pair=(2, 1))
     # [m2, m1] lands back in m1, which is not inside m2
-    assert not swapped.checks["bracket_condition"].passed
-    assert swapped.checks["bracket_condition"].residual > 0.1
-    assert swapped.checks["bracket_condition"].residual == pytest.approx(
+    assert swapped["bracket_condition"] > 0.1
+    assert swapped["bracket_condition"] == pytest.approx(
         ref_pair(split, 2, 1), rel=0.0, abs=1e-14
     )
 
 
 def test_pair_check_vacuous_without_b():
     split = hopf(1).split
-    assert structure_report(split, pair=(1, None)).passed
+    assert structure_report(split, pair=(1, None))["bracket_condition"] == 0.0
 
 
 def test_root_module_pairs_fail():
@@ -211,8 +216,8 @@ def test_root_module_pairs_fail():
         for b in (1, 2, 3):
             if a != b:
                 report = structure_report(split, pair=(a, b))
-                assert not report.checks["bracket_condition"].passed
-                assert report.checks["bracket_condition"].residual == pytest.approx(
+                assert report["bracket_condition"] > USER_TOL
+                assert report["bracket_condition"] == pytest.approx(
                     ref_pair(split, a, b), rel=0.0, abs=1e-14
                 )
 
@@ -240,7 +245,7 @@ def test_report_matches_reference_loops_off_the_structure():
     }
     for name, value in want.items():
         assert value > 0.1
-        assert rep.checks[name].residual == pytest.approx(value, rel=0.0, abs=1e-14)
+        assert rep[name] == pytest.approx(value, rel=0.0, abs=1e-14)
 
 
 def _row_stacked_residuals(target, A, B):
@@ -435,6 +440,23 @@ def test_module_accessor_bounds():
 
 def test_report_lines_format():
     rep = structure_report(hopf(1).split, pair=(1, 2), W=hopf(1).W)
-    lines = rep.lines()
-    assert len(lines) == len(rep.checks)
+    assert all(type(r) is float for r in rep.values())
+    lines = report_lines(rep, USER_TOL)
+    assert len(lines) == len(rep)
     assert all(line.startswith("PASS") for line in lines)
+    assert report_lines({"b": 2e-11, "a": float("nan"), "c": 1e-11}, 1e-11) == [
+        "FAIL  a                    residual nan",
+        "FAIL  b                    residual 2.000e-11",
+        "PASS  c                    residual 1.000e-11",
+    ]
+
+
+def test_require_judges_every_residual_and_nan_fails():
+    require({"a": 1e-11, "b": 0.0}, 1e-11, "split")
+    require({}, 1e-11, "split")
+    for bad in (2e-11, float("nan")):
+        with pytest.raises(StructureError) as exc:
+            require({"a": 0.0, "b": bad}, 1e-11, "custom split")
+        assert str(exc.value) == "custom split fails validation:\n" + "\n".join(
+            report_lines({"a": 0.0, "b": bad}, 1e-11)
+        )
