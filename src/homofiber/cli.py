@@ -24,17 +24,17 @@ from .catalog import (
     load_custom,
     make_system,
 )
-from .field import metric_norm
+from .field import WeightRatioError, metric_norm
 from .linalg import DomainError, StructureError, bnorm
 from .motion import build_motion, perturb_motion, sample_trajectory
 from .oracle import (
+    CurveGrid,
     algebraic_identity_check,
     conservation_sweep,
     great_circle_check,
     lambda_collapse_check,
     velocity_agreement_sweep,
     magnetic_circle_check,
-    metric_probe_basis,
     module_invariance_sweep,
     residual_sweep,
 )
@@ -148,9 +148,10 @@ def _system_from_args(args):
     entry = _resolve_space(args.space)
     pair = _parse_pair(args.pair) if args.pair else None
     weights = tuple(args.weights) if args.weights else None
-    return entry, make_system(
-        entry, weights=weights, k=args.k, w_scale=args.w_scale, pair=pair
-    )
+    try:
+        return entry, make_system(entry, weights=weights, k=args.k, w_scale=args.w_scale, pair=pair)
+    except WeightRatioError as exc:  # "weight ratio ... is out of floating-point range"
+        raise UsageError(f"the --lambda {exc}")
 
 
 def _initial_data(system, args):
@@ -180,8 +181,6 @@ def _initial_data(system, args):
 def _motion_from_args(args):
     entry, system = _system_from_args(args)
     lam, k = system.lam, system.k
-    if not 0.0 < lam < np.inf:
-        raise UsageError(f"the --lambda weight ratio {lam:.3e} is out of floating-point range")
     Xa, Xb = _initial_data(system, args)
     w, a, b = bnorm(system.W), bnorm(Xa), 0.0 if Xb is None else bnorm(Xb)
     # the motion forms X = Xa + lam Xb + k W and Y = (1 - lam)(Xb + (k/lam) W) as matrices,
@@ -296,13 +295,12 @@ def cmd_verify(args):
     if args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
     entry, system, motion = _motion_from_args(args)
-    ts = np.linspace(args.t0, args.t1, args.samples)
-    probes = metric_probe_basis(system)
-    res = residual_sweep(motion, ts, probes, args.fd_step)
-    alg = float(np.max(algebraic_identity_check(motion, ts, probes)))
-    drift = conservation_sweep(motion, ts)
-    minv = module_invariance_sweep(motion, ts)
-    agree = velocity_agreement_sweep(motion, ts)
+    grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
+    res = residual_sweep(motion, grid)
+    alg = float(np.max(algebraic_identity_check(motion, grid, None)))
+    drift = conservation_sweep(motion, grid)
+    minv = module_invariance_sweep(motion, grid)
+    agree = velocity_agreement_sweep(motion, grid)
     failures = []
     if not res.max_abs <= args.tol:
         failures.append(f"koszul residual {res.max_abs:.3e} > {args.tol:.1e}")
@@ -315,7 +313,7 @@ def cmd_verify(args):
     if not agree <= 1e-11:
         failures.append(f"velocity agreement {agree:.3e} > 1e-11")
     special = {}
-    gap = _special(motion, lambda_collapse_check, motion, ts)
+    gap = _special(motion, lambda_collapse_check, motion, grid)
     if gap is not None:
         special["collapse"] = {"max_frobenius": gap}
         if not gap <= 1e-12:

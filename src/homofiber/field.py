@@ -47,6 +47,10 @@ class DiagonalMetric:
         self.weights = ws
 
 
+class WeightRatioError(ValueError):
+    """The weight ratio lam = w_b / w_a is 0 or not finite."""
+
+
 class ChargedSystem:
     """A split, metric, field pair (a, b), central element W and charge k.
 
@@ -104,6 +108,7 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
     Checks the weight count, the pair indices, the bracket condition
     [m_a, m_b] in m_a, and that W is skew-Hermitian and lies in the
     center of h, to within tol max(1, max|W|); a trivial h forces W = 0.
+    Last, I0 divides by lam = w_b / w_a, which must be positive and finite.
     """
     metric = DiagonalMetric(tuple(weights))
     if len(metric.weights) != split.s:
@@ -135,7 +140,10 @@ def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
         raise StructureError(f"W is not in h (residual {rs:.3e})")
     elif rc > tol:
         raise StructureError(f"W is not central in h (residual {rc:.3e})")
-    return ChargedSystem(split, metric, a, int(b) if b is not None else None, W, k, model)
+    system = ChargedSystem(split, metric, a, int(b) if b is not None else None, W, k, model)
+    if not 0.0 < system.lam < np.inf:
+        raise WeightRatioError(f"weight ratio {system.lam:.3e} is out of floating-point range")
+    return system
 
 
 def _m_coordinates(sys, X, name, domain=False):

@@ -16,7 +16,8 @@ Both factors are `linalg.Flow`s, one eigendecomposition per generator.
 Every method takes a scalar t or a 1-D grid of t; on a grid it returns
 the (T, n, n) stack, one array program for the whole grid, and a
 scalar t is the one-point case. A motion keeps no per-t state, so
-callers that reuse a value at the same t hold on to it themselves.
+callers that reuse a value at the same t hold on to it themselves: the
+referee's `oracle.CurveGrid` does, for the sweeps of one verify op.
 """
 
 from __future__ import annotations

@@ -30,10 +30,13 @@ Every check evaluates its whole t-grid, and the weak form its whole
 as in koszul_residual, is the one-point case of the same grid. The
 weak form runs on real m-coordinates: the probes and the body velocity
 are checked for membership once each, and every term is an einsum
-contraction of (T, dim m) and (P, dim m) coordinate arrays.
+contraction of (T, dim m) and (P, dim m) coordinate arrays. One verify op
+evaluates the curve once, on the union grid of the `CurveGrid` its sweeps share.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -87,45 +90,78 @@ def metric_probe_basis(sys):
     return sys.m.basis / np.sqrt(sys._m_weights)[:, None, None]
 
 
-def _unit_probe(sys, Z):
-    """Z scaled to metric length one, and its m-coordinates; on a stack, each probe separately."""
-    Z = np.asarray(Z, dtype=complex)
-    c = _m_coordinates(sys, Z, "X")
-    zn = np.sqrt(np.maximum(np.sum(sys._m_weights * c * c, axis=-1), 0.0))
-    if np.any(zn == 0.0):
-        raise DomainError("probe Z must be nonzero")
-    return Z / zn[..., None, None], c / zn[..., None]
+class CurveGrid:
+    """The curve data of one t-grid and probe set, each field computed on first use.
 
-
-def _probe_stencils(motion, probes, h):
-    """Over the unit probes Z, the weighted m-coordinates of Z and of [Z, Y]_m, each (P, d),
-    and the (2, P, n, n) steps exp(hZ), exp(-hZ) from one stacked flow; none depends on t.
+    A field is one call of a motion method on a concatenated grid, so every flow and
+    check runs once; a stack entry does not depend on the stack around it, so a value
+    has the bits of a call at its own t.
     """
-    sys = motion.system
-    Z, zc = _unit_probe(sys, probes)
-    zy = sys.m._coordinates(_commutator(Z, motion.Y))
-    return zc * sys._m_weights, zy * sys._m_weights, Flow(h * Z)(np.array([1.0, -1.0]))
+
+    def __init__(self, motion, t_samples, probes=None, fd_step=1e-4):
+        if not fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {fd_step}")
+        self.motion, self.h, self.probes = motion, fd_step, probes
+        self.t = np.asarray(t_samples, dtype=float)
+        self.ts = self.t.reshape(-1)
+
+    @cached_property
+    def body(self):
+        """Ad(exp(-tY))Xa and the body velocity (Xb more on an exact curve), each over [0, *ts]."""
+        m, grid = self.motion, np.concatenate([[0.0], self.ts])
+        xa = m.transported_xa(grid)
+        return xa, (xa + m.Xb if m.exact else m.body_velocity(grid))
+
+    @cached_property
+    def numeric(self):
+        """body_velocity_numeric over [ts, ts + h, ts - h], one solve."""
+        ts, h = self.ts, self.h
+        return self.motion.body_velocity_numeric(np.concatenate([ts, ts + h, ts - h]))
+
+    @cached_property
+    def representative(self):
+        return self.motion.representative(self.ts)
+
+    @cached_property
+    def unit_probes(self):
+        """The probes Z (metric_probe_basis if none) at unit metric length, and their m-coords."""
+        sys, Z = self.motion.system, self.probes
+        Z = np.asarray(metric_probe_basis(sys) if Z is None else Z, dtype=complex)
+        c = _m_coordinates(sys, Z, "X")
+        zn = np.sqrt(np.maximum(np.sum(sys._m_weights * c * c, axis=-1), 0.0))
+        if np.any(zn == 0.0):
+            raise DomainError("probe Z must be nonzero")
+        return Z / zn[..., None, None], c / zn[..., None]
 
 
-def _koszul_grid(motion, ts, stencils, h):
-    """The (T, P) arrays t1, t2, t3 and rhs over a t-grid and the probe stencils.
+def _grid(motion, t, probes=None, fd_step=1e-4):
+    """t when it is a CurveGrid, else a new CurveGrid over the t-grid t."""
+    return t if isinstance(t, CurveGrid) else CurveGrid(motion, t, probes, fd_step)
+
+
+def _koszul_grid(grid):
+    """The (T, P) arrays t1, t2, t3 and rhs over the grid's ts and probes.
 
     Rows run over t and columns over the probes, and every term is a
     contraction of m-coordinates. The body velocity is checked once,
     against the I0 domain. t1 differentiates only body_velocity_numeric,
-    never the shortcut, at t + h and t - h in one call; those velocities,
-    the extension w and [Z, Y]_m are projections onto m, taken to
-    coordinates unchecked.
+    never the shortcut, at t + h and t - h; those velocities, the
+    extension w and [Z, Y]_m are projections onto m, taken to
+    coordinates unchecked. The steps exp(+-hZ) are one stacked flow.
     """
+    motion, T, h = grid.motion, len(grid.ts), grid.h
     sys = motion.system
-    zw, zyw, steps = stencils
-    v = _m_coordinates(sys, motion.body_velocity(ts), "X", domain=True)
-    v_num = sys.m._coordinates(motion.body_velocity_numeric(np.concatenate([ts + h, ts - h])))
-    p = mul(motion.representative(ts)[:, None], steps[:, None])
+    Z, zc = grid.unit_probes
+    zw = zc * sys._m_weights
+    zyw = sys.m._coordinates(_commutator(Z, motion.Y)) * sys._m_weights
+    steps = Flow(h * Z)(np.array([1.0, -1.0]))
+    v = _m_coordinates(sys, grid.body[1][1:], "X", domain=True)
+    v_num = sys.m._coordinates(grid.numeric[T:])
+    p = mul(grid.representative[:, None], steps[:, None])
     w = sys.m._coordinates(_conjugate(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
     energy = np.einsum("...j,j,...j->...", w, sys._m_weights, w)
     dv = np.einsum("tj,pj->tp", v_num, zw)
-    t1 = (dv[: len(ts)] - dv[len(ts):]) / (2.0 * h)
+    t1 = (dv[:T] - dv[T:]) / (2.0 * h)
     t2 = np.einsum("tj,pj->tp", v, zyw)
     t3 = -0.5 * (energy[0] - energy[1]) / (2.0 * h)
     rhs = sys.k * np.einsum("tj,pj->tp", np.einsum("ij,tj->ti", sys.I0, v), zw)
@@ -138,21 +174,17 @@ def koszul_residual(motion, t, Z, fd_step=1e-4):
 
 
 def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
-    """Residuals over a t-grid times a probe set, reduced by max; fd_step is the stencil's h."""
-    if not fd_step > 0:
-        raise ValueError(f"fd_step must be positive, got {fd_step}")
+    """Residuals over a t-grid (or CurveGrid) times a probe set, reduced by max; fd_step is h."""
     if t_samples is None:
         t_samples = np.linspace(-2.0, 2.0, 25)
-    if probes is None:
-        probes = metric_probe_basis(motion.system)
-    ts = np.asarray(t_samples, dtype=float).reshape(-1)
-    stencils = _probe_stencils(motion, probes, fd_step)
-    t1, t2, t3, rhs = _koszul_grid(motion, ts, stencils, fd_step)
+    grid = _grid(motion, t_samples, probes, fd_step)
+    t1, t2, t3, rhs = _koszul_grid(grid)
     values = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1)
     # a leading 0 is the first maximum exactly when no |residual| exceeds 0
     r = np.concatenate([[0.0], np.abs(values[..., 4]).ravel()])
     k = int(np.argmax(r))
     i, j = divmod(k - 1, values.shape[1])
+    ts = grid.ts
     return ResidualReport(ts, values, float(r[k]), (float(ts[i]), j) if k else (None, None))
 
 
@@ -172,13 +204,15 @@ def algebraic_identity_check(motion, t, Z):
 
     t may be a 1-D grid and Z a stack of probes; the result is then
     the (T, P) array of gaps, rows over t and columns over the probes.
+    t may also be a CurveGrid, whose probes stand in for Z.
     """
     sys = motion.system
     wa = sys.metric.weights[sys.a - 1]
     wb = sys.metric.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
-    zc = _unit_probe(sys, Z)[1]
-    U, V = motion.transported_xa(t), motion.Xb
+    grid = _grid(motion, t, Z)
+    zc = grid.unit_probes[1]
+    U, V = grid.body[0][1:].reshape(grid.t.shape + motion.Xb.shape), motion.Xb
     pairs = ((U, V + (k / lam) * W), (U, V), (U, W), (V, W), (U + V, W))
     c = sys.m._coordinates(np.stack(np.broadcast_arrays(*(_commutator(x, y) for x, y in pairs))))
     b = np.einsum("k...j,pj->k...p", c, zc.reshape(-1, sys.m.dim))
@@ -188,21 +222,20 @@ def algebraic_identity_check(motion, t, Z):
 
 
 def conservation_sweep(motion, t_samples):
-    """Max |speed(t) - speed(0)| over the sweep, from one speed evaluation over [0, *ts]."""
-    s = motion.speed(np.concatenate([[0.0], np.asarray(t_samples, dtype=float).reshape(-1)]))
+    """Max |speed(t) - speed(0)| over the sweep (a t-grid or a CurveGrid), speeds over [0, *ts]."""
+    s = metric_norm(motion.system, _grid(motion, t_samples).body[1])
     return float(np.max(np.abs(s[1:] - s[0])))
 
 
 def module_invariance_sweep(motion, t_samples):
-    """Max component of Ad(exp(-tY))Xa outside m_a over the sweep."""
-    transported = motion.transported_xa(np.asarray(t_samples, dtype=float))
-    return float(max(span_residuals(motion.system.ma, transported)))
+    """Max component of Ad(exp(-tY))Xa outside m_a over the sweep (a t-grid or a CurveGrid)."""
+    return float(max(span_residuals(motion.system.ma, _grid(motion, t_samples).body[0][1:])))
 
 
 def velocity_agreement_sweep(motion, t_samples):
-    """Max B-distance between the two body-velocity computations."""
-    ts = np.asarray(t_samples, dtype=float)
-    d = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
+    """Max B-distance between the two body-velocity computations (a t-grid or a CurveGrid)."""
+    grid = _grid(motion, t_samples)
+    d = grid.numeric[: len(grid.ts)] - (grid.body[0][1:] + motion.Xb)
     return float(np.max(bnorm(d), initial=0.0))
 
 
@@ -325,7 +358,7 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None):
 def lambda_collapse_check(motion, t_samples=None):
     """At lam = 1 the curve is the one-parameter subgroup of Xa + Xb + kW.
 
-    Returns the largest Frobenius distance between the two over the sweep.
+    Returns the largest Frobenius distance over the sweep, a t-grid or a CurveGrid.
     """
     sys = motion.system
     if sys.lam != 1.0:
@@ -333,9 +366,9 @@ def lambda_collapse_check(motion, t_samples=None):
     if t_samples is None:
         t_samples = np.linspace(-2.0, 2.0, 41)
     gen = motion.Xa + motion.Xb + sys.k * sys.W
-    ts = np.asarray(t_samples, dtype=float)
-    reference = Flow(ts[:, None, None] * gen)(1.0)
-    d = motion.representative(ts) - reference
+    grid = _grid(motion, t_samples)
+    reference = Flow(grid.ts[:, None, None] * gen)(1.0)
+    d = grid.representative - reference
     return float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0))
 
 

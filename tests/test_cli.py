@@ -13,17 +13,24 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from homofiber import (
+    algebraic_identity_check,
+    bnorm,
+    catalog_names,
+    conservation_sweep,
     export_entry,
     get_entry,
     load_custom,
     metric_probe_basis,
+    module_invariance_sweep,
     residual_sweep,
     sample_trajectory,
+    velocity_agreement_sweep,
 )
 from homofiber.cli import _motion_from_args, build_parser, main
 
@@ -421,6 +428,13 @@ def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
         assert main(["verify", "--space", "hopf:2"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("weights,ratio", [(["1e300", "1e-300"], "0.000e+00"), (["1e-300", "1e300"], "inf")])
+def test_weight_ratio_out_of_range_names_the_flag(capsys, weights, ratio):
+    assert main(["verify", "--space", "hopf:2", "--lambda", weights[0], "--lambda", weights[1]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the --lambda weight ratio {ratio} is out of floating-point range\n"
 
 
 def test_huge_charge_fails_the_koszul_check_without_a_traceback(capsys):
@@ -940,6 +954,49 @@ def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
     )
     rows = _per_entry_verify_rows(report)
     assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("perturb", [[], ["--perturb", "1e-2"]])
+@pytest.mark.parametrize("name", catalog_names())
+def test_verify_report_equals_the_standalone_sweeps(tmp_path, name, perturb):
+    # verify hands one shared grid to its five sweeps; each sweep called on a
+    # bare t-grid, and the motion's own methods, must give the same bits
+    argv = ["verify", "--space", name, "--k", "1", "--samples", "9", "--seed", "5"] + perturb
+    rc, out = run_out(tmp_path, "v.json", argv)
+    assert rc == (1 if perturb else 0)
+    doc = json.loads(out.read_text())
+    args = build_parser().parse_args(argv)
+    _, system, motion = _motion_from_args(args)
+    ts, probes = np.linspace(args.t0, args.t1, args.samples), metric_probe_basis(system)
+    res = residual_sweep(motion, ts, probes, args.fd_step)
+    assert doc["koszul"] == {
+        "max_abs": res.max_abs, "argmax_t": res.argmax[0], "argmax_probe": res.argmax[1]
+    }
+    assert doc["bracket_identity_max"] == float(np.max(algebraic_identity_check(motion, ts, probes)))
+    assert doc["speed_drift"] == conservation_sweep(motion, ts)
+    assert doc["module_invariance_max"] == module_invariance_sweep(motion, ts)
+    assert doc["velocity_agreement_max"] == velocity_agreement_sweep(motion, ts)
+    speeds = motion.speed(np.concatenate([[0.0], ts]))
+    assert doc["speed_drift"] == float(np.max(np.abs(speeds[1:] - speeds[0])))
+    gap = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
+    assert doc["velocity_agreement_max"] == float(np.max(bnorm(gap)))
+
+
+@pytest.mark.parametrize("name,most", [("hopf:3", 7), ("kahler_s2", 9)])
+def test_verify_evaluates_no_flow_twice_on_one_grid(capsys, monkeypatch, name, most):
+    import homofiber.linalg as linalg
+
+    calls = Counter()
+    real = linalg.Flow.__call__
+
+    def counted(flow, t):
+        calls[flow, np.asarray(t, dtype=float).tobytes()] += 1  # the key keeps the flow alive
+        return real(flow, t)
+
+    monkeypatch.setattr(linalg.Flow, "__call__", counted)
+    assert main(["verify", "--space", name, "--k=1", "--samples", "9"]) == 0
+    assert max(calls.values()) == 1
+    assert sum(calls.values()) <= most
 
 
 @pytest.mark.parametrize(

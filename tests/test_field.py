@@ -99,6 +99,16 @@ def test_lam_ratio():
     assert sys1.lam == 1.0 and sys1.b is None
 
 
+@pytest.mark.parametrize("weights,ratio", [((1e300, 1e-300), "0.000e+00"), ((1e-300, 1e300), "inf")])
+def test_weight_ratio_out_of_range_is_refused(weights, ratio):
+    # I0 scales m_b by 1 / lam, so a ratio that underflows to 0 or overflows
+    # is refused when the system is built, not at its first use
+    entry = get_entry("hopf:2")
+    with pytest.raises(ValueError) as err:
+        charged_system(entry.split, weights, 1, 2, entry.W, 0.0)
+    assert str(err.value) == f"weight ratio {ratio} is out of floating-point range"
+
+
 def test_apply_I0_rotates_kahler_module():
     entry = kahler_s2()
     sys = make_system(entry)
