@@ -258,7 +258,7 @@ def _load(doc, name=None):
     return A
 
 
-def export_entry(entry, weights=None, k=0.0):
+def export_entry(entry):
     """Plain-data document for an entry, suitable for JSON round-trips."""
     src, model = entry.source, entry.model
     doc = {
@@ -266,10 +266,9 @@ def export_entry(entry, weights=None, k=0.0):
         "ambient_n": src["ambient_n"],
         "g_basis": _doc(src["g_basis"]),
         "h_basis": _doc(src["h_basis"]),
-        "weights": list(weights if weights is not None else entry.weights),
+        "weights": list(entry.weights),
         "pair": list(entry.pair),
         "W": _doc(entry.W),
-        "k": float(k),
         "model": None if model is None else {"kind": model.kind, "base": _doc(model.base)},
     }
     if "k_basis" in src:

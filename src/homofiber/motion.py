@@ -15,9 +15,9 @@ set exactly to avoid float residue.
 Both factors are `linalg.Flow`s, one eigendecomposition per generator.
 Every method takes a scalar t or a 1-D grid of t; on a grid it returns
 the (T, n, n) stack, one array program for the whole grid, and a
-scalar t is the one-point case. A motion keeps no per-t state, so
-callers that reuse a value at the same t hold on to it themselves: the
-referee's `oracle.CurveGrid` does, for the sweeps of one verify op.
+scalar t is the one-point case; `transport` returns a pair. A motion
+keeps no per-t state, so callers that reuse a value at the same t hold
+on to it themselves: the referee's `oracle.CurveGrid` does.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ClosedFormMotion:
     body velocity is Ad(exp(-tY))Xa + Xb. Deliberately damaged curves
     (see perturb_motion) pass Y_override, carry exact=False and fall
     back to projecting the honest logarithmic derivative, since the
-    shortcut formula no longer applies.
+    shortcut formula no longer applies. `transport` holds that fork.
     """
 
     def __init__(self, system, Xa, Xb, Y_override=None):
@@ -78,15 +78,21 @@ class ClosedFormMotion:
     def representative(self, t):
         return _as_matrix(mul(self._flow_x(t), self._flow_y(t)), stack=True)
 
+    def transport(self, t):
+        """Ad(exp(-tY))Xa and the body velocity, from one evaluation of exp(-tY)."""
+        G = _as_matrix(self._flow_y(np.negative(t)), "g", stack=True)
+        if self.exact:
+            xa = _conjugate(G, self.Xa)
+            return xa, xa + self.Xb
+        xa, x = np.moveaxis(_conjugate(G[..., None, :, :], np.stack([self.Xa, self.X])), -3, 0)
+        return xa, self.system.m.combine(self.system.m._coordinates(x + self.Y))
+
     def transported_xa(self, t):
         """Ad(exp(-tY)) applied to Xa."""
-        return _conjugate(_as_matrix(self._flow_y(np.negative(t)), "g", stack=True), self.Xa)
+        return self.transport(t)[0]
 
     def body_velocity(self, t):
-        if self.exact:
-            return self.transported_xa(t) + self.Xb
-        xi = _conjugate(_as_matrix(self._flow_y(np.negative(t)), "g", stack=True), self.X) + self.Y
-        return self.system.m.combine(self.system.m._coordinates(xi))
+        return self.transport(t)[1]
 
     def body_velocity_numeric(self, t):
         """m-projection of alpha^-1 alpha', differentiated by product rule.
@@ -102,8 +108,7 @@ class ClosedFormMotion:
         return self.system.m.combine(self.system.m._coordinates(xi))
 
     def speed(self, t):
-        v = self.body_velocity(t)
-        return metric_norm(self.system, v)
+        return metric_norm(self.system, self.body_velocity(t))
 
     def evaluate(self, t):
         """The TrajectorySample at t; over a 1-D grid of t, one sample of stacks."""

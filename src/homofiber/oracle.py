@@ -26,12 +26,12 @@ on the adjoint 2-sphere, and the collapse to a one-parameter subgroup
 at lam = 1.
 
 Every check evaluates its whole t-grid, and the weak form its whole
-(t, probe) grid, as one array program over stacks; a single point,
-as in koszul_residual, is the one-point case of the same grid. The
-weak form runs on real m-coordinates: the probes and the body velocity
-are checked for membership once each, and every term is an einsum
-contraction of (T, dim m) and (P, dim m) coordinate arrays. One verify op
-evaluates the curve once, on the union grid of the `CurveGrid` its sweeps share.
+(t, probe) grid, as one array program over stacks; a single point is
+the one-point case of the same grid. The weak form runs on real
+m-coordinates: the probes and the body velocity are checked for
+membership once each, and every term is an einsum contraction of
+(T, dim m) and (P, dim m) coordinate arrays. One verify op evaluates the
+curve once, on the union grid of the `CurveGrid` its sweeps share.
 """
 
 from __future__ import annotations
@@ -93,13 +93,13 @@ def metric_probe_basis(sys):
 class CurveGrid:
     """The curve data of one t-grid and probe set, each field computed on first use.
 
-    A field is one call of a motion method on a concatenated grid, so every flow and
-    check runs once; a stack entry does not depend on the stack around it, so a value
-    has the bits of a call at its own t.
+    A field is one motion call on a concatenated grid, so every flow and check runs once;
+    a stack entry does not depend on the stack around it, so a value has the bits of a
+    call at its own t. Only a weak-form grid, given fd_step h, also evaluates ts +- h.
     """
 
-    def __init__(self, motion, t_samples, probes=None, fd_step=1e-4):
-        if not fd_step > 0:
+    def __init__(self, motion, t_samples, probes=None, fd_step=None):
+        if fd_step is not None and not fd_step > 0:
             raise ValueError(f"fd_step must be positive, got {fd_step}")
         self.motion, self.h, self.probes = motion, fd_step, probes
         self.t = np.asarray(t_samples, dtype=float)
@@ -107,16 +107,15 @@ class CurveGrid:
 
     @cached_property
     def body(self):
-        """Ad(exp(-tY))Xa and the body velocity (Xb more on an exact curve), each over [0, *ts]."""
-        m, grid = self.motion, np.concatenate([[0.0], self.ts])
-        xa = m.transported_xa(grid)
-        return xa, (xa + m.Xb if m.exact else m.body_velocity(grid))
+        """Ad(exp(-tY))Xa and the body velocity, each over [0, *ts], from one motion call."""
+        return self.motion.transport(np.concatenate([[0.0], self.ts]))
 
     @cached_property
     def numeric(self):
-        """body_velocity_numeric over [ts, ts + h, ts - h], one solve."""
+        """body_velocity_numeric over ts, or [ts, ts + h, ts - h] given a step h; one solve."""
         ts, h = self.ts, self.h
-        return self.motion.body_velocity_numeric(np.concatenate([ts, ts + h, ts - h]))
+        grid = ts if h is None else np.concatenate([ts, ts + h, ts - h])
+        return self.motion.body_velocity_numeric(grid)
 
     @cached_property
     def representative(self):
@@ -134,7 +133,7 @@ class CurveGrid:
         return Z / zn[..., None, None], c / zn[..., None]
 
 
-def _grid(motion, t, probes=None, fd_step=1e-4):
+def _grid(motion, t, probes=None, fd_step=None):
     """t when it is a CurveGrid, else a new CurveGrid over the t-grid t."""
     return t if isinstance(t, CurveGrid) else CurveGrid(motion, t, probes, fd_step)
 
@@ -166,11 +165,6 @@ def _koszul_grid(grid):
     t3 = -0.5 * (energy[0] - energy[1]) / (2.0 * h)
     rhs = sys.k * np.einsum("tj,pj->tp", np.einsum("ij,tj->ti", sys.I0, v), zw)
     return t1, t2, t3, rhs
-
-
-def koszul_residual(motion, t, Z, fd_step=1e-4):
-    """Weak-form residual at time t against probe Z (normalized internally)."""
-    return float(residual_sweep(motion, [t], [Z], fd_step).values[0, 0, 4])
 
 
 def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
@@ -224,12 +218,13 @@ def algebraic_identity_check(motion, t, Z):
 def conservation_sweep(motion, t_samples):
     """Max |speed(t) - speed(0)| over the sweep (a t-grid or a CurveGrid), speeds over [0, *ts]."""
     s = metric_norm(motion.system, _grid(motion, t_samples).body[1])
-    return float(np.max(np.abs(s[1:] - s[0])))
+    return float(np.abs(s[1:] - s[0]).max(initial=0.0))
 
 
 def module_invariance_sweep(motion, t_samples):
     """Max component of Ad(exp(-tY))Xa outside m_a over the sweep (a t-grid or a CurveGrid)."""
-    return float(max(span_residuals(motion.system.ma, _grid(motion, t_samples).body[0][1:])))
+    xa = _grid(motion, t_samples).body[0][1:]
+    return float(span_residuals(motion.system.ma, xa).max(initial=0.0))
 
 
 def velocity_agreement_sweep(motion, t_samples):
@@ -373,12 +368,12 @@ def lambda_collapse_check(motion, t_samples=None):
 
 
 def convergence_ratios(motion, points, probes, h_values=(2e-4, 1e-4, 5e-5)):
-    """The (points, h) array of |residual| at each (t, probe) point under each step.
+    """The (points, h) array of |residual| at each (t, probe) point, one residual_sweep per step.
 
     The central differences are second order, so halving h should
     shrink the residual, r[:, i] / r[:, i + 1], by a factor near 4
     wherever the leading error coefficient is not degenerate.
     """
-    r = [abs(koszul_residual(motion, t, probes[j], fd_step=h))
-         for t, j in points for h in h_values]
-    return np.array(r).reshape(len(points), len(h_values))
+    ts, js = [t for t, _ in points], [j for _, j in points]
+    r = [residual_sweep(motion, ts, probes, h).values[range(len(ts)), js, 4] for h in h_values]
+    return np.abs(np.array(r).T)

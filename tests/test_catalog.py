@@ -144,8 +144,10 @@ def test_u2_variant_builds():
 
 
 def test_export_load_round_trip_chain(hopf1):
-    doc = json.loads(json.dumps(export_entry(hopf1, weights=(1.0, 2.0), k=0.5)))
-    loaded = load_custom(doc)
+    doc = export_entry(hopf1)
+    assert "k" not in doc
+    doc["weights"] = [1.0, 2.0]
+    loaded = load_custom(json.loads(json.dumps(doc)))
     assert loaded.name == "hopf:1"
     assert loaded.split.dims == hopf1.split.dims
     assert loaded.weights == (1.0, 2.0)

@@ -19,7 +19,6 @@ from homofiber import (
     convergence_ratios,
     great_circle_check,
     inner_b,
-    koszul_residual,
     lambda_collapse_check,
     velocity_agreement_sweep,
     magnetic_circle_check,
@@ -62,7 +61,7 @@ def test_resting_uncharged_particle_has_exact_zero_residual(hopf1):
     zero = np.zeros((2, 2), dtype=complex)
     motion = build_motion(sys, zero, zero)
     for Z in metric_probe_basis(sys):
-        assert koszul_residual(motion, 0.7, Z) == 0.0
+        assert residual_sweep(motion, [0.7], [Z]).values[0, 0, 4] == 0.0
 
 
 def test_resting_charged_particle_residual_is_truncation_only(hopf1):
@@ -72,7 +71,7 @@ def test_resting_charged_particle_residual_is_truncation_only(hopf1):
     zero = np.zeros((2, 2), dtype=complex)
     motion = build_motion(sys, zero, zero)
     worst = max(
-        abs(koszul_residual(motion, 0.7, Z)) for Z in metric_probe_basis(sys)
+        abs(residual_sweep(motion, [0.7], [Z]).values[0, 0, 4]) for Z in metric_probe_basis(sys)
     )
     assert worst <= 1e-6
 
@@ -103,14 +102,14 @@ def test_config_rejects_bad_steps(hopf1):
         with pytest.raises(ValueError, match="fd_step must be positive, got"):
             residual_sweep(motion, [0.0], [probe], fd_step=step)
         with pytest.raises(ValueError, match="fd_step must be positive, got"):
-            koszul_residual(motion, 0.0, probe, fd_step=step)
+            residual_sweep(motion, [0.0], [probe], step).values[0, 0, 4]
 
 
 def test_zero_probe_rejected(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = seeded_motion(sys)
     with pytest.raises(DomainError, match="nonzero"):
-        koszul_residual(motion, 0.0, np.zeros((2, 2)))
+        residual_sweep(motion, [0.0], [np.zeros((2, 2))]).values[0, 0, 4]
 
 
 @pytest.mark.parametrize("name", ["hopf:1", "su2", "kahler_s2", "twistor_su3"])
@@ -172,7 +171,30 @@ def test_koszul_residual_matches_sweep_entry(entries, name):
         for t in (-1.3, 0.6):
             report = residual_sweep(m, [t], probes)
             for entry, Z in zip(report.entries, probes):
-                assert koszul_residual(m, t, Z) == entry.residual
+                assert residual_sweep(m, [t], [Z]).values[0, 0, 4] == entry.residual
+
+
+def test_sweeps_read_zero_on_an_empty_grid(hopf1):
+    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
+    empty = np.array([])
+    for sweep in (conservation_sweep, module_invariance_sweep, velocity_agreement_sweep):
+        assert sweep(motion, empty) == 0.0
+    assert residual_sweep(motion, empty).max_abs == 0.0
+
+
+def test_bare_grid_solves_the_numeric_velocity_at_its_own_points(hopf1, monkeypatch):
+    # the stencil ts +- h exists only on a grid built for the weak form
+    motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
+    real, sizes = motion.body_velocity_numeric, []
+
+    def counted(t):
+        sizes.append(len(t))
+        return real(t)
+
+    monkeypatch.setattr(motion, "body_velocity_numeric", counted)
+    velocity_agreement_sweep(motion, TS)
+    residual_sweep(motion, TS)
+    assert sizes == [len(TS), 3 * len(TS)]
 
 
 def test_sweep_builds_probe_stencils_once(hopf1, monkeypatch):
@@ -360,5 +382,5 @@ def test_residual_shrinks_at_second_order(hopf1):
     for rs in r:
         assert 3.5 <= rs[0] / rs[1] <= 4.5
     # each entry is the one-point |residual| at its step
-    want = abs(koszul_residual(motion, 0.3, probes[0], fd_step=5e-5))
+    want = abs(residual_sweep(motion, [0.3], [probes[0]], 5e-5).values[0, 0, 4])
     assert r[1, 2] == want
