@@ -9,7 +9,6 @@ residuals and conservation checks.
 
 from .catalog import (
     CatalogEntry,
-    Model,
     catalog_names,
     export_entry,
     get_entry,
@@ -22,9 +21,7 @@ from .catalog import (
 )
 from .field import (
     ChargedSystem,
-    DiagonalMetric,
     apply_I0,
-    charged_system,
     em_two_form,
     metric_inner,
     metric_norm,
@@ -80,10 +77,8 @@ __all__ = [
     "CatalogEntry",
     "ChargedSystem",
     "ClosedFormMotion",
-    "DiagonalMetric",
     "DimensionError",
     "DomainError",
-    "Model",
     "ResidualReport",
     "ReductiveSplit",
     "StructureError",
@@ -101,7 +96,6 @@ __all__ = [
     "catalog_names",
     "center_basis",
     "chain",
-    "charged_system",
     "check_skew_hermitian",
     "conservation_sweep",
     "convergence_ratios",

@@ -13,11 +13,12 @@ custom-space input format of the CLI.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
 
-from .field import charged_system
+from .field import ChargedSystem, metric_weights, module_pair, weight_ratio
 from .linalg import adjoint, check_skew_hermitian, inner_b, orthonormalize
 from .split import (
     CATALOG_TOL,
@@ -68,9 +69,9 @@ class CatalogEntry:
 
 def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):
     """ChargedSystem from an entry with optional overrides."""
-    a, b = pair if pair is not None else entry.pair
-    weights = tuple(weights) if weights is not None else entry.weights
-    return charged_system(entry.split, weights, a, b, w_scale * entry.W, k, model=entry.model)
+    weights = weights if weights is not None else entry.weights
+    pair = pair if pair is not None else entry.pair
+    return ChargedSystem(entry.split, weights, *pair, w_scale * entry.W, k, model=entry.model)
 
 
 def _u_basis(n, size=None):
@@ -114,20 +115,12 @@ def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
         ch = chain(gb, k_basis, hb, tol=tol)
         split = build_split(ch, tol=tol)
         key, bases = "k_basis", k_basis
-    elif module_bases is not None:
+    else:
         ch = None
         split = build_custom_split(gb, hb, module_bases, tol=tol)
         key, bases = "module_bases", module_bases
-    else:
-        raise ValueError("space document needs k_basis or module_bases")
     if model is not None:
         kind, base = model
-        want = (split.n,) * _MODEL_RANK[kind]
-        if base.shape != want:
-            raise ValueError(
-                f"malformed space document: model base has shape {base.shape}, "
-                f"expected {want}"
-            )
         frame = ()
         if kind == "orbit":
             frame = (ch.g if ch is not None else orthonormalize(gb)).basis
@@ -242,20 +235,38 @@ def _pairs(doc):
     A list whose first entry starts with a list holds lists of one rank
     less; any other list is read as the pairs of a vector.
     """
-    first = doc[0] if isinstance(doc, list) and doc else None
+    if not isinstance(doc, list):
+        raise TypeError(f"expected a list, got {type(doc).__name__}")
+    first = doc[0] if doc else None
     if isinstance(first, list) and first and isinstance(first[0], list):
         return [_pairs(x) for x in doc]
     return [complex(re, im) for re, im in doc]
 
 
-def _load(doc, name=None):
-    """The complex array written by _doc; a named field must be finite, and its matrices skew."""
+def _load(doc, name, n=None):
+    """The complex array written by _doc under the field name: finite, and its matrices skew.
+
+    Given n, the array is a (k, n, n) stack, an empty list the empty stack.
+    """
     A = np.array(_pairs(doc))
-    if name and A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
+    if n is not None and A.size and A.shape[1:] != (n, n):
+        raise ValueError(f"{name} must be a stack of {n} x {n} matrices, got shape {A.shape}")
+    if A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
         check_skew_hermitian(A, name=name)  # refuses a non-finite entry in the same words
-    elif name and not np.isfinite(A).all():
+    elif not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
+
+
+@contextmanager
+def _field(name):
+    """While the named field is read, a failure becomes a malformed-document error naming it first."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        msg = "missing" if type(exc) is KeyError else str(exc)
+        msg = msg if msg.startswith(name) else f"{name}: {msg}"
+        raise ValueError(f"malformed space document: {msg}") from exc
 
 
 def export_entry(entry):
@@ -283,44 +294,57 @@ def load_custom(doc):
 
     A document with a k_basis is treated as a subalgebra chain and
     split into two modules; one with module_bases is taken as an
-    explicit decomposition, and one with both is malformed. ambient_n
-    must be the size of the matrices, every entry finite, and each
-    matrix, the orbit model's base point included, skew-Hermitian.
-    Validation failures raise StructureError with the offending check
-    in the message.
+    explicit decomposition, and one with both is malformed. W must be a
+    square matrix, ambient_n its size, every basis a stack of such
+    matrices, every entry finite, and each matrix, the orbit model's
+    base point included, skew-Hermitian. The weights and the pair obey
+    the rules of the system constructor. A document that breaks one of
+    these raises ValueError naming the field; validation failures raise
+    StructureError with the offending check in the message.
     """
-    try:
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        name = str(doc.get("name", "custom"))
-        ambient_n = doc["ambient_n"]
-        gb = _load(doc["g_basis"], "g_basis")
-        hb = _load(doc["h_basis"], "h_basis")
-        weights = tuple(float(w) for w in doc["weights"])
-        pa, pb = doc["pair"]
-        pair = (int(pa), int(pb) if pb is not None else None)
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed space document: expected a JSON object, got {type(doc).__name__}")
+    with _field("W"):
         W = _load(doc["W"], "W")
-        bases = {}
-        if "k_basis" in doc and "module_bases" in doc:
-            raise ValueError("a document gives k_basis or module_bases, not both")
-        if "k_basis" in doc:
-            bases["k_basis"] = _load(doc["k_basis"], "k_basis")
-        elif "module_bases" in doc:
-            mods = enumerate(doc["module_bases"])
-            bases["module_bases"] = [_load(mod, f"module_bases[{i}]") for i, mod in mods]
-        model = doc.get("model")
-        if model is not None:
-            if model["kind"] not in _MODEL_RANK:
-                raise ValueError(f"unknown model kind {model['kind']!r}")
-            model = (model["kind"], _load(model["base"], "model.base"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed space document: {exc}") from exc
-    entry = _entry(name, gb, hb, weights, pair, W, model, **bases, tol=USER_TOL)
-    n = entry.source["ambient_n"]
-    if type(ambient_n) is not int or ambient_n != n:
-        raise ValueError(
-            f"malformed space document: ambient_n is {ambient_n!r}, "
-            f"but the matrices are {n} x {n}"
-        )
+        n = W.shape[-1]
+        if W.shape != (n, n):
+            raise ValueError(f"W must be a square matrix, got shape {W.shape}")
+    with _field("ambient_n"):
+        if type(doc["ambient_n"]) is not int or doc["ambient_n"] != n:
+            raise ValueError(f"ambient_n is {doc['ambient_n']!r}, but W is {n} x {n}")
+    with _field("g_basis"):
+        gb = _load(doc["g_basis"], "g_basis", n)
+    with _field("h_basis"):
+        hb = _load(doc["h_basis"], "h_basis", n)
+    both = "k_basis" in doc and "module_bases" in doc
+    key = "k_basis" if "k_basis" in doc else "module_bases"
+    with _field(key):
+        if both or key not in doc:
+            raise ValueError(f"a document gives k_basis or module_bases{', not both' if both else ''}")
+        if key == "k_basis":
+            bases = _load(doc[key], key, n)
+        else:
+            bases = [_load(mod, f"{key}[{i}]", n) for i, mod in enumerate(doc[key])]
+            if not (bases and isinstance(doc[key], list)):
+                raise ValueError(f"{key} must be a nonempty list of bases")
+    s = 2 if key == "k_basis" else len(bases)
+    with _field("pair"):
+        pair = module_pair(s, doc["pair"])
+    with _field("weights"):
+        weights = metric_weights(doc["weights"], s)
+        weight_ratio(weights, *pair)
+    model = doc.get("model")
+    if model is not None:
+        with _field("model.kind"):
+            kind = model["kind"]
+            if kind not in _MODEL_RANK:
+                raise ValueError(f"unknown model kind {kind!r}")
+        with _field("model.base"):
+            base, want = _load(model["base"], "model.base"), (n,) * _MODEL_RANK[kind]
+            if base.shape != want:
+                raise ValueError(f"model.base has shape {base.shape}, expected {want}")
+        model = (kind, base)
+    name = str(doc.get("name", "custom"))
+    entry = _entry(name, gb, hb, weights, pair, W, model, **{key: bases}, tol=USER_TOL)
     require(entry.report, USER_TOL, "space document")
     return entry

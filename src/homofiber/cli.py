@@ -336,7 +336,7 @@ def cmd_verify(args):
             failures.append("magnetic-circle check failed")
     doc = {
         "space": entry.name,
-        "weights": list(system.metric.weights),
+        "weights": list(system.weights),
         "pair": [system.a, system.b],
         "k": system.k,
         "seed": args.seed,

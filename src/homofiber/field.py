@@ -1,8 +1,9 @@
-"""Diagonal metrics on reductive splits and the magnetic field operator.
+"""Charged systems on reductive splits and the magnetic field operator.
 
-The metric rescales the bi-invariant form B module by module with
-positive weights. A central element W of h together with a module pair
-(a, b) and a charge k defines the skew field operator
+A charged system puts a diagonal metric on a split, rescaling the
+bi-invariant form B module by module with positive weights. A central
+element W of h together with a module pair (a, b) and a charge k
+defines the skew field operator
 
     I0 = ad(W) on m_a  +  (1/lam) ad(W) on m_b,    lam = w_b / w_a,
 
@@ -10,15 +11,17 @@ whose domain is m_a + m_b. The electromagnetic two-form is
 omega(X, Y) = <X, I0 Y>. In the B-orthonormal basis of m the metric is
 a weighted dot product of coordinates, and I0 is the fixed
 (dim m)^2 matrix `ChargedSystem.I0`, built once per system.
+`ChargedSystem` is the one constructor and runs every check;
+`metric_weights`, `weight_ratio` and `module_pair` hold the weight and
+pair rules it shares with the space-document loader.
 
-Each function takes one matrix or a (..., n, n) stack, broadcast over
-the leading axes, and checks every matrix of a stack as it would check
-one matrix: the one-matrix call is the one-point case of the stack.
+The metric and field functions take one matrix or a (..., n, n)
+stack, broadcast over the leading axes, and check every matrix of a
+stack as they would check one matrix: the one-matrix call is the
+one-point case of the stack.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -35,115 +38,87 @@ from .split import bracket_pair_residual, center_residuals
 MEMBERSHIP_TOL = 1e-10
 
 
-class DiagonalMetric:
-    """Positive weights, one per module of a split."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        ws = tuple(float(w) for w in weights)
-        if not ws or any(w <= 0 or not np.isfinite(w) for w in ws):
-            raise ValueError(f"weights must be positive and finite, got {weights}")
-        self.weights = ws
-
-
 class WeightRatioError(ValueError):
     """The weight ratio lam = w_b / w_a is 0 or not finite."""
 
 
+def metric_weights(weights, s):
+    """The weights as a tuple of s positive finite floats, one per module."""
+    weights = tuple(weights)
+    if not weights or not all(0.0 < float(w) < np.inf for w in weights):
+        raise ValueError(f"weights must be positive and finite, got {weights}")
+    if len(weights) != s:
+        raise ValueError(f"need {s} weights for {s} modules, got {len(weights)}")
+    return tuple(map(float, weights))
+
+
+def weight_ratio(weights, a, b):
+    """lam = w_b / w_a for a checked pair, 1 when b is None; it must be positive and finite."""
+    lam = 1.0 if b is None else weights[b - 1] / weights[a - 1]
+    if not 0.0 < lam < np.inf:
+        raise WeightRatioError(f"weight ratio {lam:.3e} is out of floating-point range")
+    return lam
+
+
+def module_pair(s, pair):
+    """The pair (a, b) as ints: a in 1..s, b None or in 1..s and not a; no bool or float."""
+    a, b = pair
+    for name, i in zip("ab", (a,) if b is None else (a, b)):
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"module index {name}={i!r} is not an integer")
+        if not 1 <= i <= s:
+            raise ValueError(f"module index {name}={i} out of range 1..{s}")
+    if a == b:
+        raise ValueError("pair indices a and b must differ")
+    return int(a), None if b is None else int(b)
+
+
 class ChargedSystem:
-    """A split, metric, field pair (a, b), central element W and charge k.
+    """A split, metric weights, field pair (a, b), central element W and charge k.
 
     `b` may be None when the second module is empty; lam is then 1 and
     the I0 domain shrinks to m_a. Module indices are 1-based.
+
+    The constructor checks, in this order: the weights, the pair, the
+    bracket condition [m_a, m_b] in m_a, that W is skew-Hermitian and
+    lies in the center of h to within tol max(1, max|W|) (a trivial h
+    forces W = 0), that k is finite, and last that lam is positive and
+    finite, since I0 divides by it. `m_weights` repeats the weights per
+    basis element of m, and `domain_scale` is 1 on m_a, 1/lam on m_b and
+    0 off the I0 domain. `I0` acts on m-coordinates: column j holds
+    [W, e_j]'s coordinates times e_j's domain scale.
     """
 
-    def __init__(self, split, metric, a, b, W, k, model=None):
-        self.split, self.metric, self.a, self.b, self.W = split, metric, a, b, W
+    def __init__(self, split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
+        self.weights = metric_weights(weights, split.s)
+        a, b = module_pair(split.s, (a, b))
+        r = bracket_pair_residual(split, a, b)
+        if r > tol:
+            raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
+        W = check_skew_hermitian(W, name="W")
+        # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
+        s = max(1.0, float(np.abs(W).max(initial=0.0)))
+        rs, rc = (s * r for r in center_residuals(split.h, W / s))
+        tol = tol * s
+        if split.h.dim == 0:
+            if rs > tol:
+                raise StructureError("h is trivial, so W must be zero")
+            W = np.zeros((split.n, split.n), dtype=complex)
+        elif rs > tol:
+            raise StructureError(f"W is not in h (residual {rs:.3e})")
+        elif rc > tol:
+            raise StructureError(f"W is not central in h (residual {rc:.3e})")
         self.k = float(k)
         if not np.isfinite(self.k):
             raise ValueError("charge k must be finite")
-        self.model = model
-
-    @property
-    def lam(self):
-        if self.b is None:
-            return 1.0
-        return self.metric.weights[self.b - 1] / self.metric.weights[self.a - 1]
-
-    @property
-    def ma(self):
-        return self.split.module(self.a)
-
-    @property
-    def mb(self):
-        if self.b is None:
-            return None
-        return self.split.module(self.b)
-
-    @property
-    def m(self):
-        return self.split.m
-
-    @cached_property
-    def _m_weights(self):
-        """The module weights repeated per basis element of m."""
-        return np.repeat(self.metric.weights, self.split.dims)
-
-    @cached_property
-    def _domain_scale(self):
-        """Per basis element of m: 1 on m_a, 1/lam on m_b and 0 off the I0 domain."""
-        scale = {self.a: 1.0, self.b: 1.0 / self.lam}
-        return np.repeat([scale.get(i, 0.0) for i in range(1, self.split.s + 1)], self.split.dims)
-
-    @cached_property
-    def I0(self):
-        """I0 on m-coordinates: column j holds [W, e_j]'s coordinates times e_j's domain scale."""
-        return self.m.coordinates(brackets(self.W, self.m)).T * self._domain_scale
-
-
-def charged_system(split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
-    """Validated constructor for ChargedSystem.
-
-    Checks the weight count, the pair indices, the bracket condition
-    [m_a, m_b] in m_a, and that W is skew-Hermitian and lies in the
-    center of h, to within tol max(1, max|W|); a trivial h forces W = 0.
-    Last, I0 divides by lam = w_b / w_a, which must be positive and finite.
-    """
-    metric = DiagonalMetric(tuple(weights))
-    if len(metric.weights) != split.s:
-        raise ValueError(
-            f"need {split.s} weights for {split.s} modules, got {len(metric.weights)}"
-        )
-    if not 1 <= a <= split.s:
-        raise ValueError(f"module index a={a} out of range 1..{split.s}")
-    if b is not None:
-        if not 1 <= b <= split.s:
-            raise ValueError(f"module index b={b} out of range 1..{split.s}")
-        if b == a:
-            raise ValueError("pair indices a and b must differ")
-    r = bracket_pair_residual(split, a, b)
-    if r > tol:
-        raise StructureError(
-            f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})"
-        )
-    W = check_skew_hermitian(W, name="W")
-    # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
-    s = max(1.0, float(np.abs(W).max(initial=0.0)))
-    rs, rc = (s * r for r in center_residuals(split.h, W / s))
-    tol = tol * s
-    if split.h.dim == 0:
-        if rs > tol:
-            raise StructureError("h is trivial, so W must be zero")
-        W = np.zeros((split.n, split.n), dtype=complex)
-    elif rs > tol:
-        raise StructureError(f"W is not in h (residual {rs:.3e})")
-    elif rc > tol:
-        raise StructureError(f"W is not central in h (residual {rc:.3e})")
-    system = ChargedSystem(split, metric, a, int(b) if b is not None else None, W, k, model)
-    if not 0.0 < system.lam < np.inf:
-        raise WeightRatioError(f"weight ratio {system.lam:.3e} is out of floating-point range")
-    return system
+        self.lam = weight_ratio(self.weights, a, b)
+        self.split, self.a, self.b, self.W, self.model = split, a, b, W, model
+        self.m, self.ma = split.m, split.module(a)
+        self.mb = None if b is None else split.module(b)
+        self.m_weights = np.repeat(self.weights, split.dims)
+        scale = {a: 1.0, b: 1.0 / self.lam}
+        self.domain_scale = np.repeat([scale.get(i, 0.0) for i in range(1, split.s + 1)], split.dims)
+        self.I0 = self.m.coordinates(brackets(W, self.m)).T * self.domain_scale
 
 
 def _m_coordinates(sys, X, name, domain=False):
@@ -155,7 +130,7 @@ def _m_coordinates(sys, X, name, domain=False):
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
-    kept = c * (sys._domain_scale != 0.0) if domain else c
+    kept = c * (sys.domain_scale != 0.0) if domain else c
     R = _real_rows(A) - np.einsum("...i,ij->...j", kept, m.frame)
     r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
     if r > MEMBERSHIP_TOL:
@@ -173,7 +148,7 @@ def metric_inner(sys, X, Y):
     """
     cx = _m_coordinates(sys, X, "X")
     cy = cx if Y is X else _m_coordinates(sys, Y, "Y")
-    return _scalar(np.sum(sys._m_weights * cx * cy, axis=-1))
+    return _scalar(np.sum(sys.m_weights * cx * cy, axis=-1))
 
 
 def metric_norm(sys, X):

@@ -87,10 +87,6 @@ class ClosedFormMotion:
         xa, x = np.moveaxis(_conjugate(G[..., None, :, :], np.stack([self.Xa, self.X])), -3, 0)
         return xa, self.system.m.combine(self.system.m._coordinates(x + self.Y))
 
-    def transported_xa(self, t):
-        """Ad(exp(-tY)) applied to Xa."""
-        return self.transport(t)[0]
-
     def body_velocity(self, t):
         return self.transport(t)[1]
 

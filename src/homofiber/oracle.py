@@ -87,7 +87,7 @@ class ResidualReport:
 
 def metric_probe_basis(sys):
     """Metric-orthonormal basis of m, the (dim m, n, n) stack of module bases over sqrt(weight)."""
-    return sys.m.basis / np.sqrt(sys._m_weights)[:, None, None]
+    return sys.m.basis / np.sqrt(sys.m_weights)[:, None, None]
 
 
 class CurveGrid:
@@ -127,7 +127,7 @@ class CurveGrid:
         sys, Z = self.motion.system, self.probes
         Z = np.asarray(metric_probe_basis(sys) if Z is None else Z, dtype=complex)
         c = _m_coordinates(sys, Z, "X")
-        zn = np.sqrt(np.maximum(np.sum(sys._m_weights * c * c, axis=-1), 0.0))
+        zn = np.sqrt(np.maximum(np.sum(sys.m_weights * c * c, axis=-1), 0.0))
         if np.any(zn == 0.0):
             raise DomainError("probe Z must be nonzero")
         return Z / zn[..., None, None], c / zn[..., None]
@@ -151,14 +151,14 @@ def _koszul_grid(grid):
     motion, T, h = grid.motion, len(grid.ts), grid.h
     sys = motion.system
     Z, zc = grid.unit_probes
-    zw = zc * sys._m_weights
-    zyw = sys.m._coordinates(_commutator(Z, motion.Y)) * sys._m_weights
+    zw = zc * sys.m_weights
+    zyw = sys.m._coordinates(_commutator(Z, motion.Y)) * sys.m_weights
     steps = Flow(h * Z)(np.array([1.0, -1.0]))
     v = _m_coordinates(sys, grid.body[1][1:], "X", domain=True)
     v_num = sys.m._coordinates(grid.numeric[T:])
     p = mul(grid.representative[:, None], steps[:, None])
     w = sys.m._coordinates(_conjugate(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
-    energy = np.einsum("...j,j,...j->...", w, sys._m_weights, w)
+    energy = np.einsum("...j,j,...j->...", w, sys.m_weights, w)
     dv = np.einsum("tj,pj->tp", v_num, zw)
     t1 = (dv[:T] - dv[T:]) / (2.0 * h)
     t2 = np.einsum("tj,pj->tp", v, zyw)
@@ -172,6 +172,8 @@ def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
     if t_samples is None:
         t_samples = np.linspace(-2.0, 2.0, 25)
     grid = _grid(motion, t_samples, probes, fd_step)
+    if grid.h is None:
+        raise ValueError("the weak form needs a grid with an fd_step")
     t1, t2, t3, rhs = _koszul_grid(grid)
     values = np.stack([t1, t2, t3, rhs, (t1 + t2 + t3) - rhs], axis=-1)
     # a leading 0 is the first maximum exactly when no |residual| exceeds 0
@@ -201,8 +203,8 @@ def algebraic_identity_check(motion, t, Z):
     t may also be a CurveGrid, whose probes stand in for Z.
     """
     sys = motion.system
-    wa = sys.metric.weights[sys.a - 1]
-    wb = sys.metric.weights[sys.b - 1] if sys.b is not None else wa
+    wa = sys.weights[sys.a - 1]
+    wb = sys.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
     grid = _grid(motion, t, Z)
     zc = grid.unit_probes[1]

@@ -49,7 +49,7 @@ def per_charge_magnetic_circles(sys, Xa, k_values, t_samples=None):
     if t_samples is None:
         t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
     motions = [
-        build_motion(ChargedSystem(sys.split, sys.metric, sys.a, sys.b, sys.W, kv, sys.model), Xa)
+        build_motion(ChargedSystem(sys.split, sys.weights, sys.a, sys.b, sys.W, kv, sys.model), Xa)
         for kv in k_values
     ]
     rho = max((np.abs(np.linalg.eigh(-1j * m.X)[0]).max() for m in motions), default=0.0)

@@ -206,6 +206,54 @@ def test_malformed_documents(hopf1):
         load_custom(doc)
 
 
+def _big_first_entry(doc):
+    """The document with the first number of its array replaced by a 400-digit integer."""
+    leaf = doc
+    while isinstance(leaf[0], list):
+        leaf = leaf[0]
+    leaf[0] = 10**400
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name,key,value,message",
+    [
+        ("hopf:1", "pair", [1, 3], "pair: module index b=3 out of range 1..2"),
+        ("hopf:1", "pair", [0, 1], "pair: module index a=0 out of range 1..2"),
+        ("hopf:1", "pair", [3, None], "pair: module index a=3 out of range 1..2"),
+        ("kahler_s2", "pair", [1, -1], "pair: module index b=-1 out of range 1..1"),
+        ("hopf:1", "pair", [1, 10**400], "pair: module index b=1000"),
+        ("hopf:1", "pair", [1.5, 2], "pair: module index a=1.5 is not an integer"),
+        ("hopf:1", "pair", [True, 2], "pair: module index a=True is not an integer"),
+        ("hopf:1", "pair", [1, 1], "pair indices a and b must differ"),
+        ("hopf:1", "pair", 5, "pair: cannot unpack non-iterable int object"),
+        ("hopf:1", "weights", [1, -1], "weights must be positive and finite, got (1, -1)"),
+        ("hopf:1", "weights", [], "weights must be positive and finite, got ()"),
+        ("hopf:1", "weights", [1], "weights: need 2 weights for 2 modules, got 1"),
+        ("kahler_s2", "weights", [1, 2], "weights: need 1 weights for 1 modules, got 2"),
+        ("hopf:1", "weights", [1e308, 1e-308],
+         "weights: weight ratio 0.000e+00 is out of floating-point range"),
+        ("hopf:1", "weights", [1, 10**400], "weights: int too large to convert to float"),
+        ("hopf:1", "W", [[0, 0]], "W must be a square matrix, got shape (1,)"),
+        ("hopf:1", "W", [[[0, 0]]], "ambient_n is 2, but W is 1 x 1"),
+        ("hopf:1", "W", _big_first_entry, "W: int too large to convert to float"),
+        ("kahler_s2", "g_basis", _big_first_entry, "g_basis: int too large to convert to float"),
+        ("hopf:1", "k_basis", [[[0, 0]]], "k_basis must be a stack of 2 x 2 matrices, got shape (1, 1)"),
+        ("kahler_s2", "module_bases", [], "module_bases must be a nonempty list of bases"),
+        ("su2", "h_basis", {}, "h_basis: expected a list, got dict"),
+        ("hopf:1", "model", {"base": [[1, 0], [0, 0]]}, "model.kind: missing"),
+    ],
+)
+def test_malformed_fields_are_named(name, key, value, message):
+    # the weights and the pair obey the rules of the system constructor at load,
+    # and every malformed field is named at the start of its message
+    doc = export_entry(get_entry(name))
+    doc[key] = value(doc[key]) if callable(value) else value
+    with pytest.raises(ValueError) as err:
+        load_custom(doc)
+    assert str(err.value).startswith(f"malformed space document: {message}"), str(err.value)
+
+
 def test_document_with_both_split_forms_is_malformed(hopf1):
     # a chain and explicit modules state two splits; neither is dropped in silence
     doc = export_entry(hopf1)

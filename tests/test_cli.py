@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -372,14 +373,21 @@ def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
         assert "malformed space document: ambient_n" in err and "Traceback" not in err, bad
 
 
-BAD_VALUES = (None, True, -1, 2.5, "x", [], [0], [[0, 0]], [[[0, 0]]], {})
+BAD_VALUES = (
+    None, True, -1, 2.5, "x", [], [0], [[0, 0]], [[[0, 0]]], {},
+    [1, 3], [0, 1], [1, 1], [1.5, 2], 10**400,
+)
 
 
 @pytest.mark.parametrize(
     "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3"]
 )
 def test_mutated_documents_never_end_in_a_traceback(tmp_path, name):
-    """Every top-level and model field of an export, set to each bad value."""
+    """Every top-level and model field of an export, set to each bad value.
+
+    A document that validate accepts is one verify can run, and a
+    malformed one is refused with a message that names the field.
+    """
     base = export_entry(get_entry(name))
     fields = [(key,) for key in base] + [("model", key) for key in base["model"] or ()]
     path = tmp_path / "mutated.json"
@@ -389,14 +397,20 @@ def test_mutated_documents_never_end_in_a_traceback(tmp_path, name):
             target = doc if len(field) == 1 else doc["model"]
             target[field[-1]] = bad
             path.write_text(json.dumps(doc))
+            codes = []
             for argv in (["validate"], ["verify", "--samples", "2"]):
                 out, err = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                     rc = main(argv + ["--space", str(path)])
+                codes.append(rc)
                 assert rc in (0, 1, 2), (field, bad, argv)
                 assert "Traceback" not in err.getvalue()
                 if "malformed" in err.getvalue():
                     assert rc == 2
+                if rc == 2:
+                    why = err.getvalue().partition("malformed space document: ")[2]
+                    assert re.search(rf"\b{field[-1]}\b", why), (field, bad, argv, err.getvalue())
+            assert codes[0] != 0 or codes[1] != 2, (field, bad)
 
 
 def test_verify_needs_samples(capsys):
@@ -978,7 +992,7 @@ def test_verify_report_equals_the_standalone_sweeps(tmp_path, name, perturb):
     assert doc["velocity_agreement_max"] == velocity_agreement_sweep(motion, ts)
     speeds = motion.speed(np.concatenate([[0.0], ts]))
     assert doc["speed_drift"] == float(np.max(np.abs(speeds[1:] - speeds[0])))
-    gap = motion.body_velocity_numeric(ts) - (motion.transported_xa(ts) + motion.Xb)
+    gap = motion.body_velocity_numeric(ts) - (motion.transport(ts)[0] + motion.Xb)
     assert doc["velocity_agreement_max"] == float(np.max(bnorm(gap)))
 
 

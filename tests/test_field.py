@@ -1,4 +1,4 @@
-"""Diagonal metrics, the field operator I0, and the two-form."""
+"""Charged systems: their checks, the metric, the field operator I0, and the two-form."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homofiber import (
-    DiagonalMetric,
+    ChargedSystem,
     DomainError,
     StructureError,
     apply_I0,
     bnorm,
     bracket,
     catalog_names,
-    charged_system,
     em_two_form,
     get_entry,
     hopf,
@@ -32,17 +31,17 @@ from conftest import combo
 def test_weights_must_be_positive():
     for weights in [(1.0, -2.0), (), (np.inf,)]:
         with pytest.raises(ValueError, match=r"weights must be positive and finite, got \("):
-            DiagonalMetric(weights)
+            ChargedSystem(hopf(1).split, weights, 1, 2, hopf(1).W, 0.0)
     entry = hopf(1)
     for k in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="charge k must be finite"):
-            charged_system(entry.split, entry.weights, 1, 2, entry.W, k)
+            ChargedSystem(entry.split, entry.weights, 1, 2, entry.W, k)
 
 
 def test_weight_count_must_match():
     entry = hopf(1)
     with pytest.raises(ValueError, match="weights"):
-        charged_system(entry.split, (1.0,), 1, 2, entry.W, 0.0)
+        ChargedSystem(entry.split, (1.0,), 1, 2, entry.W, 0.0)
 
 
 def test_metric_inner_weights():
@@ -74,7 +73,7 @@ def test_metric_inner_matches_module_sum():
         Y = combo(sys.m, rng.standard_normal(sys.m.dim))
         explicit = sum(
             w * inner_b(project(mod, X), project(mod, Y))
-            for w, mod in zip(sys.metric.weights, sys.split.modules)
+            for w, mod in zip(sys.weights, sys.split.modules)
         )
         assert abs(metric_inner(sys, X, Y) - explicit) <= 1e-12
 
@@ -105,7 +104,7 @@ def test_weight_ratio_out_of_range_is_refused(weights, ratio):
     # is refused when the system is built, not at its first use
     entry = get_entry("hopf:2")
     with pytest.raises(ValueError) as err:
-        charged_system(entry.split, weights, 1, 2, entry.W, 0.0)
+        ChargedSystem(entry.split, weights, 1, 2, entry.W, 0.0)
     assert str(err.value) == f"weight ratio {ratio} is out of floating-point range"
 
 
@@ -184,7 +183,7 @@ def test_charged_system_validates_W():
     entry = hopf(1)
     m1 = entry.split.module(1)
     with pytest.raises(StructureError, match="not in h"):
-        charged_system(entry.split, (1.0, 2.0), 1, 2, m1.basis[0], 1.0)
+        ChargedSystem(entry.split, (1.0, 2.0), 1, 2, m1.basis[0], 1.0)
 
 
 def test_W_membership_tolerance_scales_with_W():
@@ -192,11 +191,11 @@ def test_W_membership_tolerance_scales_with_W():
     entry = twistor_su3()
     off = entry.split.module(1).basis[0]
     for scale in (1.0, 1e6, 1e12):
-        sys = charged_system(entry.split, (1.0, 1.0), 1, 2, scale * entry.W, 0.0)
+        sys = ChargedSystem(entry.split, (1.0, 1.0), 1, 2, scale * entry.W, 0.0)
         assert np.array_equal(sys.W, scale * entry.W)
         W = scale * (entry.W + 1e-6 * off)
         with pytest.raises(StructureError, match="not in h"):
-            charged_system(entry.split, (1.0, 1.0), 1, 2, W, 0.0)
+            ChargedSystem(entry.split, (1.0, 1.0), 1, 2, W, 0.0)
 
 
 def test_charged_system_rejects_hermitian_W():
@@ -205,7 +204,7 @@ def test_charged_system_rejects_hermitian_W():
     entry = hopf(1)
     H = 0.3 * np.diag([1.0, -1.0]).astype(complex)
     with pytest.raises(DomainError, match="W is not skew-Hermitian"):
-        charged_system(entry.split, (1.0, 2.0), 1, 2, entry.W + H, 1.0)
+        ChargedSystem(entry.split, (1.0, 2.0), 1, 2, entry.W + H, 1.0)
 
 
 def test_charged_system_rejects_noncentral_W():
@@ -219,7 +218,7 @@ def test_charged_system_rejects_noncentral_W():
     rest = mods[1] + mods[2] + [torus_basis()[1]]
     split = build_custom_split(su3_basis(), su2_like, [rest])
     with pytest.raises(StructureError, match="central"):
-        charged_system(split, (1.0,), 1, None, su2_like[0], 1.0)
+        ChargedSystem(split, (1.0,), 1, None, su2_like[0], 1.0)
 
 
 def test_charged_system_trivial_h_forces_zero_W():
@@ -227,17 +226,48 @@ def test_charged_system_trivial_h_forces_zero_W():
 
     entry = lie_group()
     with pytest.raises(StructureError, match="W must be zero"):
-        charged_system(entry.split, (1.0, 1.0), 1, 2, entry.split.m.basis[0], 1.0)
+        ChargedSystem(entry.split, (1.0, 1.0), 1, 2, entry.split.m.basis[0], 1.0)
 
 
 def test_charged_system_rejects_bad_pair():
     entry = hopf(1)
     with pytest.raises(StructureError, match="bracket condition"):
-        charged_system(entry.split, (1.0, 2.0), 2, 1, entry.W, 0.0)
+        ChargedSystem(entry.split, (1.0, 2.0), 2, 1, entry.W, 0.0)
     with pytest.raises(ValueError, match="differ"):
-        charged_system(entry.split, (1.0, 2.0), 1, 1, entry.W, 0.0)
+        ChargedSystem(entry.split, (1.0, 2.0), 1, 1, entry.W, 0.0)
     with pytest.raises(ValueError, match="out of range"):
-        charged_system(entry.split, (1.0, 2.0), 1, 5, entry.W, 0.0)
+        ChargedSystem(entry.split, (1.0, 2.0), 1, 5, entry.W, 0.0)
+    # a bool or a float is not a module index; a numpy integer is, stored as an int
+    for a, b, bad in ((1.5, 2, "a=1.5"), (True, 2, "a=True"), (1, 2.0, "b=2.0"), (1, "2", "b='2'")):
+        with pytest.raises(ValueError, match=f"module index {bad} is not an integer"):
+            ChargedSystem(entry.split, (1.0, 2.0), a, b, entry.W, 0.0)
+    sys = ChargedSystem(entry.split, (1.0, 2.0), np.int64(1), np.int64(2), entry.W, 0.0)
+    assert (type(sys.a), type(sys.b)) == (int, int)
+
+
+def test_charged_system_checks_in_order():
+    # weights, pair, bracket condition, W, k, and the weight ratio last
+    entry = hopf(1)
+    split, W, off = entry.split, entry.W, entry.split.module(1).basis[0]
+    cases = [
+        (((1.0, -1.0), 1, 5, W, 0.0), "weights must be positive"),
+        (((1.0, 2.0), 1, 5, off, 0.0), "out of range"),
+        (((1e-300, 1e300), 2, 1, W, 0.0), "bracket condition"),
+        (((1e300, 1e-300), 1, 2, off, 0.0), "W is not in h"),
+        (((1e300, 1e-300), 1, 2, W, np.nan), "charge k must be finite"),
+        (((1e300, 1e-300), 1, 2, W, 0.0), "weight ratio"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ChargedSystem(split, *args)
+
+
+def test_charged_system_sets_every_attribute_once():
+    sys = make_system(twistor_su3(), weights=(1.0, 3.0), k=1.0)
+    assert {"weights", "lam", "m", "ma", "mb", "m_weights", "domain_scale", "I0"} <= set(vars(sys))
+    assert sys.weights == (1.0, 3.0) and sys.lam == 3.0
+    assert np.array_equal(sys.m_weights, np.repeat([1.0, 3.0], sys.split.dims))
+    assert np.array_equal(sys.domain_scale, np.repeat([1.0, 1.0 / 3.0], sys.split.dims))
 
 
 coeff = st.floats(

@@ -83,11 +83,11 @@ def reference_koszul_rows(motion, t, probes, h):
 
 def reference_identity(motion, t, Z):
     sys = motion.system
-    wa = sys.metric.weights[sys.a - 1]
-    wb = sys.metric.weights[sys.b - 1] if sys.b is not None else wa
+    wa = sys.weights[sys.a - 1]
+    wb = sys.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
     Z = Z / metric_norm(sys, Z)
-    U = motion.transported_xa(t)
+    U = motion.transport(t)[0]
     V = motion.Xb
     term1 = (wa - wb) * inner_b(Z, bracket(U, V + (k / lam) * W))
     term2 = (wb - wa) * inner_b(Z, bracket(U, V))
@@ -105,12 +105,12 @@ def reference_drift(motion, ts):
 
 
 def reference_invariance(motion, ts):
-    return max(span_residual(motion.system.ma, motion.transported_xa(t)) for t in ts)
+    return max(span_residual(motion.system.ma, motion.transport(t)[0]) for t in ts)
 
 
 def reference_agreement(motion, ts):
     return max(
-        bnorm(motion.body_velocity_numeric(t) - (motion.transported_xa(t) + motion.Xb))
+        bnorm(motion.body_velocity_numeric(t) - (motion.transport(t)[0] + motion.Xb))
         for t in ts
     )
 
@@ -163,7 +163,7 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
     for motion in motions(entries, name, ratio, -0.5):
         for method in (
             motion.representative,
-            motion.transported_xa,
+            lambda t: motion.transport(t)[0],
             motion.body_velocity,
             motion.body_velocity_numeric,
             motion.speed,

@@ -103,7 +103,7 @@ def test_transported_xa_stays_in_first_module(hopf1):
     Xa, Xb = seeded_unit_pair(sys, np.random.default_rng(3))
     motion = build_motion(sys, Xa, Xb)
     for t in (-2.0, 0.7, 1.9):
-        T = motion.transported_xa(t)
+        T = motion.transport(t)[0]
         assert span_residual(sys.ma, T) < 1e-12
         assert bnorm(T) == pytest.approx(bnorm(Xa), abs=1e-13)
 

@@ -29,6 +29,7 @@ from homofiber import (
     perturb_motion,
     residual_sweep,
 )
+from homofiber.oracle import CurveGrid
 from conftest import per_charge_magnetic_circles, seeded_unit_pair, system_for
 
 TS = np.linspace(-2.0, 2.0, 7)
@@ -103,6 +104,10 @@ def test_config_rejects_bad_steps(hopf1):
             residual_sweep(motion, [0.0], [probe], fd_step=step)
         with pytest.raises(ValueError, match="fd_step must be positive, got"):
             residual_sweep(motion, [0.0], [probe], step).values[0, 0, 4]
+    # a bare CurveGrid has no stencil ts +- h, so the weak form refuses it by name
+    for args in ((CurveGrid(motion, TS),), (TS, None, None)):
+        with pytest.raises(ValueError, match="the weak form needs a grid with an fd_step"):
+            residual_sweep(motion, *args)
 
 
 def test_zero_probe_rejected(hopf1):
@@ -156,7 +161,7 @@ def test_assembled_terms_match_reduced_left_side(hopf1):
         report = residual_sweep(motion, t_samples=[t], probes=probes)
         for entry, Z in zip(report.entries, probes):
             Zu = Z / metric_norm(sys, Z)
-            U = motion.transported_xa(t)
+            U = motion.transport(t)[0]
             lh = -sys.k * wa * inner_b(Zu, bracket(U + motion.Xb, sys.W))
             assert abs((entry.t1 + entry.t2 + entry.t3) - lh) <= 5e-6
             assert abs(entry.rhs - lh) <= 1e-11
