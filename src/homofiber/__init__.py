@@ -22,7 +22,6 @@ from .catalog import (
 from .field import (
     ChargedSystem,
     apply_I0,
-    em_two_form,
     metric_inner,
     metric_norm,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "check_skew_hermitian",
     "conservation_sweep",
     "convergence_ratios",
-    "em_two_form",
     "expm",
     "export_entry",
     "get_entry",

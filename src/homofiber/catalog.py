@@ -13,6 +13,8 @@ custom-space input format of the CLI.
 
 from __future__ import annotations
 
+import itertools
+import reprlib
 from contextlib import contextmanager
 from functools import cached_property
 
@@ -233,14 +235,17 @@ def _pairs(doc):
     """Nested lists of complex numbers from nested lists of [re, im] pairs.
 
     A list whose first entry starts with a list holds lists of one rank
-    less; any other list is read as the pairs of a vector.
+    less; any other list holds the pairs of a vector, each part an int or a float.
     """
     if not isinstance(doc, list):
         raise TypeError(f"expected a list, got {type(doc).__name__}")
     first = doc[0] if doc else None
     if isinstance(first, list) and first and isinstance(first[0], list):
         return [_pairs(x) for x in doc]
-    return [complex(re, im) for re, im in doc]
+    row = [complex(re, im) for re, im in doc]
+    if not set(map(type, itertools.chain.from_iterable(doc))) <= {int, float}:
+        raise TypeError(f"expected [re, im] pairs of numbers, got {reprlib.repr(doc)}")
+    return row
 
 
 def _load(doc, name, n=None):
@@ -296,9 +301,9 @@ def load_custom(doc):
     split into two modules; one with module_bases is taken as an
     explicit decomposition, and one with both is malformed. W must be a
     square matrix, ambient_n its size, every basis a stack of such
-    matrices, every entry finite, and each matrix, the orbit model's
-    base point included, skew-Hermitian. The weights and the pair obey
-    the rules of the system constructor. A document that breaks one of
+    matrices, every entry a finite JSON int or float, and each matrix,
+    the orbit model's base point included, skew-Hermitian. The weights
+    and the pair obey the rules of the system constructor. A document that breaks one of
     these raises ValueError naming the field; validation failures raise
     StructureError with the offending check in the message.
     """

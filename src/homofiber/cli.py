@@ -1,8 +1,9 @@
 """Command-line front end: validate, simulate, verify, catalog.
 
 Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
-error. Output is CSV or a JSON tree; identical configuration and seed
-produce byte-identical output on a platform. The default tolerance can
+error; a usage error is a ValueError, which `main` prints as one
+`error: ...` line. Output is CSV or a JSON tree; identical configuration
+and seed produce byte-identical output on a platform. The default tolerance can
 be overridden with the HOMOFIBER_TOL environment variable.
 """
 
@@ -43,19 +44,15 @@ from .split import CATALOG_TOL, report_lines
 OK, FAIL, USAGE = 0, 1, 2
 
 
-class UsageError(Exception):
-    """Bad invocation: unknown space, missing file, malformed flags."""
-
-
 def _parse_pair(text):
     parts = [p.strip() for p in text.split(",")]
     if not 1 <= len(parts) <= 2:
-        raise UsageError(f"--pair wants 'a,b' or 'a', got {text!r}")
+        raise ValueError(f"--pair wants 'a,b' or 'a', got {text!r}")
     try:
         a = int(parts[0])
         b = int(parts[1]) if len(parts) == 2 and parts[1] else None
     except ValueError:
-        raise UsageError(f"--pair wants integers, got {text!r}")
+        raise ValueError(f"--pair wants integers, got {text!r}")
     return a, b
 
 
@@ -63,9 +60,9 @@ def _parse_coeffs(text, flag):
     try:
         coeffs = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise UsageError(f"bad coefficient list {text!r}")
+        raise ValueError(f"bad coefficient list {text!r}")
     if not np.all(np.isfinite(coeffs)):
-        raise UsageError(f"{flag} wants finite coefficients, got {text!r}")
+        raise ValueError(f"{flag} wants finite coefficients, got {text!r}")
     return coeffs
 
 
@@ -93,7 +90,7 @@ def _env_tol():
     try:
         return _positive_float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
     except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"HOMOFIBER_TOL: {exc}")
+        raise ValueError(f"HOMOFIBER_TOL: {exc}")
 
 
 def _resolve_space(name):
@@ -104,35 +101,34 @@ def _resolve_space(name):
             with open(name) as fh:
                 doc = json.load(fh)
         except OSError as exc:
-            raise UsageError(f"cannot read {name}: {exc.strerror}")
+            raise ValueError(f"cannot read {name}: {exc.strerror}")
         except json.JSONDecodeError as exc:
-            raise UsageError(f"cannot parse {name}: {exc}")
+            raise ValueError(f"cannot parse {name}: {exc}")
         return load_custom(doc)
-    raise UsageError(
+    raise ValueError(
         f"unknown space {name!r}: not a catalog name "
         f"({', '.join(catalog_names())}) and not a file"
     )
 
 
-def _write(text, out_path):
-    """Write text, a str or a list of ASCII bytes blocks, to out_path or to stdout.
+def _write(blocks, out_path):
+    """Write a list of ASCII bytes blocks to out_path or to stdout.
 
-    Bytes go to the file as they are; stdout takes the text in one
+    The blocks go to the file as they are; stdout takes them as text in one
     write. Once the reader of stdout has gone away, the rest of the
     output is dropped: stdout is pointed at the null device, so later
     writes and the flush at exit succeed and the command ends with its
     own code.
     """
-    binary = not isinstance(text, str)
     if out_path:
         try:
-            with open(out_path, "wb" if binary else "w") as fh:
-                fh.writelines(text if binary else [text])
+            with open(out_path, "wb") as fh:
+                fh.writelines(blocks)
         except OSError as exc:
-            raise UsageError(f"cannot write {out_path}: {exc.strerror}")
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}")
         return
     try:
-        sys.stdout.write(b"".join(text).decode("ascii") if binary else text)
+        sys.stdout.write(b"".join(blocks).decode("ascii"))
         sys.stdout.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -141,7 +137,7 @@ def _write(text, out_path):
 
 
 def _json_text(doc):
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return [(json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("ascii")]
 
 
 def _system_from_args(args):
@@ -151,7 +147,7 @@ def _system_from_args(args):
     try:
         return entry, make_system(entry, weights=weights, k=args.k, w_scale=args.w_scale, pair=pair)
     except WeightRatioError as exc:  # "weight ratio ... is out of floating-point range"
-        raise UsageError(f"the --lambda {exc}")
+        raise ValueError(f"the --lambda {exc}")
 
 
 def _initial_data(system, args):
@@ -161,9 +157,7 @@ def _initial_data(system, args):
     def build(space, coeffs, name):
         if coeffs is not None:
             if len(coeffs) != space.dim:
-                raise UsageError(
-                    f"{name} wants {space.dim} coefficients, got {len(coeffs)}"
-                )
+                raise ValueError(f"{name} wants {space.dim} coefficients, got {len(coeffs)}")
             return space.combine(coeffs)
         X = space.combine(rng.standard_normal(space.dim))
         return X / metric_norm(system, X)
@@ -173,7 +167,7 @@ def _initial_data(system, args):
     Xa = build(ma, xa, "--xa")
     if mb is None or mb.dim == 0:
         if xb:
-            raise UsageError("this space has no second module; drop --xb")
+            raise ValueError("this space has no second module; drop --xb")
         return Xa, None
     return Xa, build(mb, xb, "--xb")
 
@@ -195,10 +189,10 @@ def _motion_from_args(args):
 
 
 def _gate_sizes(sizes, k, lam):
-    """Raise UsageError naming the first of the sizes, B-norms keyed by name, that is not finite."""
+    """Raise ValueError naming the first of the sizes, B-norms keyed by name, that is not finite."""
     for name, size in sizes.items():
         if not np.isfinite(size):
-            raise UsageError(
+            raise ValueError(
                 f"the {name} overflows at --k {k:.3e} and --lambda weight ratio "
                 f"{lam:.3e}; reduce --k, --W-scale, --perturb or the ratio"
             )
@@ -214,7 +208,7 @@ def cmd_validate(args):
     rep = entry.report
     checks = {name: {"passed": r <= CATALOG_TOL, "residual": r} for name, r in rep.items()}
     passed = all(c["passed"] for c in checks.values())
-    _write("".join(line + "\n" for line in report_lines(rep, CATALOG_TOL)), None)
+    _write([f"{line}\n".encode("ascii") for line in report_lines(rep, CATALOG_TOL)], None)
     _write(_json_text({"space": entry.name, "passed": passed, "checks": checks}), args.out)
     return OK if passed else FAIL
 
@@ -293,7 +287,7 @@ def _special(motion, check, *args):
 
 def cmd_verify(args):
     if args.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {args.samples}")
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
     res = residual_sweep(motion, grid)
@@ -380,16 +374,16 @@ def cmd_catalog(args):
             b = e.pair[1] if e.pair[1] is not None else "-"
             lines.append(
                 f"{name:14s} dims={e.split.dims} weights={e.weights} "
-                f"pair=({e.pair[0]},{b}) model={kind}"
+                f"pair=({e.pair[0]},{b}) model={kind}\n".encode("ascii")
             )
-        _write("\n".join(lines) + "\n", args.out)
+        _write(lines, args.out)
         return OK
     if not args.name:
-        raise UsageError("catalog export needs a name")
+        raise ValueError("catalog export needs a name")
     try:
         entry = get_entry(args.name)
     except KeyError as exc:
-        raise UsageError(exc.args[0])
+        raise ValueError(exc.args[0])
     _write(_json_text(export_entry(entry)), args.out)
     return OK
 
@@ -474,9 +468,6 @@ def main(argv=None):
         if getattr(args, "tol", None) is None and hasattr(args, "tol"):
             args.tol = _env_tol()
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE
     except (DomainError, StructureError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return FAIL

@@ -8,9 +8,10 @@ defines the skew field operator
     I0 = ad(W) on m_a  +  (1/lam) ad(W) on m_b,    lam = w_b / w_a,
 
 whose domain is m_a + m_b. The electromagnetic two-form is
-omega(X, Y) = <X, I0 Y>. In the B-orthonormal basis of m the metric is
-a weighted dot product of coordinates, and I0 is the fixed
-(dim m)^2 matrix `ChargedSystem.I0`, built once per system.
+omega(X, Y) = <X, I0 Y>, metric_inner(sys, X, apply_I0(sys, Y)). In the
+B-orthonormal basis of m the metric is a weighted dot product of
+coordinates, and I0 is the fixed (dim m)^2 matrix `ChargedSystem.I0`,
+built once per system.
 `ChargedSystem` is the one constructor and runs every check;
 `metric_weights`, `weight_ratio` and `module_pair` hold the weight and
 pair rules it shares with the space-document loader.
@@ -22,6 +23,8 @@ one-point case of the stack.
 """
 
 from __future__ import annotations
+
+import reprlib
 
 import numpy as np
 
@@ -39,12 +42,14 @@ MEMBERSHIP_TOL = 1e-10
 
 
 class WeightRatioError(ValueError):
-    """The weight ratio lam = w_b / w_a is 0 or not finite."""
+    """The weight ratio lam = w_b / w_a or its reciprocal is 0 or not finite."""
 
 
 def metric_weights(weights, s):
-    """The weights as a tuple of s positive finite floats, one per module."""
+    """The weights as a tuple of s positive finite floats, one per module; no bool or str."""
     weights = tuple(weights)
+    if any(isinstance(w, (bool, str)) for w in weights):
+        raise ValueError(f"weights must be numbers, got {reprlib.repr(weights)}")
     if not weights or not all(0.0 < float(w) < np.inf for w in weights):
         raise ValueError(f"weights must be positive and finite, got {weights}")
     if len(weights) != s:
@@ -53,9 +58,9 @@ def metric_weights(weights, s):
 
 
 def weight_ratio(weights, a, b):
-    """lam = w_b / w_a for a checked pair, 1 when b is None; it must be positive and finite."""
+    """lam = w_b / w_a for a checked pair, 1 when b is None; lam > 0, lam and 1/lam finite."""
     lam = 1.0 if b is None else weights[b - 1] / weights[a - 1]
-    if not 0.0 < lam < np.inf:
+    if not (0.0 < lam < np.inf and 1.0 / lam < np.inf):
         raise WeightRatioError(f"weight ratio {lam:.3e} is out of floating-point range")
     return lam
 
@@ -65,9 +70,9 @@ def module_pair(s, pair):
     a, b = pair
     for name, i in zip("ab", (a,) if b is None else (a, b)):
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"module index {name}={i!r} is not an integer")
+            raise ValueError(f"module index {name}={reprlib.repr(i)} is not an integer")
         if not 1 <= i <= s:
-            raise ValueError(f"module index {name}={i} out of range 1..{s}")
+            raise ValueError(f"module index {name}={reprlib.repr(int(i))} out of range 1..{s}")
     if a == b:
         raise ValueError("pair indices a and b must differ")
     return int(a), None if b is None else int(b)
@@ -80,26 +85,27 @@ class ChargedSystem:
     the I0 domain shrinks to m_a. Module indices are 1-based.
 
     The constructor checks, in this order: the weights, the pair, the
-    bracket condition [m_a, m_b] in m_a, that W is skew-Hermitian and
-    lies in the center of h to within tol max(1, max|W|) (a trivial h
-    forces W = 0), that k is finite, and last that lam is positive and
-    finite, since I0 divides by it. `m_weights` repeats the weights per
+    bracket condition [m_a, m_b] in m_a to within MEMBERSHIP_TOL = 1e-10,
+    that W is skew-Hermitian and lies in the center of h to within
+    MEMBERSHIP_TOL max(1, max|W|) (a trivial h forces W = 0), that k is
+    finite, and last that lam and 1/lam are positive and finite, since
+    I0 divides by lam. `m_weights` repeats the weights per
     basis element of m, and `domain_scale` is 1 on m_a, 1/lam on m_b and
     0 off the I0 domain. `I0` acts on m-coordinates: column j holds
     [W, e_j]'s coordinates times e_j's domain scale.
     """
 
-    def __init__(self, split, weights, a, b, W, k, model=None, tol=MEMBERSHIP_TOL):
+    def __init__(self, split, weights, a, b, W, k, model=None):
         self.weights = metric_weights(weights, split.s)
         a, b = module_pair(split.s, (a, b))
         r = bracket_pair_residual(split, a, b)
-        if r > tol:
+        if r > MEMBERSHIP_TOL:
             raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
         W = check_skew_hermitian(W, name="W")
         # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
         s = max(1.0, float(np.abs(W).max(initial=0.0)))
         rs, rc = (s * r for r in center_residuals(split.h, W / s))
-        tol = tol * s
+        tol = MEMBERSHIP_TOL * s
         if split.h.dim == 0:
             if rs > tol:
                 raise StructureError("h is trivial, so W must be zero")
@@ -159,8 +165,3 @@ def apply_I0(sys, X):
     """Field operator on its domain m_a + m_b (m_a alone when b is None)."""
     c = _m_coordinates(sys, X, "X", domain=True)
     return sys.m.combine(np.einsum("ij,...j->...i", sys.I0, c))
-
-
-def em_two_form(sys, X, Y):
-    """omega(X, Y) = <X, I0 Y>, skew in (X, Y)."""
-    return metric_inner(sys, X, apply_I0(sys, Y))

@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+_RANK_TOL = 1e-10  # orthonormalize's rank tolerance, shared with split.center_basis
+
 
 class DimensionError(ValueError):
     """Operands have incompatible matrix shapes."""
@@ -59,17 +61,17 @@ def _same_size(A, B, op):
         raise DimensionError(f"{op}: size mismatch {A.shape} vs {B.shape}")
 
 
-def check_skew_hermitian(X, tol=1e-12, name="X"):
+def check_skew_hermitian(X, name="X"):
     """Raise DomainError unless X, one matrix or a (..., n, n) stack, is skew-Hermitian.
 
-    Matrix by matrix, max|A + A^H| may be at most tol max(1, max|A|);
+    Matrix by matrix, max|A + A^H| may be at most 1e-12 max(1, max|A|);
     an error names the first bad matrix of a stack as name[i].
     """
     A = _as_matrix(X, name, stack=True)
     D = A + np.swapaxes(A.conj(), -1, -2)
     if D.any():  # an exactly skew input needs no norms
         dev = np.abs(D).max(axis=(-2, -1), initial=0.0)
-        bad = np.argwhere(dev > tol * np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0)))
+        bad = np.argwhere(dev > 1e-12 * np.maximum(1.0, np.abs(A).max(axis=(-2, -1), initial=0.0)))
         if len(bad):
             where = f"{name}[{', '.join(map(str, bad[0]))}]" if A.ndim > 2 else name
             raise DomainError(f"{where} is not skew-Hermitian (deviation {dev[tuple(bad[0])]:.3e})")
@@ -198,7 +200,7 @@ def _real_rows(A):
     return np.ascontiguousarray(A).reshape(*A.shape[:-2], A.shape[-2] * A.shape[-1]).view(float)
 
 
-def orthonormalize(vectors, rank_tol=1e-10):
+def orthonormalize(vectors, rank_tol=_RANK_TOL):
     """Classical Gram-Schmidt with one reorthogonalisation (CGS2) for inner_b.
 
     vectors is a (k, n, n) stack, taken as it is, or a nonempty list of

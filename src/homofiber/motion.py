@@ -103,9 +103,6 @@ class ClosedFormMotion:
         xi = _as_matrix(np.linalg.solve(alpha, alpha_dot), stack=True)
         return self.system.m.combine(self.system.m._coordinates(xi))
 
-    def speed(self, t):
-        return metric_norm(self.system, self.body_velocity(t))
-
     def evaluate(self, t):
         """The TrajectorySample at t; over a 1-D grid of t, one sample of stacks."""
         ts = np.asarray(t, dtype=float)
@@ -120,30 +117,27 @@ class ClosedFormMotion:
         return TrajectorySample(*fields)
 
 
-def build_motion(system, Xa, Xb=None, tol=MEMBERSHIP_TOL):
+def build_motion(system, Xa, Xb=None):
     """Validated constructor: Xa must lie in m_a and Xb in m_b.
 
-    Xb may be omitted (zero); when the system has no second module it
-    must be omitted or zero. Both must be skew-Hermitian, checked first so
+    A component outside its module, or a nonzero Xb where the system has
+    no second module, may be at most MEMBERSHIP_TOL = 1e-10 in B-norm.
+    Xb may be omitted (zero). Both must be skew-Hermitian, checked first so
     that an error names a Hermitian part, which the span residual also sees.
     """
     Xa = check_skew_hermitian(Xa, name="Xa")
     Xb = check_skew_hermitian(np.zeros_like(Xa) if Xb is None else Xb, name="Xb")
     r = span_residual(system.ma, Xa)
-    if r > tol:
-        raise DomainError(
-            f"Xa has a component of size {r:.3e} outside m{system.a}"
-        )
+    if r > MEMBERSHIP_TOL:
+        raise DomainError(f"Xa has a component of size {r:.3e} outside m{system.a}")
     if system.b is None:
-        if bnorm(Xb) > tol:
+        if bnorm(Xb) > MEMBERSHIP_TOL:
             raise DomainError("this system has no second module; Xb must be zero")
         Xb = np.zeros_like(Xa)
     else:
         r = span_residual(system.mb, Xb)
-        if r > tol:
-            raise DomainError(
-                f"Xb has a component of size {r:.3e} outside m{system.b}"
-            )
+        if r > MEMBERSHIP_TOL:
+            raise DomainError(f"Xb has a component of size {r:.3e} outside m{system.b}")
     return ClosedFormMotion(system, Xa, Xb)
 
 

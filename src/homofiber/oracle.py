@@ -242,8 +242,8 @@ def _realify(z):
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def great_circle_check(motion, t_samples=None):
-    """Geodesics of the round sphere model are planar unit circles.
+def great_circle_check(motion):
+    """Geodesics of the round sphere model are planar unit circles, over 97 points of [0, 2 pi].
 
     Requires k = 0 and a vector model on which the chosen metric is
     proportional to the ambient round metric; the Gram matrices of the
@@ -269,13 +269,11 @@ def great_circle_check(motion, t_samples=None):
             "metric is not proportional to the round model metric "
             f"(deviation {dev:.3e}); adjust the module weights"
         )
-    if t_samples is None:
-        t_samples = np.linspace(0.0, 2.0 * np.pi, 97)
     x0 = model.apply(motion.representative(0.0))
     xdot0 = model.apply(motion.X + motion.Y)
     q, R = np.linalg.qr(_realify(np.stack([x0, xdot0])).T)
     q = q[:, np.abs(np.diag(R)) > 1e-12]  # a zero velocity spans no second direction
-    x = model.apply(motion.representative(np.asarray(t_samples, dtype=float)))
+    x = model.apply(motion.representative(np.linspace(0.0, 2.0 * np.pi, 97)))
     r = _realify(x)
     r = r - (r @ q) @ q.T
     max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
@@ -303,13 +301,14 @@ def _stencil_kappa(pos, ts, h):
     return np.sum(d2 * conormal, axis=-1) / speed**2
 
 
-def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None):
+def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
     """Charged trajectories on the adjoint 2-sphere are circles.
 
     Runs the same initial direction at each charge in k_values and
     computes geodesic curvature along each trajectory by finite
-    differences. Returns (rows, constant, increasing): the (charges, 3)
-    array of rows (k, kappa mean, kappa variation), whether curvature
+    differences at 25 points of [0, 2 pi]. Returns (rows, constant,
+    increasing): the (charges, 3) array of rows (k, kappa mean, kappa
+    variation), whether curvature
     is constant along each curve (variation at most 1e-6 max(1, |kappa
     mean|), as roundoff grows with the curvature), and whether |kappa
     mean| is strictly increasing in |k|.
@@ -333,8 +332,6 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None):
     if metric_norm(sys, np.asarray(Xa, dtype=complex)) == 0.0:
         raise DomainError("Xa must be nonzero")
     Xa = check_skew_hermitian(Xa, name="Xa")
-    if t_samples is None:
-        t_samples = np.linspace(0.0, 2.0 * np.pi, 25)
     ks = np.array(k_values, dtype=float)
     # the motion's X = Xa + lam Xb + k W with lam = 1 and Xb = 0, zeros signed alike
     flow = Flow((Xa + 0.0) + ks[:, None, None] * sys.W)
@@ -344,7 +341,7 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0), t_samples=None):
         return model.apply(g).reshape((len(ks),) + ts.shape + (3,))
 
     h = 1e-3 / max(1.0, np.abs(flow._w).max(initial=0.0))
-    kappas = _stencil_kappa(pos, np.asarray(t_samples, dtype=float), h)
+    kappas = _stencil_kappa(pos, np.linspace(0.0, 2.0 * np.pi, 25), h)
     mean = np.mean(kappas, axis=-1)
     rows = np.column_stack([ks, mean, np.max(np.abs(kappas - mean[:, None]), axis=-1)])
     constant = np.all(rows[:, 2] <= 1e-6 * np.maximum(1.0, np.abs(mean)))
@@ -369,13 +366,15 @@ def lambda_collapse_check(motion, t_samples=None):
     return float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0))
 
 
-def convergence_ratios(motion, points, probes, h_values=(2e-4, 1e-4, 5e-5)):
-    """The (points, h) array of |residual| at each (t, probe) point, one residual_sweep per step.
+def convergence_ratios(motion, points, probes):
+    """The (points, 3) array of |residual| at each (t, probe) point, one residual_sweep per step.
 
-    The central differences are second order, so halving h should
+    The steps are h = 2e-4, 1e-4 and 5e-5, one column each. The central
+    differences are second order, so halving h should
     shrink the residual, r[:, i] / r[:, i + 1], by a factor near 4
     wherever the leading error coefficient is not degenerate.
     """
     ts, js = [t for t, _ in points], [j for _, j in points]
-    r = [residual_sweep(motion, ts, probes, h).values[range(len(ts)), js, 4] for h in h_values]
+    r = [residual_sweep(motion, ts, probes, h).values[range(len(ts)), js, 4]
+         for h in (2e-4, 1e-4, 5e-5)]
     return np.abs(np.array(r).T)

@@ -18,6 +18,7 @@ import numpy as np
 from .linalg import (
     StructureError,
     Subspace,
+    _RANK_TOL,
     _commutator,
     _real_rows,
     brackets,
@@ -261,13 +262,14 @@ def require(report, tol, what):
         raise StructureError(f"{what} fails validation:\n" + "\n".join(report_lines(report, tol)))
 
 
-def center_basis(split, rank_tol=1e-10):
+def center_basis(split):
     """Basis of the center of h, the W candidates.
 
     Solves [W, x] = 0 for all x in the h basis as a null-space problem
     for the stacked ad-coefficient matrices, whose entries are the
-    structure constants C[i, j, l] = B([h_i, h_j], h_l). An empty h has
-    an empty center.
+    structure constants C[i, j, l] = B([h_i, h_j], h_l); singular values
+    below orthonormalize's rank tolerance, 1e-10, span the null space.
+    An empty h has an empty center.
     """
     h = split.h
     d = h.dim
@@ -276,4 +278,4 @@ def center_basis(split, rank_tol=1e-10):
     X = h.basis[:, None]
     C = _real_rows(_commutator(X, X.swapaxes(0, 1))) @ h.frame.T
     _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
-    return orthonormalize(h.combine(vt[sv < rank_tol]))
+    return orthonormalize(h.combine(vt[sv < _RANK_TOL]))

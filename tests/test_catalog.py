@@ -215,6 +215,15 @@ def _big_first_entry(doc):
     return doc
 
 
+def _bool_first_pair(doc):
+    """The document with the first [re, im] pair of its array replaced by [False, True]."""
+    row = doc
+    while isinstance(row[0][0], list):
+        row = row[0]
+    row[0] = [False, True]
+    return doc
+
+
 @pytest.mark.parametrize(
     "name,key,value,message",
     [
@@ -242,6 +251,13 @@ def _big_first_entry(doc):
         ("kahler_s2", "module_bases", [], "module_bases must be a nonempty list of bases"),
         ("su2", "h_basis", {}, "h_basis: expected a list, got dict"),
         ("hopf:1", "model", {"base": [[1, 0], [0, 0]]}, "model.kind: missing"),
+        ("hopf:1", "weights", [True, 2], "weights must be numbers, got (True, 2)"),
+        ("hopf:1", "weights", ["1", "2"], "weights must be numbers, got ('1', '2')"),
+        ("hopf:1", "weights", [1, 1e-320],
+         "weights: weight ratio 1.000e-320 is out of floating-point range"),
+        ("hopf:1", "W", _bool_first_pair, "W: expected [re, im] pairs of numbers, got [[False, True], "),
+        ("kahler_s2", "h_basis", _bool_first_pair,
+         "h_basis: expected [re, im] pairs of numbers, got [[False, True], "),
     ],
 )
 def test_malformed_fields_are_named(name, key, value, message):
@@ -252,6 +268,8 @@ def test_malformed_fields_are_named(name, key, value, message):
     with pytest.raises(ValueError) as err:
         load_custom(doc)
     assert str(err.value).startswith(f"malformed space document: {message}"), str(err.value)
+    if key == "pair":  # an index of any size is abbreviated
+        assert len(str(err.value)) < 120, str(err.value)
 
 
 def test_document_with_both_split_forms_is_malformed(hopf1):

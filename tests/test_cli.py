@@ -27,6 +27,7 @@ from homofiber import (
     export_entry,
     get_entry,
     load_custom,
+    metric_norm,
     metric_probe_basis,
     module_invariance_sweep,
     residual_sweep,
@@ -449,6 +450,50 @@ def test_weight_ratio_out_of_range_names_the_flag(capsys, weights, ratio):
     assert main(["verify", "--space", "hopf:2", "--lambda", weights[0], "--lambda", weights[1]]) == 2
     err = capsys.readouterr().err
     assert err == f"error: the --lambda weight ratio {ratio} is out of floating-point range\n"
+
+
+NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("verify --space hopf:1 --pair 1,2,3", "--pair wants 'a,b' or 'a', got '1,2,3'"),
+        ("verify --space hopf:1 --pair a,b", "--pair wants integers, got 'a,b'"),
+        ("verify --space hopf:1 --xa 1,x", "bad coefficient list '1,x'"),
+        ("verify --space hopf:1 --xa 1,nan", "--xa wants finite coefficients, got '1,nan'"),
+        ("HOMOFIBER_TOL=abc verify --space hopf:1", "HOMOFIBER_TOL: invalid float value: 'abc'"),
+        ("validate --space {dir}", "cannot read {dir}: Is a directory"),
+        ("verify --space {dir}/bad.json", "cannot parse {dir}/bad.json: Expecting property name"),
+        ("verify --space nope", f"unknown space 'nope': not a catalog name ({NAMES}) and not a file"),
+        ("simulate --space hopf:1 --out {dir}", "cannot write {dir}: Is a directory"),
+        ("verify --space hopf:1 --lambda 1 --lambda 1e-320 --k 1",
+         "the --lambda weight ratio 1.000e-320 is out of floating-point range"),
+        ("simulate --space twistor_su3 --lambda 1 --lambda 1e-320 --k 1",
+         "the --lambda weight ratio 1.000e-320 is out of floating-point range"),
+        ("verify --space hopf:1 --xa 1", "--xa wants 2 coefficients, got 1"),
+        ("verify --space kahler_s2 --xb 1", "this space has no second module; drop --xb"),
+        ("verify --space hopf:1 --k 1e300", "the generator X overflows at --k 1.000e+300 and "
+         "--lambda weight ratio 2.000e+00; reduce --k, --W-scale, --perturb or the ratio"),
+        ("verify --space hopf:1 --samples 0", "--samples must be at least 1, got 0"),
+        ("catalog export", "catalog export needs a name"),
+        ("catalog export zzz", f"unknown catalog entry 'zzz'; known: {NAMES}"),
+    ],
+)
+def test_each_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, command, message):
+    # one case per raise site of a usage error: exit 2 and one stderr line, with no
+    # warning and no traceback; a leading NAME=value sets an environment variable
+    (tmp_path / "bad.json").write_text("{not json")
+    argv = command.format(dir=tmp_path).split()
+    while "=" in argv[0]:
+        monkeypatch.setenv(*argv.pop(0).split("="))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(dir=tmp_path)), err
+    assert err.count("\n") == 1 and "Warning" not in err and "Traceback" not in err
 
 
 def test_huge_charge_fails_the_koszul_check_without_a_traceback(capsys):
@@ -990,7 +1035,7 @@ def test_verify_report_equals_the_standalone_sweeps(tmp_path, name, perturb):
     assert doc["speed_drift"] == conservation_sweep(motion, ts)
     assert doc["module_invariance_max"] == module_invariance_sweep(motion, ts)
     assert doc["velocity_agreement_max"] == velocity_agreement_sweep(motion, ts)
-    speeds = motion.speed(np.concatenate([[0.0], ts]))
+    speeds = metric_norm(motion.system, motion.body_velocity(np.concatenate([[0.0], ts])))
     assert doc["speed_drift"] == float(np.max(np.abs(speeds[1:] - speeds[0])))
     gap = motion.body_velocity_numeric(ts) - (motion.transport(ts)[0] + motion.Xb)
     assert doc["velocity_agreement_max"] == float(np.max(bnorm(gap)))

@@ -100,8 +100,8 @@ def reference_identity(motion, t, Z):
 
 
 def reference_drift(motion, ts):
-    s0 = motion.speed(0.0)
-    return max(abs(motion.speed(t) - s0) for t in ts)
+    s0 = metric_norm(motion.system, motion.body_velocity(0.0))
+    return max(abs(metric_norm(motion.system, motion.body_velocity(t)) - s0) for t in ts)
 
 
 def reference_invariance(motion, ts):
@@ -166,7 +166,7 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
             lambda t: motion.transport(t)[0],
             motion.body_velocity,
             motion.body_velocity_numeric,
-            motion.speed,
+            lambda t: metric_norm(motion.system, motion.body_velocity(t)),
         ):
             grid = method(TS)
             for i, t in enumerate(TS):

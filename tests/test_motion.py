@@ -95,7 +95,7 @@ def test_speed_is_pythagorean_in_the_initial_data(hopf1):
     motion = build_motion(sys, Xa, Xb)
     want = np.sqrt(inner_b(Xa, Xa) + ratio * inner_b(Xb, Xb))
     for t in (-1.5, 0.0, 0.4, 2.0):
-        assert motion.speed(t) == pytest.approx(want, abs=1e-12)
+        assert metric_norm(motion.system, motion.body_velocity(t)) == pytest.approx(want, abs=1e-12)
 
 
 def test_transported_xa_stays_in_first_module(hopf1):
@@ -167,7 +167,7 @@ def test_build_motion_accepts_omitted_xb(hopf1):
     Xa, _ = unit_basis_pair(sys)
     motion = build_motion(sys, Xa)
     assert not motion.Xb.any()
-    assert motion.speed(0.0) == pytest.approx(1.0, abs=1e-12)
+    assert metric_norm(motion.system, motion.body_velocity(0.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_trajectory_shape_and_endpoints(hopf1):

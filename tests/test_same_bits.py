@@ -5,7 +5,7 @@ and once with the list path patched back in. That path runs CGS2 over
 every candidate of a list (zero candidates too) and lets each
 Subspace stack its basis again; builds the u(n) basis one matrix at a
 time; builds one validated motion per charge in the magnetic-circle
-check; and writes the CSV as one str. Exit code, stdout, stderr and
+check; and formats the CSV as one str, written as one ASCII block. Exit code, stdout, stderr and
 the --out file must agree byte for byte, over the six catalog names
 and exported hopf(1..5) documents, and so must every split basis and
 every structure_report residual.
@@ -40,7 +40,9 @@ def list_path(monkeypatch):
     monkeypatch.setattr(catalog, "orthonormalize", list_orthonormalize)
     monkeypatch.setattr(catalog, "_u_basis", per_element_u_basis)
     monkeypatch.setattr(cli, "magnetic_circle_check", per_charge_magnetic_circle_check)
-    monkeypatch.setattr(cli, "_csv", lambda header, table: ",".join(header) + "\n" + format_rows(table))
+    monkeypatch.setattr(
+        cli, "_csv", lambda header, table: [(",".join(header) + "\n" + format_rows(table)).encode("ascii")]
+    )
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,187 @@
+"""Compare the command-line outputs of two checkouts, byte for byte.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+Each checkout runs in a fresh interpreter (PYTHONDONTWRITEBYTECODE=1,
+its own src/ first on sys.path, COLUMNS=80, no HOMOFIBER_TOL) that
+calls `homofiber.cli.main` in process for every argv of a fixed matrix,
+once printing and once with `--out`. A run records its exit code,
+stdout, stderr, the bytes of the --out file and any exception that
+escapes `main`; the run's temporary directory reads as <tmp> and the
+checkout's src/ as <src>. Warnings
+show once per run, as in a fresh process. The script lists every argv
+whose record differs between the two checkouts and exits 1, or exits 0
+when all are identical.
+
+With one checkout, `python3 tools/same_outputs.py CHECKOUT` prints that
+checkout's records as JSON.
+
+The matrix:
+- validate and `catalog export` on the six catalog names, and `catalog list`;
+- names x weight ratio {default, 0.5, 1, 2} x k {0, 1, -0.5} x {exact,
+  --perturb 1e-2}: verify as JSON (9 samples, seed 3), verify as CSV
+  (5 samples) and simulate (50 samples on [-5, 5]);
+- per name, simulate as json-tree (7 samples) and verify with --W-scale 3;
+- validate and verify of the exported hopf(1..5), su2, kahler_s2 and
+  twistor_su3 documents, and validate of malformed hopf:1 documents;
+- one argv per usage error of the CLI.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+
+NAMES = ("hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3")
+RATIOS = ((), ("--lambda", "1", "--lambda", "0.5"), ("--lambda", "1", "--lambda", "1"),
+          ("--lambda", "1", "--lambda", "2"))
+CHARGES = ("0", "1", "-0.5")
+PERTURB = ((), ("--perturb", "1e-2"))
+
+# hopf:1 documents that break one field each, as (label, field, value)
+MALFORMED = (
+    ("bool-weights", "weights", [True, 2]),
+    ("string-weights", "weights", ["1", "2"]),
+    ("subnormal-ratio", "weights", [1, 1e-320]),
+    ("huge-pair", "pair", [1, 10**400]),
+    ("bool-W-entry", "W", [[[False, True], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]),
+)
+
+
+def _argvs(tmp):
+    """The argvs of the matrix."""
+    docs = [f"{tmp}/{name}.json" for name in (*NAMES, "hopf:4", "hopf:5")]
+    bad = [f"{tmp}/bad-{label}.json" for label, _, _ in MALFORMED]
+    runs = [["validate", "--space", n] for n in NAMES]
+    runs += [["catalog", "export", n] for n in NAMES] + [["catalog", "list"]]
+    for n in NAMES:
+        for ratio in RATIOS:
+            for k in CHARGES:
+                for perturb in PERTURB:
+                    space = ["--space", n, *ratio, "--k", k, *perturb]
+                    runs += [
+                        ["verify", *space, "--samples", "9", "--seed", "3"],
+                        ["verify", *space, "--format", "csv", "--samples", "5"],
+                        ["simulate", *space, "--samples", "50", "--t0", "-5", "--t1", "5"],
+                    ]
+    for n in NAMES:
+        runs += [
+            ["simulate", "--space", n, "--k", "1", "--format", "json-tree", "--samples", "7"],
+            ["verify", "--space", n, "--k", "1", "--W-scale", "3", "--samples", "9"],
+        ]
+    for doc in docs:
+        runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
+    runs += [["validate", "--space", doc] for doc in bad]
+    usage = [
+        ["verify", "--space", "hopf:1", "--pair", "1,2,3"],
+        ["verify", "--space", "hopf:1", "--pair", "a,b"],
+        ["verify", "--space", "hopf:1", "--xa", "1,x"],
+        ["verify", "--space", "hopf:1", "--xa", "1,nan"],
+        ["verify", "--space", tmp],
+        ["verify", "--space", f"{tmp}/garbage.json"],
+        ["verify", "--space", "nope"],
+        ["verify", "--space", "hopf:1", "--lambda", "1", "--lambda", "1e-320", "--k", "1"],
+        ["simulate", "--space", "hopf:1", "--lambda", "1", "--lambda", "1e-320", "--k", "1"],
+        ["verify", "--space", "hopf:1", "--xa", "1"],
+        ["verify", "--space", "kahler_s2", "--xb", "1"],
+        ["verify", "--space", "hopf:1", "--k", "1e300"],
+        ["verify", "--space", "hopf:1", "--samples", "0"],
+        ["catalog", "export"],
+        ["catalog", "export", "zzz"],
+        ["verify", "--space", "hopf:1", "--out", tmp],
+    ]
+    return runs + usage
+
+
+def _write_inputs(tmp, cli, homofiber):
+    """The exported and malformed space documents and an unparsable file, under tmp."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        for name in NAMES:
+            cli.main(["catalog", "export", name, "--out", f"{tmp}/{name}.json"])
+    for n in (4, 5):
+        pathlib.Path(f"{tmp}/hopf:{n}.json").write_text(json.dumps(homofiber.export_entry(homofiber.hopf(n))))
+    for label, key, value in MALFORMED:
+        doc = json.loads(pathlib.Path(f"{tmp}/hopf:1.json").read_text())
+        doc[key] = value
+        pathlib.Path(f"{tmp}/bad-{label}.json").write_text(json.dumps(doc))
+    pathlib.Path(f"{tmp}/garbage.json").write_text("{not json")
+
+
+def _run(cli, argv, out, tmp, src):
+    """One call of cli.main: label, exit code, stdout, stderr, --out bytes, escaped exception."""
+    if out:
+        argv = argv + ["--out", out]
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(out)
+    stdout, stderr, rc, raised = io.StringIO(), io.StringIO(), None, None
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("default")  # a changed filter forgets which warnings were shown
+        try:
+            rc = cli.main(argv)
+        except Exception as exc:  # a traceback is an outcome to compare, not a crash of the tool
+            raised = traceback.format_exception_only(type(exc), exc)[-1].strip()
+    data = None
+    if out and os.path.isfile(out):
+        data = pathlib.Path(out).read_bytes().decode("latin-1")
+    fields = (" ".join(argv), rc if rc is None else str(rc), stdout.getvalue(), stderr.getvalue(),
+              data, raised)
+    return [None if x is None else x.replace(tmp, "<tmp>").replace(src, "<src>") for x in fields]
+
+
+def collect(checkout):
+    """Every record of the matrix, run by the package under checkout/src."""
+    src = str(pathlib.Path(checkout).resolve() / "src")
+    sys.path.insert(0, src)
+    import homofiber
+    from homofiber import cli
+
+    if not pathlib.Path(homofiber.__file__).resolve().is_relative_to(src):
+        raise SystemExit(f"imported homofiber from {homofiber.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_inputs(tmp, cli, homofiber)
+        return [
+            _run(cli, argv, out, tmp, src)
+            for argv in _argvs(tmp)
+            for out in ((None,) if "--out" in argv else (None, f"{tmp}/out"))
+        ]
+
+
+def _records(checkout):
+    env = {k: v for k, v in os.environ.items() if k not in ("HOMOFIBER_TOL", "PYTHONPATH")}
+    env.update(PYTHONDONTWRITEBYTECODE="1", COLUMNS="80")
+    proc = subprocess.run([sys.executable, __file__, checkout], env=env, capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv):
+    if len(argv) == 1:
+        json.dump(collect(argv[0]), sys.stdout)
+        return 0
+    if len(argv) != 2:
+        raise SystemExit(__doc__)
+    old, new = (_records(path) for path in argv)
+    fields = ("exit code", "stdout", "stderr", "--out bytes", "exception")
+    differ = 0
+    for a, b in zip(old, new):
+        if a != b:
+            differ += 1
+            print(a[0])
+            for field, x, y in zip(fields, a[1:], b[1:]):
+                if x != y:
+                    print(f"  {field}:\n    - {x!r:.300}\n    + {y!r:.300}")
+    print(f"{differ} of {len(old)} runs differ")
+    return 1 if differ or len(old) != len(new) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
