@@ -248,12 +248,29 @@ def _pairs(doc):
     return row
 
 
+def _array(doc):
+    """np.array(_pairs(doc)), decoded in one step from a block of [re, im] pairs.
+
+    A doc that numpy reads as an array of at least two axes, the last
+    of length 2, with every entry a JSON int or float, is converted
+    exactly by viewing the pairs as complex numbers; any other doc goes
+    through _pairs, which gives the same array or names the fault.
+    """
+    try:
+        A = np.array(doc, dtype=object)
+        if A.ndim > 1 and A.shape[-1] == 2 and set(map(type, A.ravel().tolist())) <= {int, float}:
+            return A.astype(float).view(complex)[..., 0]
+    except (ValueError, OverflowError):  # ragged, or an int past float range
+        pass
+    return np.array(_pairs(doc))
+
+
 def _load(doc, name, n=None):
     """The complex array written by _doc under the field name: finite, and its matrices skew.
 
     Given n, the array is a (k, n, n) stack, an empty list the empty stack.
     """
-    A = np.array(_pairs(doc))
+    A = _array(doc)
     if n is not None and A.size and A.shape[1:] != (n, n):
         raise ValueError(f"{name} must be a stack of {n} x {n} matrices, got shape {A.shape}")
     if A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
@@ -268,7 +285,7 @@ def _field(name):
     """While the named field is read, a failure becomes a malformed-document error naming it first."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         msg = "missing" if type(exc) is KeyError else str(exc)
         msg = msg if msg.startswith(name) else f"{name}: {msg}"
         raise ValueError(f"malformed space document: {msg}") from exc

@@ -102,7 +102,7 @@ def _resolve_space(name):
                 doc = json.load(fh)
         except OSError as exc:
             raise ValueError(f"cannot read {name}: {exc.strerror}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep to decode
             raise ValueError(f"cannot parse {name}: {exc}")
         return load_custom(doc)
     raise ValueError(

@@ -11,6 +11,7 @@ once; `report_lines` and `require` judge a report against a tolerance.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -112,8 +113,37 @@ def _bracket_residuals(target, A, B):
     return r
 
 
+def _block_algebra(space):
+    """Whether the span of an orthonormalized basis is provably a block algebra, hence closed.
+
+    Q is the union of the basis supports with the diagonal entry of
+    every active row; once every basis matrix is exactly skew-Hermitian,
+    Q equals its transpose. A transitive Q is then a block pattern, and
+    the span lies in u_Q, the skew-Hermitian matrices supported on Q,
+    of dimension count(Q). The independent rows span u_Q when
+    dim = count(Q), and the traceless part of u_Q when dim = count(Q) - 1
+    and every trace is exactly 0; both are closed under the bracket.
+    """
+    A = space.basis
+    if (A + A.conj().swapaxes(1, 2)).any():
+        return False
+    Q = A.any(axis=0)
+    np.fill_diagonal(Q, Q.any(axis=0))
+    count = int(np.count_nonzero(Q))
+    if space.dim not in (count, count - 1) or (Q @ Q > Q).any():
+        return False
+    traces = A.diagonal(axis1=1, axis2=2).imag.tolist()
+    return space.dim == count or not any(map(math.fsum, traces))
+
+
 def _closure_residual(space):
-    """Worst residual of [x, y] off span(space) over basis pairs i < j, with argmax."""
+    """Worst residual of [x, y] off span(space) over basis pairs i < j, with argmax.
+
+    A provable block algebra (`_block_algebra`) reads (0.0, None)
+    without a bracket.
+    """
+    if _block_algebra(space):
+        return 0.0, None
     r = _bracket_residuals(space, space, None)
     worst = r.max(initial=0.0)
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None

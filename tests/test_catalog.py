@@ -368,6 +368,51 @@ def test_malformed_arrays_are_rejected(hopf1, damage):
         load_custom(doc)
 
 
+def _decoded(decode, doc):
+    """decode(doc) as (dtype, shape, bytes), or the type and message of what it raises."""
+    try:
+        A = decode(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return A.dtype, A.shape, A.tobytes()
+
+
+def _arrays_of(doc):
+    """Every array field of a space document."""
+    out = [doc["g_basis"], doc["h_basis"], doc["W"], *doc.get("module_bases", [])]
+    out += [doc[key] for key in ("k_basis",) if key in doc]
+    return out + ([doc["model"]["base"]] if doc["model"] else [])
+
+
+@pytest.mark.parametrize(
+    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3", "hopf:4", "hopf:5"]
+)
+def test_one_step_decode_matches_the_pairs(name):
+    from homofiber.catalog import _array, _pairs
+
+    entry = get_entry(name) if name in catalog_names() else hopf(int(name.split(":")[1]))
+    for doc in _arrays_of(json.loads(json.dumps(export_entry(entry)))):
+        want = _decoded(lambda d: np.array(_pairs(d)), doc)
+        assert want[0] == (np.complex128 if doc else np.float64)  # su2's h_basis is []
+        assert _decoded(_array, doc) == want
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [[True, 1.0]], [[0, 1], [False, 0]], [[None, 1]], [["1", 2]], [[0, "ab"]],
+        [[10**400, 0]], [[[0, 1], [2, -(10**400)]]], [[1, 2], [3]], [[1, 2], [3, 4, 5]],
+        [[1, 2], [[1, 2], [3, 4]]], [[[1, 2]], [3, 4]], [[[1, 2], [3, 4]], [[5, 6]]],
+        [], [[]], [[], []], [1, 2], 5, "ab", {}, [[1.5, -0.0], [2**60 + 1, 3]],
+    ],
+    ids=repr,
+)
+def test_one_step_decode_keeps_every_message_and_array(doc):
+    from homofiber.catalog import _array, _pairs
+
+    assert _decoded(_array, doc) == _decoded(lambda d: np.array(_pairs(d)), doc)
+
+
 @pytest.mark.parametrize("n,size", [(n, size) for n in range(1, 5) for size in (None, n, n + 1, n + 2)])
 def test_u_basis_matches_the_per_element_build_bitwise(n, size):
     from homofiber.catalog import _u_basis

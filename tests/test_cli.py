@@ -86,10 +86,12 @@ def test_validate_computes_each_residual_once(tmp_path, monkeypatch, document):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["validate", "--space", space]) == 0
     assert closures == [9, 5, 4]  # g = u(3), k = u(2) + u(1), h = u(2)
+    # the three are block algebras, certified closed without a bracket
+    assert not any(B is None for _, _, B in pairs)
     # ad-invariance brackets h with a module m_i and measures off m_i
     assert sum(B is T and A is not T for T, A, B in pairs) == 2  # m1 and m2
     # and [m1, k] in m1 and the bracket condition [m1, m2] in m1 once each
-    assert len(pairs) == 3 + 2 + 1 + 1
+    assert len(pairs) == 2 + 1 + 1
 
 
 def test_verify_passes_on_closed_form_curve(tmp_path):
@@ -235,6 +237,30 @@ def test_malformed_json_is_usage_error(tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["validate", "--space", str(bad)]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+def test_json_nested_too_deep_is_usage_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["validate", "--space", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot parse {deep}: maximum recursion depth exceeded"), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("depth", [500, 900])
+def test_array_nested_too_deep_is_malformed(tmp_path, capsys, depth):
+    # json decodes the document; reading W's nesting is what runs out of depth
+    doc = export_entry(get_entry("hopf:1"))
+    for _ in range(depth):
+        doc["W"] = [doc["W"]]
+    path = tmp_path / "deep-W.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--space", str(path)]) == 2
+    err = capsys.readouterr().err
+    want = "error: malformed space document: W: maximum recursion depth exceeded"
+    assert err.startswith(want), err
+    assert err.count("\n") == 1
 
 
 def _without_model_kind(doc):

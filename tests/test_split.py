@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homofiber.split as split_module
 from homofiber import (
@@ -27,10 +29,12 @@ from homofiber import (
     structure_report,
     twistor_su3,
 )
+from homofiber.catalog import _u_basis
 from homofiber.linalg import brackets, span_residuals
 from homofiber.split import (
     USER_TOL,
     ReductiveSplit,
+    _block_algebra,
     _bracket_residuals,
     _closure_residual,
     report_lines,
@@ -292,16 +296,119 @@ def _random_skew(rng, k, n):
     return M - np.swapaxes(M.conj(), 1, 2)
 
 
-def test_closure_over_pairs_i_below_j_keeps_every_bit_on_catalog_spaces():
-    entries = [get_entry(name) for name in catalog_names()] + [hopf(4), hopf(5)]
-    for entry in entries:
+def swept_closure(space):
+    """_closure_residual without the block-algebra certificate: the sweep over pairs i < j."""
+    r = _bracket_residuals(space, space, None)
+    worst = r.max(initial=0.0)
+    return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
+
+
+def _catalog_spaces():
+    """(entry name, subspace) over the chain, h and modules of the catalog, hopf(4) and hopf(5)."""
+    for entry in [get_entry(name) for name in catalog_names()] + [hopf(4), hopf(5)]:
         ch = entry.chain
         spaces = (ch.g, ch.k, ch.h) if ch is not None else ()
         for space in spaces + (entry.split.h,) + entry.split.modules:
-            worst, where = _closure_residual(space)
-            want_worst, want_where = full_square_closure(space)
-            assert worst.tobytes() == want_worst.tobytes(), entry.name
-            assert where == want_where, entry.name
+            yield entry.name, space
+
+
+def test_closure_over_pairs_i_below_j_keeps_every_bit_on_catalog_spaces():
+    # the pair kernel is checked on every catalog space, certified or not
+    for name, space in _catalog_spaces():
+        worst, where = swept_closure(space)
+        want_worst, want_where = full_square_closure(space)
+        assert worst.tobytes() == want_worst.tobytes(), name
+        assert where == want_where, name
+
+
+def test_catalog_chains_are_certified_and_modules_are_swept():
+    certified = {}
+    for name, space in _catalog_spaces():
+        certified.setdefault(name, []).append(_block_algebra(space))
+        worst, where = swept_closure(space)
+        if _block_algebra(space):
+            assert worst <= 1e-15 and _closure_residual(space) == (0.0, None), name
+        else:
+            assert _closure_residual(space) == (worst, where), name
+    # g, k, h and split.h of each chain; m1 is no block pattern, m2 is one
+    # when it is a single diagonal direction (the hopf fiber, su2's circle)
+    assert certified == {
+        "hopf:1": [True, True, True, True, False, True],
+        "hopf:2": [True, True, True, True, False, True],
+        "hopf:3": [True, True, True, True, False, True],
+        "su2": [True, True, True, True, False, True],
+        "kahler_s2": [True, False],
+        "twistor_su3": [True, True, True, True, False, False],
+        "hopf:4": [True, True, True, True, False, True],
+        "hopf:5": [True, True, True, True, False, True],
+    }
+
+
+def _pattern_basis(labels, traceless):
+    """A basis of u_Q, or of its traceless part, for the block pattern Q of labels.
+
+    Indices of one label form a block, and label -1 marks an inactive
+    index; the basis is that of u(n) restricted to Q, its diagonal
+    units replaced by their consecutive differences when traceless.
+    """
+    n = len(labels)
+    same = [[labels[i] == labels[j] != -1 for j in range(n)] for i in range(n)]
+    mats = [e for e in _u_basis(n) if all(same[i][j] for i, j in zip(*np.nonzero(e)))]
+    if traceless:
+        diag = [e for e in mats if np.count_nonzero(e) == 1]
+        mats = [e for e in mats if np.count_nonzero(e) > 1]
+        mats += [(a - b) / np.sqrt(2) for a, b in zip(diag, diag[1:])]
+    return mats
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    labels=st.lists(st.integers(-1, 2), min_size=1, max_size=5),
+    traceless=st.booleans(),
+    drop=st.integers(0, 2),
+    extra=st.sampled_from(["none", "basis", "skew"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_certified_closure_is_closed(labels, traceless, drop, extra, seed):
+    # a rotated basis of a random block algebra or its traceless part,
+    # less up to two elements, plus maybe a u(n) basis or random skew matrix
+    rng = np.random.default_rng(seed)
+    n = len(labels)
+    mats = _pattern_basis(labels, traceless)
+    mats = [mats[i] for i in sorted(rng.permutation(len(mats))[drop:])]
+    if extra == "basis":
+        mats.append(_u_basis(n)[rng.integers(n * n)])
+    elif extra == "skew":
+        mats.append(_random_skew(rng, 1, n)[0])
+    R, _ = np.linalg.qr(rng.standard_normal((len(mats), len(mats))))
+    space = orthonormalize(np.einsum("ij,jkl->ikl", R, np.array(mats).reshape(-1, n, n)))
+    worst, where = swept_closure(space)
+    if _block_algebra(space):
+        assert worst <= 1e-14 and _closure_residual(space) == (0.0, None)
+    else:
+        assert _closure_residual(space) == (worst, where)
+    if not (traceless or drop) and extra == "none":
+        assert _block_algebra(space)  # a rotated basis of u_Q
+
+
+def test_near_block_algebras_are_swept():
+    # dim count(Q) - 1 without a zero trace: i diag(1, 0), i diag(0, 1)
+    # and one rotation span no algebra, and the sweep says so
+    u2 = _u_basis(2)
+    space = orthonormalize(u2[[0, 1, 2]])
+    assert not _block_algebra(space)
+    worst, where = _closure_residual(space)
+    assert worst > 0.5 and (worst, where) == swept_closure(space)
+    with pytest.raises(StructureError, match="g basis is not closed under bracket"):
+        chain(u2[[0, 1, 2]], u2[:0], u2[:0])
+    # a Hermitian part of 1e-13 on a rotated u(2) basis
+    R, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    rotated = np.einsum("ij,jkl->ikl", R, u2)
+    assert _block_algebra(orthonormalize(rotated))
+    rotated[1] += 1e-13 * np.array([[1.0, 1j], [-1j, 0.0]])
+    space = orthonormalize(rotated)
+    assert not _block_algebra(space)
+    assert _closure_residual(space) == swept_closure(space)
 
 
 @pytest.mark.parametrize("n", [3, 4])
