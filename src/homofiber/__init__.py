@@ -8,7 +8,6 @@ residuals and conservation checks.
 """
 
 from .catalog import (
-    CatalogEntry,
     catalog_names,
     export_entry,
     get_entry,
@@ -24,6 +23,7 @@ from .field import (
     apply_I0,
     metric_inner,
     metric_norm,
+    metric_probe_basis,
 )
 from .linalg import (
     DimensionError,
@@ -42,13 +42,11 @@ from .linalg import (
 )
 from .motion import (
     ClosedFormMotion,
-    TrajectorySample,
     build_motion,
     perturb_motion,
     sample_trajectory,
 )
 from .oracle import (
-    ResidualReport,
     algebraic_identity_check,
     conservation_sweep,
     convergence_ratios,
@@ -56,13 +54,10 @@ from .oracle import (
     lambda_collapse_check,
     velocity_agreement_sweep,
     magnetic_circle_check,
-    metric_probe_basis,
     module_invariance_sweep,
     residual_sweep,
 )
 from .split import (
-    ReductiveSplit,
-    SubalgebraChain,
     build_custom_split,
     build_split,
     center_basis,
@@ -73,17 +68,12 @@ from .split import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogEntry",
     "ChargedSystem",
     "ClosedFormMotion",
     "DimensionError",
     "DomainError",
-    "ResidualReport",
-    "ReductiveSplit",
     "StructureError",
-    "SubalgebraChain",
     "Subspace",
-    "TrajectorySample",
     "adjoint",
     "algebraic_identity_check",
     "apply_I0",

@@ -153,25 +153,16 @@ def hopf(n):
                   k_basis=np.concatenate([hb, fiber]))
 
 
-def lie_group(group="SU(2)", subgroup_basis=None):
-    """A compact group as a homogeneous space of itself.
+def lie_group():
+    """SU(2) as a homogeneous space of itself.
 
     The isotropy is trivial, so W is forced to zero and trajectories
     are geodesics of the left-invariant metric that rescales the
-    chosen subalgebra direction. The default subalgebra of SU(2) is
-    the diagonal circle.
+    diagonal circle, the middle subalgebra of the chain.
     """
-    key = group.replace("(", "").replace(")", "").lower()
-    if key == "su2":
-        gb = _su2_basis()
-    elif key == "u2":
-        gb = np.concatenate([_su2_basis(), [1j * np.eye(2) / SQ2]])
-    else:
-        raise ValueError(f"unsupported group {group!r}; use SU(2) or U(2)")
-    if subgroup_basis is None:
-        subgroup_basis = [gb[2]]
+    gb = _su2_basis()
     W = np.zeros((2, 2), dtype=complex)
-    return _entry(key, gb, gb[:0], (1.0, 1.0), (1, 2), W, k_basis=list(subgroup_basis))
+    return _entry("su2", gb, gb[:0], (1.0, 1.0), (1, 2), W, k_basis=[gb[2]])
 
 
 def kahler_s2():

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
 error; a usage error is a ValueError, which `main` prints as one
 `error: ...` line. Output is CSV or a JSON tree; identical configuration
-and seed produce byte-identical output on a platform. The default tolerance can
-be overridden with the HOMOFIBER_TOL environment variable.
+and seed produce byte-identical output on a platform. The default tolerance of
+verify can be overridden with the HOMOFIBER_TOL environment variable.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from .catalog import (
 )
 from .field import WeightRatioError, metric_norm
 from .linalg import DomainError, StructureError, bnorm
-from .motion import build_motion, perturb_motion, sample_trajectory
+from .motion import CurveGrid, build_motion, perturb_motion, sample_trajectory
 from .oracle import (
-    CurveGrid,
     algebraic_identity_check,
     conservation_sweep,
     great_circle_check,
@@ -231,7 +230,7 @@ def _re_im(z):
 
 
 def _sample_csv(traj, n):
-    """The simulate CSV: one row per t of the trajectory's stacks."""
+    """The simulate CSV: one row per t of the CurveGrid's stacks."""
     header = ["t"]
     for i in range(n):
         for j in range(n):
@@ -388,8 +387,8 @@ def cmd_catalog(args):
     return OK
 
 
-def _space_flags(p, fmt):
-    """The flags of simulate and verify, which differ in the default format."""
+def _space_flags(p, fmt="csv"):
+    """The flags of simulate, which verify shares with another default format."""
     p.add_argument("--space", required=True, help="catalog name or space document path")
     p.add_argument(
         "--lambda",
@@ -407,12 +406,17 @@ def _space_flags(p, fmt):
     p.add_argument("--t0", type=_finite_float, default=-2.0)
     p.add_argument("--t1", type=_finite_float, default=2.0)
     p.add_argument("--samples", type=int, default=25)
-    p.add_argument("--fd-step", dest="fd_step", type=_positive_float, default=1e-4)
-    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--perturb", type=_finite_float, default=0.0, metavar="EPS")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json-tree"), default=fmt)
+
+
+def _verify_flags(p):
+    """The flags of simulate, the finite-difference step and the residual tolerance."""
+    _space_flags(p, "json-tree")
+    p.add_argument("--fd-step", dest="fd_step", type=_positive_float, default=1e-4)
+    p.add_argument("--tol", type=_positive_float, default=None)
 
 
 def _validate_flags(p):
@@ -428,10 +432,8 @@ def _catalog_flags(p):
 
 _COMMANDS = {
     "validate": ("run structural validators on a space", _validate_flags, cmd_validate),
-    "simulate": ("sample a closed-form trajectory", partial(_space_flags, fmt="csv"), cmd_simulate),
-    "verify": (
-        "run the residual oracle and all checks", partial(_space_flags, fmt="json-tree"), cmd_verify
-    ),
+    "simulate": ("sample a closed-form trajectory", _space_flags, cmd_simulate),
+    "verify": ("run the residual oracle and all checks", _verify_flags, cmd_verify),
     "catalog": ("list entries or export one", _catalog_flags, cmd_catalog),
 }
 

@@ -157,6 +157,11 @@ def metric_inner(sys, X, Y):
     return _scalar(np.sum(sys.m_weights * cx * cy, axis=-1))
 
 
+def metric_probe_basis(sys):
+    """Metric-orthonormal basis of m, the (dim m, n, n) stack of module bases over sqrt(weight)."""
+    return sys.m.basis / np.sqrt(sys.m_weights)[:, None, None]
+
+
 def metric_norm(sys, X):
     return _scalar(np.sqrt(np.maximum(metric_inner(sys, X, X), 0.0)))
 

@@ -16,15 +16,18 @@ Both factors are `linalg.Flow`s, one eigendecomposition per generator.
 Every method takes a scalar t or a 1-D grid of t; on a grid it returns
 the (T, n, n) stack, one array program for the whole grid, and a
 scalar t is the one-point case; `transport` returns a pair. A motion
-keeps no per-t state, so callers that reuse a value at the same t hold
-on to it themselves: the referee's `oracle.CurveGrid` does.
+keeps no per-t state. `CurveGrid` holds the curve on one t-grid:
+`sample_trajectory` returns one, and every sweep of the referee reads
+one.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .field import MEMBERSHIP_TOL, metric_norm
+from .field import MEMBERSHIP_TOL, _m_coordinates, metric_norm, metric_probe_basis
 from .linalg import (
     DomainError,
     Flow,
@@ -36,16 +39,6 @@ from .linalg import (
     mul,
     span_residual,
 )
-
-
-class TrajectorySample:
-    """A curve at one t, or over a t-grid with each field stacked along its first axis."""
-
-    __slots__ = ("t", "representative", "body_velocity", "speed", "position")
-
-    def __init__(self, t, representative, body_velocity, speed, position=None):
-        self.t, self.representative, self.body_velocity = t, representative, body_velocity
-        self.speed, self.position = speed, position
 
 
 class ClosedFormMotion:
@@ -103,18 +96,59 @@ class ClosedFormMotion:
         xi = _as_matrix(np.linalg.solve(alpha, alpha_dot), stack=True)
         return self.system.m.combine(self.system.m._coordinates(xi))
 
-    def evaluate(self, t):
-        """The TrajectorySample at t; over a 1-D grid of t, one sample of stacks."""
-        ts = np.asarray(t, dtype=float)
-        grid = ts.reshape(-1)
-        v = self.body_velocity(grid)
-        g = self.representative(grid)
-        model = self.system.model
-        pos = None if model is None else model.apply(g)
-        fields = (grid, g, v, metric_norm(self.system, v), pos)
-        if ts.ndim == 0:
-            fields = [None if f is None else f[0] for f in fields]
-        return TrajectorySample(*fields)
+
+class CurveGrid:
+    """The curve on one t-grid and probe set, each field computed on first use.
+
+    A field is one motion call on a concatenated grid, so every flow and check runs once;
+    a stack entry does not depend on the stack around it, so a value has the bits of a
+    call at its own t. Only a weak-form grid, given fd_step h, also evaluates ts +- h.
+    """
+
+    def __init__(self, motion, t_samples, probes=None, fd_step=None):
+        if fd_step is not None and not fd_step > 0:
+            raise ValueError(f"fd_step must be positive, got {fd_step}")
+        self.motion, self.h, self.probes = motion, fd_step, probes
+        self.t = np.asarray(t_samples, dtype=float)
+        self.ts = self.t.reshape(-1)
+
+    @cached_property
+    def body(self):
+        """Ad(exp(-tY))Xa and the body velocity, each over [0, *ts], from one motion call."""
+        return self.motion.transport(np.concatenate([[0.0], self.ts]))
+
+    @cached_property
+    def numeric(self):
+        """body_velocity_numeric over ts, or [ts, ts + h, ts - h] given a step h; one solve."""
+        ts, h = self.ts, self.h
+        grid = ts if h is None else np.concatenate([ts, ts + h, ts - h])
+        return self.motion.body_velocity_numeric(grid)
+
+    @cached_property
+    def representative(self):
+        return self.motion.representative(self.ts)
+
+    @cached_property
+    def speed(self):
+        """The metric length of the body velocity over ts."""
+        return metric_norm(self.motion.system, self.body[1][1:])
+
+    @cached_property
+    def position(self):
+        """The model's points of the representative over ts, or None without a model."""
+        model = self.motion.system.model
+        return None if model is None else model.apply(self.representative)
+
+    @cached_property
+    def unit_probes(self):
+        """The probes Z (metric_probe_basis if none) at unit metric length, and their m-coords."""
+        sys, Z = self.motion.system, self.probes
+        Z = np.asarray(metric_probe_basis(sys) if Z is None else Z, dtype=complex)
+        c = _m_coordinates(sys, Z, "X")
+        zn = np.sqrt(np.maximum(np.sum(sys.m_weights * c * c, axis=-1), 0.0))
+        if np.any(zn == 0.0):
+            raise DomainError("probe Z must be nonzero")
+        return Z / zn[..., None, None], c / zn[..., None]
 
 
 def build_motion(system, Xa, Xb=None):
@@ -142,12 +176,15 @@ def build_motion(system, Xa, Xb=None):
 
 
 def sample_trajectory(motion, t0, t1, count):
-    """Uniform inclusive samples over [t0, t1], as one TrajectorySample of stacks."""
+    """The CurveGrid of count uniform inclusive samples over [t0, t1], its fields evaluated."""
     if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
         raise ValueError(f"need finite t0 < t1, got [{t0}, {t1}]")
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
-    return motion.evaluate(np.linspace(t0, t1, int(count)))
+    grid = CurveGrid(motion, np.linspace(t0, t1, int(count)))
+    # the body first, as a far-t overflow then names the flow of -tY, "g"
+    _ = grid.speed, grid.representative, grid.position
+    return grid
 
 
 def perturb_motion(motion, eps=1e-2, seed=0):

@@ -31,12 +31,10 @@ the one-point case of the same grid. The weak form runs on real
 m-coordinates: the probes and the body velocity are checked for
 membership once each, and every term is an einsum contraction of
 (T, dim m) and (P, dim m) coordinate arrays. One verify op evaluates the
-curve once, on the union grid of the `CurveGrid` its sweeps share.
+curve once, on the union grid of the `motion.CurveGrid` its sweeps share.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +50,7 @@ from .linalg import (
     mul,
     span_residuals,
 )
+from .motion import CurveGrid
 
 
 class ResidualEntry:
@@ -83,54 +82,6 @@ class ResidualReport:
             for t, per_t in zip(self.t.tolist(), self.values.tolist())
             for j, row in enumerate(per_t)
         )
-
-
-def metric_probe_basis(sys):
-    """Metric-orthonormal basis of m, the (dim m, n, n) stack of module bases over sqrt(weight)."""
-    return sys.m.basis / np.sqrt(sys.m_weights)[:, None, None]
-
-
-class CurveGrid:
-    """The curve data of one t-grid and probe set, each field computed on first use.
-
-    A field is one motion call on a concatenated grid, so every flow and check runs once;
-    a stack entry does not depend on the stack around it, so a value has the bits of a
-    call at its own t. Only a weak-form grid, given fd_step h, also evaluates ts +- h.
-    """
-
-    def __init__(self, motion, t_samples, probes=None, fd_step=None):
-        if fd_step is not None and not fd_step > 0:
-            raise ValueError(f"fd_step must be positive, got {fd_step}")
-        self.motion, self.h, self.probes = motion, fd_step, probes
-        self.t = np.asarray(t_samples, dtype=float)
-        self.ts = self.t.reshape(-1)
-
-    @cached_property
-    def body(self):
-        """Ad(exp(-tY))Xa and the body velocity, each over [0, *ts], from one motion call."""
-        return self.motion.transport(np.concatenate([[0.0], self.ts]))
-
-    @cached_property
-    def numeric(self):
-        """body_velocity_numeric over ts, or [ts, ts + h, ts - h] given a step h; one solve."""
-        ts, h = self.ts, self.h
-        grid = ts if h is None else np.concatenate([ts, ts + h, ts - h])
-        return self.motion.body_velocity_numeric(grid)
-
-    @cached_property
-    def representative(self):
-        return self.motion.representative(self.ts)
-
-    @cached_property
-    def unit_probes(self):
-        """The probes Z (metric_probe_basis if none) at unit metric length, and their m-coords."""
-        sys, Z = self.motion.system, self.probes
-        Z = np.asarray(metric_probe_basis(sys) if Z is None else Z, dtype=complex)
-        c = _m_coordinates(sys, Z, "X")
-        zn = np.sqrt(np.maximum(np.sum(sys.m_weights * c * c, axis=-1), 0.0))
-        if np.any(zn == 0.0):
-            raise DomainError("probe Z must be nonzero")
-        return Z / zn[..., None, None], c / zn[..., None]
 
 
 def _grid(motion, t, probes=None, fd_step=None):
@@ -269,11 +220,11 @@ def great_circle_check(motion):
             "metric is not proportional to the round model metric "
             f"(deviation {dev:.3e}); adjust the module weights"
         )
-    x0 = model.apply(motion.representative(0.0))
+    x = CurveGrid(motion, np.linspace(0.0, 2.0 * np.pi, 97)).position
     xdot0 = model.apply(motion.X + motion.Y)
-    q, R = np.linalg.qr(_realify(np.stack([x0, xdot0])).T)
+    # x[0] is the point at t = 0, where both flows are the identity exactly
+    q, R = np.linalg.qr(_realify(np.stack([x[0], xdot0])).T)
     q = q[:, np.abs(np.diag(R)) > 1e-12]  # a zero velocity spans no second direction
-    x = model.apply(motion.representative(np.linspace(0.0, 2.0 * np.pi, 97)))
     r = _realify(x)
     r = r - (r @ q) @ q.T
     max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)

@@ -15,7 +15,6 @@ from homofiber import (
     expm,
     get_entry,
     hopf,
-    lie_group,
     load_custom,
     make_system,
     residual_sweep,
@@ -124,23 +123,6 @@ def test_get_entry_builds_a_fresh_entry():
 def test_hopf_argument_validation():
     with pytest.raises(ValueError, match="n >= 1"):
         hopf(0)
-
-
-def test_lie_group_argument_validation():
-    with pytest.raises(ValueError, match="unsupported group"):
-        lie_group("SO(3)")
-
-
-def test_lie_group_rejects_non_subalgebra():
-    gb = lie_group("SU(2)").source["g_basis"]
-    with pytest.raises(StructureError, match="not closed"):
-        lie_group("SU(2)", subgroup_basis=[gb[0], gb[1]])
-
-
-def test_u2_variant_builds():
-    entry = lie_group("U(2)")
-    assert entry.split.dims == (3, 1)
-    assert max(entry.report.values()) <= 1e-12
 
 
 def test_export_load_round_trip_chain(hopf1):

@@ -223,6 +223,17 @@ def test_bad_env_tolerance_is_usage_error(monkeypatch, capsys):
         assert err.startswith("error: HOMOFIBER_TOL") and "Traceback" not in err, value
 
 
+def test_simulate_reads_no_tolerance(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "--space", "hopf:1", "--samples", "3"]
+    assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
+    monkeypatch.setenv("HOMOFIBER_TOL", "abc")
+    rc, out = run_out(tmp_path, "abc.csv", argv)
+    assert rc == 0 and out.read_bytes() == (tmp_path / "clean.csv").read_bytes()
+    for flag in (["--tol", "1e-3"], ["--fd-step", "1e-5"]):
+        assert main(argv + flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 def test_unknown_space_is_usage_error(capsys):
     assert main(["validate", "--space", "nope"]) == 2
     assert "unknown space" in capsys.readouterr().err
@@ -850,7 +861,9 @@ def test_tolerances_that_are_not_positive_are_usage_errors(monkeypatch, capsys, 
         monkeypatch.setenv("HOMOFIBER_TOL", env)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert name in err and "not positive" in err and "Traceback" not in err
+    # simulate reads no tolerance, so it has no --tol flag to check
+    want = "unrecognized arguments" if argv[0] == "simulate" else "not positive"
+    assert name in err and want in err and "Traceback" not in err
 
 
 def test_bare_invocations():

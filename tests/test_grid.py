@@ -31,6 +31,7 @@ from homofiber import (
     velocity_agreement_sweep,
 )
 from homofiber.linalg import Flow, adjoint, bnorm, bracket, inner_b
+from homofiber.motion import CurveGrid
 from conftest import seeded_unit_pair, system_for
 
 SPACES = ("hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3")
@@ -173,11 +174,13 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
                 assert np.array_equal(grid[i], method(t))
         traj = sample_trajectory(motion, -1.0, 1.0, 5)
         for i, t in enumerate(traj.t):
-            one = motion.evaluate(t)
-            assert np.array_equal(traj.representative[i], one.representative)
-            assert traj.speed[i] == one.speed
-            if traj.position is not None:
-                assert np.array_equal(traj.position[i], one.position)
+            one = CurveGrid(motion, t)
+            assert np.array_equal(traj.representative[i], one.representative[0])
+            assert traj.speed[i] == one.speed[0]
+            if traj.position is None:
+                assert one.position is None
+            else:
+                assert np.array_equal(traj.position[i], one.position[0])
 
 
 def test_flow_grid_entries_are_one_point_values():

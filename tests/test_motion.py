@@ -177,7 +177,9 @@ def test_sample_trajectory_shape_and_endpoints(hopf1):
     assert len(traj.t) == 9
     assert traj.t[0] == -1.0
     assert traj.t[-1] == 3.0
-    assert traj.representative.shape == traj.body_velocity.shape == (9, 2, 2)
+    assert traj.representative.shape == (9, 2, 2)
+    # the body over [0, *t]: Ad(exp(-tY))Xa and the body velocity
+    assert traj.body[0].shape == traj.body[1].shape == (10, 2, 2)
     assert traj.speed.shape == (9,)
     # hopf carries a vector model, so positions are sphere points in C^2
     for i in range(len(traj.t)):

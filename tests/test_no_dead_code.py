@@ -5,7 +5,10 @@ src/homofiber must be referenced in that module (`__init__.py`, which
 re-exports, is exempt), and a module-level `_private` function, class
 or constant must be referenced somewhere in src/homofiber outside its
 own definition. `__init__.__all__` names exactly what `__init__` imports,
-so a name deleted from a module leaves no export behind.
+so a name deleted from a module leaves no export behind, and every export
+has a reader outside the package: a file of tests/, bench/ or tools/, or
+the README's library example, imports it from `homofiber` or reads it as
+`hf.<name>`.
 """
 
 import ast
@@ -13,7 +16,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "homofiber"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "homofiber"
 MODULES = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
@@ -72,6 +76,17 @@ def test_every_private_name_is_referenced():
     assert not orphans, f"private names nothing in src/ references: {', '.join(orphans)}"
 
 
+def _exports():
+    """The list `__init__.__all__` names."""
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in MODULES["__init__.py"].body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    return exported
+
+
 def test_all_names_exactly_the_imports_of_init():
     tree = MODULES["__init__.py"]
     imported = {
@@ -80,14 +95,33 @@ def test_all_names_exactly_the_imports_of_init():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    (exported,) = [
-        ast.literal_eval(node.value)
-        for node in tree.body
-        if isinstance(node, ast.Assign)
-        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
-    ]
+    exported = _exports()
     assert len(exported) == len(set(exported)), "__all__ names a name twice"
     assert set(exported) == imported, (
         f"exported, not imported: {sorted(set(exported) - imported)}; "
         f"imported, not exported: {sorted(imported - set(exported))}"
     )
+
+
+def _library_example():
+    """The python block of the README's Library section."""
+    text = (ROOT / "README.md").read_text().split("## Library", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_every_export_is_read_outside_the_package():
+    trees = [ast.parse(_library_example())]
+    trees += [
+        ast.parse(path.read_text())
+        for folder in ("tests", "bench", "tools")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    ]
+    read = set()
+    for tree in trees:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.ImportFrom) and sub.module == "homofiber":
+                read.update(alias.name for alias in sub.names)
+            elif isinstance(sub, ast.Attribute) and getattr(sub.value, "id", None) == "hf":
+                read.add(sub.attr)
+    unread = sorted(set(_exports()) - read)
+    assert not unread, f"exports nothing outside the package reads: {', '.join(unread)}"

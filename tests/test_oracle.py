@@ -23,13 +23,15 @@ from homofiber import (
     velocity_agreement_sweep,
     magnetic_circle_check,
     make_system,
+    metric_inner,
     metric_norm,
     metric_probe_basis,
     module_invariance_sweep,
     perturb_motion,
     residual_sweep,
 )
-from homofiber.oracle import CurveGrid
+from homofiber.motion import CurveGrid
+from homofiber.oracle import _realify
 from conftest import per_charge_magnetic_circles, seeded_unit_pair, system_for
 
 TS = np.linspace(-2.0, 2.0, 7)
@@ -224,6 +226,7 @@ def test_sweep_checks_membership_a_fixed_number_of_times(entries, monkeypatch):
     # the probes and the body velocity are checked once each, as stacks,
     # whatever the numbers of times and probes
     import homofiber.field as field
+    import homofiber.motion as motion_module
     import homofiber.oracle as oracle
 
     calls = []
@@ -233,8 +236,8 @@ def test_sweep_checks_membership_a_fixed_number_of_times(entries, monkeypatch):
         calls.append(args[2])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(field, "_m_coordinates", counted)
-    monkeypatch.setattr(oracle, "_m_coordinates", counted)
+    for module in (field, motion_module, oracle):
+        monkeypatch.setattr(module, "_m_coordinates", counted)
     sys = system_for(entries["twistor_su3"], ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=3)
     probes = metric_probe_basis(sys)
@@ -303,6 +306,37 @@ def test_uncharged_round_sphere_runs_on_great_circles(hopf1):
     radius_dev, planarity, metric_scale = great_circle_check(motion)
     assert radius_dev <= 1e-10 and planarity <= 1e-9
     assert metric_scale == pytest.approx(2.0, abs=1e-12)
+
+
+def _two_call_great_circle(motion):
+    """great_circle_check as it read x0 and the 97 points: two representative calls."""
+    sys = motion.system
+    model, basis = sys.model, sys.m.basis
+    pushed = _realify(model.apply(basis))
+    gram_model = np.sum(pushed[:, None] * pushed[None], axis=-1)
+    gram_metric = metric_inner(sys, basis[:, None], basis[None])
+    scale = np.trace(gram_metric) / np.trace(gram_model)
+    x0 = model.apply(motion.representative(0.0))
+    xdot0 = model.apply(motion.X + motion.Y)
+    q, R = np.linalg.qr(_realify(np.stack([x0, xdot0])).T)
+    q = q[:, np.abs(np.diag(R)) > 1e-12]
+    x = model.apply(motion.representative(np.linspace(0.0, 2.0 * np.pi, 97)))
+    r = _realify(x)
+    r = r - (r @ q) @ q.T
+    max_rad = np.max(np.abs(np.linalg.norm(x, axis=-1) - 1.0), initial=0.0)
+    max_plane = np.max(np.linalg.norm(r, axis=-1), initial=0.0)
+    return float(max_rad), float(max_plane), float(scale)
+
+
+@pytest.mark.parametrize("name", ["hopf:1", "hopf:2", "hopf:3"])
+def test_great_circle_check_reads_one_grid_with_the_bits_of_two_calls(entries, name):
+    # x0 is the t = 0 row of the grid's positions, where both flows are the identity exactly
+    sys = system_for(entries[name], k=0.0)
+    for seed in range(4):
+        motion = seeded_motion(sys, seed=seed)
+        assert great_circle_check(motion) == _two_call_great_circle(motion)
+    zero = build_motion(sys, np.zeros((sys.split.n,) * 2, complex))
+    assert great_circle_check(zero) == _two_call_great_circle(zero)
 
 
 def test_great_circle_check_rejects_squashed_metric(hopf1):
