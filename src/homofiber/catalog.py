@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import ChargedSystem, metric_weights, module_pair, weight_ratio
+from .field import ChargedSystem, metric_weights, module_pair, nonempty_module, weight_ratio
 from .linalg import adjoint, check_skew_hermitian, inner_b, orthonormalize
 from .split import (
     CATALOG_TOL,
@@ -311,7 +311,8 @@ def load_custom(doc):
     square matrix, ambient_n its size, every basis a stack of such
     matrices, every entry a finite JSON int or float, and each matrix,
     the orbit model's base point included, skew-Hermitian. The weights
-    and the pair obey the rules of the system constructor. A document that breaks one of
+    and the pair obey the rules of the system constructor, m_a not empty
+    included. A document that breaks one of
     these raises ValueError naming the field; validation failures raise
     StructureError with the offending check in the message.
     """
@@ -348,6 +349,11 @@ def load_custom(doc):
         weight_ratio(weights, *pair)
     model = doc.get("model")
     if model is not None:
+        with _field("model"):
+            if not isinstance(model, dict):
+                raise ValueError(
+                    f'model must be an object {{"kind": ..., "base": ...}} or null, got {reprlib.repr(model)}'
+                )
         with _field("model.kind"):
             kind = model["kind"]
             if kind not in _MODEL_RANK:
@@ -359,5 +365,7 @@ def load_custom(doc):
         model = (kind, base)
     name = str(doc.get("name", "custom"))
     entry = _entry(name, gb, hb, weights, pair, W, model, **{key: bases}, tol=USER_TOL)
+    with _field("pair"):
+        nonempty_module(entry.split, pair[0])
     require(entry.report, USER_TOL, "space document")
     return entry

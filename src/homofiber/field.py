@@ -13,8 +13,8 @@ B-orthonormal basis of m the metric is a weighted dot product of
 coordinates, and I0 is the fixed (dim m)^2 matrix `ChargedSystem.I0`,
 built once per system.
 `ChargedSystem` is the one constructor and runs every check;
-`metric_weights`, `weight_ratio` and `module_pair` hold the weight and
-pair rules it shares with the space-document loader.
+`metric_weights`, `weight_ratio`, `module_pair` and `nonempty_module`
+hold the weight and pair rules it shares with the space-document loader.
 
 The metric and field functions take one matrix or a (..., n, n)
 stack, broadcast over the leading axes, and check every matrix of a
@@ -47,7 +47,10 @@ class WeightRatioError(ValueError):
 
 def metric_weights(weights, s):
     """The weights as a tuple of s positive finite floats, one per module; no bool or str."""
-    weights = tuple(weights)
+    try:
+        weights = tuple(weights)
+    except TypeError:
+        raise ValueError(f"weights must be a list of {s} numbers, got {reprlib.repr(weights)}")
     if any(isinstance(w, (bool, str)) for w in weights):
         raise ValueError(f"weights must be numbers, got {reprlib.repr(weights)}")
     if not weights or not all(0.0 < float(w) < np.inf for w in weights):
@@ -67,6 +70,8 @@ def weight_ratio(weights, a, b):
 
 def module_pair(s, pair):
     """The pair (a, b) as ints: a in 1..s, b None or in 1..s and not a; no bool or float."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"pair must be a list [a, b] or [a, null], got {reprlib.repr(pair)}")
     a, b = pair
     for name, i in zip("ab", (a,) if b is None else (a, b)):
         if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
@@ -78,14 +83,23 @@ def module_pair(s, pair):
     return int(a), None if b is None else int(b)
 
 
+def nonempty_module(split, a):
+    """m_a of the split; ValueError when it is empty, since a curve starts in m_a."""
+    ma = split.module(a)
+    if ma.dim == 0:
+        raise ValueError(f"m_a = m{a} is empty, so no curve starts in it; pick a nonempty module as a")
+    return ma
+
+
 class ChargedSystem:
     """A split, metric weights, field pair (a, b), central element W and charge k.
 
     `b` may be None when the second module is empty; lam is then 1 and
     the I0 domain shrinks to m_a. Module indices are 1-based.
 
-    The constructor checks, in this order: the weights, the pair, the
-    bracket condition [m_a, m_b] in m_a to within MEMBERSHIP_TOL = 1e-10,
+    The constructor checks, in this order: the weights, the pair, that
+    m_a is not empty (ValueError, as for the pair), the bracket
+    condition [m_a, m_b] in m_a to within MEMBERSHIP_TOL = 1e-10,
     that W is skew-Hermitian and lies in the center of h to within
     MEMBERSHIP_TOL max(1, max|W|) (a trivial h forces W = 0), that k is
     finite, and last that lam and 1/lam are positive and finite, since
@@ -98,6 +112,7 @@ class ChargedSystem:
     def __init__(self, split, weights, a, b, W, k, model=None):
         self.weights = metric_weights(weights, split.s)
         a, b = module_pair(split.s, (a, b))
+        ma = nonempty_module(split, a)
         r = bracket_pair_residual(split, a, b)
         if r > MEMBERSHIP_TOL:
             raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
@@ -119,7 +134,7 @@ class ChargedSystem:
             raise ValueError("charge k must be finite")
         self.lam = weight_ratio(self.weights, a, b)
         self.split, self.a, self.b, self.W, self.model = split, a, b, W, model
-        self.m, self.ma = split.m, split.module(a)
+        self.m, self.ma = split.m, ma
         self.mb = None if b is None else split.module(b)
         self.m_weights = np.repeat(self.weights, split.dims)
         scale = {a: 1.0, b: 1.0 / self.lam}

@@ -12,6 +12,9 @@ real arithmetic, and a residual is a Frobenius norm, B's on u(n).
 `orthonormalize` takes its candidates as one (k, n, n) stack (a list is
 stacked once), drops those of norm below rank_tol / 2 before CGS2, and
 returns a Subspace whose frame is the Gram-Schmidt rows themselves.
+When no two candidates share a nonzero real-frame entry, as for the
+matrix-unit bases of block subgroups, every CGS2 projection is exactly
+zero, so it skips the loop and divides each row by its norm.
 
 The bracket, the inner product and norm, `adjoint`, `project` and the
 subspace coordinates also take (..., n, n) stacks, broadcast over the
@@ -215,7 +218,13 @@ def orthonormalize(vectors, rank_tol=_RANK_TOL):
     A candidate of norm below rank_tol / 2 is dropped before the loop:
     a pass never grows a norm by more than a relative O(k eps), so it
     would be dropped anyway, and every kept row is the same to the bit.
-    The Subspace is a view of the kept rows, (0, n, n) when none is kept.
+    When the remaining candidates have pairwise disjoint supports (no
+    real-frame column holds two nonzeros), every coefficient e_i . u is
+    a sum of zero products, which BLAS returns as +0.0, and x - 0.0 is x
+    to the bit, -0.0 entries too; so the loop is skipped, and each row
+    becomes x / sqrt(x @ x) with the same rank_tol drop and the same
+    bits. The Subspace is a view of the kept rows, (0, n, n) when none
+    is kept.
     """
     if isinstance(vectors, np.ndarray):
         shape = vectors.shape[1:]
@@ -231,6 +240,17 @@ def orthonormalize(vectors, rank_tol=_RANK_TOL):
         raise DimensionError(f"X must be a square matrix, got shape {shape}")
     R = _real_rows(_as_matrix(vectors, stack=True))
     F = R[np.sqrt(np.einsum("ij,ij->i", R, R)) >= 0.5 * rank_tol]
+    if np.count_nonzero(F) == np.count_nonzero(F.any(axis=0)):  # one nonzero per used column
+        nrm = np.array([math.sqrt(x @ x) for x in F])
+        F /= nrm[:, None]
+        F = F[nrm >= rank_tol]
+    else:
+        F = F[:_cgs2(F, rank_tol)]
+    return Subspace(F.view(complex).reshape(len(F), *shape))
+
+
+def _cgs2(F, rank_tol):
+    """CGS2 over the rows of F in place: the kept rows fill F[:d]; returns d."""
     d = 0
     for x in F:
         if d:
@@ -241,7 +261,7 @@ def orthonormalize(vectors, rank_tol=_RANK_TOL):
         if nrm >= rank_tol:
             F[d] = x / nrm
             d += 1
-    return Subspace(F[:d].view(complex).reshape(d, *shape))
+    return d
 
 
 def project(S, X):

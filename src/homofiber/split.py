@@ -24,7 +24,6 @@ from .linalg import (
     _real_rows,
     brackets,
     orthonormalize,
-    project,
     span_residual,
     span_residuals,
 )
@@ -188,8 +187,14 @@ def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
 
 
 def _complement(outer, inner):
-    """Orthonormal basis of the B-orthogonal complement of inner in outer."""
-    return orthonormalize(outer.basis - project(inner, outer.basis))
+    """Orthonormal basis of the B-orthogonal complement of inner in outer.
+
+    Each outer basis matrix loses its projection onto inner, taken
+    through the real frames: coordinates B(e, f_j) = e . f_j, then
+    their combination of the inner basis.
+    """
+    c = outer.frame @ inner.frame.T
+    return orthonormalize(outer.basis - (c @ inner.stacked).reshape(outer.basis.shape))
 
 
 def build_split(ch, tol=USER_TOL):

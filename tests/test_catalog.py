@@ -217,7 +217,7 @@ def _bool_first_pair(doc):
         ("hopf:1", "pair", [1.5, 2], "pair: module index a=1.5 is not an integer"),
         ("hopf:1", "pair", [True, 2], "pair: module index a=True is not an integer"),
         ("hopf:1", "pair", [1, 1], "pair indices a and b must differ"),
-        ("hopf:1", "pair", 5, "pair: cannot unpack non-iterable int object"),
+        ("hopf:1", "pair", 5, "pair must be a list [a, b] or [a, null], got 5"),
         ("hopf:1", "weights", [1, -1], "weights must be positive and finite, got (1, -1)"),
         ("hopf:1", "weights", [], "weights must be positive and finite, got ()"),
         ("hopf:1", "weights", [1], "weights: need 2 weights for 2 modules, got 1"),
@@ -240,6 +240,10 @@ def _bool_first_pair(doc):
         ("hopf:1", "W", _bool_first_pair, "W: expected [re, im] pairs of numbers, got [[False, True], "),
         ("kahler_s2", "h_basis", _bool_first_pair,
          "h_basis: expected [re, im] pairs of numbers, got [[False, True], "),
+        ("hopf:1", "pair", [1], "pair must be a list [a, b] or [a, null], got [1]"),
+        ("hopf:1", "pair", None, "pair must be a list [a, b] or [a, null], got None"),
+        ("hopf:1", "weights", None, "weights must be a list of 2 numbers, got None"),
+        ("hopf:1", "model", "orbit", 'model must be an object {"kind": ..., "base": ...} or null'),
     ],
 )
 def test_malformed_fields_are_named(name, key, value, message):

@@ -288,17 +288,73 @@ def _as_list(doc):
     return [doc]
 
 
+def _setting(key, value):
+    def damage(doc):
+        doc[key] = value
+        return doc
+
+    damage.__name__ = f"{key}={value!r}"
+    return damage
+
+
+MALFORMED = {
+    _without_model_kind: "model.kind: missing",
+    _without_ambient_n: "ambient_n: missing",
+    _as_list: "expected a JSON object, got list",
+    _setting("pair", 1): "pair must be a list [a, b] or [a, null], got 1",
+    _setting("pair", "1,2"): "pair must be a list [a, b] or [a, null], got '1,2'",
+    _setting("model", [1, 2]): 'model must be an object {"kind": ..., "base": ...} or null, got [1, 2]',
+    _setting("weights", 3): "weights must be a list of 2 numbers, got 3",
+}
+
+
 @pytest.mark.parametrize("command", ["validate", "verify"])
-@pytest.mark.parametrize(
-    "damage", [_without_model_kind, _without_ambient_n, _as_list]
-)
+@pytest.mark.parametrize("damage", list(MALFORMED))
 def test_malformed_document_is_usage_error(tmp_path, capsys, command, damage):
+    # one line naming the field and the shape it needs, never a Python
+    # unpacking or indexing error
     path = tmp_path / "malformed.json"
     path.write_text(json.dumps(damage(export_entry(get_entry("hopf:1")))))
     assert main([command, "--space", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "malformed space document" in err
-    assert "Traceback" not in err
+    assert err == f"error: malformed space document: {MALFORMED[damage]}\n"
+
+
+@pytest.fixture
+def empty_m1_documents(tmp_path):
+    """hopf:1 with k = g, so m1 is 0-dimensional: with the pair (1, 2), and with (2, 1)."""
+    doc = export_entry(get_entry("hopf:1"))
+    doc["k_basis"] = doc["g_basis"]
+    paths = []
+    for pair in ([1, 2], [2, 1]):
+        path = tmp_path / f"empty_m1_pair{pair[0]}{pair[1]}.json"
+        path.write_text(json.dumps(dict(doc, pair=pair)))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["validate", "verify", "simulate"])
+def test_a_document_whose_m_a_is_empty_is_refused(empty_m1_documents, capsys, command):
+    # no command accepts a document that verify and simulate cannot run
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--space", empty_m1_documents[0]]) == 2
+    want = "error: malformed space document: pair: m_a = m1 is empty"
+    err = capsys.readouterr().err
+    assert err.startswith(want) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_pair_flag_that_selects_an_empty_m_a_is_refused(empty_m1_documents, capsys, command):
+    path = empty_m1_documents[1]
+    assert main([command, "--space", path, "--samples", "3"]) == 0  # m_a = m2, m_b = m1 empty
+    capsys.readouterr()
+    for pair in ("1,2", "1"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--space", path, "--pair", pair]) == 2, pair
+        err = capsys.readouterr().err
+        assert err.startswith("error: m_a = m1 is empty") and err.count("\n") == 1, err
 
 
 def _times_i(matrix):

@@ -13,10 +13,12 @@ from homofiber import (
     bnorm,
     bracket,
     catalog_names,
+    export_entry,
     get_entry,
     hopf,
     inner_b,
     kahler_s2,
+    load_custom,
     make_system,
     metric_inner,
     metric_norm,
@@ -242,6 +244,19 @@ def test_charged_system_rejects_bad_pair():
             ChargedSystem(entry.split, (1.0, 2.0), a, b, entry.W, 0.0)
     sys = ChargedSystem(entry.split, (1.0, 2.0), np.int64(1), np.int64(2), entry.W, 0.0)
     assert (type(sys.a), type(sys.b)) == (int, int)
+
+
+def test_charged_system_refuses_an_empty_m_a():
+    # k = g leaves m1 0-dimensional: no curve starts there, so the pair is a
+    # usage error (a plain ValueError), not a failed structural check; an
+    # empty m_b is allowed
+    doc = export_entry(hopf(1))
+    entry = load_custom(dict(doc, k_basis=doc["g_basis"], pair=[2, 1]))
+    assert entry.split.dims == (0, 3)
+    with pytest.raises(ValueError, match=r"^m_a = m1 is empty") as err:
+        ChargedSystem(entry.split, (1.0, 2.0), 1, 2, entry.W, 0.0)
+    assert not isinstance(err.value, StructureError)
+    assert ChargedSystem(entry.split, (1.0, 2.0), 2, 1, entry.W, 0.0).mb.dim == 0
 
 
 def test_charged_system_checks_in_order():

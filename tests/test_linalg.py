@@ -353,31 +353,73 @@ def test_orthonormalize_drops_tiny_candidates_before_the_loop():
     assert above.dim == 2 and np.abs(above.basis[1] - unit).max() <= 1e-15
 
 
-def test_hopf3_build_runs_42_gram_schmidt_iterations(monkeypatch):
-    # one norm per CGS2 iteration: 61 candidates reach orthonormalize, and the
-    # 19 zero complement candidates of k in g and of h in k never enter the loop
+def test_block_bases_skip_gram_schmidt_and_su3_runs_it(monkeypatch):
+    # one CGS2 iteration per candidate row the loop receives: every basis of
+    # hopf(3), 61 candidates, is made of matrix units with disjoint supports,
+    # while su(3)'s diagonal directions share entries in g, k and h
     from homofiber import catalog, linalg, split
 
-    norms = []
+    iterations, candidates = [], []
+    cgs2 = linalg._cgs2
 
-    class CountingMath:
-        @staticmethod
-        def sqrt(x):
-            norms.append(x)
-            return math.sqrt(x)
-
-    candidates = []
+    def counting_cgs2(F, rank_tol):
+        iterations.append(len(F))
+        return cgs2(F, rank_tol)
 
     def spy(vectors):
         candidates.append(len(vectors))
         return orthonormalize(vectors)
 
-    monkeypatch.setattr(linalg, "math", CountingMath)
+    monkeypatch.setattr(linalg, "_cgs2", counting_cgs2)
     for module in (catalog, split):
         monkeypatch.setattr(module, "orthonormalize", spy)
     hopf(3)
-    assert sum(candidates) == 61
-    assert len(norms) == 42
+    assert (sum(candidates), iterations) == (61, [])
+    twistor_su3()
+    assert iterations == [8, 4, 2]
+
+
+def _disjoint_rows(data):
+    """A (k, 2n^2) real stack whose rows share no nonzero column, and its n.
+
+    Each column holds at most one nonzero, in the row that owns it; every
+    other entry is +0.0 or -0.0. A row then keeps its norm or is scaled to
+    just below, at or just above rank_tol or rank_tol / 2.
+    """
+    n = data.draw(st.integers(1, 4), label="n")
+    m = 2 * n * n
+    k = data.draw(st.integers(1, m), label="k")
+    owners = data.draw(st.lists(st.integers(-1, k - 1), min_size=m, max_size=m), label="owners")
+    values = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3, allow_subnormal=False))
+    negative = data.draw(st.integers(0, 2 ** (k * m) - 1), label="negative zeros")
+    R = np.array([-0.0 if negative >> i & 1 else 0.0 for i in range(k * m)]).reshape(k, m)
+    for j, owner in enumerate(owners):
+        if owner >= 0:
+            R[owner, j] = data.draw(values)
+    tol = 1e-10
+    norms = [None, 1.0, 1e-12] + [c * f for c in (tol, tol / 2) for f in (1 - 1e-6, 1.0, 1 + 1e-6)]
+    for row in R:
+        target, size = data.draw(st.sampled_from(norms)), math.sqrt(row @ row)
+        if target is not None and size > 0.0:
+            row *= target / size
+    return R, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_disjoint_supports_skip_cgs2_and_keep_its_bits(data):
+    from unittest import mock
+
+    from homofiber import linalg
+
+    R, n = _disjoint_rows(data)
+    V = R.view(complex).reshape(len(R), n, n)
+    want = list_orthonormalize(V)
+    with mock.patch.object(linalg, "_cgs2", side_effect=AssertionError("CGS2 ran")):
+        got = [orthonormalize(V), orthonormalize(list(V))]
+    for S in got:
+        assert S.dim == want.dim
+        assert S.basis.tobytes() == want.basis.tobytes()
 
 
 @pytest.mark.parametrize(

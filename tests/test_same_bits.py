@@ -2,13 +2,15 @@
 
 Each case runs a command twice in-process: once as the package stands,
 and once with the list path patched back in. That path runs CGS2 over
-every candidate of a list (zero candidates too) and lets each
-Subspace stack its basis again; builds the u(n) basis one matrix at a
+every candidate of a list (zero candidates and disjoint supports too)
+and lets each Subspace stack its basis again; takes each complement's
+candidates through `project`; builds the u(n) basis one matrix at a
 time; builds one validated motion per charge in the magnetic-circle
 check; and formats the CSV as one str, written as one ASCII block. Exit code, stdout, stderr and
 the --out file must agree byte for byte, over the six catalog names
 and exported hopf(1..5) documents, and so must every split basis and
-every structure_report residual.
+every structure_report residual, over those and the exported
+hopf(6..10) documents too.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from homofiber import catalog, catalog_names, cli, export_entry, hopf, load_custom, split
+from homofiber import catalog, catalog_names, cli, export_entry, hopf, load_custom, project, split
 from homofiber.csvtext import format_rows
 from homofiber.oracle import magnetic_circle_check
 
@@ -35,8 +37,14 @@ def per_charge_magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
     return np.array(rows).reshape(-1, 3), constant, increasing
 
 
+def project_complement(outer, inner):
+    """The complement's candidates outer - project(inner, outer), through list CGS2."""
+    return list_orthonormalize(outer.basis - project(inner, outer.basis))
+
+
 def list_path(monkeypatch):
     monkeypatch.setattr(split, "orthonormalize", list_orthonormalize)
+    monkeypatch.setattr(split, "_complement", project_complement)
     monkeypatch.setattr(catalog, "orthonormalize", list_orthonormalize)
     monkeypatch.setattr(catalog, "_u_basis", per_element_u_basis)
     monkeypatch.setattr(cli, "magnetic_circle_check", per_charge_magnetic_circle_check)
@@ -49,7 +57,7 @@ def list_path(monkeypatch):
 def documents(tmp_path_factory):
     root = tmp_path_factory.mktemp("documents")
     paths = []
-    for n in range(1, 6):
+    for n in range(1, 11):
         path = root / f"hopf{n}.json"
         path.write_text(json.dumps(export_entry(hopf(n))))
         paths.append(str(path))
@@ -108,7 +116,7 @@ def _bits(entry):
     return bases, frames, repr(sorted(entry.report.items()))
 
 
-@pytest.mark.parametrize("space", SPACES)
+@pytest.mark.parametrize("space", SPACES + [f"document:{n}" for n in range(6, 11)])
 def test_split_bases_and_residuals_are_unchanged(space, documents, monkeypatch):
     if space.startswith("document:"):
         doc = json.loads(open(documents[int(space.split(":")[1]) - 1]).read())

@@ -22,9 +22,11 @@ The matrix:
   --perturb 1e-2}: verify as JSON (9 samples, seed 3), verify as CSV
   (5 samples) and simulate (50 samples on [-5, 5]);
 - per name, simulate as json-tree (7 samples) and verify with --W-scale 3;
-- validate and verify of the exported hopf(1..5), su2, kahler_s2 and
+- validate and verify of the exported hopf(1..10), su2, kahler_s2 and
   twistor_su3 documents, and validate of malformed hopf:1 documents;
 - one argv per usage error of the CLI.
+
+Every argv without --out runs twice, 1007 runs in all.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ MALFORMED = (
 
 def _argvs(tmp):
     """The argvs of the matrix."""
-    docs = [f"{tmp}/{name}.json" for name in (*NAMES, "hopf:4", "hopf:5")]
+    docs = [f"{tmp}/{name}.json" for name in (*NAMES, *(f"hopf:{n}" for n in range(4, 11)))]
     bad = [f"{tmp}/bad-{label}.json" for label, _, _ in MALFORMED]
     runs = [["validate", "--space", n] for n in NAMES]
     runs += [["catalog", "export", n] for n in NAMES] + [["catalog", "list"]]
@@ -106,7 +108,7 @@ def _write_inputs(tmp, cli, homofiber):
     with contextlib.redirect_stdout(io.StringIO()):
         for name in NAMES:
             cli.main(["catalog", "export", name, "--out", f"{tmp}/{name}.json"])
-    for n in (4, 5):
+    for n in range(4, 11):
         pathlib.Path(f"{tmp}/hopf:{n}.json").write_text(json.dumps(homofiber.export_entry(homofiber.hopf(n))))
     for label, key, value in MALFORMED:
         doc = json.loads(pathlib.Path(f"{tmp}/hopf:1.json").read_text())
