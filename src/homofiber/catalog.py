@@ -115,18 +115,17 @@ def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
     """
     if k_basis is not None:
         ch = chain(gb, k_basis, hb, tol=tol)
-        split = build_split(ch, tol=tol)
+        g, split = ch.g, build_split(ch, tol=tol)
         key, bases = "k_basis", k_basis
     else:
-        ch = None
-        split = build_custom_split(gb, hb, module_bases, tol=tol)
+        # g once, for the split and an orbit model's frame; the split refuses an
+        # empty g_basis, which has no matrix shape to orthonormalize
+        ch, g = None, orthonormalize(gb) if len(gb) else None
+        split = build_custom_split(gb, hb, module_bases, tol=tol, g=g)
         key, bases = "module_bases", module_bases
     if model is not None:
         kind, base = model
-        frame = ()
-        if kind == "orbit":
-            frame = (ch.g if ch is not None else orthonormalize(gb)).basis
-        model = Model(kind, base, frame)
+        model = Model(kind, base, g.basis if kind == "orbit" else ())
     source = {"name": name, "ambient_n": split.n, "g_basis": gb, "h_basis": hb, key: bases}
     return CatalogEntry(name, split, ch, weights, pair, W, model, source)
 

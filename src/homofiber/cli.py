@@ -1,9 +1,10 @@
 """Command-line front end: validate, simulate, verify, catalog.
 
 Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
-error; a usage error is a ValueError, which `main` prints as one
-`error: ...` line. Output is CSV or a JSON tree; identical configuration
-and seed produce byte-identical output on a platform. The default tolerance of
+error; a usage error is a ValueError, or a MemoryError from a --samples
+count too large to allocate, which `main` prints as one `error: ...`
+line. Output is CSV or a JSON tree; identical configuration and seed
+produce byte-identical output on a platform. The default tolerance of
 verify can be overridden with the HOMOFIBER_TOL environment variable.
 """
 
@@ -250,7 +251,14 @@ def _sample_csv(traj, n):
     return _csv(header, np.column_stack(columns))
 
 
+def _window(args):
+    """Raise ValueError if --t1 - --t0 overflows, which np.linspace would warn of."""
+    if not np.isfinite(args.t1 - args.t0):
+        raise ValueError(f"--t1 - --t0 overflows: [{args.t0}, {args.t1}] is wider than float range")
+
+
 def cmd_simulate(args):
+    _window(args)
     entry, system, motion = _motion_from_args(args)
     traj = sample_trajectory(motion, args.t0, args.t1, args.samples)
     if args.format == "csv":
@@ -287,6 +295,7 @@ def _special(motion, check, *args):
 def cmd_verify(args):
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    _window(args)
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
     res = residual_sweep(motion, grid)
@@ -475,6 +484,10 @@ def main(argv=None):
         return FAIL
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return USAGE
+    except MemoryError as exc:  # numpy refuses an array that cannot fit at once
+        what = f"--samples {args.samples}" if hasattr(args, "samples") else "this input"
+        sys.stderr.write(f"error: {what} needs more memory than there is: {exc}\n")
         return USAGE
 
 

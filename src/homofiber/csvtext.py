@@ -18,14 +18,24 @@ decide or would need a layout it lacks:
   stands after the 16th digit.
 
 The %g rule at precision 17 picks the fixed or the exponent form and
-drops trailing zeros. A cell is laid out in 36 bytes from three
-tables: sign, "0.000" prefix and first digit; five groups of three
-digits, each with the point before one of its digits or none and with
-trailing zeros blanked or kept; and the last digit with the e+dd
-suffix and the separator. The cells of a block are laid out in one
-bytearray, reused from block to block, and its unused bytes are NUL,
-dropped by one translate. `blocks` yields each block's bytes, and
-`format_rows` joins them into one str.
+drops trailing zeros. A cell is laid out in 36 bytes, nine uint32
+columns, each written as one one-dimensional gather from a read-only
+table:
+- columns 0 and 1, the head: sign, "0.000" prefix and first digit, by
+  sign, leading zeros and first digit;
+- columns 2 to 6, five groups of three digits, each with the point
+  before one of its digits or none and with trailing zeros blanked or
+  kept. Group k's offset table maps point * 18 + n, for the point
+  before digit point (0: none) and n significant digits, to a run of
+  1000 entries of the group table, and the group's value picks the
+  entry. n is 17 unless the last digit is 0, so it is counted only in
+  those cells;
+- columns 7 and 8, the tail: the last digit with the e+dd suffix and
+  a comma, or a newline at the end of a row.
+The cells of a block are laid out in one bytearray, reused from block
+to block, and its unused bytes are NUL, dropped by one translate.
+`blocks` yields each block's bytes, and `format_rows` joins them into
+one str.
 """
 
 from __future__ import annotations
@@ -58,7 +68,8 @@ def _split(x):
 
 @cache
 def _tables():
-    """The 10^q table, split for two-product, and the three byte tables of a cell."""
+    """The 10^q table, split for two-product, and the tables of a cell: group bytes, the
+    group offsets, and head and tail bytes as low and high uint32 halves."""
     hi, lo = np.array([_pow10(q) for q in range(_QMIN, _QMAX + 1)]).T
     n = np.arange(1000)
     full = np.stack([n // 100, n // 10 % 10, n % 10], axis=1) + 48
@@ -84,11 +95,14 @@ def _tables():
          48 + abs(x) // 10, 48 + abs(x) % 10], axis=-1
     )[:, :, None, :]
     tail[:, 0, :, 5], tail[:, 1, :, 5] = ord(","), ord("\n")
+    k, point, n = np.ogrid[:5, :17, :18]  # [group][point before this digit, or 0][digits]
+    o = np.where((point > 3 * k) & (point <= 3 * k + 3), point - 3 * k - 1, 3)
+    offsets = ((o * 2 + (n <= 3 * k + 4)) * 1000).reshape(5, -1)
     tables = (
         hi, *_split(hi), lo, sig,
-        groups.reshape(-1, 4).view(np.uint32)[:, 0],
-        head.reshape(-1, 8).view(np.uint64)[:, 0],
-        tail.reshape(-1, 8).view(np.uint64)[:, 0],
+        groups.reshape(-1, 4).view(np.uint32)[:, 0], offsets,
+        *head.reshape(-1, 2, 4).view(np.uint32)[..., 0].T.copy(),
+        *tail.reshape(-1, 2, 4).view(np.uint32)[..., 0].T.copy(),
     )
     for t in tables:  # one copy serves every call
         t.flags.writeable = False
@@ -115,7 +129,7 @@ def _block(table, buf):
     The cells are laid out in buf, 36 bytes each, which the caller
     reuses from block to block.
     """
-    sig, groups, head, tail = _tables()[4:]
+    sig, groups, offsets, head0, head1, tail0, tail1 = _tables()[4:]
     v = table.reshape(-1)
     a = np.abs(v)
     fast = (a >= _LOW) & (a < _HIGH)
@@ -125,13 +139,19 @@ def _block(table, buf):
     zero = v == 0.0  # laid out as the first digit 0 alone: "0" or "-0"
     fast = fast & (margin > _GUARD) & (floor >= 10**16) & (D < 10**17) | zero
 
-    first, rest = np.divmod(np.where(fast, D, 10**16) * ~zero, 10**16)
-    rest, last = np.divmod(rest, 10)
-    g = [rest // 10**12] + [rest // 10**j % 1000 for j in (9, 6, 3, 0)]
-    n = np.ones_like(D)  # significant digits: through the last nonzero one
+    D = np.where(fast, D, 10**16) * ~zero
+    first = D // 10**16
+    rest = D - first * 10**16
+    mid = rest // 10  # the 15 digits between the first and the last
+    last = rest - mid * 10
+    g = [mid // 10**12] + [mid // 10**j % 1000 for j in (9, 6, 3, 0)]
+    n = np.full_like(D, 17)  # significant digits: through the last nonzero one
+    short = np.flatnonzero(last == 0)  # only these can have fewer
+    m = np.ones_like(short)
     for k, gk in enumerate(g):
-        n = np.where(gk != 0, 3 * k + 1 + sig[gk], n)
-    n = np.where(last != 0, 17, n)
+        gs = gk[short]
+        m = np.where(gs != 0, 3 * k + 1 + sig[gs], m)
+    n[short] = m
     fixed = (X >= -4) & (X < 17)
     point = np.where(fixed, X + 1, 1)  # the point stands before this digit
     point = np.where((point >= 1) & (point < n), point, 0)
@@ -139,14 +159,14 @@ def _block(table, buf):
     last = np.where(fast & (last != 0), last, 10)
 
     cells = np.frombuffer(buf, np.uint32, 9 * v.size).reshape(-1, 9)
-    zeros = np.where(fixed & (X < 0), -X, 0)
-    cells[:, :2] = head[(np.signbit(v) * 5 + zeros) * 10 + first].view(np.uint32).reshape(-1, 2)
+    h = (np.signbit(v) * 5 + np.where(fixed & (X < 0), -X, 0)) * 10 + first
+    cells[:, 0], cells[:, 1] = head0[h], head1[h]
+    pn = point * 18 + n
     for k, gk in enumerate(g):
-        o = np.where((point >= 3 * k + 1) & (point <= 3 * k + 3), point - 3 * k - 1, 3)
-        cells[:, 2 + k] = groups[(o * 2 + (n <= 3 * k + 4)) * 1000 + gk]
-    ends = np.arange(v.size) % table.shape[1] == table.shape[1] - 1
-    exp = np.where(fixed | ~fast, 0, X + 100)
-    cells[:, 7:] = tail[(exp * 2 + ends) * 11 + last].view(np.uint32).reshape(-1, 2)
+        cells[:, 2 + k] = groups[offsets[k][pn] + gk]
+    t = np.where(fixed | ~fast, 0, X + 100) * 22 + last
+    t.reshape(table.shape)[:, -1:] += 11  # a row ends in a newline, not a comma
+    cells[:, 7], cells[:, 8] = tail0[t], tail1[t]
     raw = cells.view(np.uint8)
     for i in np.flatnonzero(~fast):
         text = ("%.17g" % v[i]).encode()

@@ -218,14 +218,15 @@ def build_split(ch, tol=USER_TOL):
     return split
 
 
-def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
+def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL, g=None):
     """Split with caller-chosen modules m1, ..., ms.
 
     Each module basis is orthonormalized independently; the pieces must
     then be mutually B-orthogonal, h must be a subalgebra, the pieces
-    must fill g, and each module must be ad(h)-invariant.
+    must fill g, and each module must be ad(h)-invariant. g is
+    orthonormalize(g_basis) when the caller has it already.
     """
-    g = _span(g_basis, 0)
+    g = _span(g_basis, 0) if g is None else g
     h = _span(h_basis, g.ambient)
     mods = tuple(_span(mb, g.ambient) for mb in module_bases)
     _require_closed("h", _closure_residual(h), tol)
@@ -241,6 +242,8 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
         raise StructureError(
             f"pieces span dimension {edges[-1]} but g has dimension {g.dim}"
         )
+    if g.dim == 0:
+        raise StructureError("g basis spans nothing")
     for name, space in pieces:
         _require_contained(name, space, "g", g, tol)
     require(structure_report(split), tol, "custom split")

@@ -150,6 +150,25 @@ def test_export_load_round_trip_modules(entries):
     assert np.allclose(loaded.model.apply(p), entry.model.apply(p), atol=1e-13)
 
 
+@pytest.mark.parametrize("name", ["kahler_s2", "twistor_su3"])
+def test_an_orbit_model_reuses_the_g_its_split_was_checked_against(monkeypatch, name):
+    from homofiber import catalog, split
+
+    calls, frames, real = [], [], split.orthonormalize
+
+    def spy(vectors, *args, **kwargs):
+        calls.append(len(vectors))
+        frames.append(real(vectors, *args, **kwargs))
+        return frames[-1]
+
+    for module in (catalog, split):
+        monkeypatch.setattr(module, "orthonormalize", spy)
+    entry = get_entry(name)
+    assert entry.model.kind == "orbit" and entry.model.frame is frames[0].basis
+    if name == "kahler_s2":  # a custom split: g, h and the one module, g only once
+        assert calls == [3, 1, 2]
+
+
 def test_loaded_entry_runs_the_full_pipeline(hopf1):
     loaded = load_custom(export_entry(hopf1))
     sys = make_system(loaded, weights=(1.0, 2.0), k=1.0)

@@ -456,6 +456,15 @@ def test_an_empty_basis_fails_validation(tmp_path, capsys, name, key, message):
     assert message in err and "Traceback" not in err, err
 
 
+def test_a_custom_split_with_every_basis_empty_fails_validation(tmp_path, capsys):
+    doc = export_entry(get_entry("kahler_s2"))  # an orbit model, whose frame is g's basis
+    doc.update(g_basis=[], h_basis=[], module_bases=[[]])
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == "validation failed: g basis spans nothing\n"
+
+
 def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
     path = tmp_path / "ambient.json"
     for bad in (99, "x", -1, None):
@@ -642,6 +651,27 @@ def test_a_flow_that_overflows_at_a_far_t_fails_without_a_report(capsys, argv, e
         warnings.simplefilter("error")  # and the flow warns of nothing
         assert main(argv[:1] + FAR_T + argv[1:]) == 1
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_window_whose_span_overflows_exits_2_without_a_warning(capsys, command):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.linspace would warn of t1 - t0
+        assert main([command, "--space", "hopf:2", "--t0=-1e308", "--t1", "1e308",
+                     "--samples", "3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --t1 - --t0 overflows: [-1e+308, 1e+308] is wider than float range\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_sample_count_too_large_to_allocate_exits_2(capsys, command):
+    # 10**15 doubles are 8 PB, past any 64-bit address space: numpy refuses the
+    # array at once, without touching memory
+    assert main([command, "--space", "hopf:2", "--samples", str(10**15)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("error: --samples 1000000000000000 needs more memory than there is: ")
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate"])

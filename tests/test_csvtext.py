@@ -70,3 +70,50 @@ def test_random_bit_patterns_and_wide_normals_match_percent_formatting(seed):
     wide = rng.standard_normal(20000) * 10.0 ** rng.uniform(-110, 110, 20000)
     table = np.concatenate([bits, wide]).reshape(-1, 8)
     assert format_rows(table) == per_float(table)
+
+
+def _with_digits(X, n):
+    """A positive float whose "%.17g" has exponent X and exactly n significant digits,
+    or None if no float has them."""
+    for m in range(10 ** (n - 1), 10**n):  # n digits, the last one nonzero
+        if m % 10:
+            v = float(f"{m}e{X - n + 1}")
+            mantissa, exponent = ("%.16e" % v).split("e")
+            if len(mantissa.replace(".", "").rstrip("0")) == n and int(exponent) == X:
+                return v
+    return None
+
+
+def test_every_exponent_and_digit_count_of_the_layout_tables():
+    # exponents -5..17 put the point before every digit or in no group, and
+    # 1..17 digits blank or keep the trailing zeros of every group
+    found = {(X, n): _with_digits(X, n) for X in range(-5, 18) for n in range(1, 18)}
+    # the double nearest d * 1e-5 has 17 digits for every digit d
+    assert [key for key, v in found.items() if v is None] == [(-5, 1)]
+    points = {(X + 1 if 0 <= X < 17 and X + 1 < n else 0, n) for X, n in found}
+    assert points == {(p, n) for n in range(1, 18) for p in [0, *range(1, n)]}
+    values = [v for v in found.values() if v is not None]
+    column = np.array(values + [-v for v in values])
+    assert format_rows(column[:, None]) == per_float(column[:, None])
+    table = column[: len(column) // 17 * 17].reshape(-1, 17)
+    assert format_rows(table) == per_float(table)
+
+
+@pytest.mark.parametrize("cells", [5, 10, 15, 8192])
+def test_row_ends_on_block_boundaries(monkeypatch, cells):
+    # the last column holds zeros of both signs, % fallbacks (10.0 and nan) and
+    # values with and without trailing zeros, in blocks of one or more rows
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((12, 5))
+    table[:, -1] = [0.0, -0.0, 1.0, 10.0, np.nan, 2.5, -0.125, 1e-5, 1e16, 3e16, 1.0 / 3, -7.0]
+    monkeypatch.setattr(csvtext, "BLOCK_CELLS", cells)
+    assert format_rows(table) == per_float(table)
+
+
+def test_layout_tables_are_read_only():
+    tables = csvtext._tables()
+    assert len(tables) == 11
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = t[0]

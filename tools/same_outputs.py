@@ -21,12 +21,16 @@ The matrix:
 - names x weight ratio {default, 0.5, 1, 2} x k {0, 1, -0.5} x {exact,
   --perturb 1e-2}: verify as JSON (9 samples, seed 3), verify as CSV
   (5 samples) and simulate (50 samples on [-5, 5]);
-- per name, simulate as json-tree (7 samples) and verify with --W-scale 3;
+- per name, simulate as json-tree (7 samples), verify with --W-scale 3
+  and simulate of 800 samples on [-50, 50] at k 1, whose CSV spans
+  several blocks;
 - validate and verify of the exported hopf(1..10), su2, kahler_s2 and
   twistor_su3 documents, and validate of malformed hopf:1 documents;
-- one argv per usage error of the CLI.
+- one argv per usage error of the CLI, among them a --samples count too
+  large to allocate and a window whose span overflows, for verify and
+  simulate.
 
-Every argv without --out runs twice, 1007 runs in all.
+Every argv without --out runs twice, 1027 runs in all.
 """
 
 from __future__ import annotations
@@ -78,6 +82,8 @@ def _argvs(tmp):
         runs += [
             ["simulate", "--space", n, "--k", "1", "--format", "json-tree", "--samples", "7"],
             ["verify", "--space", n, "--k", "1", "--W-scale", "3", "--samples", "9"],
+            # CSV tables of several 8192-cell blocks, as the benchmark's simulate writes
+            ["simulate", "--space", n, "--samples", "800", "--t0=-50", "--t1", "50", "--k", "1"],
         ]
     for doc in docs:
         runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
@@ -96,6 +102,10 @@ def _argvs(tmp):
         ["verify", "--space", "kahler_s2", "--xb", "1"],
         ["verify", "--space", "hopf:1", "--k", "1e300"],
         ["verify", "--space", "hopf:1", "--samples", "0"],
+        *([cmd, "--space", "hopf:2", *window]
+          for cmd in ("verify", "simulate")
+          for window in (["--samples", str(10**15)],
+                         ["--t0=-1e308", "--t1", "1e308", "--samples", "3"])),
         ["catalog", "export"],
         ["catalog", "export", "zzz"],
         ["verify", "--space", "hopf:1", "--out", tmp],
