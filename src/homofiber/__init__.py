@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .motion import (
     ClosedFormMotion,
+    CurveGrid,
     build_motion,
     perturb_motion,
     sample_trajectory,
@@ -70,6 +71,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChargedSystem",
     "ClosedFormMotion",
+    "CurveGrid",
     "DimensionError",
     "DomainError",
     "StructureError",

@@ -298,11 +298,11 @@ def cmd_verify(args):
     _window(args)
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
-    res = residual_sweep(motion, grid)
-    alg = float(np.max(algebraic_identity_check(motion, grid, None)))
-    drift = conservation_sweep(motion, grid)
-    minv = module_invariance_sweep(motion, grid)
-    agree = velocity_agreement_sweep(motion, grid)
+    res = residual_sweep(grid)
+    alg = float(np.max(algebraic_identity_check(grid)))
+    drift = conservation_sweep(grid)
+    minv = module_invariance_sweep(grid)
+    agree = velocity_agreement_sweep(grid)
     failures = []
     if not res.max_abs <= args.tol:
         failures.append(f"koszul residual {res.max_abs:.3e} > {args.tol:.1e}")
@@ -315,7 +315,7 @@ def cmd_verify(args):
     if not agree <= 1e-11:
         failures.append(f"velocity agreement {agree:.3e} > 1e-11")
     special = {}
-    gap = _special(motion, lambda_collapse_check, motion, grid)
+    gap = _special(motion, lambda_collapse_check, grid)
     if gap is not None:
         special["collapse"] = {"max_frobenius": gap}
         if not gap <= 1e-12:

@@ -179,7 +179,10 @@ def blocks(table):
     """The CSV bytes of a 2-D float table, block by block: one line per row, each value
     as "%.17g" % v."""
     table = np.ascontiguousarray(table, dtype=float)
-    rows = max(1, BLOCK_CELLS // max(1, table.shape[1]))
+    if table.shape[1] == 0:  # no cell to end a row: each row is an empty line
+        yield b"\n" * len(table)
+        return
+    rows = max(1, BLOCK_CELLS // table.shape[1])
     buf = bytearray(36 * min(rows, len(table)) * table.shape[1])
     for i in range(0, len(table), rows):
         yield _block(table[i : i + rows], buf)

@@ -16,9 +16,9 @@ Both factors are `linalg.Flow`s, one eigendecomposition per generator.
 Every method takes a scalar t or a 1-D grid of t; on a grid it returns
 the (T, n, n) stack, one array program for the whole grid, and a
 scalar t is the one-point case; `transport` returns a pair. A motion
-keeps no per-t state. `CurveGrid` holds the curve on one t-grid:
-`sample_trajectory` returns one, and every sweep of the referee reads
-one.
+keeps no per-t state. `CurveGrid` holds the curve on one 1-D t-grid:
+`sample_trajectory` returns one, and it is the one input of every
+sweep of the referee.
 """
 
 from __future__ import annotations
@@ -98,57 +98,62 @@ class ClosedFormMotion:
 
 
 class CurveGrid:
-    """The curve on one t-grid and probe set, each field computed on first use.
+    """The curve of one motion on a 1-D t-grid and a probe stack, each field computed on first use.
 
     A field is one motion call on a concatenated grid, so every flow and check runs once;
     a stack entry does not depend on the stack around it, so a value has the bits of a
-    call at its own t. Only a weak-form grid, given fd_step h, also evaluates ts +- h.
+    call at its own t. Only a weak-form grid, given fd_step h, also evaluates t +- h.
     """
 
     def __init__(self, motion, t_samples, probes=None, fd_step=None):
         if fd_step is not None and not fd_step > 0:
             raise ValueError(f"fd_step must be positive, got {fd_step}")
+        if fd_step == np.inf:
+            raise ValueError("fd_step must be finite, got inf")
         self.motion, self.h, self.probes = motion, fd_step, probes
         self.t = np.asarray(t_samples, dtype=float)
-        self.ts = self.t.reshape(-1)
+        if self.t.ndim != 1:
+            raise ValueError(f"t_samples must be a 1-D grid, got shape {self.t.shape}")
 
     @cached_property
     def body(self):
-        """Ad(exp(-tY))Xa and the body velocity, each over [0, *ts], from one motion call."""
-        return self.motion.transport(np.concatenate([[0.0], self.ts]))
+        """Ad(exp(-tY))Xa and the body velocity, each over [0, *t], from one motion call."""
+        return self.motion.transport(np.concatenate([[0.0], self.t]))
 
     @cached_property
     def numeric(self):
-        """body_velocity_numeric over ts, or [ts, ts + h, ts - h] given a step h; one solve."""
-        ts, h = self.ts, self.h
-        grid = ts if h is None else np.concatenate([ts, ts + h, ts - h])
+        """body_velocity_numeric over t, or [t, t + h, t - h] given a step h; one solve."""
+        t, h = self.t, self.h
+        grid = t if h is None else np.concatenate([t, t + h, t - h])
         return self.motion.body_velocity_numeric(grid)
 
     @cached_property
     def representative(self):
-        return self.motion.representative(self.ts)
+        return self.motion.representative(self.t)
 
     @cached_property
     def speed(self):
-        """The metric length of the body velocity over ts."""
+        """The metric length of the body velocity over t."""
         return metric_norm(self.motion.system, self.body[1][1:])
 
     @cached_property
     def position(self):
-        """The model's points of the representative over ts, or None without a model."""
+        """The model's points of the representative over t, or None without a model."""
         model = self.motion.system.model
         return None if model is None else model.apply(self.representative)
 
     @cached_property
     def unit_probes(self):
-        """The probes Z (metric_probe_basis if none) at unit metric length, and their m-coords."""
+        """The (P, n, n) probes (metric_probe_basis if none) at unit metric length, and m-coords."""
         sys, Z = self.motion.system, self.probes
         Z = np.asarray(metric_probe_basis(sys) if Z is None else Z, dtype=complex)
-        c = _m_coordinates(sys, Z, "X")
+        if Z.ndim != 3:
+            raise ValueError(f"probes must be a (P, n, n) stack, got shape {Z.shape}")
+        c = _m_coordinates(sys, Z, "probe Z")
         zn = np.sqrt(np.maximum(np.sum(sys.m_weights * c * c, axis=-1), 0.0))
         if np.any(zn == 0.0):
             raise DomainError("probe Z must be nonzero")
-        return Z / zn[..., None, None], c / zn[..., None]
+        return Z / zn[:, None, None], c / zn[:, None]
 
 
 def build_motion(system, Xa, Xb=None):
@@ -177,8 +182,8 @@ def build_motion(system, Xa, Xb=None):
 
 def sample_trajectory(motion, t0, t1, count):
     """The CurveGrid of count uniform inclusive samples over [t0, t1], its fields evaluated."""
-    if not (np.isfinite(t0) and np.isfinite(t1) and t0 < t1):
-        raise ValueError(f"need finite t0 < t1, got [{t0}, {t1}]")
+    if not (t0 < t1 and np.isfinite(float(t1) - float(t0))):
+        raise ValueError(f"need finite t0 < t1 with t1 - t0 in float range, got [{t0}, {t1}]")
     if count < 2:
         raise ValueError(f"need at least 2 samples, got {count}")
     grid = CurveGrid(motion, np.linspace(t0, t1, int(count)))

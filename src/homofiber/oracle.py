@@ -25,13 +25,15 @@ spheres, circle trajectories with curvature monotone in the charge
 on the adjoint 2-sphere, and the collapse to a one-parameter subgroup
 at lam = 1.
 
-Every check evaluates its whole t-grid, and the weak form its whole
+Every sweep takes one `motion.CurveGrid`, its only input, and reads
+the motion, the t-grid, the probes and the weak form's step h from it.
+It evaluates its whole t-grid, and the weak form its whole
 (t, probe) grid, as one array program over stacks; a single point is
 the one-point case of the same grid. The weak form runs on real
 m-coordinates: the probes and the body velocity are checked for
 membership once each, and every term is an einsum contraction of
 (T, dim m) and (P, dim m) coordinate arrays. One verify op evaluates the
-curve once, on the union grid of the `motion.CurveGrid` its sweeps share.
+curve once, on the union grid of the one CurveGrid its sweeps share.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .linalg import (
     Flow,
     _commutator,
     _conjugate,
-    _scalar,
     bnorm,
     check_skew_hermitian,
     mul,
@@ -84,13 +85,8 @@ class ResidualReport:
         )
 
 
-def _grid(motion, t, probes=None, fd_step=None):
-    """t when it is a CurveGrid, else a new CurveGrid over the t-grid t."""
-    return t if isinstance(t, CurveGrid) else CurveGrid(motion, t, probes, fd_step)
-
-
 def _koszul_grid(grid):
-    """The (T, P) arrays t1, t2, t3 and rhs over the grid's ts and probes.
+    """The (T, P) arrays t1, t2, t3 and rhs over the grid's t and probes.
 
     Rows run over t and columns over the probes, and every term is a
     contraction of m-coordinates. The body velocity is checked once,
@@ -99,7 +95,7 @@ def _koszul_grid(grid):
     extension w and [Z, Y]_m are projections onto m, taken to
     coordinates unchecked. The steps exp(+-hZ) are one stacked flow.
     """
-    motion, T, h = grid.motion, len(grid.ts), grid.h
+    motion, T, h = grid.motion, len(grid.t), grid.h
     sys = motion.system
     Z, zc = grid.unit_probes
     zw = zc * sys.m_weights
@@ -118,11 +114,8 @@ def _koszul_grid(grid):
     return t1, t2, t3, rhs
 
 
-def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
-    """Residuals over a t-grid (or CurveGrid) times a probe set, reduced by max; fd_step is h."""
-    if t_samples is None:
-        t_samples = np.linspace(-2.0, 2.0, 25)
-    grid = _grid(motion, t_samples, probes, fd_step)
+def residual_sweep(grid):
+    """Residuals over the grid's t-grid times its probes, reduced by max; its fd_step is h."""
     if grid.h is None:
         raise ValueError("the weak form needs a grid with an fd_step")
     t1, t2, t3, rhs = _koszul_grid(grid)
@@ -131,11 +124,11 @@ def residual_sweep(motion, t_samples=None, probes=None, fd_step=1e-4):
     r = np.concatenate([[0.0], np.abs(values[..., 4]).ravel()])
     k = int(np.argmax(r))
     i, j = divmod(k - 1, values.shape[1])
-    ts = grid.ts
-    return ResidualReport(ts, values, float(r[k]), (float(ts[i]), j) if k else (None, None))
+    t = grid.t
+    return ResidualReport(t, values, float(r[k]), (float(t[i]), j) if k else (None, None))
 
 
-def algebraic_identity_check(motion, t, Z):
+def algebraic_identity_check(grid):
     """Roundoff-level check of the reduced bracket identity.
 
     With U = Ad(exp(-tY))Xa transported into m_a, V = Xb, the three
@@ -149,41 +142,36 @@ def algebraic_identity_check(motion, t, Z):
     no differentiation, so agreement is expected at 1e-11 or better.
     Each B(Z, .) is a contraction of m-coordinates with those of Z.
 
-    t may be a 1-D grid and Z a stack of probes; the result is then
-    the (T, P) array of gaps, rows over t and columns over the probes.
-    t may also be a CurveGrid, whose probes stand in for Z.
+    Returns the (T, P) array of gaps, rows over the grid's t and
+    columns over its probes Z.
     """
-    sys = motion.system
+    motion, sys = grid.motion, grid.motion.system
     wa = sys.weights[sys.a - 1]
     wb = sys.weights[sys.b - 1] if sys.b is not None else wa
     lam, k, W = sys.lam, sys.k, sys.W
-    grid = _grid(motion, t, Z)
     zc = grid.unit_probes[1]
-    U, V = grid.body[0][1:].reshape(grid.t.shape + motion.Xb.shape), motion.Xb
+    U, V = grid.body[0][1:], motion.Xb
     pairs = ((U, V + (k / lam) * W), (U, V), (U, W), (V, W), (U + V, W))
     c = sys.m._coordinates(np.stack(np.broadcast_arrays(*(_commutator(x, y) for x, y in pairs))))
-    b = np.einsum("k...j,pj->k...p", c, zc.reshape(-1, sys.m.dim))
-    b = b.reshape(b.shape[:-1] + zc.shape[:-1])
+    b = np.einsum("ktj,pj->ktp", c, zc)
     term3 = -(k / lam) * wa * b[2] - (k / lam) * wb * b[3]
-    return _scalar(np.abs((wa - wb) * b[0] + (wb - wa) * b[1] + term3 - (-k * wa * b[4])))
+    return np.abs((wa - wb) * b[0] + (wb - wa) * b[1] + term3 - (-k * wa * b[4]))
 
 
-def conservation_sweep(motion, t_samples):
-    """Max |speed(t) - speed(0)| over the sweep (a t-grid or a CurveGrid), speeds over [0, *ts]."""
-    s = metric_norm(motion.system, _grid(motion, t_samples).body[1])
+def conservation_sweep(grid):
+    """Max |speed(t) - speed(0)| over the grid, speeds over [0, *t]."""
+    s = metric_norm(grid.motion.system, grid.body[1])
     return float(np.abs(s[1:] - s[0]).max(initial=0.0))
 
 
-def module_invariance_sweep(motion, t_samples):
-    """Max component of Ad(exp(-tY))Xa outside m_a over the sweep (a t-grid or a CurveGrid)."""
-    xa = _grid(motion, t_samples).body[0][1:]
-    return float(span_residuals(motion.system.ma, xa).max(initial=0.0))
+def module_invariance_sweep(grid):
+    """Max component of Ad(exp(-tY))Xa outside m_a over the grid."""
+    return float(span_residuals(grid.motion.system.ma, grid.body[0][1:]).max(initial=0.0))
 
 
-def velocity_agreement_sweep(motion, t_samples):
-    """Max B-distance between the two body-velocity computations (a t-grid or a CurveGrid)."""
-    grid = _grid(motion, t_samples)
-    d = grid.numeric[: len(grid.ts)] - (grid.body[0][1:] + motion.Xb)
+def velocity_agreement_sweep(grid):
+    """Max B-distance between the two body-velocity computations over the grid."""
+    d = grid.numeric[: len(grid.t)] - (grid.body[0][1:] + grid.motion.Xb)
     return float(np.max(bnorm(d), initial=0.0))
 
 
@@ -300,25 +288,22 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
     return rows, bool(constant), bool(np.all(by_charge[:-1] < by_charge[1:]))
 
 
-def lambda_collapse_check(motion, t_samples=None):
+def lambda_collapse_check(grid):
     """At lam = 1 the curve is the one-parameter subgroup of Xa + Xb + kW.
 
-    Returns the largest Frobenius distance over the sweep, a t-grid or a CurveGrid.
+    Returns the largest Frobenius distance over the grid.
     """
-    sys = motion.system
+    motion, sys = grid.motion, grid.motion.system
     if sys.lam != 1.0:
         raise DomainError(f"collapse check needs lam = 1, got lam = {sys.lam}")
-    if t_samples is None:
-        t_samples = np.linspace(-2.0, 2.0, 41)
     gen = motion.Xa + motion.Xb + sys.k * sys.W
-    grid = _grid(motion, t_samples)
-    reference = Flow(grid.ts[:, None, None] * gen)(1.0)
+    reference = Flow(grid.t[:, None, None] * gen)(1.0)
     d = grid.representative - reference
     return float(np.max(np.linalg.norm(d, axis=(-2, -1)), initial=0.0))
 
 
 def convergence_ratios(motion, points, probes):
-    """The (points, 3) array of |residual| at each (t, probe) point, one residual_sweep per step.
+    """The (points, 3) array of |residual| at each (t, probe) point, one CurveGrid per step.
 
     The steps are h = 2e-4, 1e-4 and 5e-5, one column each. The central
     differences are second order, so halving h should
@@ -326,6 +311,6 @@ def convergence_ratios(motion, points, probes):
     wherever the leading error coefficient is not degenerate.
     """
     ts, js = [t for t, _ in points], [j for _, j in points]
-    r = [residual_sweep(motion, ts, probes, h).values[range(len(ts)), js, 4]
+    r = [residual_sweep(CurveGrid(motion, ts, probes, h)).values[range(len(ts)), js, 4]
          for h in (2e-4, 1e-4, 5e-5)]
     return np.abs(np.array(r).T)

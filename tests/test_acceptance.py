@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from homofiber import (
+    CurveGrid,
     algebraic_identity_check,
     build_motion,
     conservation_sweep,
@@ -61,14 +62,13 @@ def sweep():
                 probes = metric_probe_basis(sys)
                 t0 = time.perf_counter()
                 res = max(
-                    residual_sweep(m, T_GRID, probes).max_abs for m in motions
+                    residual_sweep(CurveGrid(m, T_GRID, probes, 1e-4)).max_abs for m in motions
                 )
                 residual_seconds += time.perf_counter() - t0
+                # one grid per motion holds every (t, probe) entry of the bracket identity
                 alg = max(
-                    algebraic_identity_check(m, t, Z)
+                    float(np.max(algebraic_identity_check(CurveGrid(m, T_GRID, probes))))
                     for m in motions
-                    for t in T_GRID
-                    for Z in probes
                 )
                 records.append(
                     SimpleNamespace(
@@ -78,13 +78,13 @@ def sweep():
                         residual=res,
                         algebraic=alg,
                         invariance=max(
-                            module_invariance_sweep(m, T_GRID) for m in motions
+                            module_invariance_sweep(CurveGrid(m, T_GRID)) for m in motions
                         ),
                         agreement=max(
-                            velocity_agreement_sweep(m, T_GRID) for m in motions
+                            velocity_agreement_sweep(CurveGrid(m, T_GRID)) for m in motions
                         ),
                         drift=max(
-                            conservation_sweep(m, T_GRID) for m in motions
+                            conservation_sweep(CurveGrid(m, T_GRID)) for m in motions
                         ),
                     )
                 )
@@ -127,7 +127,7 @@ def test_criterion_05_equal_weight_collapse():
         for k in CHARGES:
             sys = make_system(entry, weights=(1.0, 1.0), k=k)
             motion = build_motion(sys, *seeded_unit_pair(sys, np.random.default_rng(7)))
-            gap = lambda_collapse_check(motion, T_GRID)
+            gap = lambda_collapse_check(CurveGrid(motion, T_GRID))
             worst = max(worst, gap)
             assert gap <= 1e-12
     assert worst <= 1e-12, f"worst collapse distance {worst:.3e}"
@@ -159,8 +159,9 @@ def test_criterion_07_oracle_sensitivity():
     for name in ALL_SPACES:
         sys = make_system(get_entry(name), k=1.0)
         motion = build_motion(sys, *seeded_unit_pair(sys, np.random.default_rng(3)))
-        clean = residual_sweep(motion, T_GRID).max_abs
-        damaged = residual_sweep(perturb_motion(motion, eps=1e-2), T_GRID).max_abs
+        damaged_motion = perturb_motion(motion, eps=1e-2)
+        clean = residual_sweep(CurveGrid(motion, T_GRID, fd_step=1e-4)).max_abs
+        damaged = residual_sweep(CurveGrid(damaged_motion, T_GRID, fd_step=1e-4)).max_abs
         assert damaged > 100.0 * clean, (
             f"{name}: damaged {damaged:.3e} vs clean {clean:.3e}"
         )

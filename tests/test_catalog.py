@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from homofiber import (
+    CurveGrid,
     StructureError,
     bnorm,
     bracket,
@@ -173,7 +174,8 @@ def test_loaded_entry_runs_the_full_pipeline(hopf1):
     loaded = load_custom(export_entry(hopf1))
     sys = make_system(loaded, weights=(1.0, 2.0), k=1.0)
     Xa, Xb = seeded_unit_pair(sys, np.random.default_rng(1))
-    report = residual_sweep(build_motion(sys, Xa, Xb), t_samples=np.linspace(-1, 1, 5))
+    grid = CurveGrid(build_motion(sys, Xa, Xb), np.linspace(-1, 1, 5), fd_step=1e-4)
+    report = residual_sweep(grid)
     assert report.max_abs <= 1e-6
 
 
@@ -317,7 +319,8 @@ def test_three_module_document(entries):
     sys = make_system(loaded, k=1.0)
     assert sys.lam == 1.0
     Xa, _ = seeded_unit_pair(sys, np.random.default_rng(2))
-    report = residual_sweep(build_motion(sys, Xa), t_samples=np.linspace(-1, 1, 5))
+    grid = CurveGrid(build_motion(sys, Xa), np.linspace(-1, 1, 5), fd_step=1e-4)
+    report = residual_sweep(grid)
     assert report.max_abs <= 1e-6
 
 

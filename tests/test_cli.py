@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from homofiber import (
+    CurveGrid,
     algebraic_identity_check,
     bnorm,
     catalog_names,
@@ -693,7 +694,7 @@ def test_a_flow_that_overflows_prints_one_error_line(command):
     ],
 )
 def test_a_check_that_reads_nan_fails(monkeypatch, capsys, check, failure):
-    monkeypatch.setattr(f"homofiber.cli.{check}", lambda motion, *args: float("nan"))
+    monkeypatch.setattr(f"homofiber.cli.{check}", lambda grid: float("nan"))
     assert main(["verify", "--space", "hopf:1", "--samples", "3"]) == 1
     assert failure in capsys.readouterr().err
 
@@ -1130,12 +1131,12 @@ def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
     assert rc == (1 if perturb else 0)
     args = build_parser().parse_args(argv)
     _, system, motion = _motion_from_args(args)
-    report = residual_sweep(
+    report = residual_sweep(CurveGrid(
         motion,
         np.linspace(args.t0, args.t1, args.samples),
         metric_probe_basis(system),
         args.fd_step,
-    )
+    ))
     rows = _per_entry_verify_rows(report)
     assert out.read_bytes() == ("\n".join(",".join(r) for r in rows) + "\n").encode()
 
@@ -1144,7 +1145,7 @@ def test_verify_csv_matches_per_entry_rows(tmp_path, name, perturb):
 @pytest.mark.parametrize("name", catalog_names())
 def test_verify_report_equals_the_standalone_sweeps(tmp_path, name, perturb):
     # verify hands one shared grid to its five sweeps; each sweep called on a
-    # bare t-grid, and the motion's own methods, must give the same bits
+    # fresh grid of its own, and the motion's own methods, must give the same bits
     argv = ["verify", "--space", name, "--k", "1", "--samples", "9", "--seed", "5"] + perturb
     rc, out = run_out(tmp_path, "v.json", argv)
     assert rc == (1 if perturb else 0)
@@ -1152,14 +1153,15 @@ def test_verify_report_equals_the_standalone_sweeps(tmp_path, name, perturb):
     args = build_parser().parse_args(argv)
     _, system, motion = _motion_from_args(args)
     ts, probes = np.linspace(args.t0, args.t1, args.samples), metric_probe_basis(system)
-    res = residual_sweep(motion, ts, probes, args.fd_step)
+    res = residual_sweep(CurveGrid(motion, ts, probes, args.fd_step))
     assert doc["koszul"] == {
         "max_abs": res.max_abs, "argmax_t": res.argmax[0], "argmax_probe": res.argmax[1]
     }
-    assert doc["bracket_identity_max"] == float(np.max(algebraic_identity_check(motion, ts, probes)))
-    assert doc["speed_drift"] == conservation_sweep(motion, ts)
-    assert doc["module_invariance_max"] == module_invariance_sweep(motion, ts)
-    assert doc["velocity_agreement_max"] == velocity_agreement_sweep(motion, ts)
+    identity = algebraic_identity_check(CurveGrid(motion, ts, probes))
+    assert doc["bracket_identity_max"] == float(np.max(identity))
+    assert doc["speed_drift"] == conservation_sweep(CurveGrid(motion, ts))
+    assert doc["module_invariance_max"] == module_invariance_sweep(CurveGrid(motion, ts))
+    assert doc["velocity_agreement_max"] == velocity_agreement_sweep(CurveGrid(motion, ts))
     speeds = metric_norm(motion.system, motion.body_velocity(np.concatenate([[0.0], ts])))
     assert doc["speed_drift"] == float(np.max(np.abs(speeds[1:] - speeds[0])))
     gap = motion.body_velocity_numeric(ts) - (motion.transport(ts)[0] + motion.Xb)

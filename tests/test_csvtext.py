@@ -48,6 +48,7 @@ def test_blocks_and_row_ends(monkeypatch):
     monkeypatch.setattr(csvtext, "BLOCK_CELLS", 10)  # 1 row of 7 cells per block
     assert format_rows(table) == want
     assert format_rows(table[:0]) == ""
+    assert format_rows(np.zeros((3, 0))) == "\n\n\n"  # as per-row "%" formatting writes it
 
 
 @settings(max_examples=300, deadline=None)

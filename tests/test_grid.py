@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from homofiber import (
+    CurveGrid,
     DomainError,
     algebraic_identity_check,
     apply_I0,
@@ -31,7 +32,6 @@ from homofiber import (
     velocity_agreement_sweep,
 )
 from homofiber.linalg import Flow, adjoint, bnorm, bracket, inner_b
-from homofiber.motion import CurveGrid
 from conftest import seeded_unit_pair, system_for
 
 SPACES = ("hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3")
@@ -123,22 +123,22 @@ def reference_agreement(motion, ts):
 def test_grid_matches_per_point_reference(entries, name, ratio, k):
     for motion in motions(entries, name, ratio, k):
         probes = metric_probe_basis(motion.system)
-        report = residual_sweep(motion, TS, probes)
+        report = residual_sweep(CurveGrid(motion, TS, probes, H))
         got = np.array([[e.t1, e.t2, e.t3, e.rhs, e.residual] for e in report.entries])
         want = np.array([row for t in TS for row in reference_koszul_rows(motion, t, probes, H)])
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
 
-        identity = algebraic_identity_check(motion, TS, probes)
+        identity = algebraic_identity_check(CurveGrid(motion, TS, probes))
         assert identity.shape == (len(TS), len(probes))
         want = [[reference_identity(motion, t, Z) for Z in probes] for t in TS]
         assert np.abs(identity - np.array(want)).max() <= 1e-10
 
-        drift = conservation_sweep(motion, TS)
+        drift = conservation_sweep(CurveGrid(motion, TS))
         assert abs(drift - reference_drift(motion, TS)) <= 1e-10
-        inv = module_invariance_sweep(motion, TS)
+        inv = module_invariance_sweep(CurveGrid(motion, TS))
         assert abs(inv - reference_invariance(motion, TS)) <= 1e-10
-        agree = velocity_agreement_sweep(motion, TS)
+        agree = velocity_agreement_sweep(CurveGrid(motion, TS))
         assert abs(agree - reference_agreement(motion, TS)) <= 1e-10
 
 
@@ -147,10 +147,10 @@ def test_one_point_sweep_is_an_entry_of_the_full_sweep(entries, name):
     ratio = None if name == "kahler_s2" else 2.0
     for motion in motions(entries, name, ratio, 1.0):
         probes = metric_probe_basis(motion.system)
-        full = residual_sweep(motion, TS, probes).entries
+        full = residual_sweep(CurveGrid(motion, TS, probes, H)).entries
         for i, t in enumerate(TS):
             for j, Z in enumerate(probes):
-                (one,) = residual_sweep(motion, [t], [Z]).entries
+                (one,) = residual_sweep(CurveGrid(motion, [t], [Z], H)).entries
                 entry = full[i * len(probes) + j]
                 assert (one.t1, one.t2, one.t3, one.rhs, one.residual) == (
                     entry.t1, entry.t2, entry.t3, entry.rhs, entry.residual
@@ -174,7 +174,7 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
                 assert np.array_equal(grid[i], method(t))
         traj = sample_trajectory(motion, -1.0, 1.0, 5)
         for i, t in enumerate(traj.t):
-            one = CurveGrid(motion, t)
+            one = CurveGrid(motion, [t])
             assert np.array_equal(traj.representative[i], one.representative[0])
             assert traj.speed[i] == one.speed[0]
             if traj.position is None:

@@ -1,5 +1,7 @@
 """Tests for the two-exponential curve and its derivatives."""
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from homofiber import (
     DimensionError,
     DomainError,
     ClosedFormMotion,
+    CurveGrid,
     bnorm,
     build_motion,
     expm,
@@ -201,6 +204,24 @@ def test_sample_trajectory_argument_errors(hopf1):
         sample_trajectory(motion, 1.0, 1.0, 5)
     with pytest.raises(ValueError, match="at least 2"):
         sample_trajectory(motion, 0.0, 1.0, 1)
+    # a span past float range is refused before np.linspace could warn of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t0, t1 in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308)), (0.0, np.inf)):
+            with pytest.raises(ValueError, match="t1 - t0 in float range"):
+                sample_trajectory(motion, t0, t1, 3)
+
+
+def test_curve_grid_refuses_a_grid_of_the_wrong_shape(hopf1):
+    sys = system_for(hopf1, ratio=2.0, k=1.0)
+    motion = build_motion(sys, *unit_basis_pair(sys))
+    with pytest.raises(ValueError, match=r"t_samples must be a 1-D grid, got shape \(\)"):
+        CurveGrid(motion, 0.5)
+    with pytest.raises(ValueError, match=r"t_samples must be a 1-D grid, got shape \(1, 2\)"):
+        CurveGrid(motion, [[0.0, 0.5]])
+    # one probe is a stack of one
+    with pytest.raises(ValueError, match=r"probes must be a \(P, n, n\) stack, got shape \(2, 2\)"):
+        CurveGrid(motion, [0.5], sys.ma.basis[0]).unit_probes
 
 
 def test_perturb_motion_is_marked_and_seeded(hopf1):

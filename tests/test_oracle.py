@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from homofiber import (
+    CurveGrid,
     DomainError,
     algebraic_identity_check,
     bracket,
@@ -30,11 +31,11 @@ from homofiber import (
     perturb_motion,
     residual_sweep,
 )
-from homofiber.motion import CurveGrid
 from homofiber.oracle import _realify
 from conftest import per_charge_magnetic_circles, seeded_unit_pair, system_for
 
 TS = np.linspace(-2.0, 2.0, 7)
+H = 1e-4
 
 
 def seeded_motion(system, seed=0):
@@ -47,7 +48,7 @@ def seeded_motion(system, seed=0):
 )
 def test_residual_small_across_catalog(entries, name):
     sys = system_for(entries[name], ratio=2.0, k=1.0)
-    report = residual_sweep(seeded_motion(sys), t_samples=TS)
+    report = residual_sweep(CurveGrid(seeded_motion(sys), TS, fd_step=H))
     assert report.max_abs <= 1e-6
 
 
@@ -55,7 +56,7 @@ def test_residual_small_across_catalog(entries, name):
 @pytest.mark.parametrize("k", [0.0, 1.0, -0.5])
 def test_residual_small_over_weight_and_charge_grid(entries, ratio, k):
     sys = system_for(entries["hopf:2"], ratio=ratio, k=k)
-    report = residual_sweep(seeded_motion(sys, seed=2), t_samples=TS)
+    report = residual_sweep(CurveGrid(seeded_motion(sys, seed=2), TS, fd_step=H))
     assert report.max_abs <= 1e-6
 
 
@@ -64,7 +65,7 @@ def test_resting_uncharged_particle_has_exact_zero_residual(hopf1):
     zero = np.zeros((2, 2), dtype=complex)
     motion = build_motion(sys, zero, zero)
     for Z in metric_probe_basis(sys):
-        assert residual_sweep(motion, [0.7], [Z]).values[0, 0, 4] == 0.0
+        assert residual_sweep(CurveGrid(motion, [0.7], [Z], H)).values[0, 0, 4] == 0.0
 
 
 def test_resting_charged_particle_residual_is_truncation_only(hopf1):
@@ -74,7 +75,8 @@ def test_resting_charged_particle_residual_is_truncation_only(hopf1):
     zero = np.zeros((2, 2), dtype=complex)
     motion = build_motion(sys, zero, zero)
     worst = max(
-        abs(residual_sweep(motion, [0.7], [Z]).values[0, 0, 4]) for Z in metric_probe_basis(sys)
+        abs(residual_sweep(CurveGrid(motion, [0.7], [Z], H)).values[0, 0, 4])
+        for Z in metric_probe_basis(sys)
     )
     assert worst <= 1e-6
 
@@ -89,7 +91,7 @@ def test_report_takes_first_argmax(hopf1, monkeypatch):
     def report(r):
         zero = np.zeros_like(r)
         monkeypatch.setattr(oracle, "_koszul_grid", lambda *args: (zero, zero, zero, -r))
-        return residual_sweep(motion, [0.0, 0.5, 1.0], probes)
+        return residual_sweep(CurveGrid(motion, [0.0, 0.5, 1.0], probes, H))
 
     peaked, flat = report(np.diag([1e-9, -3e-8, 3e-8])), report(np.zeros((3, 3)))
     assert peaked.max_abs == 3e-8
@@ -103,28 +105,33 @@ def test_config_rejects_bad_steps(hopf1):
     probe = metric_probe_basis(motion.system)[0]
     for step in (0.0, -1e-4, float("nan")):
         with pytest.raises(ValueError, match="fd_step must be positive, got"):
-            residual_sweep(motion, [0.0], [probe], fd_step=step)
+            residual_sweep(CurveGrid(motion, [0.0], [probe], fd_step=step))
         with pytest.raises(ValueError, match="fd_step must be positive, got"):
-            residual_sweep(motion, [0.0], [probe], step).values[0, 0, 4]
-    # a bare CurveGrid has no stencil ts +- h, so the weak form refuses it by name
-    for args in ((CurveGrid(motion, TS),), (TS, None, None)):
+            residual_sweep(CurveGrid(motion, [0.0], [probe], step)).values[0, 0, 4]
+    # an infinite step would turn every stencil term into inf - inf
+    with pytest.raises(ValueError, match="fd_step must be finite, got inf"):
+        CurveGrid(motion, [0.0], [probe], float("inf"))
+    # a bare CurveGrid has no stencil t +- h, so the weak form refuses it by name
+    for grid in (CurveGrid(motion, TS), CurveGrid(motion, TS, None, None)):
         with pytest.raises(ValueError, match="the weak form needs a grid with an fd_step"):
-            residual_sweep(motion, *args)
+            residual_sweep(grid)
 
 
 def test_zero_probe_rejected(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = seeded_motion(sys)
     with pytest.raises(DomainError, match="nonzero"):
-        residual_sweep(motion, [0.0], [np.zeros((2, 2))]).values[0, 0, 4]
+        residual_sweep(CurveGrid(motion, [0.0], [np.zeros((2, 2))], H)).values[0, 0, 4]
+    with pytest.raises(DomainError, match="^probe Z has a component of size 1.000e-06 outside m$"):
+        residual_sweep(CurveGrid(motion, [0.0], [1e-6 * sys.split.h.basis[0]], H))
 
 
 @pytest.mark.parametrize("name", ["hopf:1", "su2", "kahler_s2", "twistor_su3"])
 def test_perturbed_curve_is_flagged(entries, name):
     sys = system_for(entries[name], ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=3)
-    clean = residual_sweep(motion, t_samples=TS)
-    damaged = residual_sweep(perturb_motion(motion, eps=1e-2), t_samples=TS)
+    clean = residual_sweep(CurveGrid(motion, TS, fd_step=H))
+    damaged = residual_sweep(CurveGrid(perturb_motion(motion, eps=1e-2), TS, fd_step=H))
     assert clean.max_abs <= 1e-6
     assert damaged.max_abs > 100.0 * clean.max_abs
 
@@ -133,11 +140,7 @@ def test_perturbed_curve_is_flagged(entries, name):
 def test_reduced_identity_is_roundoff_exact(hopf1, ratio, k):
     sys = system_for(hopf1, ratio=ratio, k=k)
     motion = seeded_motion(sys, seed=5)
-    worst = max(
-        algebraic_identity_check(motion, t, Z)
-        for t in TS
-        for Z in metric_probe_basis(sys)
-    )
+    worst = np.max(algebraic_identity_check(CurveGrid(motion, TS, metric_probe_basis(sys))))
     assert worst <= 1e-11
 
 
@@ -145,7 +148,8 @@ def test_reduced_identity_trivial_without_field(entries):
     # W = 0 kills every term by exact cancellation, not by tolerance
     sys = system_for(entries["su2"], ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=5)
-    assert algebraic_identity_check(motion, 0.8, metric_probe_basis(sys)[0]) == 0.0
+    grid = CurveGrid(motion, [0.8], metric_probe_basis(sys)[:1])
+    assert algebraic_identity_check(grid)[0, 0] == 0.0
 
 
 def test_assembled_terms_match_reduced_left_side(hopf1):
@@ -160,7 +164,7 @@ def test_assembled_terms_match_reduced_left_side(hopf1):
     probes = metric_probe_basis(sys)
     wa = 1.0
     for t in (-1.1, 0.4):
-        report = residual_sweep(motion, t_samples=[t], probes=probes)
+        report = residual_sweep(CurveGrid(motion, [t], probes, H))
         for entry, Z in zip(report.entries, probes):
             Zu = Z / metric_norm(sys, Z)
             U = motion.transport(t)[0]
@@ -176,21 +180,21 @@ def test_koszul_residual_matches_sweep_entry(entries, name):
     probes = metric_probe_basis(sys)
     for m in (motion, perturb_motion(motion, eps=1e-2)):
         for t in (-1.3, 0.6):
-            report = residual_sweep(m, [t], probes)
+            report = residual_sweep(CurveGrid(m, [t], probes, H))
             for entry, Z in zip(report.entries, probes):
-                assert residual_sweep(m, [t], [Z]).values[0, 0, 4] == entry.residual
+                assert residual_sweep(CurveGrid(m, [t], [Z], H)).values[0, 0, 4] == entry.residual
 
 
 def test_sweeps_read_zero_on_an_empty_grid(hopf1):
     motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
     empty = np.array([])
     for sweep in (conservation_sweep, module_invariance_sweep, velocity_agreement_sweep):
-        assert sweep(motion, empty) == 0.0
-    assert residual_sweep(motion, empty).max_abs == 0.0
+        assert sweep(CurveGrid(motion, empty)) == 0.0
+    assert residual_sweep(CurveGrid(motion, empty, fd_step=H)).max_abs == 0.0
 
 
 def test_bare_grid_solves_the_numeric_velocity_at_its_own_points(hopf1, monkeypatch):
-    # the stencil ts +- h exists only on a grid built for the weak form
+    # the stencil t +- h exists only on a grid built for the weak form, with an fd_step
     motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
     real, sizes = motion.body_velocity_numeric, []
 
@@ -199,8 +203,8 @@ def test_bare_grid_solves_the_numeric_velocity_at_its_own_points(hopf1, monkeypa
         return real(t)
 
     monkeypatch.setattr(motion, "body_velocity_numeric", counted)
-    velocity_agreement_sweep(motion, TS)
-    residual_sweep(motion, TS)
+    velocity_agreement_sweep(CurveGrid(motion, TS, fd_step=None))
+    residual_sweep(CurveGrid(motion, TS, fd_step=H))
     assert sizes == [len(TS), 3 * len(TS)]
 
 
@@ -218,7 +222,7 @@ def test_sweep_builds_probe_stencils_once(hopf1, monkeypatch):
     real_flow = linalg.Flow
     for module in (linalg, motion_module, oracle):
         monkeypatch.setattr(module, "Flow", lambda A: calls.append(np.shape(A)) or real_flow(A))
-    residual_sweep(motion, TS, probes)
+    residual_sweep(CurveGrid(motion, TS, probes, H))
     assert calls == [probes.shape]
 
 
@@ -244,7 +248,7 @@ def test_sweep_checks_membership_a_fixed_number_of_times(entries, monkeypatch):
     counts = []
     for ts, ps in ((TS[:1], probes[:1]), (TS, probes), (np.linspace(-2, 2, 25), probes[:3])):
         calls.clear()
-        residual_sweep(motion, ts, ps)
+        residual_sweep(CurveGrid(motion, ts, ps, H))
         counts.append(len(calls))
     assert counts == [2, 2, 2]
 
@@ -253,7 +257,7 @@ def test_conservation_zero_data_is_exact(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     zero = np.zeros((2, 2), dtype=complex)
     motion = build_motion(sys, zero, zero)
-    drift = conservation_sweep(motion, TS)
+    drift = conservation_sweep(CurveGrid(motion, TS))
     assert metric_norm(motion.system, motion.body_velocity(0.0)) == 0.0
     assert drift == 0.0
     assert drift <= 1e-10
@@ -262,7 +266,7 @@ def test_conservation_zero_data_is_exact(hopf1):
 def test_conservation_along_closed_form_curves(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     motion = seeded_motion(sys, seed=11)
-    drift = conservation_sweep(motion, np.linspace(-2.0, 2.0, 17))
+    drift = conservation_sweep(CurveGrid(motion, np.linspace(-2.0, 2.0, 17)))
     want = np.sqrt(inner_b(motion.Xa, motion.Xa) + 2.0 * inner_b(motion.Xb, motion.Xb))
     assert metric_norm(motion.system, motion.body_velocity(0.0)) == pytest.approx(want, abs=1e-12)
     assert drift <= 1e-10
@@ -283,7 +287,7 @@ def test_conservation_is_weaker_than_the_residual(entries):
     for name, floor in [("hopf:1", None), ("kahler_s2", 1e-4), ("twistor_su3", 1e-4)]:
         sys = system_for(entries[name], ratio=2.0, k=1.0)
         damaged = perturb_motion(seeded_motion(sys, seed=11), eps=1e-2)
-        drift = conservation_sweep(damaged, ts)
+        drift = conservation_sweep(CurveGrid(damaged, ts))
         if floor is None:
             assert drift <= 1e-10
         else:
@@ -293,8 +297,8 @@ def test_conservation_is_weaker_than_the_residual(entries):
 def test_module_invariance_and_velocity_agreement(entries):
     sys = system_for(entries["hopf:2"], ratio=0.5, k=-1.0)
     motion = seeded_motion(sys, seed=13)
-    assert module_invariance_sweep(motion, TS) <= 1e-12
-    assert velocity_agreement_sweep(motion, TS) <= 1e-12
+    assert module_invariance_sweep(CurveGrid(motion, TS)) <= 1e-12
+    assert velocity_agreement_sweep(CurveGrid(motion, TS)) <= 1e-12
 
 
 # -- special geometry ------------------------------------------------------
@@ -403,13 +407,14 @@ def test_magnetic_circle_preconditions(hopf1, entries):
 
 def test_equal_weights_collapse_to_subgroup(hopf1):
     sys = system_for(hopf1, ratio=1.0, k=1.0)
-    assert lambda_collapse_check(seeded_motion(sys, seed=19)) <= 1e-12
+    grid = CurveGrid(seeded_motion(sys, seed=19), np.linspace(-2.0, 2.0, 41))
+    assert lambda_collapse_check(grid) <= 1e-12
 
 
 def test_collapse_check_requires_equal_weights(hopf1):
     sys = system_for(hopf1, ratio=2.0, k=1.0)
     with pytest.raises(DomainError, match="lam = 1"):
-        lambda_collapse_check(seeded_motion(sys, seed=19))
+        lambda_collapse_check(CurveGrid(seeded_motion(sys, seed=19), TS))
 
 
 def test_residual_shrinks_at_second_order(hopf1):
@@ -421,5 +426,5 @@ def test_residual_shrinks_at_second_order(hopf1):
     for rs in r:
         assert 3.5 <= rs[0] / rs[1] <= 4.5
     # each entry is the one-point |residual| at its step
-    want = abs(residual_sweep(motion, [0.3], [probes[0]], 5e-5).values[0, 0, 4])
+    want = abs(residual_sweep(CurveGrid(motion, [0.3], probes[:1], 5e-5)).values[0, 0, 4])
     assert r[1, 2] == want

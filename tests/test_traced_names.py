@@ -10,7 +10,7 @@ import pathlib
 import numpy as np
 
 import homofiber
-from homofiber import build_motion, metric_probe_basis, residual_sweep
+from homofiber import CurveGrid, build_motion, metric_probe_basis, residual_sweep
 from conftest import seeded_unit_pair, system_for
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -38,7 +38,7 @@ def test_residual_report_counts_one_entry_per_t_and_probe(entries):
     sys = system_for(entries["hopf:2"], ratio=2.0, k=1.0)
     motion = build_motion(sys, *seeded_unit_pair(sys, np.random.default_rng(4)))
     ts, probes = np.linspace(-1.0, 1.0, 5), metric_probe_basis(sys)
-    report = residual_sweep(motion, ts, probes)
+    report = residual_sweep(CurveGrid(motion, ts, probes, 1e-4))
     assert len(report.entries) == len(ts) * len(probes)
     tracer = _load_tracing().Tracer()
     tracer._count_entries(report)

@@ -24,13 +24,15 @@ The matrix:
 - per name, simulate as json-tree (7 samples), verify with --W-scale 3
   and simulate of 800 samples on [-50, 50] at k 1, whose CSV spans
   several blocks;
+- on hopf:2 and twistor_su3 at k 1, verify on a one-point grid
+  (--samples 1) and on a descending one (--t0 2 --t1=-2);
 - validate and verify of the exported hopf(1..10), su2, kahler_s2 and
   twistor_su3 documents, and validate of malformed hopf:1 documents;
 - one argv per usage error of the CLI, among them a --samples count too
   large to allocate and a window whose span overflows, for verify and
   simulate.
 
-Every argv without --out runs twice, 1027 runs in all.
+Every argv without --out runs twice, 1035 runs in all.
 """
 
 from __future__ import annotations
@@ -84,6 +86,11 @@ def _argvs(tmp):
             ["verify", "--space", n, "--k", "1", "--W-scale", "3", "--samples", "9"],
             # CSV tables of several 8192-cell blocks, as the benchmark's simulate writes
             ["simulate", "--space", n, "--samples", "800", "--t0=-50", "--t1", "50", "--k", "1"],
+        ]
+    for n in ("hopf:2", "twistor_su3"):
+        runs += [
+            ["verify", "--space", n, "--k", "1", "--samples", "1"],
+            ["verify", "--space", n, "--k", "1", "--t0", "2", "--t1=-2"],
         ]
     for doc in docs:
         runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
