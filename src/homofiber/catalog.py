@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import ChargedSystem, metric_weights, module_pair, nonempty_module, weight_ratio
-from .linalg import adjoint, check_skew_hermitian, inner_b, orthonormalize
+from .linalg import adjoint, check_skew_hermitian, inner_b
 from .split import (
     CATALOG_TOL,
     USER_TOL,
@@ -111,21 +111,18 @@ def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
     A k_basis makes the chain h <= k <= g and its two-module split;
     module_bases gives the modules outright. model is None or
     (kind, base); an orbit model reads points against the orthonormal
-    frame of g.
+    frame of the split's g.
     """
     if k_basis is not None:
         ch = chain(gb, k_basis, hb, tol=tol)
-        g, split = ch.g, build_split(ch, tol=tol)
+        split = build_split(ch, tol=tol)
         key, bases = "k_basis", k_basis
     else:
-        # g once, for the split and an orbit model's frame; the split refuses an
-        # empty g_basis, which has no matrix shape to orthonormalize
-        ch, g = None, orthonormalize(gb) if len(gb) else None
-        split = build_custom_split(gb, hb, module_bases, tol=tol, g=g)
+        ch, split = None, build_custom_split(gb, hb, module_bases, tol=tol)
         key, bases = "module_bases", module_bases
     if model is not None:
         kind, base = model
-        model = Model(kind, base, g.basis if kind == "orbit" else ())
+        model = Model(kind, base, split.g.basis if kind == "orbit" else ())
     source = {"name": name, "ambient_n": split.n, "g_basis": gb, "h_basis": hb, key: bases}
     return CatalogEntry(name, split, ch, weights, pair, W, model, source)
 

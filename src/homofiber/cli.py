@@ -251,14 +251,21 @@ def _sample_csv(traj, n):
     return _csv(header, np.column_stack(columns))
 
 
-def _window(args):
-    """Raise ValueError if --t1 - --t0 overflows, which np.linspace would warn of."""
+def _run_flags(args, fewest):
+    """Before the space is built, refuse fewer than `fewest` --samples, a negative --seed, which
+    numpy's generator refuses, and a --t1 - --t0 that overflows, which np.linspace would warn of."""
+    if args.samples < fewest:
+        raise ValueError(f"--samples must be at least {fewest}, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if not np.isfinite(args.t1 - args.t0):
         raise ValueError(f"--t1 - --t0 overflows: [{args.t0}, {args.t1}] is wider than float range")
 
 
 def cmd_simulate(args):
-    _window(args)
+    _run_flags(args, 2)
+    if not args.t0 < args.t1:
+        raise ValueError(f"--t0 must be below --t1, got [{args.t0}, {args.t1}]")
     entry, system, motion = _motion_from_args(args)
     traj = sample_trajectory(motion, args.t0, args.t1, args.samples)
     if args.format == "csv":
@@ -293,9 +300,7 @@ def _special(motion, check, *args):
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    _window(args)
+    _run_flags(args, 1)
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
     res = residual_sweep(grid)

@@ -36,9 +36,7 @@ from .linalg import (
     brackets,
     check_skew_hermitian,
 )
-from .split import bracket_pair_residual, center_residuals
-
-MEMBERSHIP_TOL = 1e-10
+from .split import USER_TOL, bracket_pair_residual, center_residuals
 
 
 class WeightRatioError(ValueError):
@@ -99,9 +97,9 @@ class ChargedSystem:
 
     The constructor checks, in this order: the weights, the pair, that
     m_a is not empty (ValueError, as for the pair), the bracket
-    condition [m_a, m_b] in m_a to within MEMBERSHIP_TOL = 1e-10,
+    condition [m_a, m_b] in m_a to within split.USER_TOL = 1e-10,
     that W is skew-Hermitian and lies in the center of h to within
-    MEMBERSHIP_TOL max(1, max|W|) (a trivial h forces W = 0), that k is
+    USER_TOL max(1, max|W|) (a trivial h forces W = 0), that k is
     finite, and last that lam and 1/lam are positive and finite, since
     I0 divides by lam. `m_weights` repeats the weights per
     basis element of m, and `domain_scale` is 1 on m_a, 1/lam on m_b and
@@ -114,13 +112,13 @@ class ChargedSystem:
         a, b = module_pair(split.s, (a, b))
         ma = nonempty_module(split, a)
         r = bracket_pair_residual(split, a, b)
-        if r > MEMBERSHIP_TOL:
+        if r > USER_TOL:
             raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
         W = check_skew_hermitian(W, name="W")
         # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
         s = max(1.0, float(np.abs(W).max(initial=0.0)))
         rs, rc = (s * r for r in center_residuals(split.h, W / s))
-        tol = MEMBERSHIP_TOL * s
+        tol = USER_TOL * s
         if split.h.dim == 0:
             if rs > tol:
                 raise StructureError("h is trivial, so W must be zero")
@@ -154,7 +152,7 @@ def _m_coordinates(sys, X, name, domain=False):
     kept = c * (sys.domain_scale != 0.0) if domain else c
     R = _real_rows(A) - np.einsum("...i,ij->...j", kept, m.frame)
     r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
-    if r > MEMBERSHIP_TOL:
+    if r > USER_TOL:
         modules = " + ".join(f"m{i}" for i in (sys.a, sys.b) if i)
         where = f"the I0 domain {modules}" if domain else "m"
         raise DomainError(f"{name} has a component of size {r:.3e} outside {where}")

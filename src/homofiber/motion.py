@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .field import MEMBERSHIP_TOL, _m_coordinates, metric_norm, metric_probe_basis
+from .field import _m_coordinates, metric_norm, metric_probe_basis
 from .linalg import (
     DomainError,
     Flow,
@@ -39,6 +39,7 @@ from .linalg import (
     mul,
     span_residual,
 )
+from .split import USER_TOL
 
 
 class ClosedFormMotion:
@@ -160,22 +161,22 @@ def build_motion(system, Xa, Xb=None):
     """Validated constructor: Xa must lie in m_a and Xb in m_b.
 
     A component outside its module, or a nonzero Xb where the system has
-    no second module, may be at most MEMBERSHIP_TOL = 1e-10 in B-norm.
+    no second module, may be at most split.USER_TOL = 1e-10 in B-norm.
     Xb may be omitted (zero). Both must be skew-Hermitian, checked first so
     that an error names a Hermitian part, which the span residual also sees.
     """
     Xa = check_skew_hermitian(Xa, name="Xa")
     Xb = check_skew_hermitian(np.zeros_like(Xa) if Xb is None else Xb, name="Xb")
     r = span_residual(system.ma, Xa)
-    if r > MEMBERSHIP_TOL:
+    if r > USER_TOL:
         raise DomainError(f"Xa has a component of size {r:.3e} outside m{system.a}")
     if system.b is None:
-        if bnorm(Xb) > MEMBERSHIP_TOL:
+        if bnorm(Xb) > USER_TOL:
             raise DomainError("this system has no second module; Xb must be zero")
         Xb = np.zeros_like(Xa)
     else:
         r = span_residual(system.mb, Xb)
-        if r > MEMBERSHIP_TOL:
+        if r > USER_TOL:
             raise DomainError(f"Xb has a component of size {r:.3e} outside m{system.b}")
     return ClosedFormMotion(system, Xa, Xb)
 

@@ -29,7 +29,7 @@ from .linalg import (
 )
 
 CATALOG_TOL = 1e-12   # exact integer / half-integer input data
-USER_TOL = 1e-10      # user supplied data
+USER_TOL = 1e-10      # user data: documents, systems, initial data
 PAIR_BLOCK = 2**12     # complex entries per bracket-residual stack, 64 KB
 
 
@@ -40,24 +40,24 @@ class SubalgebraChain:
     closure of g, k and h.
     """
 
-    def __init__(self, g, k, h, n):
-        self.g, self.k, self.h, self.n = g, k, h, n
+    def __init__(self, g, k, h):
+        self.g, self.k, self.h = g, k, h
         self.closures = tuple(_closure_residual(space) for space in (g, k, h))
 
 
 class ReductiveSplit:
-    """B-orthogonal decomposition g = h + m1 + ... + ms.
+    """B-orthogonal decomposition g = h + m1 + ... + ms of the algebra g.
 
-    `modules` is the ordered tuple (m1, ..., ms) and `m` their
-    concatenation. `gram` is the Gram matrix B(x, y) over the bases of
-    h, m1, ..., ms in turn, and `ad_invariance` the worst residual of
-    [x, y] off m_i over x in h, y in m_i, over the modules. Module
-    indices are 1-based throughout the public API, matching the names
-    m1, m2, ...
+    `modules` is the ordered tuple (m1, ..., ms), `m` their
+    concatenation and n the size of g's matrices. `gram` is the Gram
+    matrix B(x, y) over the bases of h, m1, ..., ms in turn, and
+    `ad_invariance` the worst residual of [x, y] off m_i over x in h,
+    y in m_i, over the modules. Module indices are 1-based throughout
+    the public API, matching the names m1, m2, ...
     """
 
-    def __init__(self, h, modules, n):
-        self.h, self.modules, self.n = h, modules, n
+    def __init__(self, g, h, modules):
+        self.g, self.h, self.modules, self.n = g, h, modules, g.ambient
         hm = Subspace(np.concatenate([h.basis, *(mod.basis for mod in modules)]))
         self.m = Subspace(hm.basis[h.dim:])
         self.gram = hm.frame @ hm.frame.T
@@ -83,31 +83,17 @@ class ReductiveSplit:
 def _bracket_residuals(target, A, B):
     """(A.dim, B.dim) residuals off target of [x, y] over basis pairs x of A, y of B.
 
-    B None stands for B = A with only the pairs i < j bracketed, the
-    other entries left 0: a closure check needs no mirror pair, as
-    [y, x] = -[x, y], and no diagonal. The pairs go through
-    span_residuals in stacks of at most about PAIR_BLOCK complex
-    entries (one stack on every catalog space), whole rows x at a time
-    for a given B, so memory stays bounded on large algebras.
+    The brackets go through span_residuals in row blocks of at most
+    about PAIR_BLOCK complex entries (one block on every catalog space),
+    whole rows x at a time, so memory stays bounded on large algebras.
     """
-    upper = B is None
-    if upper:
-        B = A
     r = np.zeros((A.dim, B.dim))
     if not (A.dim and B.dim):
         return r
     n = A.ambient
-    X, Y = A.basis, B.basis
-    if upper:
-        I, J = np.nonzero(np.arange(A.dim)[:, None] < np.arange(A.dim))
-        step = max(1, PAIR_BLOCK // (n * n))
-        for s in range(0, len(I), step):
-            i, j = I[s:s + step], J[s:s + step]
-            r[i, j] = span_residuals(target, _commutator(X[i], X[j]))
-        return r
     rows = max(1, PAIR_BLOCK // (B.dim * n * n))
     for i in range(0, A.dim, rows):
-        brs = _commutator(X[i:i + rows, None], Y).reshape(-1, n, n)
+        brs = _commutator(A.basis[i:i + rows, None], B.basis).reshape(-1, n, n)
         r[i:i + rows] = span_residuals(target, brs).reshape(-1, B.dim)
     return r
 
@@ -138,12 +124,13 @@ def _block_algebra(space):
 def _closure_residual(space):
     """Worst residual of [x, y] off span(space) over basis pairs i < j, with argmax.
 
-    A provable block algebra (`_block_algebra`) reads (0.0, None)
-    without a bracket.
+    Every ordered pair is bracketed and np.triu keeps the pairs i < j,
+    so the argmax names the first worst one. A provable block algebra
+    (`_block_algebra`) reads (0.0, None) without a bracket.
     """
     if _block_algebra(space):
         return 0.0, None
-    r = _bracket_residuals(space, space, None)
+    r = np.triu(_bracket_residuals(space, space, space), 1)
     worst = r.max(initial=0.0)
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
 
@@ -178,7 +165,7 @@ def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
     h = _span(h_basis, g.ambient)
     if g.dim == 0:
         raise StructureError("g basis spans nothing")
-    ch = SubalgebraChain(g, k, h, g.ambient)
+    ch = SubalgebraChain(g, k, h)
     for name, closure in zip("gkh", ch.closures):
         _require_closed(name, closure, tol)
     _require_contained("h", h, "k", k, tol)
@@ -208,7 +195,7 @@ def build_split(ch, tol=USER_TOL):
     """
     m1 = _complement(ch.g, ch.k)
     m2 = _complement(ch.k, ch.h)
-    split = ReductiveSplit(ch.h, (m1, m2), ch.n)
+    split = ReductiveSplit(ch.g, ch.h, (m1, m2))
     if ch.h.dim + m1.dim + m2.dim != ch.g.dim:
         raise StructureError("complement dimensions do not add up; input bases overlap")
     require(structure_report(split), tol, "split of chain")
@@ -218,19 +205,18 @@ def build_split(ch, tol=USER_TOL):
     return split
 
 
-def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL, g=None):
+def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
     """Split with caller-chosen modules m1, ..., ms.
 
     Each module basis is orthonormalized independently; the pieces must
     then be mutually B-orthogonal, h must be a subalgebra, the pieces
-    must fill g, and each module must be ad(h)-invariant. g is
-    orthonormalize(g_basis) when the caller has it already.
+    must fill g, and each module must be ad(h)-invariant.
     """
-    g = _span(g_basis, 0) if g is None else g
+    g = _span(g_basis, 0)
     h = _span(h_basis, g.ambient)
     mods = tuple(_span(mb, g.ambient) for mb in module_bases)
     _require_closed("h", _closure_residual(h), tol)
-    split = ReductiveSplit(h, mods, g.ambient)
+    split = ReductiveSplit(g, h, mods)
     pieces = [("h", h)] + [(f"m{i + 1}", mod) for i, mod in enumerate(mods)]
     edges = np.cumsum([0] + [space.dim for _, space in pieces])
     for a, b in combinations(range(len(pieces)), 2):

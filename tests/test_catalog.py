@@ -153,7 +153,7 @@ def test_export_load_round_trip_modules(entries):
 
 @pytest.mark.parametrize("name", ["kahler_s2", "twistor_su3"])
 def test_an_orbit_model_reuses_the_g_its_split_was_checked_against(monkeypatch, name):
-    from homofiber import catalog, split
+    from homofiber import split
 
     calls, frames, real = [], [], split.orthonormalize
 
@@ -162,8 +162,7 @@ def test_an_orbit_model_reuses_the_g_its_split_was_checked_against(monkeypatch, 
         frames.append(real(vectors, *args, **kwargs))
         return frames[-1]
 
-    for module in (catalog, split):
-        monkeypatch.setattr(module, "orthonormalize", spy)
+    monkeypatch.setattr(split, "orthonormalize", spy)
     entry = get_entry(name)
     assert entry.model.kind == "orbit" and entry.model.frame is frames[0].basis
     if name == "kahler_s2":  # a custom split: g, h and the one module, g only once

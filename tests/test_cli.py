@@ -88,7 +88,7 @@ def test_validate_computes_each_residual_once(tmp_path, monkeypatch, document):
         assert main(["validate", "--space", space]) == 0
     assert closures == [9, 5, 4]  # g = u(3), k = u(2) + u(1), h = u(2)
     # the three are block algebras, certified closed without a bracket
-    assert not any(B is None for _, _, B in pairs)
+    assert not any(T is A is B for T, A, B in pairs)
     # ad-invariance brackets h with a module m_i and measures off m_i
     assert sum(B is T and A is not T for T, A, B in pairs) == 2  # m1 and m2
     # and [m1, k] in m1 and the bracket condition [m1, m2] in m1 once each
@@ -579,6 +579,11 @@ NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
         ("verify --space hopf:1 --k 1e300", "the generator X overflows at --k 1.000e+300 and "
          "--lambda weight ratio 2.000e+00; reduce --k, --W-scale, --perturb or the ratio"),
         ("verify --space hopf:1 --samples 0", "--samples must be at least 1, got 0"),
+        # refused before the space is built, so the unknown space goes unnamed
+        ("verify --space nope --seed -1", "--seed must be a non-negative integer, got -1"),
+        ("simulate --space nope --seed -1", "--seed must be a non-negative integer, got -1"),
+        ("simulate --space nope --samples 1", "--samples must be at least 2, got 1"),
+        ("simulate --space nope --t0 1 --t1 1", "--t0 must be below --t1, got [1.0, 1.0]"),
         ("catalog export", "catalog export needs a name"),
         ("catalog export zzz", f"unknown catalog entry 'zzz'; known: {NAMES}"),
     ],

@@ -80,7 +80,7 @@ def test_metric_inner_matches_module_sum():
 
 
 def test_metric_inner_membership_threshold():
-    # the membership check runs on every call, at MEMBERSHIP_TOL = 1e-10
+    # the membership check runs on every call, at split.USER_TOL = 1e-10
     entry = hopf(1)
     sys = make_system(entry)
     X = sys.ma.basis[0]

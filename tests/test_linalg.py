@@ -357,7 +357,7 @@ def test_block_bases_skip_gram_schmidt_and_su3_runs_it(monkeypatch):
     # one CGS2 iteration per candidate row the loop receives: every basis of
     # hopf(3), 61 candidates, is made of matrix units with disjoint supports,
     # while su(3)'s diagonal directions share entries in g, k and h
-    from homofiber import catalog, linalg, split
+    from homofiber import linalg, split
 
     iterations, candidates = [], []
     cgs2 = linalg._cgs2
@@ -371,8 +371,7 @@ def test_block_bases_skip_gram_schmidt_and_su3_runs_it(monkeypatch):
         return orthonormalize(vectors)
 
     monkeypatch.setattr(linalg, "_cgs2", counting_cgs2)
-    for module in (catalog, split):
-        monkeypatch.setattr(module, "orthonormalize", spy)
+    monkeypatch.setattr(split, "orthonormalize", spy)
     hopf(3)
     assert (sum(candidates), iterations) == (61, [])
     twistor_su3()

@@ -45,7 +45,6 @@ def project_complement(outer, inner):
 def list_path(monkeypatch):
     monkeypatch.setattr(split, "orthonormalize", list_orthonormalize)
     monkeypatch.setattr(split, "_complement", project_complement)
-    monkeypatch.setattr(catalog, "orthonormalize", list_orthonormalize)
     monkeypatch.setattr(catalog, "_u_basis", per_element_u_basis)
     monkeypatch.setattr(cli, "magnetic_circle_check", per_charge_magnetic_circle_check)
     monkeypatch.setattr(

@@ -232,12 +232,12 @@ def test_report_matches_reference_loops_off_the_structure():
     mods = su3_root_modules()
     h = orthonormalize(torus_basis())
     bad = ReductiveSplit(
+        orthonormalize(su3_basis()),
         h,
         (
             Subspace(np.array([mods[0][0], mods[1][0]])),
             Subspace(np.array([mods[0][0] + mods[2][1], mods[1][1]])),
         ),
-        3,
     )
     W = mods[2][0] + torus_basis()[0]
     rep = structure_report(bad, pair=(1, 2), W=W)
@@ -284,21 +284,14 @@ def test_all_pair_residuals_match_row_stacks(monkeypatch):
         assert _bracket_residuals(target, A, B).tobytes() == want.tobytes()
 
 
-def full_square_closure(space):
-    """Reference for _closure_residual: all d^2 ordered pairs, cut to i < j by np.triu."""
-    r = np.triu(_bracket_residuals(space, space, space), 1)
-    worst = r.max(initial=0.0)
-    return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
-
-
 def _random_skew(rng, k, n):
     M = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
     return M - np.swapaxes(M.conj(), 1, 2)
 
 
 def swept_closure(space):
-    """_closure_residual without the block-algebra certificate: the sweep over pairs i < j."""
-    r = _bracket_residuals(space, space, None)
+    """_closure_residual without the block-algebra certificate: all d^2 ordered pairs, cut to i < j."""
+    r = np.triu(_bracket_residuals(space, space, space), 1)
     worst = r.max(initial=0.0)
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
 
@@ -310,15 +303,6 @@ def _catalog_spaces():
         spaces = (ch.g, ch.k, ch.h) if ch is not None else ()
         for space in spaces + (entry.split.h,) + entry.split.modules:
             yield entry.name, space
-
-
-def test_closure_over_pairs_i_below_j_keeps_every_bit_on_catalog_spaces():
-    # the pair kernel is checked on every catalog space, certified or not
-    for name, space in _catalog_spaces():
-        worst, where = swept_closure(space)
-        want_worst, want_where = full_square_closure(space)
-        assert worst.tobytes() == want_worst.tobytes(), name
-        assert where == want_where, name
 
 
 def test_catalog_chains_are_certified_and_modules_are_swept():
@@ -411,32 +395,19 @@ def test_near_block_algebras_are_swept():
     assert _closure_residual(space) == swept_closure(space)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_closure_over_pairs_i_below_j_matches_the_full_square_off_closed_spaces(n):
-    # span_residuals takes coordinates by one BLAS product per stack, so
-    # the smaller stacks of pairs i < j can move a residual by an ulp
-    rng = np.random.default_rng(n)
-    for k in (2, 3, 5, 8):
-        space = orthonormalize(_random_skew(rng, k, n))
-        worst, where = _closure_residual(space)
-        want_worst, want_where = full_square_closure(space)
-        assert worst > 0.1 and where == want_where
-        assert abs(worst - want_worst) <= 1e-15
-        upper = _bracket_residuals(space, space, None)
-        full = np.triu(_bracket_residuals(space, space, space), 1)
-        np.testing.assert_allclose(upper, full, rtol=0.0, atol=1e-15)
-        assert not np.tril(upper).any()
-
-
 def test_closure_pair_stacks_stay_within_the_block(monkeypatch):
     space = orthonormalize(_random_skew(np.random.default_rng(1), 6, 3))
-    want = _bracket_residuals(space, space, None)
+    want, (want_worst, want_where) = _bracket_residuals(space, space, space), _closure_residual(space)
     sizes = []
     real = split_module.span_residuals
     monkeypatch.setattr(split_module, "span_residuals", lambda S, M: sizes.append(len(M)) or real(S, M))
-    monkeypatch.setattr(split_module, "PAIR_BLOCK", 4 * 9)
-    np.testing.assert_allclose(_bracket_residuals(space, space, None), want, rtol=0.0, atol=1e-15)
-    assert sizes == [4, 4, 4, 3]  # 15 pairs i < j, 4 matrices of 9 entries per stack
+    monkeypatch.setattr(split_module, "PAIR_BLOCK", 4 * 6 * 9)
+    np.testing.assert_allclose(_bracket_residuals(space, space, space), want, rtol=0.0, atol=1e-15)
+    assert sizes == [24, 12]  # 6 x 6 pairs, rows of 6 matrices of 9 entries, 4 rows per stack
+    sizes.clear()
+    worst, where = _closure_residual(space)
+    assert sizes == [24, 12] and worst > 0.1 and where == want_where
+    assert abs(worst - want_worst) <= 1e-15
 
 
 def _trace_of_square_residuals(S, M):
@@ -487,7 +458,9 @@ def test_gram_of_the_real_frame_is_the_trace_form_gram():
         flat = np.concatenate([split.h.basis, split.m.basis])
         want = np.array([[inner_b(x, y) for y in flat] for x in flat])
         np.testing.assert_allclose(split.gram, want, rtol=0.0, atol=1e-15)
-    assert ReductiveSplit(Subspace(np.zeros((0, 2, 2), complex)), (), 2).gram.shape == (0, 0)
+    empty = Subspace(np.zeros((0, 2, 2), complex))
+    split = ReductiveSplit(empty, empty, ())
+    assert split.gram.shape == (0, 0) and split.n == 2
 
 
 @pytest.mark.parametrize("split, dim", [(twistor_su3().split, 2), (lie_group().split, 0)])

@@ -27,12 +27,15 @@ The matrix:
 - on hopf:2 and twistor_su3 at k 1, verify on a one-point grid
   (--samples 1) and on a descending one (--t0 2 --t1=-2);
 - validate and verify of the exported hopf(1..10), su2, kahler_s2 and
-  twistor_su3 documents, and validate of malformed hopf:1 documents;
+  twistor_su3 documents, of the su2 document conjugated by a fixed
+  unitary (no block algebra, so its g and k closures are swept) and of
+  a u(2) chain whose g is not closed, and validate of malformed hopf:1
+  documents;
 - one argv per usage error of the CLI, among them a --samples count too
-  large to allocate and a window whose span overflows, for verify and
-  simulate.
+  large to allocate, a window whose span overflows, a negative --seed,
+  simulate's one-sample and empty windows.
 
-Every argv without --out runs twice, 1035 runs in all.
+Every argv without --out runs twice, 1051 runs in all.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ import sys
 import tempfile
 import traceback
 import warnings
+
+import numpy as np
 
 NAMES = ("hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3")
 RATIOS = ((), ("--lambda", "1", "--lambda", "0.5"), ("--lambda", "1", "--lambda", "1"),
@@ -63,10 +68,13 @@ MALFORMED = (
     ("bool-W-entry", "W", [[[False, True], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]),
 )
 
+# documents whose closures no block-algebra certificate covers
+SWEPT = ("su2-conjugated", "u2-open-g")
+
 
 def _argvs(tmp):
     """The argvs of the matrix."""
-    docs = [f"{tmp}/{name}.json" for name in (*NAMES, *(f"hopf:{n}" for n in range(4, 11)))]
+    docs = [f"{tmp}/{name}.json" for name in (*NAMES, *(f"hopf:{n}" for n in range(4, 11)), *SWEPT)]
     bad = [f"{tmp}/bad-{label}.json" for label, _, _ in MALFORMED]
     runs = [["validate", "--space", n] for n in NAMES]
     runs += [["catalog", "export", n] for n in NAMES] + [["catalog", "list"]]
@@ -109,6 +117,10 @@ def _argvs(tmp):
         ["verify", "--space", "kahler_s2", "--xb", "1"],
         ["verify", "--space", "hopf:1", "--k", "1e300"],
         ["verify", "--space", "hopf:1", "--samples", "0"],
+        ["verify", "--space", "hopf:1", "--seed", "-1"],
+        ["simulate", "--space", "hopf:1", "--seed", "-1"],
+        ["simulate", "--space", "hopf:1", "--samples", "1"],
+        ["simulate", "--space", "hopf:1", "--t0", "1", "--t1", "1"],
         *([cmd, "--space", "hopf:2", *window]
           for cmd in ("verify", "simulate")
           for window in (["--samples", str(10**15)],
@@ -127,6 +139,18 @@ def _write_inputs(tmp, cli, homofiber):
             cli.main(["catalog", "export", name, "--out", f"{tmp}/{name}.json"])
     for n in range(4, 11):
         pathlib.Path(f"{tmp}/hopf:{n}.json").write_text(json.dumps(homofiber.export_entry(homofiber.hopf(n))))
+    from homofiber.catalog import _array, _doc, _u_basis
+
+    # U su(2) U^H for a fixed unitary U: the same chain, its matrices dense and not exactly skew
+    c, s, phase = np.cos(0.7), np.sin(0.7), np.exp(0.4j)
+    U = np.array([[c, s * phase], [-s / phase, c]])
+    doc = homofiber.export_entry(homofiber.lie_group())
+    for key in ("g_basis", "k_basis"):
+        doc[key] = _doc(U @ _array(doc[key]) @ U.conj().T)
+    pathlib.Path(f"{tmp}/su2-conjugated.json").write_text(json.dumps(doc))
+    doc = homofiber.export_entry(homofiber.hopf(1))
+    doc["g_basis"] = _doc(_u_basis(2)[[0, 1, 2]])  # i e11, i e22 and one rotation: not closed
+    pathlib.Path(f"{tmp}/u2-open-g.json").write_text(json.dumps(doc))
     for label, key, value in MALFORMED:
         doc = json.loads(pathlib.Path(f"{tmp}/hopf:1.json").read_text())
         doc[key] = value
