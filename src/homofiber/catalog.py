@@ -5,10 +5,11 @@ module pair (a, b) used by the field operator, a central element W,
 and, where one exists, a base-point model that turns group
 representatives into points of a concrete sphere or adjoint orbit.
 The builders and load_custom make every entry through one constructor,
-so an exported entry loads back into the same split bit for bit. A
-document is plain JSON, each array nested lists ending in [re, im]
-pairs and ambient_n the size of the matrices; it is also the
-custom-space input format of the CLI.
+so an exported entry loads back into the same split bit for bit, and
+every build is judged at split.USER_TOL. A document is plain JSON,
+each array nested lists ending in [re, im] pairs and ambient_n the
+size of the matrices; it is also the custom-space input format of the
+CLI.
 """
 
 from __future__ import annotations
@@ -21,16 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .field import ChargedSystem, metric_weights, module_pair, nonempty_module, weight_ratio
-from .linalg import adjoint, check_skew_hermitian, inner_b
-from .split import (
-    CATALOG_TOL,
-    USER_TOL,
-    build_custom_split,
-    build_split,
-    chain,
-    require,
-    structure_report,
-)
+from .linalg import _conjugate, check_skew_hermitian
+from .split import USER_TOL, build_custom_split, build_split, chain, require, structure_report
 
 SQ2 = np.sqrt(2.0)
 _MODEL_RANK = {"vector": 1, "orbit": 2}   # array rank of a model's base point
@@ -41,21 +34,21 @@ class Model:
 
     kind "vector": points are base vectors moved by matrix action,
     x = g v0 (spheres). kind "orbit": points are conjugates of a base
-    matrix, reported as real coordinates against an orthonormal frame
-    (adjoint orbits).
+    matrix, reported as their coordinates in `frame`, the Subspace g of
+    the split (adjoint orbits).
     """
 
     __slots__ = ("kind", "base", "frame")
 
-    def __init__(self, kind, base, frame=()):
+    def __init__(self, kind, base, frame):
         self.kind, self.base, self.frame = kind, base, frame
 
     def apply(self, g):
         """The point of g, or the points of a (..., n, n) stack of g."""
+        g = np.asarray(g, dtype=complex)
         if self.kind == "vector":
-            return np.einsum("...ij,j->...i", np.asarray(g, dtype=complex), self.base)
-        x = adjoint(g, self.base)
-        return inner_b(x[..., None, :, :], self.frame)
+            return np.einsum("...ij,j->...i", g, self.base)
+        return self.frame._coordinates(_conjugate(g, self.base))
 
 
 class CatalogEntry:
@@ -104,25 +97,22 @@ def _su3_basis():
     ])
 
 
-def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None,
-           module_bases=None, tol=CATALOG_TOL):
+def _entry(name, gb, hb, weights, pair, W, model=None, *, k_basis=None, module_bases=None):
     """The catalog entry of a space given by bases; every entry is made here.
 
     A k_basis makes the chain h <= k <= g and its two-module split;
     module_bases gives the modules outright. model is None or
-    (kind, base); an orbit model reads points against the orthonormal
-    frame of the split's g.
+    (kind, base); the Model's frame is the split's g.
     """
     if k_basis is not None:
-        ch = chain(gb, k_basis, hb, tol=tol)
-        split = build_split(ch, tol=tol)
+        ch = chain(gb, k_basis, hb)
+        split = build_split(ch)
         key, bases = "k_basis", k_basis
     else:
-        ch, split = None, build_custom_split(gb, hb, module_bases, tol=tol)
+        ch, split = None, build_custom_split(gb, hb, module_bases)
         key, bases = "module_bases", module_bases
     if model is not None:
-        kind, base = model
-        model = Model(kind, base, split.g.basis if kind == "orbit" else ())
+        model = Model(*model, split.g)
     source = {"name": name, "ambient_n": split.n, "g_basis": gb, "h_basis": hb, key: bases}
     return CatalogEntry(name, split, ch, weights, pair, W, model, source)
 
@@ -360,7 +350,7 @@ def load_custom(doc):
                 raise ValueError(f"model.base has shape {base.shape}, expected {want}")
         model = (kind, base)
     name = str(doc.get("name", "custom"))
-    entry = _entry(name, gb, hb, weights, pair, W, model, **{key: bases}, tol=USER_TOL)
+    entry = _entry(name, gb, hb, weights, pair, W, model, **{key: bases})
     with _field("pair"):
         nonempty_module(entry.split, pair[0])
     require(entry.report, USER_TOL, "space document")

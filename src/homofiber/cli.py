@@ -43,6 +43,14 @@ from .split import CATALOG_TOL, report_lines
 
 OK, FAIL, USAGE = 0, 1, 2
 
+# (report key, failure name, bound) of verify's sweeps after the Koszul one, in failure order
+_SWEEP_BOUNDS = (
+    ("bracket_identity_max", "bracket identity", 1e-11),
+    ("speed_drift", "speed drift", 1e-10),
+    ("module_invariance_max", "module invariance", 1e-10),
+    ("velocity_agreement_max", "velocity agreement", 1e-11),
+)
+
 
 def _parse_pair(text):
     parts = [p.strip() for p in text.split(",")]
@@ -304,21 +312,14 @@ def cmd_verify(args):
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
     res = residual_sweep(grid)
-    alg = float(np.max(algebraic_identity_check(grid)))
-    drift = conservation_sweep(grid)
-    minv = module_invariance_sweep(grid)
-    agree = velocity_agreement_sweep(grid)
+    sweeps = (float(np.max(algebraic_identity_check(grid))), conservation_sweep(grid),
+              module_invariance_sweep(grid), velocity_agreement_sweep(grid))
     failures = []
     if not res.max_abs <= args.tol:
         failures.append(f"koszul residual {res.max_abs:.3e} > {args.tol:.1e}")
-    if not alg <= 1e-11:
-        failures.append(f"bracket identity {alg:.3e} > 1e-11")
-    if not drift <= 1e-10:
-        failures.append(f"speed drift {drift:.3e} > 1e-10")
-    if not minv <= 1e-10:
-        failures.append(f"module invariance {minv:.3e} > 1e-10")
-    if not agree <= 1e-11:
-        failures.append(f"velocity agreement {agree:.3e} > 1e-11")
+    for (_, what, bound), r in zip(_SWEEP_BOUNDS, sweeps):
+        if not r <= bound:
+            failures.append(f"{what} {r:.3e} > {bound:.0e}")
     special = {}
     gap = _special(motion, lambda_collapse_check, grid)
     if gap is not None:
@@ -355,10 +356,7 @@ def cmd_verify(args):
             "argmax_t": res.argmax[0],
             "argmax_probe": res.argmax[1],
         },
-        "bracket_identity_max": alg,
-        "speed_drift": drift,
-        "module_invariance_max": minv,
-        "velocity_agreement_max": agree,
+        **{key: r for (key, _, _), r in zip(_SWEEP_BOUNDS, sweeps)},
         "special": special,
         "failures": failures,
         "passed": not failures,

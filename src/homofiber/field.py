@@ -14,7 +14,8 @@ coordinates, and I0 is the fixed (dim m)^2 matrix `ChargedSystem.I0`,
 built once per system.
 `ChargedSystem` is the one constructor and runs every check;
 `metric_weights`, `weight_ratio`, `module_pair` and `nonempty_module`
-hold the weight and pair rules it shares with the space-document loader.
+hold the weight and pair rules it shares with the space-document loader,
+and `split.center_residuals` the centrality rule of W.
 
 The metric and field functions take one matrix or a (..., n, n)
 stack, broadcast over the leading axes, and check every matrix of a
@@ -98,13 +99,13 @@ class ChargedSystem:
     The constructor checks, in this order: the weights, the pair, that
     m_a is not empty (ValueError, as for the pair), the bracket
     condition [m_a, m_b] in m_a to within split.USER_TOL = 1e-10,
-    that W is skew-Hermitian and lies in the center of h to within
-    USER_TOL max(1, max|W|) (a trivial h forces W = 0), that k is
-    finite, and last that lam and 1/lam are positive and finite, since
-    I0 divides by lam. `m_weights` repeats the weights per
-    basis element of m, and `domain_scale` is 1 on m_a, 1/lam on m_b and
-    0 off the I0 domain. `I0` acts on m-coordinates: column j holds
-    [W, e_j]'s coordinates times e_j's domain scale.
+    that W is skew-Hermitian and that W / max(1, max|W|) lies in the
+    center of h to within USER_TOL (`split.center_residuals`; a trivial
+    h forces W = 0), that k is finite, and last that lam and 1/lam are
+    positive and finite, since I0 divides by lam. `m_weights` repeats
+    the weights per basis element of m, and `domain_scale` is 1 on m_a,
+    1/lam on m_b and 0 off the I0 domain. `I0` acts on m-coordinates:
+    column j holds [W, e_j]'s coordinates times e_j's domain scale.
     """
 
     def __init__(self, split, weights, a, b, W, k, model=None):
@@ -115,17 +116,14 @@ class ChargedSystem:
         if r > USER_TOL:
             raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
         W = check_skew_hermitian(W, name="W")
-        # roundoff grows with |W|, and W / s keeps the squares of the residuals in range
-        s = max(1.0, float(np.abs(W).max(initial=0.0)))
-        rs, rc = (s * r for r in center_residuals(split.h, W / s))
-        tol = USER_TOL * s
+        rs, rc = center_residuals(split.h, W)
         if split.h.dim == 0:
-            if rs > tol:
+            if rs > USER_TOL:
                 raise StructureError("h is trivial, so W must be zero")
             W = np.zeros((split.n, split.n), dtype=complex)
-        elif rs > tol:
+        elif rs > USER_TOL:
             raise StructureError(f"W is not in h (residual {rs:.3e})")
-        elif rc > tol:
+        elif rc > USER_TOL:
             raise StructureError(f"W is not central in h (residual {rc:.3e})")
         self.k = float(k)
         if not np.isfinite(self.k):

@@ -266,7 +266,7 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
         raise DomainError("magnetic-circle check needs a space with an orbit model")
     if sys.split.s != 1 or sys.b is not None:
         raise DomainError("magnetic-circle check needs a single-module split")
-    if model.base.shape[0] != 2 or len(model.frame) != 3:
+    if model.base.shape[0] != 2 or model.frame.dim != 3:
         raise DomainError("magnetic-circle check needs an adjoint orbit in 3-space")
     if metric_norm(sys, np.asarray(Xa, dtype=complex)) == 0.0:
         raise DomainError("Xa must be nonzero")

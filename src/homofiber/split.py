@@ -6,7 +6,8 @@ inside k. Custom multi-module splits are accepted as explicit bases.
 Every structural hypothesis used by the motion and oracle modules is
 checkable here. `structure_report` gives each check's worst residual
 by name, without judging it, so a front end can print all failures at
-once; `report_lines` and `require` judge a report against a tolerance.
+once; `report_lines` and `require` judge a report against a tolerance,
+which every build sets to `USER_TOL`.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .linalg import (
     span_residuals,
 )
 
-CATALOG_TOL = 1e-12   # exact integer / half-integer input data
-USER_TOL = 1e-10      # user data: documents, systems, initial data
+CATALOG_TOL = 1e-12   # validate's bar: exact integer / half-integer input data
+USER_TOL = 1e-10      # every build, system and initial datum
 PAIR_BLOCK = 2**12     # complex entries per bracket-residual stack, 64 KB
 
 
@@ -135,9 +136,9 @@ def _closure_residual(space):
     return worst, divmod(int(np.argmax(r)), space.dim) if worst > 0 else None
 
 
-def _require_closed(name, closure, tol):
+def _require_closed(name, closure):
     worst, where = closure
-    if worst > tol:
+    if worst > USER_TOL:
         raise StructureError(
             f"{name} basis is not closed under bracket: elements "
             f"{where[0]} and {where[1]} bracket outside the span "
@@ -145,9 +146,9 @@ def _require_closed(name, closure, tol):
         )
 
 
-def _require_contained(inner_name, inner, outer_name, outer, tol):
+def _require_contained(inner_name, inner, outer_name, outer):
     worst = span_residuals(outer, inner.basis).max(initial=0.0)
-    if worst > tol:
+    if worst > USER_TOL:
         raise StructureError(
             f"{inner_name} is not contained in {outer_name} (residual {worst:.3e})"
         )
@@ -158,18 +159,18 @@ def _span(vectors, n):
     return orthonormalize(vectors if len(vectors) else np.zeros((0, n, n), complex))
 
 
-def chain(g_basis, k_basis, h_basis, tol=USER_TOL):
+def chain(g_basis, k_basis, h_basis):
     """Build a SubalgebraChain, checking closure and nesting."""
     g = _span(g_basis, 0)
-    k = _span(k_basis, g.ambient)
-    h = _span(h_basis, g.ambient)
     if g.dim == 0:
         raise StructureError("g basis spans nothing")
+    k = _span(k_basis, g.ambient)
+    h = _span(h_basis, g.ambient)
     ch = SubalgebraChain(g, k, h)
     for name, closure in zip("gkh", ch.closures):
-        _require_closed(name, closure, tol)
-    _require_contained("h", h, "k", k, tol)
-    _require_contained("k", k, "g", g, tol)
+        _require_closed(name, closure)
+    _require_contained("h", h, "k", k)
+    _require_contained("k", k, "g", g)
     return ch
 
 
@@ -184,7 +185,7 @@ def _complement(outer, inner):
     return orthonormalize(outer.basis - (c @ inner.stacked).reshape(outer.basis.shape))
 
 
-def build_split(ch, tol=USER_TOL):
+def build_split(ch):
     """Two-module split of a fibration chain.
 
     m1 is the complement of k in g and m2 the complement of h in k, so
@@ -198,14 +199,14 @@ def build_split(ch, tol=USER_TOL):
     split = ReductiveSplit(ch.g, ch.h, (m1, m2))
     if ch.h.dim + m1.dim + m2.dim != ch.g.dim:
         raise StructureError("complement dimensions do not add up; input bases overlap")
-    require(structure_report(split), tol, "split of chain")
+    require(structure_report(split), USER_TOL, "split of chain")
     worst = _bracket_residuals(m1, m1, ch.k).max(initial=0.0)
-    if worst > tol:
+    if worst > USER_TOL:
         raise StructureError(f"[m1, k] leaves m1 (residual {worst:.3e})")
     return split
 
 
-def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
+def build_custom_split(g_basis, h_basis, module_bases):
     """Split with caller-chosen modules m1, ..., ms.
 
     Each module basis is orthonormalized independently; the pieces must
@@ -213,26 +214,26 @@ def build_custom_split(g_basis, h_basis, module_bases, tol=USER_TOL):
     must fill g, and each module must be ad(h)-invariant.
     """
     g = _span(g_basis, 0)
+    if g.dim == 0:
+        raise StructureError("g basis spans nothing")
     h = _span(h_basis, g.ambient)
     mods = tuple(_span(mb, g.ambient) for mb in module_bases)
-    _require_closed("h", _closure_residual(h), tol)
+    _require_closed("h", _closure_residual(h))
     split = ReductiveSplit(g, h, mods)
     pieces = [("h", h)] + [(f"m{i + 1}", mod) for i, mod in enumerate(mods)]
     edges = np.cumsum([0] + [space.dim for _, space in pieces])
     for a, b in combinations(range(len(pieces)), 2):
         block = split.gram[edges[a]:edges[a + 1], edges[b]:edges[b + 1]]
         r = np.abs(block).max(initial=0.0)
-        if r > tol:
+        if r > USER_TOL:
             raise StructureError(f"{pieces[a][0]} and {pieces[b][0]} overlap (residual {r:.3e})")
     if edges[-1] != g.dim:
         raise StructureError(
             f"pieces span dimension {edges[-1]} but g has dimension {g.dim}"
         )
-    if g.dim == 0:
-        raise StructureError("g basis spans nothing")
     for name, space in pieces:
-        _require_contained(name, space, "g", g, tol)
-    require(structure_report(split), tol, "custom split")
+        _require_contained(name, space, "g", g)
+    require(structure_report(split), USER_TOL, "custom split")
     return split
 
 
@@ -245,7 +246,11 @@ def bracket_pair_residual(split, a, b):
 
 
 def center_residuals(h, W):
-    """(B-norm of W off h, largest B-norm of [W, x] over the basis x of h)."""
+    """(B-norm off h, largest B-norm of [., x] over the basis x of h) of W / max(1, max|W|).
+
+    Roundoff grows with |W|, and the quotient keeps the squares in range; W / 1 is W.
+    """
+    W = W / max(1.0, float(np.abs(W).max(initial=0.0)))
     central = span_residuals(Subspace(h.basis[:0]), brackets(W, h)).max(initial=0.0)
     return span_residual(h, W), float(central)
 
@@ -254,9 +259,10 @@ def structure_report(split, pair=None, W=None, ch=None):
     """Every structural residual of a split, as {check name: worst residual}.
 
     Optional arguments add checks: `pair` the bracket condition,
-    `W` membership in the center of h, `ch` closure of the original
-    chain bases. The ad-invariance and chain closure residuals are
-    computed once per split and chain and read from there.
+    `W` membership in the center of h (relative, `center_residuals`),
+    `ch` closure of the original chain bases. The ad-invariance and
+    chain closure residuals are computed once per split and chain and
+    read from there.
     """
     G = split.gram
     rep = {

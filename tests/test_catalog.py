@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homofiber import (
     CurveGrid,
@@ -164,9 +166,32 @@ def test_an_orbit_model_reuses_the_g_its_split_was_checked_against(monkeypatch, 
 
     monkeypatch.setattr(split, "orthonormalize", spy)
     entry = get_entry(name)
-    assert entry.model.kind == "orbit" and entry.model.frame is frames[0].basis
+    assert entry.model.kind == "orbit" and entry.model.frame is frames[0] is entry.split.g
     if name == "kahler_s2":  # a custom split: g, h and the one module, g only once
         assert calls == [3, 1, 2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.0, 12.0))
+def test_W_is_judged_central_relative_to_its_size_by_the_loader_and_the_constructor(exponent):
+    # s log-uniform in [1, 1e12]: W x s is central at every scale, and W x s
+    # plus 1e-6 s times an m1 basis matrix is refused at every scale, by
+    # load_custom and by the system constructor alike
+    s = 10.0**exponent
+    entry = get_entry("twistor_su3")
+    central = entry.W
+    for W, accepted in ((central, True), (central + 1e-6 * entry.split.module(1).basis[0], False)):
+        entry.W = W
+        doc = export_entry(entry)
+        doc["W"] = (s * np.array(doc["W"])).tolist()
+        if accepted:
+            assert max(load_custom(doc).report.values()) <= 1e-10
+            make_system(entry, w_scale=s)
+            continue
+        with pytest.raises(StructureError, match="FAIL  center_membership"):
+            load_custom(doc)
+        with pytest.raises(StructureError, match="W is not in h"):
+            make_system(entry, w_scale=s)
 
 
 def test_loaded_entry_runs_the_full_pipeline(hopf1):
@@ -331,7 +356,7 @@ def _arrays(entry):
     if entry.chain is not None:
         out.update(chain_g=entry.chain.g.basis, chain_k=entry.chain.k.basis)
     if entry.model is not None:
-        out.update(model_base=entry.model.base, model_frame=entry.model.frame)
+        out.update(model_base=entry.model.base, model_frame=entry.model.frame.basis)
     return {key: (np.shape(A), np.asarray(A).tobytes()) for key, A in out.items()}
 
 

@@ -441,7 +441,7 @@ def test_orbit_model_base_must_be_skew_hermitian(tmp_path, capsys, name):
         ("hopf:1", "g_basis", "g basis spans nothing"),
         ("hopf:1", "k_basis", "h is not contained in k"),
         ("hopf:1", "h_basis", "FAIL  center_membership"),
-        ("kahler_s2", "g_basis", "pieces span dimension 3 but g has dimension 0"),
+        ("kahler_s2", "g_basis", "g basis spans nothing"),
         ("kahler_s2", "module_bases", "pieces span dimension 1 but g has dimension 3"),
     ],
 )
@@ -464,6 +464,37 @@ def test_a_custom_split_with_every_basis_empty_fails_validation(tmp_path, capsys
     path.write_text(json.dumps(doc))
     assert main(["validate", "--space", str(path)]) == 1
     assert capsys.readouterr().err == "validation failed: g basis spans nothing\n"
+
+
+@pytest.mark.parametrize("empty", [("g_basis",), ("g_basis", "h_basis")], ids=["g", "g-and-h"])
+def test_a_custom_split_with_an_empty_g_is_refused_before_anything_is_built_on_it(
+    tmp_path, capsys, empty
+):
+    # an empty g is refused first, so neither the size of an empty h nor
+    # the dimension of the modules gets a say
+    doc = export_entry(get_entry("kahler_s2"))
+    doc.update(dict.fromkeys(empty, []))
+    path = tmp_path / "empty-g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == "validation failed: g basis spans nothing\n"
+    assert main(["verify", "--space", str(path), "--samples", "3"]) == 1
+    assert capsys.readouterr().err == "error: g basis spans nothing\n"
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e8])
+def test_a_document_with_a_large_central_W_passes_validate_and_verify(tmp_path, capsys, scale):
+    # a document's W is judged central on W / max(1, max|W|), as a system's
+    # is, so the roundoff of a large W fails neither validate nor verify
+    doc = export_entry(get_entry("twistor_su3"))
+    doc["W"] = (scale * np.array(doc["W"])).tolist()
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--space", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "PASS  center_membership" in out and "FAIL" not in out
+    assert main(["verify", "--space", str(path), "--samples", "9"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_ambient_n_must_be_the_matrix_size(tmp_path, capsys):
@@ -726,8 +757,9 @@ def test_verify_calls_no_checked_linalg_function_from_motion_or_oracle(monkeypat
     assert main(base + ["--space", "hopf:2", "--perturb", "1e-2"]) == 1
     assert main(base + ["--space", "kahler_s2"]) == 0
     capsys.readouterr()
-    assert ("adjoint", "homofiber.catalog") in callers  # the orbit model's positions
-    assert not [c for c in callers if c[1] in ("homofiber.motion", "homofiber.oracle")]
+    # the orbit model's positions of kahler_s2 go through the unchecked kernels too
+    unchecked = ("homofiber.motion", "homofiber.oracle", "homofiber.catalog")
+    assert not [c for c in callers if c[1] in unchecked]
 
 
 def test_tampered_document_fails_validation(tmp_path):

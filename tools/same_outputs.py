@@ -31,11 +31,14 @@ The matrix:
   unitary (no block algebra, so its g and k closures are swept) and of
   a u(2) chain whose g is not closed, and validate of malformed hopf:1
   documents;
+- validate and verify (9 samples, k 0) of the twistor_su3 document with
+  W scaled by 1e4 and by 1e8, and of the kahler_s2 document with an
+  empty g_basis, alone and with an empty h_basis;
 - one argv per usage error of the CLI, among them a --samples count too
   large to allocate, a window whose span overflows, a negative --seed,
   simulate's one-sample and empty windows.
 
-Every argv without --out runs twice, 1051 runs in all.
+Every argv without --out runs twice, 1067 runs in all.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ MALFORMED = (
 # documents whose closures no block-algebra certificate covers
 SWEPT = ("su2-conjugated", "u2-open-g")
 
+# (label, exported name, {field: edit}): W scaled by a number, or bases emptied
+EDITED = (
+    ("twistor_su3-W1e4", "twistor_su3", {"W": 1e4}),
+    ("twistor_su3-W1e8", "twistor_su3", {"W": 1e8}),
+    ("kahler_s2-no-g", "kahler_s2", {"g_basis": []}),
+    ("kahler_s2-no-g-h", "kahler_s2", {"g_basis": [], "h_basis": []}),
+)
+
 
 def _argvs(tmp):
     """The argvs of the matrix."""
@@ -103,6 +114,9 @@ def _argvs(tmp):
     for doc in docs:
         runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
     runs += [["validate", "--space", doc] for doc in bad]
+    for label, _, _ in EDITED:
+        doc = f"{tmp}/{label}.json"
+        runs += [["validate", "--space", doc], ["verify", "--space", doc, "--samples", "9"]]
     usage = [
         ["verify", "--space", "hopf:1", "--pair", "1,2,3"],
         ["verify", "--space", "hopf:1", "--pair", "a,b"],
@@ -155,6 +169,11 @@ def _write_inputs(tmp, cli, homofiber):
         doc = json.loads(pathlib.Path(f"{tmp}/hopf:1.json").read_text())
         doc[key] = value
         pathlib.Path(f"{tmp}/bad-{label}.json").write_text(json.dumps(doc))
+    for label, name, edits in EDITED:
+        doc = json.loads(pathlib.Path(f"{tmp}/{name}.json").read_text())
+        for key, value in edits.items():
+            doc[key] = value if isinstance(value, list) else (value * np.array(doc[key])).tolist()
+        pathlib.Path(f"{tmp}/{label}.json").write_text(json.dumps(doc))
     pathlib.Path(f"{tmp}/garbage.json").write_text("{not json")
 
 
