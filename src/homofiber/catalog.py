@@ -62,11 +62,11 @@ class CatalogEntry:
         return structure_report(self.split, pair=self.pair, W=self.W, ch=self.chain)
 
 
-def make_system(entry, weights=None, k=0.0, w_scale=1.0, pair=None):
-    """ChargedSystem from an entry with optional overrides."""
+def make_system(entry, weights=None, k=0.0, pair=None):
+    """ChargedSystem from an entry with optional overrides; W is the entry's, k sets the strength."""
     weights = weights if weights is not None else entry.weights
     pair = pair if pair is not None else entry.pair
-    return ChargedSystem(entry.split, weights, *pair, w_scale * entry.W, k, model=entry.model)
+    return ChargedSystem(entry.split, weights, *pair, entry.W, k, model=entry.model)
 
 
 def _u_basis(n, size=None):

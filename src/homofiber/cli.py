@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
 error; a usage error is a ValueError, or a MemoryError from a --samples
 count too large to allocate, which `main` prints as one `error: ...`
 line. Output is CSV or a JSON tree; identical configuration and seed
-produce byte-identical output on a platform. The default tolerance of
-verify can be overridden with the HOMOFIBER_TOL environment variable.
+produce byte-identical output on a platform. Each quantity has one
+source: the field strength is --k, W comes from the space, and verify's
+Koszul tolerance is --tol.
 """
 
 from __future__ import annotations
@@ -93,14 +94,6 @@ def _positive_float(text):
     return x
 
 
-def _env_tol():
-    """The default of --tol: HOMOFIBER_TOL when set, read by the rule of the flag."""
-    try:
-        return _positive_float(os.environ.get("HOMOFIBER_TOL", "1e-6"))
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"HOMOFIBER_TOL: {exc}")
-
-
 def _resolve_space(name):
     if name in catalog_names():
         return get_entry(name)
@@ -153,7 +146,7 @@ def _system_from_args(args):
     pair = _parse_pair(args.pair) if args.pair else None
     weights = tuple(args.weights) if args.weights else None
     try:
-        return entry, make_system(entry, weights=weights, k=args.k, w_scale=args.w_scale, pair=pair)
+        return entry, make_system(entry, weights=weights, k=args.k, pair=pair)
     except WeightRatioError as exc:  # "weight ratio ... is out of floating-point range"
         raise ValueError(f"the --lambda {exc}")
 
@@ -199,10 +192,10 @@ def _motion_from_args(args):
 def _gate_sizes(sizes, k, lam):
     """Raise ValueError naming the first of the sizes, B-norms keyed by name, that is not finite."""
     for name, size in sizes.items():
-        if not np.isfinite(size):
+        if not np.isfinite(size):  # W comes from the space, not from a flag
+            fix = "W in the space document" if name == "central element W" else "--k, --perturb or the ratio"
             raise ValueError(
-                f"the {name} overflows at --k {k:.3e} and --lambda weight ratio "
-                f"{lam:.3e}; reduce --k, --W-scale, --perturb or the ratio"
+                f"the {name} overflows at --k {k:.3e} and --lambda weight ratio {lam:.3e}; reduce {fix}"
             )
 
 
@@ -412,7 +405,6 @@ def _space_flags(p, fmt="csv"):
     )
     p.add_argument("--pair", default=None, help="module pair 'a,b' (or 'a' for no b)")
     p.add_argument("--k", type=_finite_float, default=0.0, help="charge")
-    p.add_argument("--W-scale", dest="w_scale", type=_finite_float, default=1.0)
     p.add_argument("--xa", default=None, help="comma-separated coefficients in the m_a basis")
     p.add_argument("--xb", default=None, help="comma-separated coefficients in the m_b basis")
     p.add_argument("--t0", type=_finite_float, default=-2.0)
@@ -428,7 +420,7 @@ def _verify_flags(p):
     """The flags of simulate, the finite-difference step and the residual tolerance."""
     _space_flags(p, "json-tree")
     p.add_argument("--fd-step", dest="fd_step", type=_positive_float, default=1e-4)
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
 
 
 def _validate_flags(p):
@@ -479,8 +471,6 @@ def main(argv=None):
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        if getattr(args, "tol", None) is None and hasattr(args, "tol"):
-            args.tol = _env_tol()
         return args.func(args)
     except (DomainError, StructureError) as exc:
         sys.stderr.write(f"error: {exc}\n")

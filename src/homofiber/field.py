@@ -37,7 +37,7 @@ from .linalg import (
     brackets,
     check_skew_hermitian,
 )
-from .split import USER_TOL, bracket_pair_residual, center_residuals
+from .split import USER_TOL, bracket_pair_residual, center_residuals, membership_scale
 
 
 class WeightRatioError(ValueError):
@@ -141,15 +141,16 @@ class ChargedSystem:
 def _m_coordinates(sys, X, name, domain=False):
     """Coordinates of X in the basis of m, after checking that X lies in m.
 
-    With domain=True the check is against the I0 domain instead. On a
-    stack, the worst matrix is the one reported.
+    Each matrix is judged on X / split.membership_scale(X), as W is. With
+    domain=True the check is against the I0 domain instead. On a stack,
+    the worst matrix is the one reported.
     """
     m = sys.m
     A = np.asarray(X, dtype=complex)
     c = m.coordinates(A)
     kept = c * (sys.domain_scale != 0.0) if domain else c
     R = _real_rows(A) - np.einsum("...i,ij->...j", kept, m.frame)
-    r = np.sqrt(np.einsum("...j,...j->...", R, R)).max(initial=0.0)
+    r = (np.sqrt(np.einsum("...j,...j->...", R, R)) / membership_scale(A)).max(initial=0.0)
     if r > USER_TOL:
         modules = " + ".join(f"m{i}" for i in (sys.a, sys.b) if i)
         where = f"the I0 domain {modules}" if domain else "m"

@@ -39,7 +39,7 @@ from .linalg import (
     mul,
     span_residual,
 )
-from .split import USER_TOL
+from .split import USER_TOL, membership_scale
 
 
 class ClosedFormMotion:
@@ -160,14 +160,15 @@ class CurveGrid:
 def build_motion(system, Xa, Xb=None):
     """Validated constructor: Xa must lie in m_a and Xb in m_b.
 
-    A component outside its module, or a nonzero Xb where the system has
-    no second module, may be at most split.USER_TOL = 1e-10 in B-norm.
+    A component outside its module, of X / split.membership_scale(X) as for W,
+    or a nonzero Xb where the system has no second module, may be at most
+    split.USER_TOL = 1e-10 in B-norm.
     Xb may be omitted (zero). Both must be skew-Hermitian, checked first so
     that an error names a Hermitian part, which the span residual also sees.
     """
     Xa = check_skew_hermitian(Xa, name="Xa")
     Xb = check_skew_hermitian(np.zeros_like(Xa) if Xb is None else Xb, name="Xb")
-    r = span_residual(system.ma, Xa)
+    r = span_residual(system.ma, Xa / membership_scale(Xa))
     if r > USER_TOL:
         raise DomainError(f"Xa has a component of size {r:.3e} outside m{system.a}")
     if system.b is None:
@@ -175,7 +176,7 @@ def build_motion(system, Xa, Xb=None):
             raise DomainError("this system has no second module; Xb must be zero")
         Xb = np.zeros_like(Xa)
     else:
-        r = span_residual(system.mb, Xb)
+        r = span_residual(system.mb, Xb / membership_scale(Xb))
         if r > USER_TOL:
             raise DomainError(f"Xb has a component of size {r:.3e} outside m{system.b}")
     return ClosedFormMotion(system, Xa, Xb)

@@ -245,12 +245,17 @@ def bracket_pair_residual(split, a, b):
     return _bracket_residuals(ma, ma, mb).max(initial=0.0)
 
 
-def center_residuals(h, W):
-    """(B-norm off h, largest B-norm of [., x] over the basis x of h) of W / max(1, max|W|).
+def membership_scale(X):
+    """max(1, max|X|), per matrix of a stack: W and the initial data are judged in m or h on X over it.
 
-    Roundoff grows with |W|, and the quotient keeps the squares in range; W / 1 is W.
+    Roundoff grows with |X|, and the quotient keeps the squares in range; X / 1 is X.
     """
-    W = W / max(1.0, float(np.abs(W).max(initial=0.0)))
+    return np.maximum(1.0, np.abs(X).max(axis=(-2, -1), initial=0.0))
+
+
+def center_residuals(h, W):
+    """(B-norm off h, largest B-norm of [., x] over the basis x of h) of W / membership_scale(W)."""
+    W = W / membership_scale(W)
     central = span_residuals(Subspace(h.basis[:0]), brackets(W, h)).max(initial=0.0)
     return span_residual(h, W), float(central)
 
@@ -307,5 +312,5 @@ def center_basis(split):
         return h
     X = h.basis[:, None]
     C = _real_rows(_commutator(X, X.swapaxes(0, 1))) @ h.frame.T
-    _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d))
+    _, sv, vt = np.linalg.svd(C.transpose(1, 2, 0).reshape(d * d, d), full_matrices=False)
     return orthonormalize(h.combine(vt[sv < _RANK_TOL]))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homofiber import (
+    ChargedSystem,
     CurveGrid,
     StructureError,
     bnorm,
@@ -98,10 +99,10 @@ def test_orbit_model_coordinates(entries):
 
 
 def test_make_system_overrides(hopf1):
-    sys = make_system(hopf1, weights=(1.0, 3.0), k=0.25, w_scale=2.0)
+    sys = make_system(hopf1, weights=(1.0, 3.0), k=0.25)
     assert sys.lam == 3.0
     assert sys.k == 0.25
-    assert np.array_equal(sys.W, 2.0 * hopf1.W)
+    assert np.array_equal(sys.W, hopf1.W)  # the space fixes W; k alone sets the strength
     swapped = make_system(hopf1, pair=(1, None))
     assert swapped.b is None
 
@@ -186,12 +187,12 @@ def test_W_is_judged_central_relative_to_its_size_by_the_loader_and_the_construc
         doc["W"] = (s * np.array(doc["W"])).tolist()
         if accepted:
             assert max(load_custom(doc).report.values()) <= 1e-10
-            make_system(entry, w_scale=s)
+            ChargedSystem(entry.split, entry.weights, *entry.pair, s * W, 0.0)
             continue
         with pytest.raises(StructureError, match="FAIL  center_membership"):
             load_custom(doc)
         with pytest.raises(StructureError, match="W is not in h"):
-            make_system(entry, w_scale=s)
+            ChargedSystem(entry.split, entry.weights, *entry.pair, s * W, 0.0)
 
 
 def test_loaded_entry_runs_the_full_pipeline(hopf1):

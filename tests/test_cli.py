@@ -44,6 +44,15 @@ def run_out(tmp_path, name, argv):
     return rc, out
 
 
+def scaled_W(tmp_path, name, scale):
+    """The path of the exported document of `name` with W times scale: the space sets W, --k its charge."""
+    doc = export_entry(get_entry(name))
+    doc["W"] = (scale * np.array(doc["W"])).tolist()
+    path = tmp_path / f"{name}-W{scale:g}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 def test_validate_catalog_space(tmp_path, capsys):
     rc, out = run_out(tmp_path, "v.json", ["validate", "--space", "hopf:1"])
     assert rc == 0
@@ -165,8 +174,9 @@ def test_a_zero_initial_direction_leaves_the_magnetic_circle_check_out(tmp_path,
 def test_magnetic_circles_hold_at_a_large_field(tmp_path, capsys, scale):
     # the stencil step shrinks with the generators' spectrum and the
     # constancy bound grows with kappa, so a strong field reads its
-    # circles as the unit speed predicts, kappa = k s / sqrt(2)
-    rc, out = run_out(tmp_path, "mc.json", ["verify", "--space", "kahler_s2", f"--W-scale={scale}"])
+    # circles as the unit speed predicts, kappa = k s / sqrt(2); the check's
+    # charges k are fixed multiples of W, so the strong field is W x s
+    rc, out = run_out(tmp_path, "mc.json", ["verify", "--space", scaled_W(tmp_path, "kahler_s2", scale)])
     assert rc == 0, capsys.readouterr().err
     circle = json.loads(out.read_text())["special"]["magnetic_circle"]
     assert circle["constant"] and circle["increasing"]
@@ -175,9 +185,10 @@ def test_magnetic_circles_hold_at_a_large_field(tmp_path, capsys, scale):
 
 
 @pytest.mark.parametrize("scale", ["1e6", "1e12"])
-def test_a_large_W_scale_stays_in_h(capsys, scale):
+def test_a_large_W_scale_stays_in_h(tmp_path, capsys, scale):
     # the roundoff of W's membership residual grows with |W|, and so does its tolerance
-    assert main(["verify", "--space", "twistor_su3", "--k", "0", "--W-scale", scale]) == 0
+    path = scaled_W(tmp_path, "twistor_su3", float(scale))
+    assert main(["verify", "--space", path, "--k", "0"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -206,30 +217,33 @@ def test_verify_flags_perturbed_curve(tmp_path, capsys):
     assert "verification failed" in capsys.readouterr().err
 
 
-def test_verify_respects_env_tolerance(tmp_path, monkeypatch):
+SPACE_OPTIONS = {"-h", "--help", "--space", "--lambda", "--pair", "--k", "--xa", "--xb", "--t0",
+                 "--t1", "--samples", "--seed", "--perturb", "--out", "--format"}
+OPTIONS = {
+    "validate": {"-h", "--help", "--space", "--out"},
+    "simulate": SPACE_OPTIONS,
+    "verify": SPACE_OPTIONS | {"--fd-step", "--tol"},
+    "catalog": {"-h", "--help", "--out"},
+}
+
+
+def test_each_quantity_has_one_setting(tmp_path, monkeypatch, capsys):
+    # the field strength is --k, W comes from the space and the Koszul
+    # tolerance is --tol: no flag scales W and no environment variable
+    # stands in for --tol, whose default is 1e-6
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {cmd: {s for a in p._actions for s in a.option_strings} for cmd, p in sub.choices.items()}
+    assert options == OPTIONS
+    for cmd in ("verify", "simulate"):
+        assert main([cmd, "--space", "hopf:1", "--W-scale", "3"]) == 2
+        assert "unrecognized arguments: --W-scale 3" in capsys.readouterr().err
     monkeypatch.setenv("HOMOFIBER_TOL", "1e-30")
-    rc, _ = run_out(
-        tmp_path,
-        "tight.json",
-        ["verify", "--space", "hopf:1", "--k", "1", "--samples", "5"],
-    )
-    assert rc == 1
+    rc, out = run_out(tmp_path, "tight.json", ["verify", "--space", "hopf:1", "--k", "1", "--samples", "5"])
+    assert rc == 0 and json.loads(out.read_text())["tolerance"] == 1e-6
 
 
-def test_bad_env_tolerance_is_usage_error(monkeypatch, capsys):
-    for value in ("abc", "inf", "nan"):
-        monkeypatch.setenv("HOMOFIBER_TOL", value)
-        assert main(["verify", "--space", "hopf:1", "--samples", "2"]) == 2, value
-        err = capsys.readouterr().err
-        assert err.startswith("error: HOMOFIBER_TOL") and "Traceback" not in err, value
-
-
-def test_simulate_reads_no_tolerance(tmp_path, monkeypatch, capsys):
+def test_simulate_reads_no_tolerance(capsys):
     argv = ["simulate", "--space", "hopf:1", "--samples", "3"]
-    assert main(argv + ["--out", str(tmp_path / "clean.csv")]) == 0
-    monkeypatch.setenv("HOMOFIBER_TOL", "abc")
-    rc, out = run_out(tmp_path, "abc.csv", argv)
-    assert rc == 0 and out.read_bytes() == (tmp_path / "clean.csv").read_bytes()
     for flag in (["--tol", "1e-3"], ["--fd-step", "1e-5"]):
         assert main(argv + flag) == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
@@ -486,14 +500,11 @@ def test_a_custom_split_with_an_empty_g_is_refused_before_anything_is_built_on_i
 def test_a_document_with_a_large_central_W_passes_validate_and_verify(tmp_path, capsys, scale):
     # a document's W is judged central on W / max(1, max|W|), as a system's
     # is, so the roundoff of a large W fails neither validate nor verify
-    doc = export_entry(get_entry("twistor_su3"))
-    doc["W"] = (scale * np.array(doc["W"])).tolist()
-    path = tmp_path / "scaled.json"
-    path.write_text(json.dumps(doc))
-    assert main(["validate", "--space", str(path)]) == 0
+    path = scaled_W(tmp_path, "twistor_su3", scale)
+    assert main(["validate", "--space", path]) == 0
     out = capsys.readouterr().out
     assert "PASS  center_membership" in out and "FAIL" not in out
-    assert main(["verify", "--space", str(path), "--samples", "9"]) == 0
+    assert main(["verify", "--space", path, "--samples", "9"]) == 0
     assert capsys.readouterr().err == ""
 
 
@@ -560,12 +571,8 @@ def test_verify_needs_samples(capsys):
         (["--lambda", "1", "--lambda", "1e-300", "--k=1"], "--lambda"),
         (["--k=1e300"], "--k"),
         (["--lambda", "1e300", "--lambda", "1e-300"], "--lambda"),
-        (["--k", "1e300", "--W-scale", "1e10"], "--W-scale"),
+        (["--k=1", "--perturb", "1e308"], "--perturb"),
         (["--lambda", "1", "--lambda", "1e300", "--xb", "1e10"], "--lambda"),
-        # W is in h, but the squares of its membership residuals would overflow;
-        # the second --space overrides hopf:2
-        (["--space", "twistor_su3", "--W-scale", "1e200"], "--W-scale"),
-        (["--space", "kahler_s2", "--W-scale", "1e200"], "--W-scale"),
     ],
 )
 def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
@@ -577,6 +584,18 @@ def test_overflowing_inputs_are_usage_errors(capsys, argv, flag):
         assert main(["verify", "--space", "hopf:2"] + argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["twistor_su3", "kahler_s2"])
+def test_a_document_whose_W_overflows_is_a_usage_error(tmp_path, capsys, name):
+    # W x 1e200 is central in h, but its B-norm overflows; the message
+    # points to the document, since no flag sets W
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--space", scaled_W(tmp_path, name, 1e200)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the central element W overflows") and "Traceback" not in err
+    assert err.endswith("; reduce W in the space document\n")
 
 
 @pytest.mark.parametrize("weights,ratio", [(["1e300", "1e-300"], "0.000e+00"), (["1e-300", "1e300"], "inf")])
@@ -596,7 +615,6 @@ NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
         ("verify --space hopf:1 --pair a,b", "--pair wants integers, got 'a,b'"),
         ("verify --space hopf:1 --xa 1,x", "bad coefficient list '1,x'"),
         ("verify --space hopf:1 --xa 1,nan", "--xa wants finite coefficients, got '1,nan'"),
-        ("HOMOFIBER_TOL=abc verify --space hopf:1", "HOMOFIBER_TOL: invalid float value: 'abc'"),
         ("validate --space {dir}", "cannot read {dir}: Is a directory"),
         ("verify --space {dir}/bad.json", "cannot parse {dir}/bad.json: Expecting property name"),
         ("verify --space nope", f"unknown space 'nope': not a catalog name ({NAMES}) and not a file"),
@@ -608,7 +626,7 @@ NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
         ("verify --space hopf:1 --xa 1", "--xa wants 2 coefficients, got 1"),
         ("verify --space kahler_s2 --xb 1", "this space has no second module; drop --xb"),
         ("verify --space hopf:1 --k 1e300", "the generator X overflows at --k 1.000e+300 and "
-         "--lambda weight ratio 2.000e+00; reduce --k, --W-scale, --perturb or the ratio"),
+         "--lambda weight ratio 2.000e+00; reduce --k, --perturb or the ratio"),
         ("verify --space hopf:1 --samples 0", "--samples must be at least 1, got 0"),
         # refused before the space is built, so the unknown space goes unnamed
         ("verify --space nope --seed -1", "--seed must be a non-negative integer, got -1"),
@@ -619,13 +637,11 @@ NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
         ("catalog export zzz", f"unknown catalog entry 'zzz'; known: {NAMES}"),
     ],
 )
-def test_each_usage_error_is_one_error_line(tmp_path, monkeypatch, capsys, command, message):
+def test_each_usage_error_is_one_error_line(tmp_path, capsys, command, message):
     # one case per raise site of a usage error: exit 2 and one stderr line, with no
-    # warning and no traceback; a leading NAME=value sets an environment variable
+    # warning and no traceback
     (tmp_path / "bad.json").write_text("{not json")
     argv = command.format(dir=tmp_path).split()
-    while "=" in argv[0]:
-        monkeypatch.setenv(*argv.pop(0).split("="))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 2
@@ -975,8 +991,9 @@ def test_no_op_after_the_first_builds_a_parser(tmp_path, monkeypatch, capsys, ar
         (["verify", "--space", "hopf:1", "--tol=-1"], None, "--tol"),
         (["verify", "--space", "hopf:1", "--fd-step", "0"], None, "--fd-step"),
         (["verify", "--space", "hopf:1", "--fd-step=-1e-4"], None, "--fd-step"),
-        (["verify", "--space", "hopf:1"], "0", "HOMOFIBER_TOL"),
-        (["verify", "--space", "hopf:1"], "-1", "HOMOFIBER_TOL"),
+        # a tolerance left in the environment is read by nothing: the flag alone decides
+        (["verify", "--space", "hopf:1", "--tol=-0.0"], "1e-6", "--tol"),
+        (["verify", "--space", "hopf:1", "--fd-step=-0.0"], "1e-6", "--fd-step"),
         (["simulate", "--space", "hopf:1", "--tol", "-0.0"], None, "--tol"),
     ],
 )
@@ -1043,25 +1060,24 @@ def test_repeated_main_calls_match_fresh_processes(tmp_path, monkeypatch):
         return ["verify", "--space", "hopf:2", "--samples", "5", *flags, "--out", out]
 
     runs = [
-        ("1e-5", verify("a.json", "--lambda", "1", "--lambda", "2", "--k", "1",
-                        "--format", "json-tree")),
-        ("1e-7", verify("b.csv", "--lambda", "1", "--lambda", "0.5", "--k", "-0.5",
-                        "--format", "csv")),
-        ("1e-7", verify("c.json")),
-        ("1e-5", ["simulate", "--space", "twistor_su3", "--lambda", "1", "--lambda", "3",
-                  "--k", "2", "--samples", "9", "--format", "json-tree", "--out", "d.json"]),
+        verify("a.json", "--lambda", "1", "--lambda", "2", "--k", "1", "--tol", "1e-5",
+               "--format", "json-tree"),
+        verify("b.csv", "--lambda", "1", "--lambda", "0.5", "--k", "-0.5", "--tol", "1e-7",
+               "--format", "csv"),
+        verify("c.json"),
+        ["simulate", "--space", "twistor_su3", "--lambda", "1", "--lambda", "3",
+         "--k", "2", "--samples", "9", "--format", "json-tree", "--out", "d.json"],
     ]
     monkeypatch.chdir(tmp_path)
     in_process = []
-    for tol, argv in runs:
-        monkeypatch.setenv("HOMOFIBER_TOL", tol)
+    for argv in runs:
         assert main(argv) == 0
         in_process.append((tmp_path / argv[-1]).read_bytes())
     first, third = json.loads(in_process[0]), json.loads(in_process[2])
-    assert (first["tolerance"], third["tolerance"]) == (1e-5, 1e-7)
-    assert (third["weights"], third["k"]) == ([1.0, 2.0], 0.0)  # defaults, not the last call's
-    for (tol, argv), got in zip(runs, in_process):
-        monkeypatch.setenv("HOMOFIBER_TOL", tol)
+    assert first["tolerance"] == 1e-5
+    # defaults, not the last call's
+    assert (third["weights"], third["k"], third["tolerance"]) == ([1.0, 2.0], 0.0, 1e-6)
+    for argv, got in zip(runs, in_process):
         fresh = argv[:-1] + ["fresh-" + argv[-1]]
         proc = _cli_process(fresh)
         _, err = proc.communicate()
@@ -1235,8 +1251,8 @@ def test_verify_evaluates_no_flow_twice_on_one_grid(capsys, monkeypatch, name, m
         (["verify", "--space", "hopf:2", "--k=1", "--fd-step", "inf"], "--fd-step"),
         (["verify", "--space", "hopf:2", "--k=1", "--perturb", "nan"], "--perturb"),
         (["verify", "--space", "hopf:2", "--k=1", "--perturb", "inf"], "--perturb"),
-        (["verify", "--space", "hopf:2", "--k=1", "--W-scale", "inf"], "--W-scale"),
-        (["verify", "--space", "hopf:2", "--k=1", "--W-scale", "nan"], "--W-scale"),
+        (["verify", "--space", "hopf:2", "--k=inf"], "--k"),
+        (["verify", "--space", "hopf:2", "--k", "nan"], "--k"),
         (["simulate", "--space", "hopf:2", "--xa", "nan,0,0,0"], "--xa"),
         (["simulate", "--space", "hopf:2", "--xb", "0,inf"], "--xb"),
         (["simulate", "--space", "hopf:2", "--k=-inf"], "--k"),

@@ -164,8 +164,9 @@ def test_I0_matrix_matches_the_projection_loop(name):
     rng = np.random.default_rng(11)
     ratios = [None] if entry.split.s == 1 else [(1.0, 0.5), (1.0, 1.0), (1.0, 2.0), (3.0, 0.1)]
     for weights in ratios:
+        base = make_system(entry, weights=weights, k=1.0)
         for w_scale in (1.0, 7.0):
-            sys = make_system(entry, weights=weights, k=1.0, w_scale=w_scale)
+            sys = ChargedSystem(entry.split, base.weights, base.a, base.b, w_scale * entry.W, 1.0)
             domain = [sys.ma] if sys.mb is None else [sys.ma, sys.mb]
             X = sum(mod.combine(rng.standard_normal((6, mod.dim))) for mod in domain)
             want = reference_apply_I0(sys, X)

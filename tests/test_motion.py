@@ -151,6 +151,24 @@ def test_build_motion_rejects_data_outside_the_modules(hopf1, entries):
         build_motion(flat, flat.ma.basis[0], flat.ma.basis[1])
 
 
+@pytest.mark.parametrize("size", [1.0, 1e6, 1e10])
+def test_membership_of_the_initial_data_is_judged_relative_to_its_size(entries, size):
+    # roundoff off the module grows with the data, so build_motion and the
+    # metric judge X / max(1, max|X|), as the loader and the system judge W;
+    # a component of 1e-6 of the size off the module fails at every size
+    sys = system_for(entries["twistor_su3"], ratio=2.0, k=1.0)
+    Xa, Xb = (size * mod.combine(np.ones(mod.dim)) for mod in (sys.ma, sys.mb))
+    motion = build_motion(sys, Xa, Xb)
+    assert np.all(np.isfinite(metric_norm(sys, motion.body_velocity(np.linspace(-1.0, 1.0, 5)))))
+    off = size * 1e-6 * sys.split.h.basis[0]
+    with pytest.raises(DomainError, match="^Xa has a component of size .* outside m1$"):
+        build_motion(sys, Xa + off, Xb)
+    with pytest.raises(DomainError, match="^Xb has a component of size .* outside m2$"):
+        build_motion(sys, Xa, Xb + off)
+    with pytest.raises(DomainError, match="^X has a component of size .* outside m$"):
+        metric_norm(sys, Xa + off)
+
+
 def test_build_motion_rejects_hermitian_components(hopf1):
     # the span residual is the Frobenius norm of the real view, so it
     # sees the whole Hermitian part; the skew-Hermitian check names it

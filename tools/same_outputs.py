@@ -3,7 +3,8 @@
     python3 tools/same_outputs.py PARENT CHANGE
 
 Each checkout runs in a fresh interpreter (PYTHONDONTWRITEBYTECODE=1,
-its own src/ first on sys.path, COLUMNS=80, no HOMOFIBER_TOL) that
+its own src/ first on sys.path, COLUMNS=80, no HOMOFIBER_TOL, which
+older checkouts read as verify's default --tol) that
 calls `homofiber.cli.main` in process for every argv of a fixed matrix,
 once printing and once with `--out`. A run records its exit code,
 stdout, stderr, the bytes of the --out file and any exception that
@@ -21,11 +22,13 @@ The matrix:
 - names x weight ratio {default, 0.5, 1, 2} x k {0, 1, -0.5} x {exact,
   --perturb 1e-2}: verify as JSON (9 samples, seed 3), verify as CSV
   (5 samples) and simulate (50 samples on [-5, 5]);
-- per name, simulate as json-tree (7 samples), verify with --W-scale 3
+- per name, simulate as json-tree (7 samples), verify at k 3
   and simulate of 800 samples on [-50, 50] at k 1, whose CSV spans
   several blocks;
 - on hopf:2 and twistor_su3 at k 1, verify on a one-point grid
-  (--samples 1) and on a descending one (--t0 2 --t1=-2);
+  (--samples 1) and on a descending one (--t0 2 --t1=-2), and simulate
+  on twistor_su3 with --xa 1e6,1e6,1e6,1e6, in m1 up to roundoff that
+  grows with the data;
 - validate and verify of the exported hopf(1..10), su2, kahler_s2 and
   twistor_su3 documents, of the su2 document conjugated by a fixed
   unitary (no block algebra, so its g and k closures are swept) and of
@@ -36,9 +39,9 @@ The matrix:
   empty g_basis, alone and with an empty h_basis;
 - one argv per usage error of the CLI, among them a --samples count too
   large to allocate, a window whose span overflows, a negative --seed,
-  simulate's one-sample and empty windows.
+  simulate's one-sample and empty windows, and the removed --W-scale.
 
-Every argv without --out runs twice, 1067 runs in all.
+Every argv without --out runs twice, 1071 runs in all.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def _argvs(tmp):
     for n in NAMES:
         runs += [
             ["simulate", "--space", n, "--k", "1", "--format", "json-tree", "--samples", "7"],
-            ["verify", "--space", n, "--k", "1", "--W-scale", "3", "--samples", "9"],
+            ["verify", "--space", n, "--k", "3", "--samples", "9"],
             # CSV tables of several 8192-cell blocks, as the benchmark's simulate writes
             ["simulate", "--space", n, "--samples", "800", "--t0=-50", "--t1", "50", "--k", "1"],
         ]
@@ -111,6 +114,7 @@ def _argvs(tmp):
             ["verify", "--space", n, "--k", "1", "--samples", "1"],
             ["verify", "--space", n, "--k", "1", "--t0", "2", "--t1=-2"],
         ]
+    runs.append(["simulate", "--space", "twistor_su3", "--xa", "1e6,1e6,1e6,1e6", "--samples", "5"])
     for doc in docs:
         runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
     runs += [["validate", "--space", doc] for doc in bad]
@@ -142,6 +146,7 @@ def _argvs(tmp):
         ["catalog", "export"],
         ["catalog", "export", "zzz"],
         ["verify", "--space", "hopf:1", "--out", tmp],
+        ["verify", "--space", "hopf:1", "--W-scale", "3"],
     ]
     return runs + usage
 
