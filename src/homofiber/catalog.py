@@ -6,10 +6,16 @@ and, where one exists, a base-point model that turns group
 representatives into points of a concrete sphere or adjoint orbit.
 The builders and load_custom make every entry through one constructor,
 so an exported entry loads back into the same split bit for bit, and
-every build is judged at split.USER_TOL. A document is plain JSON,
-each array nested lists ending in [re, im] pairs and ambient_n the
-size of the matrices; it is also the custom-space input format of the
-CLI.
+every build is judged at split.USER_TOL. A document is plain JSON
+with ambient_n the size of the matrices; it is also the custom-space
+input format of the CLI. W and the model's base point are nested lists
+ending in [re, im] pairs. Each basis is written sparse, as
+{"count": d, "nonzeros": [[k, i, j, re, im], ...]}, one item per entry
+whose parts are not both +0.0; a basis in the dense form still loads.
+A sparse basis is refused, naming the field and the nonzero, for other
+keys, a count that is not an int in [0, n^2], an item that is not five
+ints and numbers, an index out of range or repeated, or a part beyond
+float range.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .split import USER_TOL, build_custom_split, build_split, chain, require, st
 
 SQ2 = np.sqrt(2.0)
 _MODEL_RANK = {"vector": 1, "orbit": 2}   # array rank of a model's base point
+_NUMBER = {int, float}                    # the JSON types of a number
 
 
 class Model:
@@ -202,10 +209,65 @@ def get_entry(name):
         raise KeyError(f"unknown catalog entry {name!r}; known: {', '.join(_BUILDERS)}")
 
 
+def _re_im(z):
+    """Complex entries as [real, imaginary] pairs along a new last axis."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], axis=-1)
+
+
 def _doc(A):
     """A complex array of any rank as nested lists ending in [re, im] pairs."""
-    A = np.asarray(A, dtype=complex)
-    return np.stack([A.real, A.imag], -1).tolist()
+    return _re_im(A).tolist()
+
+
+def _sparse_doc(A):
+    """A stack of matrices as {"count": d, "nonzeros": [[k, i, j, re, im], ...]}, in row-major order.
+
+    An entry is left out only when both its parts are +0.0, so a -0.0 is kept.
+    """
+    parts = _re_im(A)
+    keep = ((parts != 0.0) | np.signbit(parts)).any(-1)
+    rows = zip(np.argwhere(keep).tolist(), parts[keep].tolist())
+    return {"count": len(A), "nonzeros": [index + value for index, value in rows]}
+
+
+def _sparse(doc, name, n):
+    """The (count, n, n) stack of a document written by _sparse_doc, decoded entry by entry.
+
+    Each nonzero is a list of int indices k, i, j and int or float parts
+    re, im; 0 <= k < count and 0 <= i, j < n, and no (k, i, j) repeats.
+    count is at most n * n, the dimension of u(n), so a small document
+    cannot ask for a large stack. An error names the field and the
+    nonzero's position.
+    """
+    if set(doc) != {"count", "nonzeros"}:
+        raise ValueError(f"{name}: expected a list, got dict with keys {reprlib.repr(list(doc))}; "
+                         "a sparse basis has the keys count and nonzeros")
+    d, nonzeros = doc["count"], doc["nonzeros"]
+    if type(d) is not int or not 0 <= d <= n * n:
+        raise ValueError(f"{name}: count must be an int from 0 to {n * n}, got {reprlib.repr(d)}")
+    if type(nonzeros) is not list:
+        raise ValueError(f"{name}: nonzeros must be a list, got {type(nonzeros).__name__}")
+    A = np.zeros((d, n, n), dtype=complex)
+    flat, seen = A.reshape(-1), set()
+    for m, item in enumerate(nonzeros):
+        if not (type(item) is list and len(item) == 5 and type(item[0]) is int and type(item[1]) is int
+                and type(item[2]) is int and type(item[3]) in _NUMBER and type(item[4]) in _NUMBER):
+            raise ValueError(f"{name}: nonzero {m} must be [k, i, j, re, im] with int k, i, j and int or "
+                             f"float re, im, got {reprlib.repr(item)}")
+        k, i, j, re, im = item
+        if not (0 <= k < d and 0 <= i < n and 0 <= j < n):
+            raise ValueError(f"{name}: nonzero {m} has index {reprlib.repr(item[:3])} outside shape "
+                             f"{(d, n, n)}")
+        at = (k * n + i) * n + j
+        if at in seen:
+            raise ValueError(f"{name}: nonzero {m} repeats index {item[:3]}")
+        seen.add(at)
+        try:
+            flat[at] = complex(re, im)
+        except OverflowError:
+            raise ValueError(f"{name}: nonzero {m} has a part past float range: {reprlib.repr(item)}")
+    return A
 
 
 def _pairs(doc):
@@ -220,7 +282,7 @@ def _pairs(doc):
     if isinstance(first, list) and first and isinstance(first[0], list):
         return [_pairs(x) for x in doc]
     row = [complex(re, im) for re, im in doc]
-    if not set(map(type, itertools.chain.from_iterable(doc))) <= {int, float}:
+    if not set(map(type, itertools.chain.from_iterable(doc))) <= _NUMBER:
         raise TypeError(f"expected [re, im] pairs of numbers, got {reprlib.repr(doc)}")
     return row
 
@@ -235,7 +297,7 @@ def _array(doc):
     """
     try:
         A = np.array(doc, dtype=object)
-        if A.ndim > 1 and A.shape[-1] == 2 and set(map(type, A.ravel().tolist())) <= {int, float}:
+        if A.ndim > 1 and A.shape[-1] == 2 and set(map(type, A.ravel().tolist())) <= _NUMBER:
             return A.astype(float).view(complex)[..., 0]
     except (ValueError, OverflowError):  # ragged, or an int past float range
         pass
@@ -243,11 +305,12 @@ def _array(doc):
 
 
 def _load(doc, name, n=None):
-    """The complex array written by _doc under the field name: finite, and its matrices skew.
+    """The complex array of the field name, finite and its matrices skew.
 
-    Given n, the array is a (k, n, n) stack, an empty list the empty stack.
+    The array is written by _doc; given n, it is a (k, n, n) stack, an
+    empty list the empty stack, and may be written by _sparse_doc.
     """
-    A = _array(doc)
+    A = _sparse(doc, name, n) if n is not None and isinstance(doc, dict) else _array(doc)
     if n is not None and A.size and A.shape[1:] != (n, n):
         raise ValueError(f"{name} must be a stack of {n} x {n} matrices, got shape {A.shape}")
     if A.ndim in (2, 3) and A.shape[-1] == A.shape[-2]:
@@ -274,17 +337,17 @@ def export_entry(entry):
     doc = {
         "name": entry.name,
         "ambient_n": src["ambient_n"],
-        "g_basis": _doc(src["g_basis"]),
-        "h_basis": _doc(src["h_basis"]),
+        "g_basis": _sparse_doc(src["g_basis"]),
+        "h_basis": _sparse_doc(src["h_basis"]),
         "weights": list(entry.weights),
         "pair": list(entry.pair),
         "W": _doc(entry.W),
         "model": None if model is None else {"kind": model.kind, "base": _doc(model.base)},
     }
     if "k_basis" in src:
-        doc["k_basis"] = _doc(src["k_basis"])
+        doc["k_basis"] = _sparse_doc(src["k_basis"])
     else:
-        doc["module_bases"] = [_doc(mod) for mod in src["module_bases"]]
+        doc["module_bases"] = [_sparse_doc(mod) for mod in src["module_bases"]]
     return doc
 
 

@@ -21,6 +21,7 @@ from functools import cache, partial
 import numpy as np
 
 from .catalog import (
+    _re_im,
     catalog_names,
     export_entry,
     get_entry,
@@ -224,11 +225,6 @@ def _csv(header, table):
     from .csvtext import blocks  # imported here: commands that write no CSV never load it
 
     return [(",".join(header) + "\n").encode("ascii"), *blocks(table)]
-
-
-def _re_im(z):
-    """Complex entries as [real, imaginary] pairs along a new last axis."""
-    return np.stack([z.real, z.imag], axis=-1)
 
 
 def _sample_csv(traj, n):

@@ -52,6 +52,7 @@ from .linalg import (
     span_residuals,
 )
 from .motion import CurveGrid
+from .split import membership_scale
 
 
 class ResidualEntry:
@@ -165,14 +166,18 @@ def conservation_sweep(grid):
 
 
 def module_invariance_sweep(grid):
-    """Max component of Ad(exp(-tY))Xa outside m_a over the grid."""
-    return float(span_residuals(grid.motion.system.ma, grid.body[0][1:]).max(initial=0.0))
+    """Max component of U = Ad(exp(-tY))Xa outside m_a over the grid, of U / split.membership_scale(U).
+
+    Roundoff grows with |U|, so each matrix is judged relative to its size, as W and Xa are.
+    """
+    U = grid.body[0][1:]
+    return float((span_residuals(grid.motion.system.ma, U) / membership_scale(U)).max(initial=0.0))
 
 
 def velocity_agreement_sweep(grid):
-    """Max B-distance between the two body-velocity computations over the grid."""
-    d = grid.numeric[: len(grid.t)] - (grid.body[0][1:] + grid.motion.Xb)
-    return float(np.max(bnorm(d), initial=0.0))
+    """Max B-distance between the two body-velocity computations v over the grid, over membership_scale(v)."""
+    v = grid.body[0][1:] + grid.motion.Xb
+    return float(np.max(bnorm(grid.numeric[: len(grid.t)] - v) / membership_scale(v), initial=0.0))
 
 
 def _realify(z):

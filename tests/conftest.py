@@ -1,7 +1,18 @@
 import numpy as np
 import pytest
 
-from homofiber import DomainError, Subspace, build_motion, get_entry, make_system, metric_norm
+from homofiber import (
+    DomainError,
+    Subspace,
+    build_motion,
+    catalog_names,
+    export_entry,
+    get_entry,
+    hopf,
+    make_system,
+    metric_norm,
+)
+from homofiber.catalog import _doc
 from homofiber.field import ChargedSystem
 from homofiber.oracle import _stencil_kappa
 
@@ -13,6 +24,26 @@ def check_unitary(g, tol=1e-10, name="g"):
     if dev > tol:
         raise DomainError(f"{name} is not unitary (deviation {dev:.3e})")
     return A
+
+
+def named_entry(name):
+    """The catalog entry of a name, or hopf(n) for a name hopf:n outside the catalog."""
+    return get_entry(name) if name in catalog_names() else hopf(int(name.split(":")[1]))
+
+
+def dense_export(entry):
+    """export_entry(entry) with every basis written dense, as nested [re, im] pairs.
+
+    This is the form of the documents users already have; a test that
+    edits a basis in place edits this one.
+    """
+    doc = export_entry(entry)
+    for key in ("g_basis", "h_basis", "k_basis"):
+        if key in doc:
+            doc[key] = _doc(entry.source[key])
+    if "module_bases" in doc:
+        doc["module_bases"] = [_doc(mod) for mod in entry.source["module_bases"]]
+    return doc
 
 
 def combo(space, coeffs):

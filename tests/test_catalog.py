@@ -23,7 +23,7 @@ from homofiber import (
     make_system,
     residual_sweep,
 )
-from conftest import combo, per_element_u_basis, seeded_unit_pair, system_for
+from conftest import combo, dense_export, named_entry, per_element_u_basis, seeded_unit_pair, system_for
 
 
 def mdoc(M):
@@ -212,7 +212,7 @@ def test_tampered_document_fails_validation(hopf1):
 
 
 def test_tampered_chain_caught_by_containment(hopf1):
-    doc = export_entry(hopf1)
+    doc = dense_export(hopf1)
     # swap the isotropy basis for a direction outside k
     doc["h_basis"] = [doc["g_basis"][2]]
     with pytest.raises(StructureError):
@@ -295,7 +295,7 @@ def _bool_first_pair(doc):
 def test_malformed_fields_are_named(name, key, value, message):
     # the weights and the pair obey the rules of the system constructor at load,
     # and every malformed field is named at the start of its message
-    doc = export_entry(get_entry(name))
+    doc = dense_export(get_entry(name))
     doc[key] = value(doc[key]) if callable(value) else value
     with pytest.raises(ValueError) as err:
         load_custom(doc)
@@ -306,7 +306,7 @@ def test_malformed_fields_are_named(name, key, value, message):
 
 def test_document_with_both_split_forms_is_malformed(hopf1):
     # a chain and explicit modules state two splits; neither is dropped in silence
-    doc = export_entry(hopf1)
+    doc = dense_export(hopf1)
     doc["module_bases"] = "garbage"
     with pytest.raises(ValueError, match="malformed space document: .*not both"):
         load_custom(doc)
@@ -361,12 +361,25 @@ def _arrays(entry):
     return {key: (np.shape(A), np.asarray(A).tobytes()) for key, A in out.items()}
 
 
+def _signed_zero_entry():
+    """hopf:1 loaded from a document whose g_basis carries a -0.0 real part on the diagonal of a rotation."""
+    doc = dense_export(get_entry("hopf:1"))
+    doc["g_basis"][2][0][0] = [-0.0, 0.0]
+    return load_custom(doc)
+
+
 @pytest.mark.parametrize(
-    "name", ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3", "hopf:4", "hopf:5"]
+    "name",
+    ["hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3", "hopf:4", "hopf:5", "hopf:10",
+     "signed-zero"],
 )
 def test_export_load_export_is_exact(name):
     """Builders and load_custom make the same entry from the same bases, bit for bit."""
-    entry = get_entry(name) if name in catalog_names() else hopf(int(name.split(":")[1]))
+    if name == "signed-zero":
+        entry = _signed_zero_entry()
+        assert "[2, 0, 0, -0.0, 0.0]" in json.dumps(export_entry(entry)["g_basis"])
+    else:
+        entry = named_entry(name)
     doc = export_entry(entry)
     loaded = load_custom(json.loads(json.dumps(doc)))
     text = json.dumps(doc, sort_keys=True)
@@ -423,8 +436,8 @@ def _arrays_of(doc):
 def test_one_step_decode_matches_the_pairs(name):
     from homofiber.catalog import _array, _pairs
 
-    entry = get_entry(name) if name in catalog_names() else hopf(int(name.split(":")[1]))
-    for doc in _arrays_of(json.loads(json.dumps(export_entry(entry)))):
+    entry = named_entry(name)
+    for doc in _arrays_of(json.loads(json.dumps(dense_export(entry)))):
         want = _decoded(lambda d: np.array(_pairs(d)), doc)
         assert want[0] == (np.complex128 if doc else np.float64)  # su2's h_basis is []
         assert _decoded(_array, doc) == want

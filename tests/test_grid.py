@@ -32,6 +32,7 @@ from homofiber import (
     velocity_agreement_sweep,
 )
 from homofiber.linalg import Flow, adjoint, bnorm, bracket, inner_b
+from homofiber.split import membership_scale
 from conftest import seeded_unit_pair, system_for
 
 SPACES = ("hopf:1", "hopf:2", "hopf:3", "su2", "kahler_s2", "twistor_su3")
@@ -106,14 +107,16 @@ def reference_drift(motion, ts):
 
 
 def reference_invariance(motion, ts):
-    return max(span_residual(motion.system.ma, motion.transport(t)[0]) for t in ts)
+    Us = [motion.transport(t)[0] for t in ts]
+    return max(span_residual(motion.system.ma, U) / membership_scale(U) for U in Us)
 
 
 def reference_agreement(motion, ts):
-    return max(
-        bnorm(motion.body_velocity_numeric(t) - (motion.transport(t)[0] + motion.Xb))
-        for t in ts
-    )
+    gaps = []
+    for t in ts:
+        v = motion.transport(t)[0] + motion.Xb
+        gaps.append(bnorm(motion.body_velocity_numeric(t) - v) / membership_scale(v))
+    return max(gaps)
 
 
 # -- grid against reference -------------------------------------------------

@@ -301,6 +301,18 @@ def test_module_invariance_and_velocity_agreement(entries):
     assert velocity_agreement_sweep(CurveGrid(motion, TS)) <= 1e-12
 
 
+@pytest.mark.parametrize("size", [1.0, 1e6, 1e10])
+def test_module_invariance_and_velocity_agreement_are_relative_to_the_size_of_the_data(entries, size):
+    # roundoff grows with the data, so each matrix X is judged on
+    # X / max(1, max|X|), as build_motion judges Xa; absolute gates of
+    # 1e-10 and 1e-11 failed the 1e6 curve on roundoff alone
+    sys = system_for(entries["twistor_su3"], ratio=2.0, k=1.0)
+    Xa, Xb = (size * mod.combine(np.ones(mod.dim)) for mod in (sys.ma, sys.mb))
+    grid = CurveGrid(build_motion(sys, Xa, Xb), TS)
+    assert module_invariance_sweep(grid) <= 1e-14
+    assert velocity_agreement_sweep(grid) <= 1e-14
+
+
 # -- special geometry ------------------------------------------------------
 
 

@@ -27,13 +27,15 @@ The matrix:
   several blocks;
 - on hopf:2 and twistor_su3 at k 1, verify on a one-point grid
   (--samples 1) and on a descending one (--t0 2 --t1=-2), and simulate
-  on twistor_su3 with --xa 1e6,1e6,1e6,1e6, in m1 up to roundoff that
-  grows with the data;
+  and verify on twistor_su3 with --xa 1e6,1e6,1e6,1e6, in m1 up to
+  roundoff that grows with the data;
 - validate and verify of the exported hopf(1..10), su2, kahler_s2 and
-  twistor_su3 documents, of the su2 document conjugated by a fixed
-  unitary (no block algebra, so its g and k closures are swept) and of
-  a u(2) chain whose g is not closed, and validate of malformed hopf:1
-  documents;
+  twistor_su3 documents, of a dense copy of each (every basis as nested
+  [re, im] pairs, written here from the entry's source, so both
+  checkouts read the same bytes whatever form their export writes), of
+  the su2 document conjugated by a fixed unitary (no block algebra, so
+  its g and k closures are swept) and of a u(2) chain whose g is not
+  closed, both dense, and validate of malformed hopf:1 documents;
 - validate and verify (9 samples, k 0) of the twistor_su3 document with
   W scaled by 1e4 and by 1e8, and of the kahler_s2 document with an
   empty g_basis, alone and with an empty h_basis;
@@ -41,7 +43,7 @@ The matrix:
   large to allocate, a window whose span overflows, a negative --seed,
   simulate's one-sample and empty windows, and the removed --W-scale.
 
-Every argv without --out runs twice, 1071 runs in all.
+Every argv without --out runs twice, 1125 runs in all.
 """
 
 from __future__ import annotations
@@ -74,6 +76,9 @@ MALFORMED = (
     ("bool-W-entry", "W", [[[False, True], [0.0, 0.0]], [[0.0, 0.0], [0.0, -1.0]]]),
 )
 
+# the spaces of the exported documents
+EXPORTED = (*NAMES, *(f"hopf:{n}" for n in range(4, 11)))
+
 # documents whose closures no block-algebra certificate covers
 SWEPT = ("su2-conjugated", "u2-open-g")
 
@@ -88,7 +93,7 @@ EDITED = (
 
 def _argvs(tmp):
     """The argvs of the matrix."""
-    docs = [f"{tmp}/{name}.json" for name in (*NAMES, *(f"hopf:{n}" for n in range(4, 11)), *SWEPT)]
+    docs = [f"{tmp}/{name}.json" for name in (*EXPORTED, *(f"{name}-dense" for name in EXPORTED), *SWEPT)]
     bad = [f"{tmp}/bad-{label}.json" for label, _, _ in MALFORMED]
     runs = [["validate", "--space", n] for n in NAMES]
     runs += [["catalog", "export", n] for n in NAMES] + [["catalog", "list"]]
@@ -114,7 +119,8 @@ def _argvs(tmp):
             ["verify", "--space", n, "--k", "1", "--samples", "1"],
             ["verify", "--space", n, "--k", "1", "--t0", "2", "--t1=-2"],
         ]
-    runs.append(["simulate", "--space", "twistor_su3", "--xa", "1e6,1e6,1e6,1e6", "--samples", "5"])
+    runs += [[cmd, "--space", "twistor_su3", "--xa", "1e6,1e6,1e6,1e6", "--samples", "5"]
+             for cmd in ("simulate", "verify")]
     for doc in docs:
         runs += [["validate", "--space", doc], ["verify", "--space", doc, "--k", "1", "--samples", "9"]]
     runs += [["validate", "--space", doc] for doc in bad]
@@ -151,24 +157,45 @@ def _argvs(tmp):
     return runs + usage
 
 
+def _dense(A):
+    """A complex array as nested lists ending in [re, im] pairs, a form every checkout reads."""
+    A = np.asarray(A, dtype=complex)
+    return np.stack([A.real, A.imag], -1).tolist()
+
+
+def _dense_doc(homofiber, entry):
+    """The exported document of entry with every basis written dense from the entry's source."""
+    doc, src = homofiber.export_entry(entry), entry.source
+    for key in ("g_basis", "h_basis", "k_basis"):
+        if key in src:
+            doc[key] = _dense(src[key])
+    if "module_bases" in src:
+        doc["module_bases"] = [_dense(mod) for mod in src["module_bases"]]
+    return doc
+
+
 def _write_inputs(tmp, cli, homofiber):
-    """The exported and malformed space documents and an unparsable file, under tmp."""
+    """The exported, dense and malformed space documents and an unparsable file, under tmp."""
     with contextlib.redirect_stdout(io.StringIO()):
         for name in NAMES:
             cli.main(["catalog", "export", name, "--out", f"{tmp}/{name}.json"])
     for n in range(4, 11):
         pathlib.Path(f"{tmp}/hopf:{n}.json").write_text(json.dumps(homofiber.export_entry(homofiber.hopf(n))))
-    from homofiber.catalog import _array, _doc, _u_basis
+    for name in EXPORTED:
+        entry = homofiber.get_entry(name) if name in NAMES else homofiber.hopf(int(name[5:]))
+        pathlib.Path(f"{tmp}/{name}-dense.json").write_text(json.dumps(_dense_doc(homofiber, entry)))
+    from homofiber.catalog import _u_basis
 
     # U su(2) U^H for a fixed unitary U: the same chain, its matrices dense and not exactly skew
     c, s, phase = np.cos(0.7), np.sin(0.7), np.exp(0.4j)
     U = np.array([[c, s * phase], [-s / phase, c]])
-    doc = homofiber.export_entry(homofiber.lie_group())
+    entry = homofiber.lie_group()
+    doc = _dense_doc(homofiber, entry)
     for key in ("g_basis", "k_basis"):
-        doc[key] = _doc(U @ _array(doc[key]) @ U.conj().T)
+        doc[key] = _dense(U @ np.asarray(entry.source[key]) @ U.conj().T)
     pathlib.Path(f"{tmp}/su2-conjugated.json").write_text(json.dumps(doc))
-    doc = homofiber.export_entry(homofiber.hopf(1))
-    doc["g_basis"] = _doc(_u_basis(2)[[0, 1, 2]])  # i e11, i e22 and one rotation: not closed
+    doc = _dense_doc(homofiber, homofiber.hopf(1))
+    doc["g_basis"] = _dense(_u_basis(2)[[0, 1, 2]])  # i e11, i e22 and one rotation: not closed
     pathlib.Path(f"{tmp}/u2-open-g.json").write_text(json.dumps(doc))
     for label, key, value in MALFORMED:
         doc = json.loads(pathlib.Path(f"{tmp}/hopf:1.json").read_text())
