@@ -23,9 +23,20 @@ of the stack around it: products and sums run in einsum's fixed order,
 and the bracket keeps its matmul, which numpy applies matrix by matrix
 (never folding the stack into one larger product).
 
+`Flow.times` and `Flow.adjoint` evaluate exp(tA) exp(tB) and
+Ad(exp(tA)) X over a t-grid in the eigenbases, by one kernel,
+`_phased_products`: per-t phases on a fixed middle matrix, then the
+fixed outer factors as 2-D BLAS products. The grid runs along the rows
+of every product and no product has one row, which numpy would take
+down its matrix-vector path, so an entry has the same bits at every
+grid length. A product holds at most _PRODUCT_BLOCK = 2^15 complex
+multiply-adds where one t fits (n <= 32): OpenBLAS runs a larger one on
+a second thread, which is slower at these sizes.
+
 Public functions check their operands: square, finite, one size. The
-kernels `_commutator`, `_conjugate` and `Subspace._coordinates` trust
-arrays checked on entry, flows at a caller's t too (NaN once |tw| overflows).
+kernels `_commutator`, `_conjugate`, `_phased_products` and
+`Subspace._coordinates` trust arrays checked on entry, flows at a
+caller's t too (NaN once |tw| overflows).
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ import math
 import numpy as np
 
 _RANK_TOL = 1e-10  # orthonormalize's rank tolerance, shared with split.center_basis
+_PRODUCT_BLOCK = 2**15  # complex multiply-adds per BLAS product of a `_chunk`
+_CHUNK_ENTRIES = 2**12  # complex entries per buffer of a `_chunk`, 64 KB
 
 
 class DimensionError(ValueError):
@@ -132,7 +145,7 @@ class Flow:
     exp(tA) = U diag(exp(i t w)) U* with -iA = U diag(w) U*, exactly
     unitary up to roundoff; any other A raises DomainError. t = 0 and
     A = 0 give the identity exactly. A may be a (..., n, n) stack,
-    decomposed by one stacked eigh.
+    decomposed by one stacked eigh; `times` and `adjoint` take one A.
     """
 
     def __init__(self, A):
@@ -141,14 +154,88 @@ class Flow:
         self._w, self._U = np.linalg.eigh(-1j * self.A)
         self._Uh = np.swapaxes(self._U.conj(), -1, -2)
 
+    @property
+    def rate(self):
+        """The largest |eigenvalue| of A, over a stack too: the fastest phase of the flow."""
+        return float(np.abs(self._w).max(initial=0.0))
+
+    def _phases(self, grid):
+        """The phases exp(i t w), (T, ..., n), on a float grid shaped (T, ...) like A's stack.
+
+        NaN once |tw| overflows.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the flow
+            return np.exp(1j * grid[..., None] * self._w)
+
     def __call__(self, t):
         """exp(tA) for a scalar t, or the (T, ..., n, n) stack over a 1-D grid of t."""
         ts = np.asarray(t, dtype=float)
         grid = ts.reshape((-1,) + (1,) * (self.A.ndim - 2))
-        with np.errstate(over="ignore", invalid="ignore"):  # the caller checks the flow
-            out = mul(self._U * np.exp(1j * grid[..., None] * self._w)[..., None, :], self._Uh)
+        out = mul(self._U * self._phases(grid)[..., None, :], self._Uh)
         out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[-1])
         return out if ts.ndim else out[0]
+
+    def times(self, other, t):
+        """exp(tA) exp(tB), B the generator of the Flow other, as a (T, n, n) stack over a 1-D grid.
+
+        It is U_A (e_A(t) o U_A* U_B o e_B(t)) U_B*, e the phases and o the
+        elementwise product (`_phased_products`); t = 0 gives I exactly.
+        """
+        t = np.asarray(t, dtype=float)
+        out = _phased_products(self._U, self._Uh @ other._U, self._phases(t), other._phases(t), other._Uh)
+        out[t == 0.0] = np.eye(self.A.shape[-1])
+        return out
+
+    def adjoint(self, t, X):
+        """Ad(exp(tA)) X of one X or a (K, n, n) stack, as a (T, [K,] n, n) stack over a 1-D grid.
+
+        It is U (e(t) o U* X U o e(t)*) U*, e the phases and o the elementwise
+        product (`_phased_products`); t = 0 gives X exactly.
+        """
+        t = np.asarray(t, dtype=float)
+        e = self._phases(t)
+        out = _phased_products(self._U, self._Uh @ X @ self._U, e, e.conj(), self._Uh)
+        out[t == 0.0] = X
+        return out
+
+
+def _phased_products(L, M, e, f, R):
+    """The stack L (e[t] o M o f[t]) R over the rows t of the (T, n) phases e and f.
+
+    (e o M o f)_jl = e_j M_jl f_l, for one matrix M, giving (T, n, n), or
+    each of a (K, n, n) stack, giving (T, K, n, n). Per chunk of `_chunk`
+    t, the phased middles are laid out transposed, a matrix row per array
+    row: (e o M o f)^T L^T = (L (e o M o f))^T, one transposing copy, then
+    times R. O(T n^3) work in two reused buffers. A grid of one row is
+    computed twice, and a last chunk of one t starts a t early (at n = 1,
+    one t is one row), so no product has one row.
+    """
+    n, T = L.shape[-1], len(e)
+    if T * M.size == n:
+        return _phased_products(L, M, np.repeat(e, 2, axis=0), np.repeat(f, 2, axis=0), R)[:1]
+    c, lead = min(_chunk(M.size, n), max(T, 1)), (1,) * (M.ndim - 2)
+    Mt = np.ascontiguousarray(np.swapaxes(M, -1, -2))
+    out = np.empty((T,) + M.shape, dtype=complex)
+    P, Q = np.empty((c,) + M.shape, dtype=complex), np.empty((c * M.size // n, n), dtype=complex)
+    for s in range(0, T, c):
+        s = min(s, max(0, T - 2))
+        k = min(c, T - s)
+        p, q = P[:k], Q[:k * M.size // n]
+        np.multiply(f[s:s + k].reshape((k,) + lead + (n, 1)), Mt, out=p)
+        p *= e[s:s + k].reshape((k,) + lead + (1, n))
+        np.matmul(p.reshape(-1, n), L.T, out=q)
+        p[...] = q.reshape(p.shape).swapaxes(-1, -2)
+        np.matmul(p.reshape(-1, n), R, out=out[s:s + k].reshape(-1, n))
+    return out
+
+
+def _chunk(size, n):
+    """The t per chunk of `_phased_products` for middles of `size` entries in all, n x n each.
+
+    Its products hold at most _PRODUCT_BLOCK multiply-adds and its
+    buffers at most _CHUNK_ENTRIES entries, which stay in cache.
+    """
+    return max(1, min(_PRODUCT_BLOCK // n, _CHUNK_ENTRIES) // size)
 
 
 def expm(X):

@@ -12,13 +12,17 @@ to m, is Ad(exp(-tY))Xa + Xb; an independent product-rule derivative is
 available for cross-checking. At lam = 1 the pair collapses to Y = 0,
 set exactly to avoid float residue.
 
-Both factors are `linalg.Flow`s, one eigendecomposition per generator.
-Every method takes a scalar t or a 1-D grid of t; on a grid it returns
-the (T, n, n) stack, one array program for the whole grid, and a
-scalar t is the one-point case; `transport` returns a pair. A motion
-keeps no per-t state. `CurveGrid` holds the curve on one 1-D t-grid:
-`sample_trajectory` returns one, and it is the one input of every
-sweep of the referee.
+Both factors are `linalg.Flow`s, one eigendecomposition per generator,
+and the curve is evaluated in their eigenbases: `representative` by
+`Flow.times` and `transport` by `Flow.adjoint`, each a per-t phase on a
+fixed middle matrix, then 2-D BLAS products along the grid
+(`linalg._phased_products`). The product-rule velocity stays on the
+flows' einsum exponential, which the referee uses too. Every method
+takes a scalar t or a 1-D grid of t; on a grid it returns the
+(T, n, n) stack, and a scalar t is the one-point case, to the bit;
+`transport` returns a pair. A motion keeps no per-t state.
+`CurveGrid` holds the curve on one 1-D t-grid: `sample_trajectory`
+returns one, and it is the one input of every sweep of the referee.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .linalg import (
     DomainError,
     Flow,
     _as_matrix,
-    _conjugate,
     _same_size,
     bnorm,
     check_skew_hermitian,
@@ -69,17 +72,29 @@ class ClosedFormMotion:
         self._flow_y = Flow(self.Y)
         _same_size(self.X, self.Y, "ClosedFormMotion")
 
+    @property
+    def rate(self):
+        """The largest |eigenvalue| of X and Y: the fastest phase the curve turns through."""
+        return max(self._flow_x.rate, self._flow_y.rate)
+
     def representative(self, t):
-        return _as_matrix(mul(self._flow_x(t), self._flow_y(t)), stack=True)
+        ts = np.asarray(t, dtype=float)
+        out = _as_matrix(self._flow_x.times(self._flow_y, ts.reshape(-1)), stack=True)
+        return out if ts.ndim else out[0]
 
     def transport(self, t):
-        """Ad(exp(-tY))Xa and the body velocity, from one evaluation of exp(-tY)."""
-        G = _as_matrix(self._flow_y(np.negative(t)), "g", stack=True)
+        """Ad(exp(-tY))Xa and the body velocity, from one evaluation of the phases of -tY.
+
+        An entry is non-finite only where exp(-tY), g, is: the error names g.
+        """
+        ts = np.asarray(t, dtype=float)
+        X = self.Xa if self.exact else np.stack([self.Xa, self.X])
+        A = _as_matrix(self._flow_y.adjoint(-ts.reshape(-1), X), "g", stack=True)
         if self.exact:
-            xa = _conjugate(G, self.Xa)
-            return xa, xa + self.Xb
-        xa, x = np.moveaxis(_conjugate(G[..., None, :, :], np.stack([self.Xa, self.X])), -3, 0)
-        return xa, self.system.m.combine(self.system.m._coordinates(x + self.Y))
+            xa, v = A, A + self.Xb
+        else:
+            xa, v = A[:, 0], self.system.m.combine(self.system.m._coordinates(A[:, 1] + self.Y))
+        return (xa, v) if ts.ndim else (xa[0], v[0])
 
     def body_velocity(self, t):
         return self.transport(t)[1]

@@ -263,8 +263,9 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
     of the stencils does not grow with it.
 
     A single-module system has b = None, so lam = 1 and Y = 0: the
-    curve at charge k is the flow of Xa + k W, and one stacked Flow
-    evaluates every charge over the whole (t, stencil) grid.
+    curve at charge k is exp(t(Xa + k W)) exp(t0), which `Flow.times`
+    evaluates over the whole (t, stencil) grid, one charge at a time, as
+    the motion of that charge does, to the bit.
     """
     model = sys.model
     if model is None or getattr(model, "kind", None) != "orbit":
@@ -277,14 +278,17 @@ def magnetic_circle_check(sys, Xa, k_values=(0.5, 1.0, 2.0)):
         raise DomainError("Xa must be nonzero")
     Xa = check_skew_hermitian(Xa, name="Xa")
     ks = np.array(k_values, dtype=float)
-    # the motion's X = Xa + lam Xb + k W with lam = 1 and Xb = 0, zeros signed alike
-    flow = Flow((Xa + 0.0) + ks[:, None, None] * sys.W)
+    # the motion's X = Xa + lam Xb + k W with lam = 1 and Xb = 0, zeros signed alike, and Y = 0
+    flows = [Flow((Xa + 0.0) + k * sys.W) for k in ks]
+    still = Flow(np.zeros_like(Xa))
 
     def pos(ts):
-        g = np.swapaxes(flow(ts.ravel()), 0, 1)
-        return model.apply(g).reshape((len(ks),) + ts.shape + (3,))
+        g = np.array([flow.times(still, ts.ravel()) for flow in flows])  # (0,) without charges
+        return model.apply(g.reshape((len(ks), ts.size) + Xa.shape)).reshape(
+            (len(ks),) + ts.shape + (3,)
+        )
 
-    h = 1e-3 / max(1.0, np.abs(flow._w).max(initial=0.0))
+    h = 1e-3 / max([1.0, *(flow.rate for flow in flows)])
     kappas = _stencil_kappa(pos, np.linspace(0.0, 2.0 * np.pi, 25), h)
     mean = np.mean(kappas, axis=-1)
     rows = np.column_stack([ks, mean, np.max(np.abs(kappas - mean[:, None]), axis=-1)])

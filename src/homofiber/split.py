@@ -53,12 +53,14 @@ class ReductiveSplit:
     concatenation and n the size of g's matrices. `gram` is the Gram
     matrix B(x, y) over the bases of h, m1, ..., ms in turn, and
     `ad_invariance` the worst residual of [x, y] off m_i over x in h,
-    y in m_i, over the modules. Module indices are 1-based throughout
-    the public API, matching the names m1, m2, ...
+    y in m_i, over the modules. `pair_residuals` holds each
+    `bracket_pair_residual` taken on the split, by pair. Module indices
+    are 1-based throughout the public API, matching the names m1, m2, ...
     """
 
     def __init__(self, g, h, modules):
         self.g, self.h, self.modules, self.n = g, h, modules, g.ambient
+        self.pair_residuals = {}
         hm = Subspace(np.concatenate([h.basis, *(mod.basis for mod in modules)]))
         self.m = Subspace(hm.basis[h.dim:])
         self.gram = hm.frame @ hm.frame.T
@@ -238,11 +240,16 @@ def build_custom_split(g_basis, h_basis, module_bases):
 
 
 def bracket_pair_residual(split, a, b):
-    """Worst residual of [x, y] off m_a over x in m_a, y in m_b (1-based)."""
+    """Worst residual of [x, y] off m_a over x in m_a, y in m_b (1-based), once per split and pair.
+
+    A space document's report and its system's constructor both ask for it.
+    """
     if b is None:
         return 0.0
-    ma, mb = split.module(a), split.module(b)
-    return _bracket_residuals(ma, ma, mb).max(initial=0.0)
+    if (a, b) not in split.pair_residuals:
+        ma, mb = split.module(a), split.module(b)
+        split.pair_residuals[a, b] = _bracket_residuals(ma, ma, mb).max(initial=0.0)
+    return split.pair_residuals[a, b]
 
 
 def membership_scale(X):

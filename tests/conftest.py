@@ -14,6 +14,7 @@ from homofiber import (
 )
 from homofiber.catalog import _doc
 from homofiber.field import ChargedSystem
+from homofiber.linalg import Flow, _conjugate, mul
 from homofiber.oracle import _stencil_kappa
 
 
@@ -94,6 +95,21 @@ def per_charge_magnetic_circles(sys, Xa, k_values, t_samples=None):
         mean = float(np.mean(kappas))
         out.append((float(kv), mean, float(np.max(np.abs(kappas - mean)))))
     return out
+
+
+def einsum_representative(motion, t):
+    """exp(tX) exp(tY) as two einsum flows and their einsum product, as the curve was evaluated."""
+    return mul(Flow(motion.X)(t), Flow(motion.Y)(t))
+
+
+def einsum_transport(motion, t):
+    """Ad(exp(-tY))Xa and the body velocity by einsum conjugation with the flow exp(-tY)."""
+    G = Flow(motion.Y)(np.negative(t))
+    xa = _conjugate(G, motion.Xa)
+    if motion.exact:
+        return xa, xa + motion.Xb
+    m = motion.system.m
+    return xa, m.combine(m._coordinates(_conjugate(G, motion.X) + motion.Y))
 
 
 def _E(n, j, l):

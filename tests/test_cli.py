@@ -207,6 +207,67 @@ def test_verify_collapse_reported_at_equal_weights(tmp_path):
     assert doc["special"]["collapse"]["max_frobenius"] <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--space", "twistor_su3", "--k", "1000"],
+        ["--space", "hopf:3", "--lambda", "1", "--lambda", "1", "--k", "1000"],
+        ["--space", "hopf:1", "--lambda", "1", "--lambda", "1", "--k", "1e4"],
+        ["--space", "kahler_s2", "--k", "1e5"],
+    ],
+)
+def test_a_strong_field_fails_on_its_koszul_truncation_alone(capsys, argv):
+    # the collapse gap is roundoff that grows with rho max|t|, and is judged so
+    assert main(["verify", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"verification failed: koszul residual \S+ > 1\.0e-06\n", err), err
+    assert json.loads(out)["special"]["collapse"]["max_frobenius"] > 1e-12
+
+
+@pytest.mark.parametrize(
+    "argv,gap,failure",
+    [
+        (["--k", "0.1", "--t0=-1", "--t1", "1"], 1.5e-12, "collapse 1.500e-12 > 1e-12"),
+        (["--k", "1"], 1.001e-12, None),
+        # --tol keeps the Koszul truncation of k = 100 out of the failures
+        (["--k", "100", "--t0=-5", "--t1", "2", "--tol", "1e-3"], 3.6e-10,
+         "collapse 3.600e-10 > 3.54e-10"),
+        (["--k", "100", "--t0=-5", "--t1", "2", "--tol", "1e-3"], 3.5e-10, None),
+    ],
+)
+def test_the_collapse_gate_is_1e12_times_rho_max_t_past_1(monkeypatch, capsys, argv, gap, failure):
+    # kahler_s2's generator Xa + k W turns at rho = 0.707 k for these data
+    monkeypatch.setattr("homofiber.cli.lambda_collapse_check", lambda grid: gap)
+    xa = ["--xa", "1,0"]
+    rc = main(["verify", "--space", "kahler_s2", *xa, "--samples", "3", *argv])
+    err = capsys.readouterr().err
+    if failure is None:
+        assert (rc, err) == (0, "")
+    else:
+        assert (rc, err) == (1, f"verification failed: {failure}\n")
+
+
+def test_a_document_op_takes_the_bracket_condition_once(monkeypatch, tmp_path, capsys):
+    import homofiber.split
+
+    calls = []
+    original = homofiber.split._bracket_residuals
+
+    def spy(target, A, B):
+        calls.append((target.dim, A.dim, B.dim))
+        return original(target, A, B)
+
+    monkeypatch.setattr(homofiber.split, "_bracket_residuals", spy)
+    path = tmp_path / "hopf3.json"
+    path.write_text(json.dumps(export_entry(named_entry("hopf:3"))))
+    for space in (str(path), "hopf:3"):
+        calls.clear()
+        assert main(["verify", "--space", space, "--k", "1", "--samples", "9"]) == 0
+        # (target, A, B) dims: [h, m1] in m1, [h, m2] in m2, [m1, k] in m1, and [m1, m2] in m1 once
+        assert calls == [(6, 9, 6), (1, 9, 1), (6, 6, 10), (6, 6, 1)], space
+    capsys.readouterr()
+
+
 def test_verify_flags_perturbed_curve(tmp_path, capsys):
     rc, out = run_out(
         tmp_path,
@@ -907,7 +968,7 @@ def test_large_initial_data_fail_verify_on_the_koszul_truncation_alone(capsys):
     argv = ["verify", "--space", "twistor_su3", "--xa", "1e6,1e6,1e6,1e6", "--samples", "5"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert err == "verification failed: koszul residual 4.883e+00 > 1.0e-06\n"
+    assert err == "verification failed: koszul residual 6.104e+00 > 1.0e-06\n"
     doc = json.loads(out)
     assert doc["module_invariance_max"] <= 1e-14 and doc["velocity_agreement_max"] <= 1e-14
 

@@ -14,6 +14,14 @@ show once per run, as in a fresh process. The script lists every argv
 whose record differs between the two checkouts and exits 1, or exits 0
 when all are identical.
 
+A differing record moved in numbers only when its exit code is the same
+and every field reads the same once each number is masked, so its
+PASS/FAIL lines, failure names and report keys are the same too. Such a
+record is listed with the count of numbers that moved and the largest
+absolute and relative move, each with its old and new number; any other
+shows each differing field. The last lines count both kinds and give the
+largest moves over all numbers-only records.
+
 With one checkout, `python3 tools/same_outputs.py CHECKOUT` prints that
 checkout's records as JSON.
 
@@ -51,8 +59,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -257,6 +267,46 @@ def _records(checkout):
     return json.loads(proc.stdout)
 
 
+# a number of a report, CSV cell or message; not a digit inside a name such as m1 or hopf:10.json
+_NUMBER = re.compile(r"(?<![\w.])-?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|Infinity|inf)(?![\w.])|\bN[aA]N\b|\bnan\b")
+
+
+def _moves(a, b):
+    """The (old, new) numbers that moved between two records that differ in numbers only, else None."""
+    if a[1] != b[1]:
+        return None
+    pairs = []
+    for x, y in zip(a[2:], b[2:]):
+        if x is None or y is None:
+            if x is not y:
+                return None
+            continue
+        if _NUMBER.sub("#", x) != _NUMBER.sub("#", y):
+            return None
+        pairs += [(p, q) for p, q in zip(_NUMBER.findall(x), _NUMBER.findall(y)) if p != q]
+    return pairs
+
+
+def _largest(pairs):
+    """The (absolute, relative) largest moves of (old, new) number strings, each with its pair.
+
+    A move to or from a non-finite number is inf.
+    """
+    absolute = relative = (-1.0, None)
+    for p, q in pairs:
+        x, y = float(p), float(q)
+        d = abs(x - y) if math.isfinite(x) and math.isfinite(y) else math.inf
+        r = d and (d / max(abs(x), abs(y)) if d < math.inf else math.inf)
+        absolute = max(absolute, (d, (p, q)), key=lambda m: m[0])
+        relative = max(relative, (r, (p, q)), key=lambda m: m[0])
+    return absolute, relative
+
+
+def _moved(pairs):
+    (a, (p, q)), (r, (u, v)) = _largest(pairs)
+    return f"by at most {a:.3e} ({p} -> {q}), relative {r:.3e} ({u} -> {v})"
+
+
 def main(argv):
     if len(argv) == 1:
         json.dump(collect(argv[0]), sys.stdout)
@@ -265,15 +315,22 @@ def main(argv):
         raise SystemExit(__doc__)
     old, new = (_records(path) for path in argv)
     fields = ("exit code", "stdout", "stderr", "--out bytes", "exception")
-    differ = 0
+    differ, only, moved = 0, 0, []
     for a, b in zip(old, new):
         if a != b:
             differ += 1
             print(a[0])
-            for field, x, y in zip(fields, a[1:], b[1:]):
-                if x != y:
-                    print(f"  {field}:\n    - {x!r:.300}\n    + {y!r:.300}")
-    print(f"{differ} of {len(old)} runs differ")
+            pairs = _moves(a, b)
+            if pairs is None:
+                for field, x, y in zip(fields, a[1:], b[1:]):
+                    if x != y:
+                        print(f"  {field}:\n    - {x!r:.300}\n    + {y!r:.300}")
+                continue
+            only, moved = only + 1, moved + pairs
+            print(f"  numbers only: {len(pairs)} moved, {_moved(pairs)}")
+    print(f"{differ} of {len(old)} runs differ: {only} in numbers only, {differ - only} in more")
+    if only:
+        print(f"numbers-only runs: {len(moved)} numbers moved, {_moved(moved)}")
     return 1 if differ or len(old) != len(new) else 0
 
 
