@@ -26,12 +26,11 @@ and the bracket keeps its matmul, which numpy applies matrix by matrix
 `Flow.times` and `Flow.adjoint` evaluate exp(tA) exp(tB) and
 Ad(exp(tA)) X over a t-grid in the eigenbases, by one kernel,
 `_phased_products`: per-t phases on a fixed middle matrix, then the
-fixed outer factors as 2-D BLAS products. The grid runs along the rows
-of every product and no product has one row, which numpy would take
-down its matrix-vector path, so an entry has the same bits at every
-grid length. A product holds at most _PRODUCT_BLOCK = 2^15 complex
-multiply-adds where one t fits (n <= 32): OpenBLAS runs a larger one on
-a second thread, which is slower at these sizes.
+fixed outer factors as 2-D BLAS products over the whole grid. The grid
+runs along the rows of every product and no product has one row, which
+numpy would take down its matrix-vector path, so an entry has the same
+bits at every grid length: a row of a 2-D complex product keeps its
+bits for every row count of 2 or more.
 
 Public functions check their operands: square, finite, one size. The
 kernels `_commutator`, `_conjugate`, `_phased_products` and
@@ -46,8 +45,6 @@ import math
 import numpy as np
 
 _RANK_TOL = 1e-10  # orthonormalize's rank tolerance, shared with split.center_basis
-_PRODUCT_BLOCK = 2**15  # complex multiply-adds per BLAS product of a `_chunk`
-_CHUNK_ENTRIES = 2**12  # complex entries per buffer of a `_chunk`, 64 KB
 
 
 class DimensionError(ValueError):
@@ -203,39 +200,20 @@ def _phased_products(L, M, e, f, R):
     """The stack L (e[t] o M o f[t]) R over the rows t of the (T, n) phases e and f.
 
     (e o M o f)_jl = e_j M_jl f_l, for one matrix M, giving (T, n, n), or
-    each of a (K, n, n) stack, giving (T, K, n, n). Per chunk of `_chunk`
-    t, the phased middles are laid out transposed, a matrix row per array
-    row: (e o M o f)^T L^T = (L (e o M o f))^T, one transposing copy, then
-    times R. O(T n^3) work in two reused buffers. A grid of one row is
-    computed twice, and a last chunk of one t starts a t early (at n = 1,
-    one t is one row), so no product has one row.
+    each of a (K, n, n) stack, giving (T, K, n, n). The phased middles are
+    laid out transposed, a matrix row per array row: (e o M o f)^T L^T =
+    (L (e o M o f))^T, one transposing copy, then times R; O(T n^3) work
+    in two products over the whole grid. A grid whose products would have
+    one row (one t of one 1 x 1 M) is computed twice.
     """
     n, T = L.shape[-1], len(e)
     if T * M.size == n:
         return _phased_products(L, M, np.repeat(e, 2, axis=0), np.repeat(f, 2, axis=0), R)[:1]
-    c, lead = min(_chunk(M.size, n), max(T, 1)), (1,) * (M.ndim - 2)
-    Mt = np.ascontiguousarray(np.swapaxes(M, -1, -2))
-    out = np.empty((T,) + M.shape, dtype=complex)
-    P, Q = np.empty((c,) + M.shape, dtype=complex), np.empty((c * M.size // n, n), dtype=complex)
-    for s in range(0, T, c):
-        s = min(s, max(0, T - 2))
-        k = min(c, T - s)
-        p, q = P[:k], Q[:k * M.size // n]
-        np.multiply(f[s:s + k].reshape((k,) + lead + (n, 1)), Mt, out=p)
-        p *= e[s:s + k].reshape((k,) + lead + (1, n))
-        np.matmul(p.reshape(-1, n), L.T, out=q)
-        p[...] = q.reshape(p.shape).swapaxes(-1, -2)
-        np.matmul(p.reshape(-1, n), R, out=out[s:s + k].reshape(-1, n))
-    return out
-
-
-def _chunk(size, n):
-    """The t per chunk of `_phased_products` for middles of `size` entries in all, n x n each.
-
-    Its products hold at most _PRODUCT_BLOCK multiply-adds and its
-    buffers at most _CHUNK_ENTRIES entries, which stay in cache.
-    """
-    return max(1, min(_PRODUCT_BLOCK // n, _CHUNK_ENTRIES) // size)
+    lead = (1,) * (M.ndim - 2)
+    P = f.reshape((T,) + lead + (n, 1)) * np.swapaxes(M, -1, -2)
+    P *= e.reshape((T,) + lead + (1, n))
+    P = np.matmul(P.reshape(-1, n), L.T).reshape(P.shape).swapaxes(-1, -2)
+    return np.matmul(np.ascontiguousarray(P).reshape(-1, n), R).reshape((T,) + M.shape)
 
 
 def expm(X):

@@ -1,20 +1,18 @@
 """The curve's kernel: `Flow.times`, `Flow.adjoint` and the motion methods built on them.
 
-`linalg._phased_products` runs a grid in chunks of `linalg._chunk` t, as
-2-D BLAS products whose rows run along the grid. A one-point grid must
-give the row of a long grid bit for bit on either side of every chunk
-edge; no product may have one row or, where one t fits, more than
-`_PRODUCT_BLOCK` multiply-adds; and the curve must agree with the
-einsum flows it replaced and with scipy's expm to 1e-12 max(1, rho |t|),
-rho the largest |eigenvalue| of X and Y.
+`linalg._phased_products` runs a grid as 2-D BLAS products whose rows
+run along the grid. A one-point grid must give the row of a long grid
+bit for bit; no product may have one row; every row of the result must
+be written; and the curve must agree with the einsum flows it replaced
+and with scipy's expm to 1e-12 max(1, rho |t|), rho the largest
+|eigenvalue| of X and Y.
 """
 
 import numpy as np
 import pytest
 
 from homofiber import build_motion, perturb_motion
-from homofiber import linalg
-from homofiber.linalg import Flow, _chunk
+from homofiber.linalg import Flow, _conjugate, mul
 from conftest import einsum_representative, einsum_transport, named_entry, seeded_unit_pair, system_for
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -27,42 +25,55 @@ def random_skew(rng, n):
     return M - M.conj().T
 
 
-def edge_rows(B, T):
-    """The rows on either side of the chunk edges B and 2B of a grid of T, and its ends."""
-    return sorted({0, 1, B - 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, T - 2, T - 1} & set(range(T)))
-
-
-def assert_rows_are_one_point_values(f, B, rng):
-    for T in (B - 1, B, B + 1, 2 * B + 1):
+def assert_rows_are_one_point_values(f, rng):
+    for T in (2, 3, 64, 801):
         ts = rng.uniform(-50.0, 50.0, T)
         full = f(ts)
-        for i in edge_rows(B, T):
+        for i in sorted({0, 1, T // 2, T - 2, T - 1}):
             assert np.array_equal(full[i], f(ts[i:i + 1])[0]), (T, i)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 11])
-def test_one_point_grids_are_rows_of_long_grids_at_every_chunk_edge(n):
+def test_one_point_grids_are_rows_of_long_grids(n):
     rng = np.random.default_rng(n)
     fx, fy = Flow(random_skew(rng, n)), Flow(random_skew(rng, n))
     pair = np.stack([random_skew(rng, n), random_skew(rng, n)])
-    assert_rows_are_one_point_values(lambda t: fx.times(fy, t), _chunk(n * n, n), rng)
-    assert_rows_are_one_point_values(lambda t: fy.adjoint(t, pair[0]), _chunk(n * n, n), rng)
-    assert_rows_are_one_point_values(lambda t: fy.adjoint(t, pair), _chunk(2 * n * n, n), rng)
+    assert_rows_are_one_point_values(lambda t: fx.times(fy, t), rng)
+    assert_rows_are_one_point_values(lambda t: fy.adjoint(t, pair[0]), rng)
+    assert_rows_are_one_point_values(lambda t: fy.adjoint(t, pair), rng)
 
 
 @pytest.mark.parametrize("name", ["hopf:1", "hopf:2", "hopf:3", "hopf:10"])
-def test_motion_values_at_one_point_are_rows_at_every_chunk_edge(name):
+def test_motion_values_at_one_point_are_rows_of_long_grids(name):
     sys = system_for(named_entry(name), ratio=2.0, k=1.0)
     motion = build_motion(sys, *seeded_unit_pair(sys, np.random.default_rng(7)))
-    n, rng = sys.split.n, np.random.default_rng(8)
+    rng = np.random.default_rng(8)
     for m in (motion, perturb_motion(motion)):  # the exact and the damaged branch
-        middles = n * n if m.exact else 2 * n * n
-        assert_rows_are_one_point_values(m.representative, _chunk(n * n, n), rng)
+        assert_rows_are_one_point_values(m.representative, rng)
         for part in (0, 1):
-            assert_rows_are_one_point_values(lambda t: m.transport(t)[part], _chunk(middles, n), rng)
+            assert_rows_are_one_point_values(lambda t: m.transport(t)[part], rng)
 
 
-def test_the_grid_runs_along_the_rows_of_products_within_the_bound(monkeypatch):
+@pytest.mark.parametrize("n", [21, 26, 40])
+def test_every_row_of_a_short_grid_is_written_at_large_n(n):
+    rng = np.random.default_rng(n)
+    fx, fy = Flow(random_skew(rng, n)), Flow(random_skew(rng, n))
+    pair = np.stack([random_skew(rng, n), random_skew(rng, n)])
+    for T in (2, 3):
+        ts = rng.uniform(-5.0, 5.0, T)
+        rho = max(fx.rate, fy.rate)
+        bound = 1e-12 * np.maximum(1.0, rho * np.abs(ts))
+        alpha, ad = fx.times(fy, ts), fy.adjoint(ts, pair)
+        G = fy(ts)
+        want_ad = np.stack([_conjugate(G, pair[0]), _conjugate(G, pair[1])], axis=1)
+        assert np.all(np.abs(alpha - mul(fx(ts), G)).max(axis=(1, 2)) <= bound), T
+        assert np.all(np.abs(ad - want_ad).max(axis=(2, 3)) <= bound[:, None]), T
+        for i in range(T):
+            assert np.array_equal(alpha[i], fx.times(fy, ts[i:i + 1])[0]), (T, i)
+            assert np.array_equal(ad[i], fy.adjoint(ts[i:i + 1], pair)[0]), (T, i)
+
+
+def test_the_grid_runs_along_the_rows_of_every_product(monkeypatch):
     shapes = []
     matmul = np.matmul
 
@@ -82,12 +93,10 @@ def test_the_grid_runs_along_the_rows_of_products_within_the_bound(monkeypatch):
                 f()
                 monkeypatch.setattr(np, "matmul", matmul)
                 rows = sum(a[0] for a, _ in shapes)
-                # each product covers the grid's rows once, a lone row or t computed twice
-                assert 2 * T * middles * n <= rows <= 2 * (T + 1) * middles * n
+                # two products over the grid's rows, a lone row computed twice
+                assert rows == 2 * max(T * middles * n, 2)
                 for a, b in shapes:
                     assert a[0] >= 2 and a[1] == b[0] == b[1] == n
-                    if middles * n**3 <= linalg._PRODUCT_BLOCK:  # one t fits
-                        assert a[0] * n * n <= linalg._PRODUCT_BLOCK
 
 
 def test_zero_t_gives_the_identity_and_the_data_exactly():
