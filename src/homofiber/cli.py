@@ -3,10 +3,11 @@
 Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
 error; a usage error is a ValueError, or a MemoryError from a --samples
 count too large to allocate, which `main` prints as one `error: ...`
-line. Output is CSV or a JSON tree; identical configuration and seed
-produce byte-identical output on a platform. Each quantity has one
-source: the field strength is --k, W comes from the space, and verify's
-Koszul tolerance is --tol.
+line. A --pair whose modules fail the bracket condition is a usage
+error too, refused before any flow runs. Output is CSV or a JSON tree;
+identical configuration and seed produce byte-identical output on a
+platform. Each quantity has one source: the field strength is --k, W
+comes from the space, and verify's Koszul tolerance is --tol.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .catalog import (
     load_custom,
     make_system,
 )
-from .field import WeightRatioError, metric_norm
+from .field import BracketConditionError, WeightRatioError, metric_norm
 from .linalg import DomainError, StructureError, bnorm
 from .motion import CurveGrid, build_motion, perturb_motion, sample_trajectory
 from .oracle import (
@@ -150,6 +151,8 @@ def _system_from_args(args):
         return entry, make_system(entry, weights=weights, k=args.k, pair=pair)
     except WeightRatioError as exc:  # "weight ratio ... is out of floating-point range"
         raise ValueError(f"the --lambda {exc}")
+    except BracketConditionError as exc:  # a space's own pair passed when it loaded: --pair chose it
+        raise ValueError(str(exc))
 
 
 def _initial_data(system, args):
@@ -227,6 +230,12 @@ def _csv(header, table):
     return [(",".join(header) + "\n").encode("ascii"), *blocks(table)]
 
 
+def _re_im_columns(z, T):
+    """A complex stack as T rows of re, im columns in _re_im's order, read in place: a
+    C-contiguous complex array is its float pairs."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(T, -1)
+
+
 def _sample_csv(traj, n):
     """The simulate CSV: one row per t of the CurveGrid's stacks."""
     header = ["t"]
@@ -234,12 +243,12 @@ def _sample_csv(traj, n):
         for j in range(n):
             header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
     T = len(traj.t)
-    columns = [traj.t, _re_im(traj.representative).reshape(T, -1)]
+    columns = [traj.t, _re_im_columns(traj.representative, T)]
     pos = traj.position
     if pos is not None:
         if np.iscomplexobj(pos):
             header += [f"pos_{i}_{part}" for i in range(pos.shape[1]) for part in ("re", "im")]
-            pos = _re_im(pos).reshape(T, -1)
+            pos = _re_im_columns(pos, T)
         else:
             header += [f"pos_{i}" for i in range(pos.shape[1])]
         columns.append(pos)

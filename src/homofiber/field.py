@@ -44,6 +44,10 @@ class WeightRatioError(ValueError):
     """The weight ratio lam = w_b / w_a or its reciprocal is 0 or not finite."""
 
 
+class BracketConditionError(StructureError):
+    """The module pair (a, b) fails the bracket condition [m_a, m_b] in m_a."""
+
+
 def metric_weights(weights, s):
     """The weights as a tuple of s positive finite floats, one per module; no bool or str."""
     try:
@@ -114,7 +118,7 @@ class ChargedSystem:
         ma = nonempty_module(split, a)
         r = bracket_pair_residual(split, a, b)
         if r > USER_TOL:
-            raise StructureError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
+            raise BracketConditionError(f"bracket condition [m{a}, m{b}] in m{a} fails (residual {r:.3e})")
         W = check_skew_hermitian(W, name="W")
         rs, rc = center_residuals(split.h, W)
         if split.h.dim == 0:

@@ -172,25 +172,29 @@ class Flow:
         out[self._zero | (grid == 0.0)] = np.eye(self.A.shape[-1])
         return out if ts.ndim else out[0]
 
-    def times(self, other, t):
+    def times(self, other, t, other_phases=None):
         """exp(tA) exp(tB), B the generator of the Flow other, as a (T, n, n) stack over a 1-D grid.
 
         It is U_A (e_A(t) o U_A* U_B o e_B(t)) U_B*, e the phases and o the
         elementwise product (`_phased_products`); t = 0 gives I exactly.
+        other_phases, when given, is e_B(t) as other._phases(t) returns it.
         """
         t = np.asarray(t, dtype=float)
-        out = _phased_products(self._U, self._Uh @ other._U, self._phases(t), other._phases(t), other._Uh)
+        f = other._phases(t) if other_phases is None else other_phases
+        out = _phased_products(self._U, self._Uh @ other._U, self._phases(t), f, other._Uh)
         out[t == 0.0] = np.eye(self.A.shape[-1])
         return out
 
-    def adjoint(self, t, X):
+    def adjoint(self, t, X, phases=None):
         """Ad(exp(tA)) X of one X or a (K, n, n) stack, as a (T, [K,] n, n) stack over a 1-D grid.
 
         It is U (e(t) o U* X U o e(t)*) U*, e the phases and o the elementwise
-        product (`_phased_products`); t = 0 gives X exactly.
+        product (`_phased_products`); t = 0 gives X exactly. phases, when
+        given, is e(t) as self._phases(t) returns it but for signed zeros,
+        which t = 0 alone gives and overwrites.
         """
         t = np.asarray(t, dtype=float)
-        e = self._phases(t)
+        e = self._phases(t) if phases is None else phases
         out = _phased_products(self._U, self._Uh @ X @ self._U, e, e.conj(), self._Uh)
         out[t == 0.0] = X
         return out

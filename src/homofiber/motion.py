@@ -77,19 +77,25 @@ class ClosedFormMotion:
         """The largest |eigenvalue| of X and Y: the fastest phase the curve turns through."""
         return max(self._flow_x.rate, self._flow_y.rate)
 
-    def representative(self, t):
+    def y_phases(self, t):
+        """The phases exp(i t w) of Y's flow over a 1-D grid, which `representative` and
+        `transport` take over the same grid: exp(-i t w) is their conjugate, bit for bit."""
+        return self._flow_y._phases(np.asarray(t, dtype=float))
+
+    def representative(self, t, y_phases=None):
         ts = np.asarray(t, dtype=float)
-        out = _as_matrix(self._flow_x.times(self._flow_y, ts.reshape(-1)), stack=True)
+        out = _as_matrix(self._flow_x.times(self._flow_y, ts.reshape(-1), y_phases), stack=True)
         return out if ts.ndim else out[0]
 
-    def transport(self, t):
+    def transport(self, t, y_phases=None):
         """Ad(exp(-tY))Xa and the body velocity, from one evaluation of the phases of -tY.
 
         An entry is non-finite only where exp(-tY), g, is: the error names g.
         """
         ts = np.asarray(t, dtype=float)
         X = self.Xa if self.exact else np.stack([self.Xa, self.X])
-        A = _as_matrix(self._flow_y.adjoint(-ts.reshape(-1), X), "g", stack=True)
+        e = None if y_phases is None else y_phases.conj()
+        A = _as_matrix(self._flow_y.adjoint(-ts.reshape(-1), X, e), "g", stack=True)
         if self.exact:
             xa, v = A, A + self.Xb
         else:
@@ -132,9 +138,14 @@ class CurveGrid:
             raise ValueError(f"t_samples must be a 1-D grid, got shape {self.t.shape}")
 
     @cached_property
+    def _y_phases(self):
+        """The phases of Y's flow over [0, *t], evaluated once for body and representative."""
+        return self.motion.y_phases(np.concatenate([[0.0], self.t]))
+
+    @cached_property
     def body(self):
         """Ad(exp(-tY))Xa and the body velocity, each over [0, *t], from one motion call."""
-        return self.motion.transport(np.concatenate([[0.0], self.t]))
+        return self.motion.transport(np.concatenate([[0.0], self.t]), self._y_phases)
 
     @cached_property
     def numeric(self):
@@ -145,7 +156,7 @@ class CurveGrid:
 
     @cached_property
     def representative(self):
-        return self.motion.representative(self.t)
+        return self.motion.representative(self.t, self._y_phases[1:])
 
     @cached_property
     def speed(self):

@@ -37,6 +37,7 @@ from homofiber import (
     sample_trajectory,
     velocity_agreement_sweep,
 )
+from homofiber import motion as motion_module
 from homofiber.cli import _motion_from_args, build_parser, main
 from homofiber.split import membership_scale
 from conftest import dense_export, named_entry
@@ -1115,6 +1116,20 @@ def test_pair_flag_parsing(tmp_path):
     assert main(ok) == 0
     assert main(["simulate", "--space", "hopf:1", "--pair", "1,2,3"]) == 2
     assert main(["simulate", "--space", "hopf:1", "--pair", "a,b"]) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_a_pair_flag_that_fails_the_bracket_condition_is_a_usage_error(tmp_path, monkeypatch, capsys, command):
+    # [m2, m1] is not in m2 on hopf:2: the flag picked a pair the space cannot take,
+    # so the command exits 2, as for any other bad flag, before any flow runs
+    def no_flow(A):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(motion_module, "Flow", no_flow)
+    out = tmp_path / "out"
+    assert main([command, "--space", "hopf:2", "--pair", "2,1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bracket condition [m2, m1] in m2 fails (residual 1.000e+00)\n"
+    assert not out.exists()
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -113,8 +113,62 @@ def test_row_ends_on_block_boundaries(monkeypatch, cells):
 
 def test_layout_tables_are_read_only():
     tables = csvtext._tables()
-    assert len(tables) == 11
+    assert len(tables) == 7
     for t in tables:
         assert not t.flags.writeable
         with pytest.raises(ValueError):
             t[0] = t[0]
+
+
+def _longest(X, negative):
+    """A float whose "%.17g" has exponent X and 17 significant digits, negated if asked."""
+    for m in range(12345678901234567, 12345678901234567 + 100):
+        v = float(f"{m}e{X - 16}")
+        mantissa, exponent = ("%.16e" % v).split("e")
+        if int(exponent) == X and not mantissa.endswith("0"):
+            return -v if negative else v
+    raise AssertionError(X)
+
+
+def test_the_longest_cell_of_every_fast_path_form_fits_the_record():
+    # sign x (fixed with leading zeros, fixed, exponent) at every exponent of the fast path
+    forms = {"exponent": [*range(-98, -4), *range(17, 98)], "leading zeros": range(-4, 0),
+             "fixed": range(0, 17)}
+    longest = {}
+    for form, exponents in forms.items():
+        column = np.array([_longest(X, negative) for X in exponents for negative in (False, True)])
+        lines = format_rows(column[:, None]).splitlines()
+        assert lines == ["%.17g" % v for v in column.tolist()], form
+        longest[form] = max(map(len, lines)) + 1  # and its comma or newline
+    assert longest == {"exponent": 24, "leading zeros": 24, "fixed": 20}
+    assert max(longest.values()) <= csvtext.CELL
+
+
+def _simulate_shaped(rows, n=3, seed=11):
+    """t, the re and im parts of a unitary n x n matrix per row, a unit position and the
+    speed, with roundoff entries near +-1e-17 and zeros of both signs sprinkled in."""
+    rng = np.random.default_rng(seed)
+    t = np.linspace(-26.756, 26.756, rows)
+    z = rng.standard_normal((rows, n, n)) + 1j * rng.standard_normal((rows, n, n))
+    q = np.linalg.qr(z)[0]
+    pos = rng.standard_normal((rows, 3))
+    pos /= np.linalg.norm(pos, axis=1, keepdims=True)
+    speed = 1.0 + rng.standard_normal(rows) * 1e-15
+    table = np.column_stack([t, q.view(float).reshape(rows, -1), pos, speed])
+    tiny = rng.random(table.shape) < 0.1
+    table[tiny] = rng.standard_normal(tiny.sum()) * 1e-17
+    table[rng.random(table.shape) < 0.02] = 0.0
+    table[rng.random(table.shape) < 0.02] = -0.0
+    return table
+
+
+@pytest.mark.parametrize("cells", ["row", 8192, "table"])
+def test_a_simulate_shaped_table_in_blocks_of_a_row_8192_cells_and_the_whole_table(monkeypatch, cells):
+    table = _simulate_shaped(2 * (8192 // 23) + 1)  # two full blocks of 8192 cells and one row
+    per_block = 8192 // table.shape[1] * table.shape[1]
+    ends = table.reshape(-1)[per_block - 2 : per_block + 1]  # around the first block boundary
+    ends[:] = [-1e-17, -0.0, 0.0]  # a row ends on the boundary in a zero
+    table[-1, -1] = 1e-17
+    cells = {"row": table.shape[1], "table": table.size}.get(cells, cells)
+    monkeypatch.setattr(csvtext, "BLOCK_CELLS", cells)
+    assert format_rows(table) == per_float(table)

@@ -186,6 +186,23 @@ def test_motion_grid_entries_are_one_point_values(entries, name):
                 assert np.array_equal(traj.position[i], one.position[0])
 
 
+
+@pytest.mark.parametrize("name", SPACES)
+def test_a_trajectory_takes_the_phases_of_y_once_and_keeps_every_bit(entries, monkeypatch, name):
+    # representative and body share exp(i t w_Y); body's exp(-i t w_Y) is its conjugate
+    ratio = None if name == "kahler_s2" else 0.5
+    for motion in motions(entries, name, ratio, -0.5):
+        phases = []
+        counted = Flow._phases
+        monkeypatch.setattr(Flow, "_phases", lambda flow, grid: phases.append(flow) or counted(flow, grid))
+        traj = sample_trajectory(motion, -30.0, 30.0, 801)  # t = 0 is on the grid
+        assert phases == [motion._flow_y, motion._flow_x]
+        monkeypatch.undo()
+        ts = np.concatenate([[0.0], traj.t])
+        assert traj.representative.tobytes() == motion.representative(traj.t).tobytes()
+        for shared, alone in zip(traj.body, motion.transport(ts)):
+            assert shared.tobytes() == alone.tobytes()
+
 def test_flow_grid_entries_are_one_point_values():
     rng = np.random.default_rng(5)
     M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
