@@ -210,9 +210,9 @@ def get_entry(name):
 
 
 def _re_im(z):
-    """Complex entries as [real, imaginary] pairs along a new last axis."""
-    z = np.asarray(z, dtype=complex)
-    return np.stack([z.real, z.imag], axis=-1)
+    """Complex entries as [real, imaginary] pairs along a new last axis, read in place
+    where z is a C-contiguous complex array: its memory is those pairs."""
+    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(*np.shape(z), 2)
 
 
 def _doc(A):

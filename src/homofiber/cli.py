@@ -230,12 +230,6 @@ def _csv(header, table):
     return [(",".join(header) + "\n").encode("ascii"), *blocks(table)]
 
 
-def _re_im_columns(z, T):
-    """A complex stack as T rows of re, im columns in _re_im's order, read in place: a
-    C-contiguous complex array is its float pairs."""
-    return np.ascontiguousarray(z, dtype=complex).view(float).reshape(T, -1)
-
-
 def _sample_csv(traj, n):
     """The simulate CSV: one row per t of the CurveGrid's stacks."""
     header = ["t"]
@@ -243,12 +237,12 @@ def _sample_csv(traj, n):
         for j in range(n):
             header += [f"rep_{i}{j}_re", f"rep_{i}{j}_im"]
     T = len(traj.t)
-    columns = [traj.t, _re_im_columns(traj.representative, T)]
+    columns = [traj.t, _re_im(traj.representative).reshape(T, -1)]
     pos = traj.position
     if pos is not None:
         if np.iscomplexobj(pos):
             header += [f"pos_{i}_{part}" for i in range(pos.shape[1]) for part in ("re", "im")]
-            pos = _re_im_columns(pos, T)
+            pos = _re_im(pos).reshape(T, -1)
         else:
             header += [f"pos_{i}" for i in range(pos.shape[1])]
         columns.append(pos)

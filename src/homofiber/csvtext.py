@@ -207,25 +207,19 @@ def _block(v, w):
     np.subtract(low, np.multiply(g[3], 1000, out=g[4]), out=g[4])
     np.subtract(g[3], np.multiply(g[2], 1000, out=low), out=g[3])
 
-    # Group k's offset by X is 0 for X < 2, and its z (every later digit zero) is 0 but
-    # where the last group is 0: a block takes either term only if some cell needs it.
+    # z: every digit after the current group is zero, which picks a group's and the
+    # head's mode with trailing zeros blanked.
     cells = np.frombuffer(w.buf, np.uint32, 8 * n).reshape(-1, 8)
-    points = x.max() > 1 - _XMIN
-    trailing = np.equal(g[4], 0, out=z).any()
+    np.equal(g[4], 0, out=z)
     cells[:, 6] = groups.take(np.add(group_offsets[4].take(x, mode="clip"), g[4], out=i), mode="clip")
     for k in (3, 2, 1, 0):
-        if points:
-            np.add(group_offsets[k].take(x, mode="clip"), g[k], out=i)
-        else:
-            i[:] = g[k]
-        if trailing:
-            i += np.multiply(z, 1000, out=D)
-            z &= np.equal(g[k], 0, out=m)
+        np.add(group_offsets[k].take(x, mode="clip"), g[k], out=i)
+        i += np.multiply(z, 1000, out=D)
+        z &= np.equal(g[k], 0, out=m)
         cells[:, 2 + k] = groups.take(i, mode="clip")
     np.add(head_offsets.take(x, mode="clip"), first, out=i)
     i += np.multiply(np.signbit(v, out=m), 100, out=D)
-    if trailing:
-        i += np.multiply(z, 200, out=D)
+    i += np.multiply(z, 200, out=D)
     cells.view(np.uint64)[:, 0] = head.take(i, mode="clip")
     cells[:, 7] = tail.take(np.add(np.multiply(x, 2, out=i), ends, out=i), mode="clip")
 
