@@ -16,8 +16,8 @@ Both factors are `linalg.Flow`s, one eigendecomposition per generator,
 and the curve is evaluated in their eigenbases: `representative` by
 `Flow.times` and `transport` by `Flow.adjoint`, each a per-t phase on a
 fixed middle matrix, then 2-D BLAS products along the grid
-(`linalg._phased_products`). The product-rule velocity stays on the
-flows' einsum exponential, which the referee uses too. Every method
+(`linalg._phased_products`). The product-rule velocity pulls X back by
+the representative, as the referee's extension does. Every method
 takes a scalar t or a 1-D grid of t; on a grid it returns the
 (T, n, n) stack, and a scalar t is the one-point case, to the bit;
 `transport` returns a pair. A motion keeps no per-t state.
@@ -36,10 +36,10 @@ from .linalg import (
     DomainError,
     Flow,
     _as_matrix,
+    _conjugate,
     _same_size,
     bnorm,
     check_skew_hermitian,
-    mul,
     span_residual,
 )
 from .split import USER_TOL, membership_scale
@@ -106,23 +106,20 @@ class ClosedFormMotion:
         return self.transport(t)[1]
 
     def body_velocity_numeric(self, t):
-        """m-projection of alpha^-1 alpha', differentiated by product rule.
+        """m-projection of alpha^-1 alpha' = alpha^H X alpha + Y, by the product rule.
 
-        Independent of the shortcut in body_velocity: the derivative
-        alpha' = X alpha + exp(tX) Y exp(tY) is formed from matrix
-        products and pulled back by solving alpha xi = alpha'.
+        alpha' = X alpha + alpha Y, alpha the unitary `representative`. Never reads
+        the shortcut of body_velocity, which rests on the bracket condition.
         """
-        fx, fy = self._flow_x(t), self._flow_y(t)
-        alpha = mul(fx, fy)
-        alpha_dot = mul(self.X, alpha) + mul(mul(fx, self.Y), fy)
-        xi = _as_matrix(np.linalg.solve(alpha, alpha_dot), stack=True)
+        alpha = self.representative(t)
+        xi = _conjugate(np.swapaxes(alpha.conj(), -1, -2), self.X) + self.Y
         return self.system.m.combine(self.system.m._coordinates(xi))
 
 
 class CurveGrid:
     """The curve of one motion on a 1-D t-grid and a probe stack, each field computed on first use.
 
-    A field is one motion call on a concatenated grid, so every flow and check runs once;
+    A field is one motion call on a concatenated grid, which runs its flows and checks once;
     a stack entry does not depend on the stack around it, so a value has the bits of a
     call at its own t. Only a weak-form grid, given fd_step h, also evaluates t +- h.
     """
@@ -149,7 +146,7 @@ class CurveGrid:
 
     @cached_property
     def numeric(self):
-        """body_velocity_numeric over t, or [t, t + h, t - h] given a step h; one solve."""
+        """body_velocity_numeric over t, or [t, t + h, t - h] given a step h; one motion call."""
         t, h = self.t, self.h
         grid = t if h is None else np.concatenate([t, t + h, t - h])
         return self.motion.body_velocity_numeric(grid)

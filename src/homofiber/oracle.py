@@ -32,8 +32,9 @@ It evaluates its whole t-grid, and the weak form its whole
 the one-point case of the same grid. The weak form runs on real
 m-coordinates: the probes and the body velocity are checked for
 membership once each, and every term is an einsum contraction of
-(T, dim m) and (P, dim m) coordinate arrays. One verify op evaluates the
-curve once, on the union grid of the one CurveGrid its sweeps share.
+(T, dim m) and (P, dim m) coordinate arrays. A verify op's sweeps share
+one CurveGrid, one motion call per field: the body over [0, *t], the
+representative over t and the product rule over [t, t +- h].
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .linalg import (
     _conjugate,
     bnorm,
     check_skew_hermitian,
-    mul,
     span_residuals,
 )
 from .motion import CurveGrid
@@ -94,18 +94,20 @@ def _koszul_grid(grid):
     against the I0 domain. t1 differentiates only body_velocity_numeric,
     never the shortcut, at t + h and t - h; those velocities, the
     extension w and [Z, Y]_m are projections onto m, taken to
-    coordinates unchecked. The steps exp(+-hZ) are one stacked flow.
+    coordinates unchecked. At p = alpha(t) exp(+-hZ) the extension is
+    w = proj_m(Ad(exp(-+hZ)) M + Y), M = alpha(t)^H X alpha(t), over
+    one stacked flow of the steps exp(-+hZ).
     """
     motion, T, h = grid.motion, len(grid.t), grid.h
     sys = motion.system
     Z, zc = grid.unit_probes
     zw = zc * sys.m_weights
     zyw = sys.m._coordinates(_commutator(Z, motion.Y)) * sys.m_weights
-    steps = Flow(h * Z)(np.array([1.0, -1.0]))
+    steps = Flow(-h * Z)(np.array([1.0, -1.0]))
     v = _m_coordinates(sys, grid.body[1][1:], "X", domain=True)
     v_num = sys.m._coordinates(grid.numeric[T:])
-    p = mul(grid.representative[:, None], steps[:, None])
-    w = sys.m._coordinates(_conjugate(np.swapaxes(p.conj(), -1, -2), motion.X) + motion.Y)
+    M = _conjugate(np.swapaxes(grid.representative.conj(), -1, -2), motion.X)
+    w = sys.m._coordinates(_conjugate(steps[:, None], M[:, None]) + motion.Y)
     energy = np.einsum("...j,j,...j->...", w, sys.m_weights, w)
     dv = np.einsum("tj,pj->tp", v_num, zw)
     t1 = (dv[:T] - dv[T:]) / (2.0 * h)

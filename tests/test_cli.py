@@ -969,7 +969,7 @@ def test_large_initial_data_fail_verify_on_the_koszul_truncation_alone(capsys):
     argv = ["verify", "--space", "twistor_su3", "--xa", "1e6,1e6,1e6,1e6", "--samples", "5"]
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert err == "verification failed: koszul residual 6.104e+00 > 1.0e-06\n"
+    assert err == "verification failed: koszul residual 2.441e+00 > 1.0e-06\n"
     doc = json.loads(out)
     assert doc["module_invariance_max"] <= 1e-14 and doc["velocity_agreement_max"] <= 1e-14
 
