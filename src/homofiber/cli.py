@@ -4,10 +4,12 @@ Exit codes: 0 success, 1 domain or tolerance failure, 2 usage or parse
 error; a usage error is a ValueError, or a MemoryError from a --samples
 count too large to allocate, which `main` prints as one `error: ...`
 line. A --pair whose modules fail the bracket condition is a usage
-error too, refused before any flow runs. Output is CSV or a JSON tree;
-identical configuration and seed produce byte-identical output on a
-platform. Each quantity has one source: the field strength is --k, W
-comes from the space, and verify's Koszul tolerance is --tol.
+error too, refused before any flow runs, and so is a verify run whose
+Koszul residual or sweep value is not finite, which no check can
+judge. Output is CSV or a JSON tree; identical configuration and seed
+produce byte-identical output on a platform. Each quantity has one
+source: the field strength is --k, W comes from the space, and
+verify's Koszul tolerance is --tol.
 """
 
 from __future__ import annotations
@@ -303,9 +305,14 @@ def cmd_verify(args):
     _run_flags(args, 1)
     entry, system, motion = _motion_from_args(args)
     grid = CurveGrid(motion, np.linspace(args.t0, args.t1, args.samples), None, args.fd_step)
-    res = residual_sweep(grid)
-    sweeps = (float(np.max(algebraic_identity_check(grid))), conservation_sweep(grid),
-              module_invariance_sweep(grid), velocity_agreement_sweep(grid))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite value is refused below
+        res = residual_sweep(grid)
+        sweeps = (float(np.max(algebraic_identity_check(grid))), conservation_sweep(grid),
+                  module_invariance_sweep(grid), velocity_agreement_sweep(grid))
+    names = ["koszul residual"] + [what for _, what, _ in _SWEEP_BOUNDS]
+    unresolved = [f"{what} {r}" for what, r in zip(names, (res.max_abs, *sweeps)) if not np.isfinite(r)]
+    if unresolved:
+        raise ValueError("the arithmetic cannot resolve this configuration: " + ", ".join(unresolved))
     failures = []
     if not res.max_abs <= args.tol:
         failures.append(f"koszul residual {res.max_abs:.3e} > {args.tol:.1e}")

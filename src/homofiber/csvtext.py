@@ -50,14 +50,26 @@ _LOW, _HIGH = 1e-98, 1e98
 _TOP = float(np.nextafter(_HIGH, 0.0))
 _XMIN, _XMAX = -99, 98  # X of the clipped |v|; every table by X has a row per X
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's constant for doubles
+_INT = np.frompyfunc(int, 1, 1)
 
 
 def _pow10(q):
-    """10^q as a double-double: hi correctly rounded, lo the correctly rounded rest."""
-    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
-    hi = num / den
-    a, b = hi.as_integer_ratio()
-    return hi, (num * b - a * den) / (den * b)
+    """10^q over an int array q as double-doubles: hi correctly rounded, lo the correctly
+    rounded rest, from exact Python integers in object arrays. With hi = A 2^-s for q < 0,
+    the rest is (2^s - A 10^-q) / (10^-q 2^s); for q >= 0 hi is an integer, and the rest too."""
+    tens = np.full(np.abs(q).max(initial=0) + 1, 10, dtype=object)
+    tens[0] = 1
+    big = np.multiply.accumulate(tens)[np.abs(q)]  # 10^|q|
+    hi, lo, up = np.empty(q.shape), np.empty(q.shape), q >= 0
+    hi[up] = big[up].astype(float)  # int to float rounds correctly
+    lo[up] = (big[up] - _INT(hi[up])).astype(float)
+    b = big[~up]
+    hi[~up] = (1 / b).astype(float)
+    m, e = np.frexp(hi[~up])
+    A = np.ldexp(m, 53).astype(np.int64).astype(object)
+    two = np.left_shift(1, (53 - e).astype(object))  # 2^s
+    lo[~up] = ((two - A * b) / (b * two)).astype(float)
+    return hi, lo
 
 
 def _split(x):
@@ -73,17 +85,18 @@ def _group_table():
     digit is zero, which blanks trailing zeros after the point and a point with none
     after it; mode 10 is s = 0, z = 1 with the "e" of an exponent."""
     n = np.arange(1000)
-    chars = np.stack([n // 100, n // 10 % 10, n % 10], axis=1) + 48
+    chars = np.stack([n // 100, n // 10 % 10, n % 10], axis=1).astype(np.uint8) + 48
     later = np.flip(np.logical_or.accumulate(np.flip(chars != 48, 1), 1), 1)  # a nonzero digit here or after
     later = np.concatenate([later, np.zeros((1000, 1), bool)], axis=1)
+    blank, dots = chars * later[:, :3], later * np.uint8(ord("."))  # blanked unless later is nonzero
     out = np.zeros((11, 1000, 4), np.uint8)
     for mode in range(11):
         s, z = divmod(mode, 2) if mode < 10 else (0, 1)
         row = out[mode]
         for k in range(3):  # digit k stands after the point when the point is inside, at s <= k
-            row[:, k + (1 <= s <= k)] = chars[:, k] if k < s or not z else chars[:, k] * later[:, k]
+            row[:, k + (1 <= s <= k)] = chars[:, k] if k < s or not z else blank[:, k]
         if 1 <= s <= 3:
-            row[:, s] = ord(".") if not z else later[:, s] * ord(".")
+            row[:, s] = ord(".") if not z else dots[:, s]
     out[10, :, 3] = ord("e")
     return out.reshape(-1, 4).view(np.uint32)[:, 0]
 
@@ -91,26 +104,26 @@ def _group_table():
 def _head_table():
     """The first 8 bytes of a cell, [kind][z][negative][first two digits], and one spare.
     Kind 0-3: "0." and kind zeros before the digits (-4 <= X < 0); 4 and 5: a point after
-    the first or second digit; 6: no point. z: every later digit is zero."""
-    d = np.arange(100)
-    d1, d2 = d // 10 + 48, d % 10
-    out = np.zeros((7, 2, 2, 100, 8), np.uint8)
-    for kind in range(7):
-        for z in (0, 1):
-            for neg in (0, 1):
-                row = out[kind, z, neg]
-                text = ["-"] * neg + (["0", "."] + ["0"] * kind if kind < 4 else [])
-                row[:, : len(text)] = np.frombuffer("".join(text).encode(), np.uint8)
-                i = len(text)
-                row[:, i] = d1
-                some = (d2 != 0) | (not z)  # a digit after the first is shown
-                if kind == 4:
-                    row[:, i + 1] = np.where(some, ord("."), 0)
-                    i += 1
-                row[:, i + 1] = np.where(some | (kind > 4), d2 + 48, 0)
-                if kind == 5 and not z:
-                    row[:, i + 2] = ord(".")
-    return np.concatenate([out.reshape(-1, 8), np.zeros((1, 8), np.uint8)]).view(np.uint64)[:, 0]
+    the first or second digit; 6: no point. z: every later digit is zero. A row is its
+    sign and "0.000" prefix, then the first digit and up to two characters after it."""
+    kind, z, neg = np.arange(7).reshape(7, 1, 1, 1), np.arange(2).reshape(2, 1, 1), np.arange(2)[:, None]
+    d, p = np.arange(100), np.arange(8)
+    first = neg + np.where(kind < 4, 2 + kind, 0)  # the byte of the first digit
+    sign = neg[..., None]
+    text = np.where(p < sign, ord("-"), np.where(p - sign == 1, ord("."), ord("0")))
+    prefix = np.where(p < first[..., None], text, 0).astype(np.uint8).view(np.uint64)[..., 0]
+    out = np.zeros(7 * 2 * 2 * 100 + 1, np.uint64)
+    out[:-1].reshape(7, 2, 2, 100)[...] = prefix  # the 8 bytes of a row as one uint64
+    d2 = d % 10 + 48
+    some = (d2 != 48) | (z == 0)  # a digit after the first is shown
+    shown = np.where(some, d2, 0)
+    at = np.arange(2800).reshape(7, 2, 2, 100) * 8 + first
+    flat = out.view(np.uint8)
+    flat[at] = d // 10 + 48
+    flat[at + 1] = np.where(kind < 4, shown, np.where(kind > 4, d2, np.where(some, ord("."), 0)))
+    flat[at[4:5] + 2] = shown  # kind 4: the second digit after the point
+    flat[at[5:6] + 2] = np.where(z == 0, ord("."), 0)  # kind 5: the point after it
+    return out
 
 
 @cache
@@ -118,22 +131,24 @@ def _tables():
     """The 10^(16 - X) table by X, split for two-product, the head, group and tail tables,
     and by X the head and group offsets of a cell."""
     X = np.arange(_XMIN, _XMAX + 1)
-    hi, lo = np.array([_pow10(16 - x) for x in range(_XMIN, _XMAX + 1)]).T
+    hi, lo = _pow10(16 - X)
     exponent = (X < -4) | (X > 16)
     points = np.where(exponent, 1, np.maximum(X + 1, 0))  # digits before the point
-    kind = np.select([X < 0, X < 1, X < 2], [-X - 1, 4, 5], 6)
-    kind[exponent] = 4
-    s = np.clip(points[:, None] - 3 * np.arange(5) - 2, 0, 4)  # per group, s of its mode
+    kind = np.where(exponent | (X == 0), 4, np.where(X < 0, -X - 1, np.minimum(X + 4, 6)))
+    s = np.minimum(np.maximum(points[:, None] - 3 * np.arange(5) - 2, 0), 4)  # per group, s of its mode
     group_offsets = (s * 2 + [0, 0, 0, 0, 1]) * 1000  # the last group: z = 1 always
     group_offsets[exponent, 4] = 10_000
-    tail = b"".join(  # [X][row end]: an exponent's sign and two digits, and a separator
-        (f"{x:+03d}" * e + end).encode().ljust(4, b"\0")
-        for x, e in zip(X.tolist(), exponent.tolist()) for end in ",\n"
-    )
+    # [X][row end]: an exponent's sign and two digits, and a separator
+    e, end, a = exponent[:, None], np.frombuffer(b",\n", np.uint8), np.abs(X)[:, None]
+    tail = np.zeros((len(X), 2, 4), np.uint8)
+    tail[..., 0] = np.where(e, np.where(X < 0, ord("-"), ord("+"))[:, None], end)
+    tail[..., 1] = np.where(e, a // 10 + 48, 0)
+    tail[..., 2] = np.where(e, a % 10 + 48, 0)
+    tail[..., 3] = np.where(e, end, 0)
     zero = b"".join(t.ljust(CELL, b"\0") for t in (b"0,", b"0\n", b"-0,", b"-0\n"))
     tables = (
         np.stack([hi, *_split(hi), lo], axis=1), _head_table(), _group_table(),
-        np.frombuffer(tail, np.uint32).copy(), kind * 400, group_offsets.T.copy(),
+        tail.view(np.uint32).reshape(-1), kind * 400, group_offsets.T.copy(),
         np.frombuffer(zero, np.uint8).reshape(4, CELL).copy(),
     )
     for t in tables:  # one copy serves every call

@@ -41,6 +41,7 @@ caller's t too (NaN once |tw| overflows).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -250,6 +251,18 @@ class Subspace:
         self.dim, self.ambient = basis.shape[:2]
         self.stacked = basis.reshape(self.dim, self.ambient**2)
         self.frame = self.stacked.view(float)  # B(X, e_i) is row i dotted with X's view
+
+    @cached_property
+    def _pattern(self):
+        """(whether every basis matrix is exactly skew-Hermitian, the union of their supports).
+
+        The support is a read-only (n, n) boolean array, computed on first use and shared
+        by every structural certificate that reads this subspace.
+        """
+        A = self.basis
+        support = A.any(axis=0)
+        support.flags.writeable = False
+        return not (A + A.conj().swapaxes(1, 2)).any(), support
 
     def coordinates(self, X):
         """The real vector of inner products B(X, e_i) with the basis."""

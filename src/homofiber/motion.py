@@ -108,20 +108,23 @@ class ClosedFormMotion:
     def body_velocity_numeric(self, t):
         """m-projection of alpha^-1 alpha' = alpha^H X alpha + Y, by the product rule.
 
-        alpha' = X alpha + alpha Y, alpha the unitary `representative`. Never reads
-        the shortcut of body_velocity, which rests on the bracket condition.
+        alpha' = X alpha + alpha Y, alpha the unitary `representative`: the
+        `numeric` field of a CurveGrid over t. Never reads the shortcut of
+        body_velocity, which rests on the bracket condition.
         """
-        alpha = self.representative(t)
-        xi = _conjugate(np.swapaxes(alpha.conj(), -1, -2), self.X) + self.Y
-        return self.system.m.combine(self.system.m._coordinates(xi))
+        ts = np.asarray(t, dtype=float)
+        v = CurveGrid(self, ts.reshape(-1)).numeric
+        return v if ts.ndim else v[0]
 
 
 class CurveGrid:
     """The curve of one motion on a 1-D t-grid and a probe stack, each field computed on first use.
 
-    A field is one motion call on a concatenated grid, which runs its flows and checks once;
-    a stack entry does not depend on the stack around it, so a value has the bits of a
-    call at its own t. Only a weak-form grid, given fd_step h, also evaluates t +- h.
+    The body and the representative are one motion call each, on a concatenated grid, which
+    runs its flows and checks once; a stack entry does not depend on the stack around it, so
+    a value has the bits of a call at its own t. Only a weak-form grid, given fd_step h, also
+    evaluates t +- h: the representative there, in the same call, and from it the pullback
+    and the product-rule velocity.
     """
 
     def __init__(self, motion, t_samples, probes=None, fd_step=None):
@@ -145,15 +148,30 @@ class CurveGrid:
         return self.motion.transport(np.concatenate([[0.0], self.t]), self._y_phases)
 
     @cached_property
-    def numeric(self):
-        """body_velocity_numeric over t, or [t, t + h, t - h] given a step h; one motion call."""
-        t, h = self.t, self.h
-        grid = t if h is None else np.concatenate([t, t + h, t - h])
-        return self.motion.body_velocity_numeric(grid)
+    def _alpha(self):
+        """The representative over t, then t + h and t - h given a step h; one motion call."""
+        t, phases = self.t, self._y_phases[1:]
+        if self.h is not None:
+            shifted = np.concatenate([t + self.h, t - self.h])
+            t = np.concatenate([t, shifted])
+            phases = np.concatenate([phases, self.motion.y_phases(shifted)])
+        return self.motion.representative(t, phases)
 
     @cached_property
     def representative(self):
-        return self.motion.representative(self.t, self._y_phases[1:])
+        return self._alpha[: len(self.t)]
+
+    @cached_property
+    def pullback(self):
+        """M = alpha^H X alpha, X pulled back by the representative, over the rows of `_alpha`."""
+        alpha = self._alpha
+        return _conjugate(np.swapaxes(alpha.conj(), -1, -2), self.motion.X)
+
+    @cached_property
+    def numeric(self):
+        """The product-rule body velocity proj_m(M + Y) over the rows of the pullback."""
+        m = self.motion.system.m
+        return m.combine(m._coordinates(self.pullback + self.motion.Y))
 
     @cached_property
     def speed(self):

@@ -33,8 +33,9 @@ the one-point case of the same grid. The weak form runs on real
 m-coordinates: the probes and the body velocity are checked for
 membership once each, and every term is an einsum contraction of
 (T, dim m) and (P, dim m) coordinate arrays. A verify op's sweeps share
-one CurveGrid, one motion call per field: the body over [0, *t], the
-representative over t and the product rule over [t, t +- h].
+one CurveGrid and its two motion calls: the body over [0, *t] and the
+representative over [t, t +- h], which X is pulled back by once for
+both the extension and the product-rule velocity.
 """
 
 from __future__ import annotations
@@ -91,12 +92,13 @@ def _koszul_grid(grid):
 
     Rows run over t and columns over the probes, and every term is a
     contraction of m-coordinates. The body velocity is checked once,
-    against the I0 domain. t1 differentiates only body_velocity_numeric,
-    never the shortcut, at t + h and t - h; those velocities, the
-    extension w and [Z, Y]_m are projections onto m, taken to
-    coordinates unchecked. At p = alpha(t) exp(+-hZ) the extension is
-    w = proj_m(Ad(exp(-+hZ)) M + Y), M = alpha(t)^H X alpha(t), over
-    one stacked flow of the steps exp(-+hZ).
+    against the I0 domain. t1 differentiates only the product-rule
+    velocity (`grid.numeric`), never the shortcut, at t + h and t - h;
+    those velocities, the extension w and [Z, Y]_m are projections onto
+    m, taken to coordinates unchecked. At p = alpha(t) exp(+-hZ) the
+    extension is w = proj_m(Ad(exp(-+hZ)) M + Y), M = alpha(t)^H X
+    alpha(t) the grid's pullback at t, over one stacked flow of the
+    steps exp(-+hZ).
     """
     motion, T, h = grid.motion, len(grid.t), grid.h
     sys = motion.system
@@ -106,7 +108,7 @@ def _koszul_grid(grid):
     steps = Flow(-h * Z)(np.array([1.0, -1.0]))
     v = _m_coordinates(sys, grid.body[1][1:], "X", domain=True)
     v_num = sys.m._coordinates(grid.numeric[T:])
-    M = _conjugate(np.swapaxes(grid.representative.conj(), -1, -2), motion.X)
+    M = grid.pullback[:T]
     w = sys.m._coordinates(_conjugate(steps[:, None], M[:, None]) + motion.Y)
     energy = np.einsum("...j,j,...j->...", w, sys.m_weights, w)
     dv = np.einsum("tj,pj->tp", v_num, zw)

@@ -8,6 +8,11 @@ checkable here. `structure_report` gives each check's worst residual
 by name, without judging it, so a front end can print all failures at
 once; `report_lines` and `require` judge a report against a tolerance,
 which every build sets to `USER_TOL`.
+
+A closure (`_block_algebra`) or bracket relation (`_certified`) that
+the support patterns of its bases prove reads 0.0 without a bracket;
+any other is swept over basis pairs, with its bits. Each subspace
+computes its support and exact-skew flag once, as `Subspace._pattern`.
 """
 
 from __future__ import annotations
@@ -53,9 +58,11 @@ class ReductiveSplit:
     concatenation and n the size of g's matrices. `gram` is the Gram
     matrix B(x, y) over the bases of h, m1, ..., ms in turn, and
     `ad_invariance` the worst residual of [x, y] off m_i over x in h,
-    y in m_i, over the modules. `pair_residuals` holds each
-    `bracket_pair_residual` taken on the split, by pair. Module indices
-    are 1-based throughout the public API, matching the names m1, m2, ...
+    y in m_i, over the modules: 0.0 for a module whose relation is
+    certified by support pattern, swept otherwise. `pair_residuals`
+    holds each `bracket_pair_residual` taken on the split, by pair.
+    Module indices are 1-based throughout the public API, matching the
+    names m1, m2, ...
     """
 
     def __init__(self, g, h, modules):
@@ -64,9 +71,7 @@ class ReductiveSplit:
         hm = Subspace(np.concatenate([h.basis, *(mod.basis for mod in modules)]))
         self.m = Subspace(hm.basis[h.dim:])
         self.gram = hm.frame @ hm.frame.T
-        self.ad_invariance = max(
-            (_bracket_residuals(mod, h, mod).max(initial=0.0) for mod in modules), default=0.0
-        )
+        self.ad_invariance = max((_relation_residual(mod, h, mod) for mod in modules), default=0.0)
 
     @property
     def s(self):
@@ -101,26 +106,53 @@ def _bracket_residuals(target, A, B):
     return r
 
 
+def _certified(target, A, B):
+    """Whether [A, B] lies in target by the support patterns of the three bases alone.
+
+    With every basis matrix exactly skew-Hermitian, [x, y] for x in A and
+    y in B is skew-Hermitian and supported on P_A P_B + P_B P_A, the
+    boolean products of the basis supports. Those supports are symmetric,
+    so P_B P_A is the transpose of P_A P_B, and both lie in the symmetric
+    support Q of target when P_A P_B does. target spans all of u_Q, the
+    skew-Hermitian matrices supported on Q, when its dim is count(Q) (u_Q
+    has one real dimension per entry), and then holds every bracket.
+    """
+    (skew_t, Q), (skew_a, PA), (skew_b, PB) = target._pattern, A._pattern, B._pattern
+    return bool(
+        skew_t and skew_a and skew_b and target.dim == np.count_nonzero(Q)
+        and not (PA @ PB > Q).any()
+    )
+
+
+def _relation_residual(target, A, B):
+    """Worst residual of [x, y] off target over basis pairs x of A, y of B: 0.0 when
+    `_certified`, else swept by `_bracket_residuals`, with its bits."""
+    if _certified(target, A, B):
+        return 0.0
+    return _bracket_residuals(target, A, B).max(initial=0.0)
+
+
 def _block_algebra(space):
     """Whether the span of an orthonormalized basis is provably a block algebra, hence closed.
 
-    Q is the union of the basis supports with the diagonal entry of
-    every active row; once every basis matrix is exactly skew-Hermitian,
-    Q equals its transpose. A transitive Q is then a block pattern, and
-    the span lies in u_Q, the skew-Hermitian matrices supported on Q,
-    of dimension count(Q). The independent rows span u_Q when
-    dim = count(Q), and the traceless part of u_Q when dim = count(Q) - 1
-    and every trace is exactly 0; both are closed under the bracket.
+    Q is the union of the basis supports (`Subspace._pattern`) with the
+    diagonal entry of every active row; once every basis matrix is
+    exactly skew-Hermitian, Q equals its transpose. A transitive Q is
+    then a block pattern, and the span lies in u_Q, the skew-Hermitian
+    matrices supported on Q, of dimension count(Q). The independent rows
+    span u_Q when dim = count(Q), and the traceless part of u_Q when
+    dim = count(Q) - 1 and every trace is exactly 0; both are closed
+    under the bracket.
     """
-    A = space.basis
-    if (A + A.conj().swapaxes(1, 2)).any():
+    skew, support = space._pattern
+    if not skew:
         return False
-    Q = A.any(axis=0)
+    Q = support.copy()
     np.fill_diagonal(Q, Q.any(axis=0))
     count = int(np.count_nonzero(Q))
     if space.dim not in (count, count - 1) or (Q @ Q > Q).any():
         return False
-    traces = A.diagonal(axis1=1, axis2=2).imag.tolist()
+    traces = space.basis.diagonal(axis1=1, axis2=2).imag.tolist()
     return space.dim == count or not any(map(math.fsum, traces))
 
 
@@ -193,8 +225,8 @@ def build_split(ch):
     m1 is the complement of k in g and m2 the complement of h in k, so
     dim m1 + dim m2 + dim h = dim g. The bracket relations [h, mi] in mi
     and [m1, k] in m1 hold automatically for a valid chain; they are
-    verified and a StructureError is raised if the input sneaks past the
-    closure checks but violates them.
+    certified or verified (`_relation_residual`), and a StructureError is
+    raised if the input sneaks past the closure checks but violates them.
     """
     m1 = _complement(ch.g, ch.k)
     m2 = _complement(ch.k, ch.h)
@@ -202,7 +234,7 @@ def build_split(ch):
     if ch.h.dim + m1.dim + m2.dim != ch.g.dim:
         raise StructureError("complement dimensions do not add up; input bases overlap")
     require(structure_report(split), USER_TOL, "split of chain")
-    worst = _bracket_residuals(m1, m1, ch.k).max(initial=0.0)
+    worst = _relation_residual(m1, m1, ch.k)
     if worst > USER_TOL:
         raise StructureError(f"[m1, k] leaves m1 (residual {worst:.3e})")
     return split
@@ -242,13 +274,14 @@ def build_custom_split(g_basis, h_basis, module_bases):
 def bracket_pair_residual(split, a, b):
     """Worst residual of [x, y] off m_a over x in m_a, y in m_b (1-based), once per split and pair.
 
-    A space document's report and its system's constructor both ask for it.
+    0.0 when certified by support pattern (`_relation_residual`). A space
+    document's report and its system's constructor both ask for it.
     """
     if b is None:
         return 0.0
     if (a, b) not in split.pair_residuals:
         ma, mb = split.module(a), split.module(b)
-        split.pair_residuals[a, b] = _bracket_residuals(ma, ma, mb).max(initial=0.0)
+        split.pair_residuals[a, b] = _relation_residual(ma, ma, mb)
     return split.pair_residuals[a, b]
 
 

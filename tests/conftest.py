@@ -47,6 +47,25 @@ def dense_export(entry):
     return doc
 
 
+def conjugated_export(entry, seed=0):
+    """dense_export(entry) with every basis and W conjugated by one seeded unitary U, and no model.
+
+    Its bases are dense and not exactly skew-Hermitian, so no closure and no
+    bracket relation of its split can be certified by support pattern.
+    """
+    n = entry.W.shape[0]
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    doc = dense_export(entry)
+    for key in ("g_basis", "h_basis", "k_basis"):
+        if key in doc:
+            doc[key] = _doc(U @ np.asarray(entry.source[key]) @ U.conj().T)
+    if "module_bases" in doc:
+        doc["module_bases"] = [_doc(U @ np.asarray(mod) @ U.conj().T) for mod in entry.source["module_bases"]]
+    doc["W"], doc["model"] = _doc(U @ entry.W @ U.conj().T), None
+    return doc
+
+
 def combo(space, coeffs):
     """Linear combination of a Subspace basis."""
     return sum(c * e for c, e in zip(coeffs, space.basis))

@@ -40,7 +40,7 @@ from homofiber import (
 from homofiber import motion as motion_module
 from homofiber.cli import _motion_from_args, build_parser, main
 from homofiber.split import membership_scale
-from conftest import dense_export, named_entry
+from conftest import conjugated_export, dense_export, named_entry
 
 
 def run_out(tmp_path, name, argv):
@@ -77,36 +77,65 @@ def test_validate_every_entry(name, capsys):
     assert "-0.000" not in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("document", [False, True])
-def test_validate_computes_each_residual_once(tmp_path, monkeypatch, document):
-    # every structural residual is computed once per op, although
-    # building, loading and reporting the entry all read them
+def _spy_relations(monkeypatch):
+    """Record (target, A, B) of every bracket relation the split layer takes, certified or swept,
+    and of every sweep of basis pairs, closures included."""
     import homofiber.split as split_mod
 
-    space = "hopf:2"
-    if document:
-        space = str(tmp_path / "hopf2.json")
-        with open(space, "w") as fh:
-            json.dump(export_entry(get_entry("hopf:2")), fh)
-    closures, pairs = [], []
-    real_closure, real_pairs = split_mod._closure_residual, split_mod._bracket_residuals
+    relations, sweeps = [], []
+    real_relation, real_sweep = split_mod._relation_residual, split_mod._bracket_residuals
     monkeypatch.setattr(
-        split_mod, "_closure_residual", lambda S: closures.append(S.dim) or real_closure(S)
+        split_mod,
+        "_relation_residual",
+        lambda T, A, B: relations.append((T, A, B)) or real_relation(T, A, B),
     )
     monkeypatch.setattr(
         split_mod,
         "_bracket_residuals",
-        lambda T, A, B: pairs.append((T, A, B)) or real_pairs(T, A, B),
+        lambda T, A, B: sweeps.append((T, A, B)) or real_sweep(T, A, B),
     )
+    return relations, sweeps
+
+
+def _validate_relations(tmp_path, monkeypatch, doc=None):
+    """The closure dims, relations and sweeps of one validate of hopf:2, or of doc if given."""
+    import homofiber.split as split_mod
+
+    space = "hopf:2"
+    if doc is not None:
+        space = str(tmp_path / "hopf2.json")
+        with open(space, "w") as fh:
+            json.dump(doc, fh)
+    closures = []
+    real_closure = split_mod._closure_residual
+    monkeypatch.setattr(
+        split_mod, "_closure_residual", lambda S: closures.append(S.dim) or real_closure(S)
+    )
+    relations, sweeps = _spy_relations(monkeypatch)
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["validate", "--space", space]) == 0
     assert closures == [9, 5, 4]  # g = u(3), k = u(2) + u(1), h = u(2)
-    # the three are block algebras, certified closed without a bracket
-    assert not any(T is A is B for T, A, B in pairs)
-    # ad-invariance brackets h with a module m_i and measures off m_i
-    assert sum(B is T and A is not T for T, A, B in pairs) == 2  # m1 and m2
-    # and [m1, k] in m1 and the bracket condition [m1, m2] in m1 once each
-    assert len(pairs) == 2 + 1 + 1
+    # ad-invariance brackets h with a module m_i and measures off m_i,
+    # then [m1, k] in m1 and the bracket condition [m1, m2] in m1, once each
+    dims = [(T.dim, A.dim, B.dim) for T, A, B in relations]
+    assert dims == [(4, 4, 4), (1, 4, 1), (4, 4, 5), (4, 4, 1)]
+    return dims, [(T.dim, A.dim, B.dim) for T, A, B in sweeps]
+
+
+@pytest.mark.parametrize("document", [False, True])
+def test_validate_computes_each_residual_once(tmp_path, monkeypatch, document):
+    # every structural residual is computed once per op, although
+    # building, loading and reporting the entry all read them; block
+    # algebras and support patterns certify them all without a bracket
+    doc = export_entry(get_entry("hopf:2")) if document else None
+    _, sweeps = _validate_relations(tmp_path, monkeypatch, doc)
+    assert sweeps == []
+
+
+def test_validate_sweeps_each_uncertified_residual_once(tmp_path, monkeypatch):
+    # dense bases that are not exactly skew: each closure and relation is swept once
+    dims, sweeps = _validate_relations(tmp_path, monkeypatch, conjugated_export(get_entry("hopf:2")))
+    assert sweeps == [(9,) * 3, (5,) * 3, (4,) * 3] + dims
 
 
 def test_verify_passes_on_closed_form_curve(tmp_path):
@@ -249,23 +278,19 @@ def test_the_collapse_gate_is_1e12_times_rho_max_t_past_1(monkeypatch, capsys, a
 
 
 def test_a_document_op_takes_the_bracket_condition_once(monkeypatch, tmp_path, capsys):
-    import homofiber.split
-
-    calls = []
-    original = homofiber.split._bracket_residuals
-
-    def spy(target, A, B):
-        calls.append((target.dim, A.dim, B.dim))
-        return original(target, A, B)
-
-    monkeypatch.setattr(homofiber.split, "_bracket_residuals", spy)
-    path = tmp_path / "hopf3.json"
+    relations, sweeps = _spy_relations(monkeypatch)
+    path, conjugated = tmp_path / "hopf3.json", tmp_path / "hopf3-conjugated.json"
     path.write_text(json.dumps(export_entry(named_entry("hopf:3"))))
-    for space in (str(path), "hopf:3"):
-        calls.clear()
+    conjugated.write_text(json.dumps(conjugated_export(named_entry("hopf:3"))))
+    # (target, A, B) dims: [h, m1] in m1, [h, m2] in m2, [m1, k] in m1, and [m1, m2] in m1 once
+    want = [(6, 9, 6), (1, 9, 1), (6, 6, 10), (6, 6, 1)]
+    for space in (str(path), "hopf:3", str(conjugated)):
+        relations.clear()
+        sweeps.clear()
         assert main(["verify", "--space", space, "--k", "1", "--samples", "9"]) == 0
-        # (target, A, B) dims: [h, m1] in m1, [h, m2] in m2, [m1, k] in m1, and [m1, m2] in m1 once
-        assert calls == [(6, 9, 6), (1, 9, 1), (6, 6, 10), (6, 6, 1)], space
+        assert [(T.dim, A.dim, B.dim) for T, A, B in relations] == want, space
+        swept = [(T.dim, A.dim, B.dim) for T, A, B in sweeps if not T is A is B]
+        assert swept == (want if space == str(conjugated) else []), space
     capsys.readouterr()
 
 
@@ -789,6 +814,29 @@ def test_weight_ratio_out_of_range_names_the_flag(capsys, weights, ratio):
     assert err == f"error: the --lambda weight ratio {ratio} is out of floating-point range\n"
 
 
+@pytest.mark.parametrize("fmt", ["json-tree", "csv"])
+def test_a_non_finite_verify_value_is_a_usage_error(tmp_path, capsys, monkeypatch, fmt):
+    # Y ~ 1e300 overflows the extension's energies, so the Koszul residual reads nan:
+    # not a failed check but a configuration the arithmetic cannot resolve, refused
+    # without a warning and before any report is written
+    out = tmp_path / "r"
+    argv = ["verify", "--space", "hopf:2", "--lambda", "1", "--lambda", "1e300", "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: the arithmetic cannot resolve this configuration: koszul residual nan\n"
+    )
+    assert not out.exists()
+    # a sweep value is refused the same way, and each non-finite value is named
+    monkeypatch.setattr("homofiber.cli.conservation_sweep", lambda grid: float("inf"))
+    monkeypatch.setattr("homofiber.cli.velocity_agreement_sweep", lambda grid: float("nan"))
+    assert main(["verify", "--space", "hopf:2", "--samples", "3", "--format", fmt]) == 2
+    assert capsys.readouterr().err == (
+        "error: the arithmetic cannot resolve this configuration: speed drift inf, velocity agreement nan\n"
+    )
+
+
 NAMES = "hopf:1, hopf:2, hopf:3, su2, kahler_s2, twistor_su3"
 
 
@@ -930,9 +978,14 @@ def test_a_flow_that_overflows_prints_one_error_line(command):
     ],
 )
 def test_a_check_that_reads_nan_fails(monkeypatch, capsys, check, failure):
+    # a NaN is no verdict of its check: the run fails as a configuration the
+    # arithmetic cannot resolve (exit 2), naming the value, and writes no report
     monkeypatch.setattr(f"homofiber.cli.{check}", lambda grid: float("nan"))
-    assert main(["verify", "--space", "hopf:1", "--samples", "3"]) == 1
-    assert failure in capsys.readouterr().err
+    assert main(["verify", "--space", "hopf:1", "--samples", "3"]) == 2
+    what = failure.split(" > ")[0]
+    assert capsys.readouterr() == (
+        "", f"error: the arithmetic cannot resolve this configuration: {what}\n"
+    )
 
 
 def test_verify_calls_no_checked_linalg_function_from_motion_or_oracle(monkeypatch, capsys):

@@ -111,6 +111,91 @@ def test_row_ends_on_block_boundaries(monkeypatch, cells):
     assert format_rows(table) == per_float(table)
 
 
+def _loop_pow10(q):
+    """10^q as a double-double, one big-integer quotient per exponent."""
+    num, den = (10**q, 1) if q >= 0 else (1, 10**-q)
+    hi = num / den
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b)
+
+
+def _loop_head_table():
+    """The head table built row by row, one (kind, z, negative) at a time."""
+    d = np.arange(100)
+    d1, d2 = d // 10 + 48, d % 10
+    out = np.zeros((7, 2, 2, 100, 8), np.uint8)
+    for kind in range(7):
+        for z in (0, 1):
+            for neg in (0, 1):
+                row = out[kind, z, neg]
+                text = ["-"] * neg + (["0", "."] + ["0"] * kind if kind < 4 else [])
+                row[:, : len(text)] = np.frombuffer("".join(text).encode(), np.uint8)
+                i = len(text)
+                row[:, i] = d1
+                some = (d2 != 0) | (not z)
+                if kind == 4:
+                    row[:, i + 1] = np.where(some, ord("."), 0)
+                    i += 1
+                row[:, i + 1] = np.where(some | (kind > 4), d2 + 48, 0)
+                if kind == 5 and not z:
+                    row[:, i + 2] = ord(".")
+    return np.concatenate([out.reshape(-1, 8), np.zeros((1, 8), np.uint8)]).view(np.uint64)[:, 0]
+
+
+def _loop_group_table():
+    """The group table built mode by mode, each digit blanked in place."""
+    n = np.arange(1000)
+    chars = np.stack([n // 100, n // 10 % 10, n % 10], axis=1) + 48
+    later = np.flip(np.logical_or.accumulate(np.flip(chars != 48, 1), 1), 1)
+    later = np.concatenate([later, np.zeros((1000, 1), bool)], axis=1)
+    out = np.zeros((11, 1000, 4), np.uint8)
+    for mode in range(11):
+        s, z = divmod(mode, 2) if mode < 10 else (0, 1)
+        row = out[mode]
+        for k in range(3):
+            row[:, k + (1 <= s <= k)] = chars[:, k] if k < s or not z else chars[:, k] * later[:, k]
+        if 1 <= s <= 3:
+            row[:, s] = ord(".") if not z else later[:, s] * ord(".")
+    out[10, :, 3] = ord("e")
+    return out.reshape(-1, 4).view(np.uint32)[:, 0]
+
+
+def _loop_tables():
+    """Every layout table as one exact quotient per exponent, one row per head mode and
+    one string per tail built them."""
+    X = np.arange(csvtext._XMIN, csvtext._XMAX + 1)
+    hi, lo = np.array([_loop_pow10(16 - x) for x in X.tolist()]).T
+    exponent = (X < -4) | (X > 16)
+    points = np.where(exponent, 1, np.maximum(X + 1, 0))
+    kind = np.select([X < 0, X < 1, X < 2], [-X - 1, 4, 5], 6)
+    kind[exponent] = 4
+    s = np.clip(points[:, None] - 3 * np.arange(5) - 2, 0, 4)
+    group_offsets = (s * 2 + [0, 0, 0, 0, 1]) * 1000
+    group_offsets[exponent, 4] = 10_000
+    tail = b"".join(
+        (f"{x:+03d}" * e + end).encode().ljust(4, b"\0")
+        for x, e in zip(X.tolist(), exponent.tolist()) for end in ",\n"
+    )
+    zero = b"".join(t.ljust(csvtext.CELL, b"\0") for t in (b"0,", b"0\n", b"-0,", b"-0\n"))
+    return (
+        np.stack([hi, *csvtext._split(hi), lo], axis=1), _loop_head_table(), _loop_group_table(),
+        np.frombuffer(tail, np.uint32), kind * 400, group_offsets.T.copy(),
+        np.frombuffer(zero, np.uint8).reshape(4, csvtext.CELL),
+    )
+
+
+def test_layout_tables_equal_the_loop_built_ones():
+    # every table, byte for byte, against the loops that built it one exponent,
+    # head mode, group mode and tail string at a time
+    names = ("pow10", "head", "group", "tail", "head offsets", "group offsets", "zero")
+    for name, got, want in zip(names, csvtext._tables(), _loop_tables(), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    # and 10^q over a wider range than the table's, exponents out of order and repeated
+    q = np.array([0, -1, 1, 22, 23, -22, -23, 308, -307, -340, 5, 5, -5])
+    assert np.array(csvtext._pow10(q)).T.tobytes() == np.array([_loop_pow10(x) for x in q.tolist()]).tobytes()
+
+
 def test_layout_tables_are_read_only():
     tables = csvtext._tables()
     assert len(tables) == 7

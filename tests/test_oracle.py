@@ -194,17 +194,21 @@ def test_sweeps_read_zero_on_an_empty_grid(hopf1):
 
 
 def test_bare_grid_solves_the_numeric_velocity_at_its_own_points(hopf1, monkeypatch):
-    # the stencil t +- h exists only on a grid built for the weak form, with an fd_step
+    # the stencil t +- h exists only on a grid built for the weak form, with an fd_step;
+    # either grid takes its representative, and the numeric velocity from it, in one call
     motion = seeded_motion(system_for(hopf1, ratio=2.0, k=1.0), seed=3)
-    real, sizes = motion.body_velocity_numeric, []
+    real, sizes = motion.representative, []
 
-    def counted(t):
+    def counted(t, y_phases=None):
         sizes.append(len(t))
-        return real(t)
+        return real(t, y_phases)
 
-    monkeypatch.setattr(motion, "body_velocity_numeric", counted)
+    monkeypatch.setattr(motion, "representative", counted)
+    monkeypatch.setattr(motion, "body_velocity_numeric", None)  # the grid never calls it
     velocity_agreement_sweep(CurveGrid(motion, TS, fd_step=None))
-    residual_sweep(CurveGrid(motion, TS, fd_step=H))
+    grid = CurveGrid(motion, TS, fd_step=H)
+    residual_sweep(grid)
+    velocity_agreement_sweep(grid)
     assert sizes == [len(TS), 3 * len(TS)]
 
 

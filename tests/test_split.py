@@ -23,6 +23,7 @@ from homofiber import (
     hopf,
     inner_b,
     lie_group,
+    load_custom,
     orthonormalize,
     project,
     span_residual,
@@ -36,10 +37,13 @@ from homofiber.split import (
     ReductiveSplit,
     _block_algebra,
     _bracket_residuals,
+    _certified,
     _closure_residual,
+    _relation_residual,
     report_lines,
     require,
 )
+from conftest import conjugated_export
 
 # Reference definitions: the validators written as plain loops over basis
 # elements, one bracket and one residual at a time. The stacked kernels
@@ -393,6 +397,121 @@ def test_near_block_algebras_are_swept():
     space = orthonormalize(rotated)
     assert not _block_algebra(space)
     assert _closure_residual(space) == swept_closure(space)
+
+
+def _relations(split, ch=None):
+    """{name: (target, A, B)} of every bracket relation the package takes on a split:
+    [h, m_i] in m_i, [m1, k] in m1 on a chain, and [m_a, m_b] in m_a for a != b."""
+    out = {f"[h,m{i}]": (mod, split.h, mod) for i, mod in enumerate(split.modules, 1)}
+    if ch is not None:
+        out["[m1,k]"] = (split.module(1), split.module(1), ch.k)
+    for a, b in itertools.permutations(range(1, split.s + 1), 2):
+        out[f"[m{a},m{b}]"] = (split.module(a), split.module(a), split.module(b))
+    return out
+
+
+def _check_relation(target, A, B):
+    """Whether the relation is certified; a certified one holds to 1e-15 in the sweep and
+    reads 0.0, and any other reads the sweep's bits."""
+    swept = _bracket_residuals(target, A, B).max(initial=0.0)
+    if _certified(target, A, B):
+        assert swept <= 1e-15 and _relation_residual(target, A, B) == 0.0
+        return True
+    assert _relation_residual(target, A, B).tobytes() == swept.tobytes()
+    return False
+
+
+def test_certified_relations_on_catalog_spaces():
+    entries = [get_entry(name) for name in catalog_names()] + [hopf(4), hopf(5)]
+    splits = [(e.name, e.split, e.chain) for e in entries]
+    splits.append(("su(3)/T", build_custom_split(su3_basis(), torus_basis(), su3_root_modules()), None))
+    certified = {
+        name: {rel: _check_relation(*spaces) for rel, spaces in _relations(split, ch).items()}
+        for name, split, ch in splits
+    }
+    # every relation a fibration chain needs is certified, su2's empty h with its
+    # traceless m2 excepted; the reversed pairs fail the bracket condition and are swept
+    chain = {"[h,m1]": True, "[h,m2]": True, "[m1,k]": True, "[m1,m2]": True, "[m2,m1]": False}
+    assert certified == {
+        "hopf:1": chain,
+        "hopf:2": chain,
+        "hopf:3": chain,
+        "su2": {**chain, "[h,m2]": False},
+        "kahler_s2": {"[h,m1]": True},
+        "twistor_su3": chain,
+        "hopf:4": chain,
+        "hopf:5": chain,
+        "su(3)/T": {
+            "[h,m1]": True, "[h,m2]": True, "[h,m3]": True,
+            **{f"[m{a},m{b}]": False for a, b in itertools.permutations((1, 2, 3), 2)},
+        },
+    }
+    # the report reads the certificate: ad-invariance and the bracket condition are exactly 0
+    rep = structure_report(get_entry("hopf:2").split, pair=(1, 2))
+    assert rep["ad_invariance"] == rep["bracket_condition"] == 0.0
+
+
+def _random_pattern(rng, n):
+    """A random symmetric (n, n) support pattern."""
+    P = rng.random((n, n)) < rng.random()
+    return P | P.T
+
+
+def _pattern_space(rng, P, drop, extra):
+    """A basis of u_P rotated within its span, less `drop` elements, plus maybe a u(n) basis
+    element or a random skew matrix, orthonormalized."""
+    n = len(P)
+    mats = [e for e in _u_basis(n) if P[np.nonzero(e)].all()]
+    if mats:
+        R, _ = np.linalg.qr(rng.standard_normal((len(mats), len(mats))))
+        mats = list(np.einsum("ij,jkl->ikl", R, np.array(mats)))[: max(0, len(mats) - drop)]
+    if extra == "basis":
+        mats.append(_u_basis(n)[rng.integers(n * n)])
+    elif extra == "skew":
+        mats.append(_random_skew(rng, 1, n)[0])
+    return orthonormalize(np.array(mats).reshape(-1, n, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    closed=st.booleans(),
+    drop=st.tuples(*[st.sampled_from([0, 0, 1, 2])] * 3),
+    extra=st.tuples(*[st.sampled_from(["none", "none", "basis", "skew"])] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_certified_relation_holds(n, closed, drop, extra, seed):
+    # A and B on random patterns, the target on a random pattern or one that holds
+    # their products, each rotated within its span, less some elements, plus maybe a
+    # stray element; whenever the certificate holds, so does the swept relation
+    rng = np.random.default_rng(seed)
+    PA, PB = _random_pattern(rng, n), _random_pattern(rng, n)
+    Q = _random_pattern(rng, n)
+    if closed:
+        Q |= (PA.astype(int) @ PB + PB.astype(int) @ PA) > 0
+    A, B, T = (_pattern_space(rng, P, d, x) for P, d, x in zip((PA, PB, Q), drop, extra))
+    certified = _check_relation(T, A, B)
+    if closed and drop[2] == 0 and extra == ("none",) * 3:
+        assert certified  # a full u_Q that holds both products
+    # a Hermitian part of 1e-13 on any one basis, or U A U^H of all three, is swept
+    for i in range(3):
+        spaces = [A, B, T]
+        if spaces[i].dim:
+            near = spaces[i].basis.copy()
+            near[0] += 1e-13 * np.eye(n)
+            spaces[i] = Subspace(near)
+            assert not _certified(spaces[2], spaces[0], spaces[1])
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rotated = [orthonormalize(U @ S.basis @ U.conj().T) for S in (T, A, B)]
+    _check_relation(*rotated)
+
+
+def test_conjugated_splits_are_swept():
+    # Ad(U) of a catalog split: dense supports, not exactly skew, so no relation is certified
+    for name in ("hopf:2", "twistor_su3"):
+        entry = load_custom(conjugated_export(get_entry(name)))
+        for rel, spaces in _relations(entry.split, entry.chain).items():
+            assert not _check_relation(*spaces), (name, rel)
 
 
 def test_closure_pair_stacks_stay_within_the_block(monkeypatch):
